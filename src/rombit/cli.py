@@ -54,14 +54,9 @@ def _cmd_bias(args):
         lines = [
             f"mode={mode} n={rep.n_items} exact prob_one={rep.prob_one} no_bit={rep.no_bit}"
         ]
-    elif mode == "process1":
-        rows = extraction.bias_curve(mode, [args.alpha], args.n, args.trials, args.seed)
-        lines = [_curve_line(mode, row) for row in rows]
-    elif mode == "combine":
-        rows = extraction.bias_curve(mode, [args.r], args.n, args.trials, args.seed)
-        lines = [_curve_line(mode, row) for row in rows]
     else:
-        rows = extraction.bias_curve(mode, [Fraction(1, 2)], args.n, args.trials, args.seed)
+        param = {"process1": args.alpha, "combine": args.r}.get(mode, Fraction(1, 2))
+        rows = extraction.bias_curve(mode, [param], args.n, args.trials, args.seed)
         lines = [_curve_line(mode, row) for row in rows]
     _print_or_write("\n".join(lines) + "\n", args.out)
     return 0
@@ -85,21 +80,34 @@ def _cmd_guess(args):
     return 0
 
 
-def _load_or_generate(args, problem):
+def _params(text):
+    """The --params JSON object as a dict ({} when absent)."""
+    if not text:
+        return {}
+    try:
+        params = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise InputError(f"--params is not valid JSON: {e.msg}") from None
+    if not isinstance(params, dict):
+        raise InputError("--params must be a JSON object")
+    return params
+
+
+def _load_or_generate(args, problem, fixed_params=None):
     if args.instances:
         insts = read_instances(args.instances)
         bad = [i.problem for i in insts if i.problem != problem]
         if bad:
             raise ParseError(f"instance problem {bad[0]!r} does not match {problem!r}")
         return insts
-    params = json.loads(args.params) if args.params else {}
+    params = {**_params(args.params), **(fixed_params or {})}
     return harness.generate_instances(
         problem, args.family, params, args.count, args.seed
     )
 
 
-def _run_and_report(args, problem, variant=None):
-    instances = _load_or_generate(args, problem)
+def _run_and_report(args, problem, variant=None, fixed_params=None):
+    instances = _load_or_generate(args, problem, fixed_params)
     config = harness.ExperimentConfig(
         problem=problem,
         instances=instances,
@@ -132,7 +140,8 @@ def _cmd_knapsack(args):
 
 
 def _cmd_intervals(args):
-    return _run_and_report(args, "interval")
+    variant = {"single": "single", "monotone": "monotone", "cben": "c_benevolent"}
+    return _run_and_report(args, "interval", fixed_params={"variant": variant[args.variant]})
 
 
 def _cmd_throughput(args):
@@ -140,9 +149,8 @@ def _cmd_throughput(args):
 
 
 def _cmd_gen(args):
-    params = json.loads(args.params) if args.params else {}
     instances = harness.generate_instances(
-        args.problem, args.family, params, args.count, args.seed
+        args.problem, args.family, _params(args.params), args.count, args.seed
     )
     write_instances(instances, args.out)
     sys.stdout.write(f"wrote {len(instances)} instances to {args.out}\n")
@@ -243,13 +251,6 @@ def main(argv=None):
         ap.error("gen requires --out")
     if args.command == "report" and not args.out:
         ap.error("report requires --out")
-    if args.command == "intervals":
-        variant_map = {"single": "single", "monotone": "monotone", "cben": "c_benevolent"}
-        variant = variant_map[args.variant]
-        if not args.instances:
-            params = json.loads(args.params) if args.params else {}
-            params["variant"] = variant
-            args.params = json.dumps({k: v for k, v in params.items()})
     try:
         return args.fn(args)
     except (ParseError, InputError, CapacityError, OSError) as e:

@@ -14,6 +14,9 @@ The parity inside ``combine`` is deliberately the opposite of standalone
 ``process1``: with it, Pr(b=1) stays in (1/2, 2 - sqrt(2)] for every input
 mix, so downstream algorithms can rely on min(Pr(b=1), Pr(b=0)) >= sqrt(2)-1.
 
+``harvest`` runs an incremental extractor over an arrival stream and is the
+one place where applications take their bit.
+
 Bias oracles come in two routes that never share code paths: exact
 enumeration over all labeled arrival orders (small n), and Monte Carlo
 sampling without replacement from a key multiset (large n).
@@ -103,14 +106,6 @@ def extractor_for(mode):
     raise InputError(f"no incremental extractor for mode {mode!r}")
 
 
-def process1_feed(state, key):
-    return state.feed(key)
-
-
-def combine_feed(state, key):
-    return state.feed(key)
-
-
 def distinct_unbiased(first, second):
     """Unbiased bit from the first two items of an all-distinct instance."""
     cmp = lex_compare(tuple(first), tuple(second))
@@ -127,6 +122,22 @@ def pairwise_bits(keys):
     return [distinct_unbiased(keys[i], keys[i + 1]) for i in range(0, len(keys), 2)]
 
 
+def harvest(keys, mode="combine"):
+    """First emission of an incremental extractor on an arrival stream.
+
+    Returns ``(bit, index)`` with the 0-based arrival index of the key that
+    made the process emit, or ``(None, None)`` when it never emits.  Keys are
+    consumed lazily and the stream is not read past the emission, so every
+    application takes its bit here and commits at ``index``.
+    """
+    ext = extractor_for(mode)
+    for i, k in enumerate(keys):
+        b = ext.feed(k)
+        if b is not None:
+            return b, i
+    return None, None
+
+
 def bit_for_sequence(keys, mode):
     """Bit emitted by the chosen process on a full arrival order, or None."""
     if mode == "distinct_unbiased":
@@ -134,12 +145,7 @@ def bit_for_sequence(keys, mode):
         if len(keys) < 2:
             return None
         return distinct_unbiased(keys[0], keys[1])
-    ext = extractor_for(mode)
-    for k in keys:
-        b = ext.feed(k)
-        if b is not None:
-            return b
-    return None
+    return harvest(keys, mode)[0]
 
 
 @dataclass

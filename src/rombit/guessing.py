@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import InputError, distinct_orderings, rng_for
-from .extraction import CombineExtractor
+from .extraction import harvest
 
 
 @dataclass
@@ -29,27 +29,15 @@ def guess_run(bits):
     bits = tuple(int(b) for b in bits)
     if any(b not in (0, 1) for b in bits):
         raise InputError("string guessing items must be bits")
-    ext = CombineExtractor()
-    guesses = []
-    confirmed = None
-    r = None
-    switch = None
-    for i, b in enumerate(bits):
-        if r is not None:
-            guesses.append(r)
-        elif confirmed is None:
-            guesses.append(0)
-        else:
-            guesses.append(confirmed)
-        if r is None:
-            emitted = ext.feed((b,))
-            if emitted is not None:
-                r = emitted
-                switch = i
-        if i == 0:
-            confirmed = b
-    correct = sum(1 for g, b in zip(guesses, bits) if g == b)
-    return GuessTrace(guesses=tuple(guesses), truth=bits, correct=correct, switch_index=switch)
+    r, switch = harvest((b,) for b in bits)
+    if not bits:
+        guesses = ()
+    else:
+        # guess 0 first, persist with the first bit up to the switch, then r
+        head = len(bits) - 1 if switch is None else switch
+        guesses = (0,) + (bits[0],) * head + (r,) * (len(bits) - 1 - head)
+    correct = sum(g == b for g, b in zip(guesses, bits))
+    return GuessTrace(guesses=guesses, truth=bits, correct=correct, switch_index=switch)
 
 
 def exact_expected_correct(bits):

@@ -5,7 +5,7 @@ Exact mode enumerates distinct arrival orders of the permuted payload (each
 stands for the same number of labeled permutations) and runs the full
 pipeline per order; the extracted bit is a deterministic function of the
 order, so no bias model enters the computation.  Monte Carlo mode samples
-seeded permutations of the same pipeline.
+seeded permutations of the same pipeline; both modes feed one reducer.
 
 Ratio conventions follow the per-problem literature: knapsack reports
 E[ALG]/OPT (at most 1), string guessing and intervals report OPT/E[ALG],
@@ -16,17 +16,17 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import guessing, intervals, knapsack, throughput
 from .core import (
+    CapacityError,
+    ENUMERATION_GUARD,
     InputError,
-    Instance,
     distinct_orderings,
     make_instance,
     make_item,
-    permute,
     rng_for,
     split_seed,
     write_report,
@@ -226,6 +226,7 @@ class ScaledKnapsack:
     cap: int
     value_den: int
     proportional: bool
+    opt: int  # offline optimum in the scaled units; independent of the order
 
 
 def scale_knapsack(instance):
@@ -237,9 +238,10 @@ def scale_knapsack(instance):
         vints, vden = wints, cap
     else:
         vints, vden = knapsack.scale_values(vs)
+    pairs = list(zip(wints, vints))
     return ScaledKnapsack(
-        pairs=list(zip(wints, vints)), cap=cap, value_den=vden,
-        proportional=proportional,
+        pairs=pairs, cap=cap, value_den=vden, proportional=proportional,
+        opt=knapsack.offline_opt_scaled(pairs, cap),
     )
 
 
@@ -341,22 +343,18 @@ def run_order(instance_view, problem, order, variant=None):
             run = knapsack.rom_proportional_tworbin(ws, s.cap)
         else:
             run = knapsack.rom_proportional(ws, s.cap)
-        opt = knapsack.offline_opt_scaled(list(order), s.cap)
-        return Fraction(run.value, s.cap), Fraction(opt, s.cap)
+        return Fraction(run.value, s.cap), Fraction(s.opt, s.cap)
     if problem == "knapsack_general":
         run = knapsack.rom_general(list(order), s.cap)
-        opt = knapsack.offline_opt_scaled(list(order), s.cap)
-        return Fraction(run.value, s.value_den), Fraction(opt, s.value_den)
+        return Fraction(run.value, s.value_den), Fraction(s.opt, s.value_den)
     if problem == "interval":
         arr = _intervals_for(s, order)
         if s.variant == "single":
             run = intervals.rom_single_length(arr)
-            val = run.selection.value
         else:
             run = intervals.rom_adaptive(arr, s.variant)
-            val = run.selection.value
         opt = intervals.offline_opt_intervals(arr)
-        return Fraction(val), Fraction(opt)
+        return Fraction(run.selection.value), Fraction(opt)
     if problem == "throughput":
         jobs = _jobs_for(s, order)
         run = throughput.rom_simulation(jobs, s.proc)
@@ -403,7 +401,6 @@ def audit_knapsack(instance, variant=None):
     orders = 0
     if s.proportional:
         ws_all = [w for w, _ in s.pairs]
-        opt = knapsack.offline_opt_scaled(s.pairs, s.cap)
         for order in distinct_orderings(ws_all):
             orders += 1
             a1 = knapsack.SubroutineA1(s.cap)
@@ -414,17 +411,16 @@ def audit_knapsack(instance, variant=None):
                 if a1.total() > s.cap or a2.total() > s.cap:
                     violations.append(f"capacity exceeded at step {i} of {order}")
             run = knapsack.rom_proportional(list(order), s.cap)
-            if 5 * (a1.total() + a2.total()) < 7 * opt:
+            if 5 * (a1.total() + a2.total()) < 7 * s.opt:
                 violations.append(f"A1+A2 < 1.4*OPT on {order}")
             if run.value not in (a1.total(), a2.total()):
                 violations.append(f"run differs from both subroutines on {order}")
     else:
-        opt = knapsack.offline_opt_scaled(s.pairs, s.cap)
         for order in distinct_orderings(s.pairs):
             orders += 1
             g, _ = knapsack.greedy_density_run(order, s.cap)
             m = max(v for _, v in order)
-            if g + m < opt:
+            if g + m < s.opt:
                 violations.append(f"GREEDY+MAX < OPT on {order}")
     return {"orders": orders, "violations": violations}
 
@@ -443,13 +439,11 @@ def audit_intervals(instance):
         if s.variant == "single":
             run = intervals.rom_single_length(arr)
             branches = [run.selection.accepted]
-            anchor = run.anchor_index
-            prefix_val = sum(iv.weight for iv in run.prefix_accepted)
         else:
             run = intervals.rom_adaptive(arr, s.variant)
             branches = [run.trace.a_accepted, run.trace.b_accepted, run.selection.accepted]
-            anchor = run.anchor_index
-            prefix_val = sum(iv.weight for iv in run.prefix_accepted)
+        anchor = run.anchor_index
+        prefix_val = sum(iv.weight for iv in run.prefix_accepted)
         for br in branches:
             if not intervals.feasible_selection(br):
                 violations.append(f"overlapping selection on {order}")
@@ -502,8 +496,6 @@ def audit_throughput(instance):
 
 
 def audit_instance(instance, variant=None):
-    from .core import CapacityError, ENUMERATION_GUARD
-
     if instance.n > ENUMERATION_GUARD:
         raise CapacityError(
             f"{instance.meta_value('id', '?')}: n={instance.n} exceeds the "
@@ -550,87 +542,69 @@ class ExperimentReport:
         return self.violation_count == 0
 
 
-def _exact_row(instance, problem, variant):
-    from .core import CapacityError, ENUMERATION_GUARD
+def _sampled_orders(domain, trials, seed):
+    """Seeded uniform shuffles of the order domain, one per trial."""
+    for t in range(trials):
+        perm = list(range(len(domain)))
+        rng_for(seed, t).shuffle(perm)
+        yield [domain[j] for j in perm]
 
-    if instance.n > ENUMERATION_GUARD:
+
+def _row(instance, config):
+    """Reduce one instance over its arrival orders: every distinct ordering
+    when exact, seeded shuffles when sampled.
+
+    Only running sums are kept; the sampled variance E[alg^2] - mean^2 is an
+    exact Fraction, equal to the two-pass sum of squared deviations.
+    """
+    problem = config.problem
+    if config.exact and instance.n > ENUMERATION_GUARD:
         raise CapacityError(
             f"{instance.meta_value('id', '?')}: n={instance.n} exceeds the "
             f"exact-mode enumeration guard {ENUMERATION_GUARD}"
         )
     view = scaled_view(instance)
     domain = _order_domain(instance, view)
-    total_alg = Fraction(0)
-    total_opt = Fraction(0)
-    total_ratio = Fraction(0)
+    if config.exact:
+        orders = distinct_orderings(domain)
+    else:
+        orders = _sampled_orders(domain, config.trials, config.seed)
     count = 0
-    for order in distinct_orderings(domain):
-        alg, opt = run_order(view, problem, order, variant)
-        total_alg += alg
-        total_opt += opt
-        if problem == "throughput":
-            total_ratio += opt / alg if alg else Fraction(0)
+    sum_alg = sum_alg2 = sum_opt = sum_ratio = Fraction(0)
+    for order in orders:
+        alg, opt = run_order(view, problem, order, config.variant)
         count += 1
-    mean_alg = total_alg / count
-    mean_opt = total_opt / count
-    if problem in RATIO_AT_MOST_ONE:
-        ratio = mean_alg / mean_opt if mean_opt else Fraction(1)
-    elif problem == "throughput":
-        ratio = total_ratio / count
-    else:
-        ratio = mean_opt / mean_alg if mean_alg else Fraction(0)
-    return {
-        "mean_alg": mean_alg,
-        "opt": mean_opt,
-        "empirical_ratio": ratio,
-        "stderr": None,
-        "orders": count,
-    }
-
-
-def _mc_row(instance, problem, variant, trials, seed):
-    view = scaled_view(instance)
-    domain = _order_domain(instance, view)
-    n = len(domain)
-    algs = []
-    opts = []
-    ratios = []
-    for t in range(trials):
-        perm = list(range(n))
-        rng_for(seed, t).shuffle(perm)
-        order = [domain[j] for j in perm]
-        alg, opt = run_order(view, problem, order, variant)
-        algs.append(alg)
-        opts.append(opt)
+        sum_alg += alg
+        sum_alg2 += alg * alg
+        sum_opt += opt
         if problem == "throughput":
-            ratios.append(opt / alg if alg else Fraction(0))
-    mean_alg = sum(algs) / trials
-    mean_opt = sum(opts) / trials
-    var = sum((a - mean_alg) ** 2 for a in algs) / trials
-    stderr = math.sqrt(float(var) / trials)
+            sum_ratio += opt / alg if alg else Fraction(0)
+    mean_alg = sum_alg / count
+    mean_opt = sum_opt / count
     if problem in RATIO_AT_MOST_ONE:
         ratio = mean_alg / mean_opt if mean_opt else Fraction(1)
     elif problem == "throughput":
-        ratio = sum(ratios) / trials
+        ratio = sum_ratio / count
     else:
         ratio = mean_opt / mean_alg if mean_alg else Fraction(0)
+    if config.exact:
+        stderr = None
+    else:
+        var = sum_alg2 / count - mean_alg * mean_alg
+        stderr = math.sqrt(float(var) / count)
     return {
         "mean_alg": mean_alg,
         "opt": mean_opt,
         "empirical_ratio": ratio,
         "stderr": stderr,
-        "orders": trials,
+        "orders": count,
+        "trials": "exact" if config.exact else config.trials,
     }
 
 
 def _run_one(args):
     instance, config = args
-    if config.exact:
-        row = _exact_row(instance, config.problem, config.variant)
-        row["trials"] = "exact"
-    else:
-        row = _mc_row(instance, config.problem, config.variant, config.trials, config.seed)
-        row["trials"] = config.trials
+    row = _row(instance, config)
     row["instance_id"] = instance.meta_value("id", "")
     row["problem"] = config.problem
     row["model"] = config.model()
@@ -642,6 +616,10 @@ def _run_one(args):
 
 
 def run_experiment(config):
+    if not config.instances:
+        raise InputError("no instances to run")
+    if not config.exact and config.trials < 1:
+        raise InputError(f"trials must be >= 1 when sampling, got {config.trials}")
     rows = _map(_run_one, [(inst, config) for inst in config.instances])
     rows.sort(key=lambda r: r["instance_id"])
     ratios = [r["empirical_ratio"] for r in rows]

@@ -4,8 +4,9 @@ Single-length instances use fixed slots of width p anchored at the last
 greedily accepted interval; monotone and C-benevolent instances use the
 adaptive slot chain where each new slot is bounded by the end of the
 interval accepted in the previous one.  In both cases two deterministic
-branches pick winners in alternating slots and the extracted bit selects
-one branch.
+branches pick winners in alternating slots, and the COMBINE bit that
+``extraction.harvest`` takes at the first distinct (weight, length) key
+selects one branch.
 
 Intervals carry integer release/length/weight (rescaled rationals); an
 interval occupies [release, release + length) and half-open windows that
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import InputError
-from .extraction import CombineExtractor
+from .extraction import harvest
 
 
 @dataclass(frozen=True)
@@ -163,12 +164,7 @@ def rom_single_length(arrivals):
     lengths = {iv.length for iv in arrivals}
     if len(lengths) > 1:
         raise InputError("single-length instance has mixed lengths")
-    first = arrivals[0]
-    switch = None
-    for ix, iv in enumerate(arrivals):
-        if (iv.length, iv.weight) != (first.length, first.weight):
-            switch = ix
-            break
+    bit, switch = harvest((iv.weight, iv.length) for iv in arrivals)
     if switch is None:
         accepted = [iv for _, iv in greedy_prefix(arrivals, len(arrivals))]
         sel = Selection(accepted=accepted, revoked=[], bit=None,
@@ -178,25 +174,15 @@ def rom_single_length(arrivals):
             switch_index=None, bit=None,
             odd_value=sel.value, even_value=sel.value, winners={},
         )
-    ext = CombineExtractor()
-    bit = None
-    for iv in arrivals:
-        b = ext.feed((iv.weight, iv.length))
-        if b is not None:
-            bit = b
-            break
     prefix = greedy_prefix(arrivals, switch)
     anchor_ix, anchor = prefix[-1]
     kept_prefix = [iv for _, iv in prefix[:-1]]
     winners = slot_winners(arrivals[anchor_ix:], anchor.release, anchor.length)
     odd = [iv for k, iv in sorted(winners.items()) if k % 2 == 1]
     even = [iv for k, iv in sorted(winners.items()) if k % 2 == 0]
-    odd_value = sum(iv.weight for iv in kept_prefix) + sum(iv.weight for iv in odd)
-    even_value = (
-        sum(iv.weight for iv in kept_prefix)
-        + anchor.weight
-        + sum(iv.weight for iv in even)
-    )
+    prefix_value = sum(iv.weight for iv in kept_prefix)
+    odd_value = prefix_value + sum(iv.weight for iv in odd)
+    even_value = prefix_value + anchor.weight + sum(iv.weight for iv in even)
     if bit == 1:
         accepted = kept_prefix + odd
     else:
@@ -321,12 +307,7 @@ def rom_adaptive(arrivals, variant):
     """Greedy pseudo-identical prefix, then the adaptive chain from the anchor;
     bit 1 selects branch A, bit 0 branch B."""
     validate_variant(arrivals, variant)
-    first = arrivals[0]
-    switch = None
-    for ix, iv in enumerate(arrivals):
-        if (iv.length, iv.weight) != (first.length, first.weight):
-            switch = ix
-            break
+    bit, switch = harvest((iv.weight, iv.length) for iv in arrivals)
     if switch is None:
         accepted = [iv for _, iv in greedy_prefix(arrivals, len(arrivals))]
         sel = Selection(accepted=accepted, revoked=[], bit=None, prefix=accepted)
@@ -335,13 +316,6 @@ def rom_adaptive(arrivals, variant):
             prefix_accepted=accepted, anchor_index=None, switch_index=None,
             bit=None, a_value=sel.value, b_value=sel.value,
         )
-    ext = CombineExtractor()
-    bit = None
-    for iv in arrivals:
-        b = ext.feed((iv.weight, iv.length))
-        if b is not None:
-            bit = b
-            break
     prefix = greedy_prefix(arrivals, switch)
     anchor_ix, _ = prefix[-1]
     kept_prefix = [iv for _, iv in prefix[:-1]]

@@ -1,8 +1,8 @@
 """De-randomized online knapsack with revoking.
 
 Three ROM algorithms share the same skeleton: pack identical items greedily,
-extract a bit with COMBINE when the first distinct item arrives, then commit
-to one of two deterministic continuations.
+take the COMBINE bit at the first distinct item from ``extraction.harvest``,
+then commit to one of two deterministic continuations.
 
 * proportional, two subroutines (aggressive / balanced) chosen by the bit;
 * proportional, two-bin variant with an early-exit guard;
@@ -17,11 +17,11 @@ and the exhaustive permutation audits run on plain ints.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import CapacityError, InputError, rng_for
-from .extraction import CombineExtractor
+from .extraction import harvest
 
 OPT_GUARD = 24
 
@@ -192,16 +192,6 @@ class SubroutineA2:
         self.contents = q
 
 
-def subroutine_a1(state, w, arr=0):
-    state.feed(w, arr)
-    return state
-
-
-def subroutine_a2(state, w, arr=0):
-    state.feed(w, arr)
-    return state
-
-
 def max_subset_within(entries, cap):
     """Maximum-total subset of the given (weight, arrival) entries with total
     <= cap; deterministic tie-break by search order (heaviest first)."""
@@ -254,37 +244,19 @@ def rom_proportional(weights, cap):
     the identical prefix their knapsacks coincide with the greedy packing,
     so the returned knapsack always equals one full A1 or A2 run.
     """
+    bit, switch = harvest((w,) for w in weights)
     a1 = SubroutineA1(cap)
     a2 = SubroutineA2(cap)
-    ext = CombineExtractor()
-    bit = None
-    switch = None
     for i, w in enumerate(weights):
-        if bit is None:
-            b = ext.feed((w,))
-            if b is not None:
-                bit = b
-                switch = i
         a1.feed(w, i)
         a2.feed(w, i)
-    if bit is None:
-        # all items identical: both subroutines hold the same greedy packing
-        return ProportionalRun(
-            bit=None,
-            switch_index=None,
-            chosen="prefix",
-            contents=list(a1.contents),
-            value=a1.total(),
-            a1_value=a1.total(),
-            a2_value=a2.total(),
-            revoked=list(a1.revoked),
-            cap=cap,
-        )
-    side = a1 if bit == 1 else a2
+    # without a bit all items are identical and both subroutines hold the
+    # same greedy packing
+    side = a2 if bit == 0 else a1
     return ProportionalRun(
         bit=bit,
         switch_index=switch,
-        chosen="A1" if bit == 1 else "A2",
+        chosen={None: "prefix", 1: "A1", 0: "A2"}[bit],
         contents=list(side.contents),
         value=side.total(),
         a1_value=a1.total(),
@@ -319,23 +291,13 @@ def rom_proportional_tworbin(weights, cap, force_bit=None):
     Returns the current knapsack untouched when less than one more identical
     item would fit (the early-exit guard).
     """
-    w0 = weights[0]
-    ext = CombineExtractor()
-    ext.feed((w0,))
-    packed = [(w0, 0)] if w0 <= cap else []
-    total = w0 if w0 <= cap else 0
-    i = 1
-    bit = None
-    while i < len(weights):
-        w = weights[i]
-        b = ext.feed((w,))
-        if b is not None:
-            bit = b
-            break
+    bit, switch = harvest((w,) for w in weights)
+    packed = []
+    total = 0
+    for i, w in enumerate(weights[:switch]):
         if total + w <= cap:
             packed.append((w, i))
             total += w
-        i += 1
     if bit is None:
         return TwoBinRun(
             bit=None, early_exit=False, contents=packed, value=total,
@@ -343,39 +305,31 @@ def rom_proportional_tworbin(weights, cap, force_bit=None):
         )
     if force_bit is not None:
         bit = force_bit
-    if total > 0 and cap - total < w0:
+    if total > 0 and cap - total < weights[0]:
         return TwoBinRun(
             bit=bit, early_exit=True, contents=packed, value=total,
             revocations=0, cap=cap,
         )
-    bin1 = list(packed)
-    w1 = total
-    revocations = 0
-    if bit == 1:
-        for j in range(i, len(weights)):
-            w = weights[j]
-            if w1 + w <= cap:
-                bin1.append((w, j))
-                w1 += w
-        return TwoBinRun(
-            bit=1, early_exit=False, contents=bin1, value=w1,
-            revocations=0, cap=cap,
-        )
-    # bit 0: revoke the greedy prefix, keep simulating bin 1, pack bin 2
-    revocations = len(packed)
-    bin2 = []
-    w2 = 0
-    for j in range(i, len(weights)):
+    # bin 1 keeps filling greedily; on bit 0 the overflow goes to bin 2
+    bin1, w1 = list(packed), total
+    bin2, w2 = [], 0
+    for j in range(switch, len(weights)):
         w = weights[j]
         if w1 + w <= cap:
             bin1.append((w, j))
             w1 += w
-        elif w2 + w <= cap:
+        elif bit == 0 and w2 + w <= cap:
             bin2.append((w, j))
             w2 += w
+    if bit == 1:
+        return TwoBinRun(
+            bit=1, early_exit=False, contents=bin1, value=w1,
+            revocations=0, cap=cap,
+        )
+    # bit 0 revokes the greedy prefix
     return TwoBinRun(
         bit=0, early_exit=False, contents=bin2, value=w2,
-        revocations=revocations, cap=cap,
+        revocations=len(packed), cap=cap,
     )
 
 
@@ -420,40 +374,16 @@ def rom_general(items, cap, value_den=1):
     ``items`` are scaled (weight, value) integer pairs; COMBINE compares
     items by value first, then weight.
     """
-    ext = CombineExtractor()
-    bit = None
-    switch = None
-    contents = []
-    total_w = 0
-    best = None  # (value, arrival) maximum-value item seen
-    for i, (w, v) in enumerate(items):
-        if bit is None:
-            b = ext.feed((v, w))
-            if b is not None:
-                bit = b
-                switch = i
-        if best is None or v > best[0]:
-            best = (v, i)
-        if bit == 0:
-            continue
-        contents.append((w, v, i))
-        total_w += w
-        while total_w > cap:
-            victim = min(contents, key=lambda e: (Fraction(e[1], e[0]), -e[2]))
-            contents.remove(victim)
-            total_w -= victim[0]
-    greedy_value = sum(e[1] for e in contents)
-    max_value = best[0] if best is not None else 0
-    if bit == 0:
-        value = max_value
-    else:
-        value = greedy_value
+    bit, switch = harvest((v, w) for w, v in items)
+    # bit 0 abandons GREEDY at the switch; its value stays that of the prefix
+    greedy_value, _ = greedy_density_run(items[:switch] if bit == 0 else items, cap)
+    max_value = max((v for _, v in items), default=0)
     return GeneralRun(
         bit=bit,
         switch_index=switch,
         greedy_value=greedy_value,
         max_value=max_value,
-        value=value,
+        value=max_value if bit == 0 else greedy_value,
         cap=cap,
         value_den=value_den,
     )

@@ -5,8 +5,9 @@ may always start the earliest-deadline pending job when the pending set is
 urgent, but a flexible start requires the lock (held until completion), so
 the two schedules drift apart.  The ROM algorithm first packs jobs
 pseudo-identical to the first arrival with a single greedy process, then at
-the first distinct release extracts a bit and continues with the dual
-processes from the breakpoint B; the bit selects which schedule is real.
+the first distinct (proc, slack) key takes the COMBINE bit from
+``extraction.harvest`` and continues with the dual processes from the
+breakpoint B; the bit selects which schedule is real.
 
 All times are integers (rescaled rationals).  A pending set is classified
 by back-to-back earliest-deadline simulation, which is exact for equal
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import CapacityError, InputError
-from .extraction import CombineExtractor
+from .extraction import harvest
 
 OPT_GUARD = 10
 
@@ -255,25 +256,13 @@ def rom_simulation(arrivals, p):
     """
     if any(j.proc != arrivals[0].proc for j in arrivals):
         raise InputError("throughput instance requires equal processing times")
-    first_slack = arrivals[0].slack
-    distinct_ix = None
-    for ix, j in enumerate(arrivals):
-        if j.slack != first_slack:
-            distinct_ix = ix
-            break
+    bit, distinct_ix = harvest((j.proc, j.slack) for j in arrivals)
     if distinct_ix is None:
         entries, _, running = single_greedy_run(arrivals, p, horizon=None)
         return RomRun(
             x=entries, y=entries, chosen=entries, bit=None, breakpoint=None,
             prefix=entries, x_tail=[], y_tail=[], subinstance=[],
         )
-    ext = CombineExtractor()
-    bit = None
-    for j in arrivals:
-        b = ext.feed((j.proc, j.slack))
-        if b is not None:
-            bit = b
-            break
     r = arrivals[distinct_ix].release
     early = [j for j in arrivals if j.release < r]
     entries, completed, running = single_greedy_run(early, p, horizon=r)

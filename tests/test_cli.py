@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from rombit.cli import main
 
 
@@ -94,3 +96,44 @@ def test_missing_instance_file_exit_code(capsys):
     rc = main(["knapsack", "--instances", "/nonexistent-rombit.jsonl", "--exact"])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+def _one_error_line(capsys):
+    err = capsys.readouterr().err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    return lines[0]
+
+
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_sampled_run_rejects_nonpositive_trials(trials, capsys):
+    rc = main(["knapsack", "--count", "2", "--params", '{"n": 4, "support": 2}',
+               "--trials", trials, "--seed", "1"])
+    assert rc == 2
+    assert "trials" in _one_error_line(capsys)
+
+
+def test_run_rejects_zero_count(capsys):
+    rc = main(["throughput", "--count", "0", "--exact"])
+    assert rc == 2
+    assert "no instances" in _one_error_line(capsys)
+
+
+def test_run_rejects_empty_instance_file(tmp_path, capsys):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    rc = main(["knapsack", "--instances", str(empty), "--exact"])
+    assert rc == 2
+    assert "no instances" in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("command", ["knapsack", "intervals", "throughput", "gen"])
+@pytest.mark.parametrize("params", ["{n: 4", "[4]"])
+def test_malformed_params(command, params, tmp_path, capsys):
+    argv = [command, "--params", params, "--count", "1"]
+    if command == "gen":
+        argv += ["--problem", "throughput", "--family", "uniform",
+                 "--out", str(tmp_path / "x.jsonl")]
+    rc = main(argv)
+    assert rc == 2
+    assert "--params" in _one_error_line(capsys)

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rombit.core import InputError, StateError, distinct_orderings
 from rombit.extraction import (
@@ -19,6 +21,7 @@ from rombit.extraction import (
     exact_bias,
     exact_distinct_conditional,
     first_frequency_counts,
+    harvest,
     pairwise_bits,
     process1_predicted,
     two_type_counts,
@@ -146,10 +149,34 @@ def test_bias_curve_rows():
         assert 0.5 - 3 * row["stderr"] - 0.03 <= row["empirical"]
 
 
-def test_bit_for_sequence_matches_extractor_replay():
-    rng = random.Random(7)
-    for _ in range(50):
-        keys = [(rng.randint(0, 2),) for _ in range(rng.randint(1, 8))]
-        b1 = bit_for_sequence(keys, "combine")
-        b2 = bit_for_sequence(keys, "combine")
-        assert b1 == b2
+def _readme_rule(keys, mode):
+    """(bit, index) by the README rule, written independently of the extractors."""
+    i = next((i for i, k in enumerate(keys) if k != keys[0]), None)
+    if i is None:
+        return None, None
+    if mode == "process1":
+        return int(i % 2 == 1), i
+    if i == 1:
+        return int(keys[1] < keys[0]), i
+    return int(i % 2 == 0), i
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 2).flatmap(
+        lambda dim: st.lists(st.tuples(*[st.integers(0, 2)] * dim), max_size=9)
+    ),
+    st.sampled_from(["process1", "combine"]),
+)
+def test_harvest_matches_readme_rule(keys, mode):
+    expected = _readme_rule(keys, mode)
+    assert harvest(keys, mode) == expected
+    assert bit_for_sequence(keys, mode) == expected[0]
+
+
+def test_harvest_no_emission_and_laziness():
+    assert harvest([], "combine") == (None, None)
+    assert harvest([A, A, A], "process1") == (None, None)
+    stream = iter([A, A, A, B, A])
+    assert harvest(stream, "combine") == (0, 3)
+    assert list(stream) == [A]  # nothing read past the emission

@@ -1,11 +1,12 @@
 """Instance families, exact/Monte Carlo drivers, audits, reports."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
 from rombit import harness as hz
-from rombit.core import InputError, read_instances, write_instances
+from rombit.core import InputError, read_instances, rng_for, write_instances
 
 
 def test_adversarial_family_counts():
@@ -156,3 +157,52 @@ def test_monotone_family_is_permutation_robust():
         view = hz.scale_intervals(inst)
         for order in distinct_orderings(view.payload):
             validate_variant(hz._intervals_for(view, order), "monotone")
+
+
+@pytest.mark.parametrize("problem", ["knapsack_general", "throughput"])
+def test_sampled_row_matches_two_pass_reference(problem):
+    params = {"n": 6, "support": 3}
+    inst = hz.generate_instances(problem, "uniform", params, 1, 4)[0]
+    trials, seed = 60, 3
+    row = hz.run_experiment(hz.ExperimentConfig(
+        problem=problem, instances=[inst], exact=False, trials=trials, seed=seed)).rows[0]
+    view = hz.scaled_view(inst)
+    domain = hz._order_domain(inst, view)
+    algs, opts = [], []
+    for t in range(trials):
+        perm = list(range(len(domain)))
+        rng_for(seed, t).shuffle(perm)
+        alg, opt = hz.run_order(view, problem, [domain[j] for j in perm])
+        algs.append(alg)
+        opts.append(opt)
+    mean = sum(algs) / trials
+    var = sum((a - mean) ** 2 for a in algs) / trials
+    assert row["mean_alg"] == mean
+    assert row["opt"] == sum(opts) / trials
+    assert row["stderr"] == math.sqrt(float(var) / trials)
+    assert row["orders"] == trials
+
+
+def test_knapsack_opt_once_per_scaling(monkeypatch):
+    from rombit import knapsack
+
+    calls = []
+    real = knapsack.offline_opt_scaled
+    monkeypatch.setattr(knapsack, "offline_opt_scaled",
+                        lambda items, cap: calls.append(1) or real(items, cap))
+    insts = hz.generate_instances(
+        "knapsack_general", "uniform", {"n": 5, "support": 3}, 1, 2)
+    hz.run_experiment(hz.ExperimentConfig(
+        problem="knapsack_general", instances=insts, exact=True, audit=True))
+    assert len(calls) == 2  # one for the row, one for the audit
+
+
+def test_run_experiment_rejects_empty_work():
+    insts = hz.generate_instances("string_guess", "bernoulli", {"n": 4}, 1, 1)
+    for cfg in (
+        hz.ExperimentConfig(problem="string_guess", instances=[], exact=True),
+        hz.ExperimentConfig(problem="string_guess", instances=insts, exact=False, trials=0),
+        hz.ExperimentConfig(problem="string_guess", instances=insts, exact=False, trials=-1),
+    ):
+        with pytest.raises(InputError):
+            hz.run_experiment(cfg)
