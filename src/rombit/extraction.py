@@ -19,24 +19,28 @@ one place where applications take their bit.
 
 Bias oracles come in two routes that never share code paths: exact
 enumeration over all labeled arrival orders (small n), and Monte Carlo
-sampling without replacement from a key multiset (large n).
+sampling without replacement from a key multiset (large n).  Monte Carlo
+trial t draws from the splitmix64 counter stream ``CounterStream(seed, t)``;
+all other randomness in the package uses ``rng_for``.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
     CapacityError,
+    CounterStream,
     ENUMERATION_GUARD,
     InputError,
     Instance,
     StateError,
     distinct_orderings,
     lex_compare,
-    rng_for,
     split_seed,
 )
 
@@ -166,22 +170,20 @@ class BiasReport:
     stderr: float = None
 
 
-def _normalize_key_counts(source):
-    """Sorted (key, count) list from an Instance, key iterable, or counts dict."""
-    if isinstance(source, Instance):
-        keys = [it.key for it in source.items]
-    elif isinstance(source, dict):
-        pairs = sorted((tuple(k), int(c)) for k, c in source.items())
-        if any(c <= 0 for _, c in pairs):
+def _key_counts(source):
+    """Unsorted key -> count dict from an Instance, key iterable, or counts dict."""
+    if isinstance(source, dict):
+        counts = {tuple(k): int(c) for k, c in source.items()}
+        if any(c <= 0 for c in counts.values()):
             raise InputError("key counts must be positive")
-        return pairs
-    else:
-        keys = [tuple(k) for k in source]
+        return counts
+    if isinstance(source, Instance):
+        source = (it.key for it in source.items)
     counts = {}
-    for k in keys:
+    for k in source:
         k = tuple(k)
         counts[k] = counts.get(k, 0) + 1
-    return sorted(counts.items())
+    return counts
 
 
 def exact_bias(source, mode):
@@ -191,11 +193,11 @@ def exact_bias(source, mode):
     error: on an all-identical instance the arrival order carries no
     randomness at all.
     """
-    pairs = _normalize_key_counts(source)
-    n = sum(c for _, c in pairs)
+    counts = _key_counts(source)
+    n = sum(counts.values())
     if n > ENUMERATION_GUARD:
         raise CapacityError(f"n={n} exceeds enumeration guard {ENUMERATION_GUARD}")
-    multiset = [k for k, c in pairs for _ in range(c)]
+    multiset = [k for k, c in counts.items() for _ in range(c)]
     ones = zeros = nobit = 0
     total = 0
     for order in distinct_orderings(multiset):
@@ -217,11 +219,11 @@ def exact_bias(source, mode):
 
 def exact_distinct_conditional(source, mode="combine"):
     """Exact Pr(b=1 | first two arrivals distinct), or None if undefined."""
-    pairs = _normalize_key_counts(source)
-    n = sum(c for _, c in pairs)
+    counts = _key_counts(source)
+    n = sum(counts.values())
     if n > ENUMERATION_GUARD:
         raise CapacityError(f"n={n} exceeds enumeration guard {ENUMERATION_GUARD}")
-    multiset = [k for k, c in pairs for _ in range(c)]
+    multiset = [k for k, c in counts.items() for _ in range(c)]
     ones = total = 0
     for order in distinct_orderings(multiset):
         if len(order) < 2 or order[0] == order[1]:
@@ -234,49 +236,26 @@ def exact_distinct_conditional(source, mode="combine"):
     return Fraction(ones, total)
 
 
-def _sample_bit(rng, pairs, prefix, n, mode, first_index=None):
-    """One trial: draw arrivals without replacement until the process decides.
+def _sample_bit(below, c_below, c_eq, remaining, mode):
+    """One trial after the first arrival: draw without replacement until decided.
 
-    ``pairs`` is the sorted (key, count) list, ``prefix`` its cumulative
-    counts.  Only the category of each draw relative to the first key
+    ``c_below`` and ``c_eq`` count the remaining items below and equal to the
+    first key, out of ``remaining``; ``below(m)`` is a uniform draw on
+    [0, m).  Only the category of each draw relative to the first key
     (below / equal / above) matters, so a trial is O(#draws).
     """
-    if first_index is None:
-        r = rng.randrange(n)
-        lo, hi = 0, len(pairs)
-        while lo + 1 < hi:
-            mid = (lo + hi) // 2
-            if prefix[mid] <= r:
-                lo = mid
-            else:
-                hi = mid
-        first_index = lo
-    c_eq = pairs[first_index][1] - 1
-    c_below = prefix[first_index]
-    remaining = n - 1
-    c_above = remaining - c_eq - c_below
-
-    if c_below + c_above == 0:
+    if c_eq == remaining:
         return None
-    r = rng.randrange(remaining)
-    if mode == "process1":
-        i = 2
-        while r < c_eq:
-            c_eq -= 1
-            remaining -= 1
-            i += 1
-            r = rng.randrange(remaining)
-        return 1 - (i % 2)
-    # combine
-    if r >= c_eq:
+    r = below(remaining)
+    if mode == "combine" and r >= c_eq:
         return 1 if r - c_eq < c_below else 0
     i = 2
     while r < c_eq:
         c_eq -= 1
         remaining -= 1
         i += 1
-        r = rng.randrange(remaining)
-    return i % 2
+        r = below(remaining)
+    return 1 - (i % 2) if mode == "process1" else i % 2
 
 
 def empirical_bias(source, mode, trials, seed, first_key=None):
@@ -284,51 +263,53 @@ def empirical_bias(source, mode, trials, seed, first_key=None):
 
     ``first_key`` conditions every trial on the first arrival being an item
     with that key; this realizes the worst-case analyses that fix the
-    frequency of the first-arriving type.
+    frequency of the first-arriving type.  Trial t draws from
+    ``CounterStream(seed, t)``, so its outcome depends only on (seed, t).
     """
     if trials < 1:
         raise InputError("trials must be >= 1")
-    pairs = _normalize_key_counts(source)
-    n = sum(c for _, c in pairs)
-    prefix = [0]
-    for _, c in pairs:
-        prefix.append(prefix[-1] + c)
-    prefix = prefix[:-1]
-
-    first_index = None
+    if mode not in MODES:
+        raise InputError(f"unknown mode {mode!r}")
+    counts = _key_counts(source)
+    n = sum(counts.values())
     if first_key is not None:
         first_key = tuple(first_key)
-        for ix, (k, _) in enumerate(pairs):
-            if k == first_key:
-                first_index = ix
-                break
-        if first_index is None:
+        if first_key not in counts:
             raise InputError(f"first_key {first_key!r} not present in the instance")
 
     ones = nobit = 0
     if mode == "distinct_unbiased":
-        if any(c > 1 for _, c in pairs):
+        if n != len(counts):
             raise InputError("distinct_unbiased requires all-distinct items")
         if n < 2:
             raise InputError("need at least two items")
         for t in range(trials):
-            rng = rng_for(seed, t)
-            a = rng.randrange(n)
-            b = rng.randrange(n - 1)
+            below = CounterStream(seed, t).below
+            # ranks of the first two arrivals among the n distinct keys
+            a = below(n)
+            b = below(n - 1)
             if b >= a:
                 b += 1
-            if a < b:  # keys are sorted, so index order is key order
+            if a < b:
                 ones += 1
-    elif mode in ("process1", "combine"):
+    else:
+        if first_key is not None:
+            c_below = sum(c for k, c in counts.items() if k < first_key)
+            c_eq = counts[first_key] - 1
+        else:
+            # the first arrival's rank selects the key whose count range holds it
+            pairs = sorted(counts.items())
+            prefix = list(itertools.accumulate((c for _, c in pairs), initial=0))[:-1]
         for t in range(trials):
-            rng = rng_for(seed, t)
-            b = _sample_bit(rng, pairs, prefix, n, mode, first_index)
+            below = CounterStream(seed, t).below
+            if first_key is None:
+                ix = bisect.bisect_right(prefix, below(n)) - 1
+                c_below, c_eq = prefix[ix], pairs[ix][1] - 1
+            b = _sample_bit(below, c_below, c_eq, n - 1, mode)
             if b is None:
                 nobit += 1
             elif b == 1:
                 ones += 1
-    else:
-        raise InputError(f"unknown mode {mode!r}")
 
     p = ones / trials
     return BiasReport(

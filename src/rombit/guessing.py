@@ -26,17 +26,21 @@ class GuessTrace:
 
 def guess_run(bits):
     """Play one arrival order of the truth string; returns the full trace."""
-    bits = tuple(int(b) for b in bits)
-    if any(b not in (0, 1) for b in bits):
+    bits = tuple(bits)
+    if not set(bits) <= {0, 1}:
         raise InputError("string guessing items must be bits")
+    bits = tuple(map(int, bits))
     r, switch = harvest((b,) for b in bits)
     if not bits:
         guesses = ()
+        correct = 0
     else:
         # guess 0 first, persist with the first bit up to the switch, then r
         head = len(bits) - 1 if switch is None else switch
         guesses = (0,) + (bits[0],) * head + (r,) * (len(bits) - 1 - head)
-    correct = sum(g == b for g, b in zip(guesses, bits))
+        correct = (
+            (bits[0] == 0) + bits[1 : head + 1].count(bits[0]) + bits[head + 1 :].count(r)
+        )
     return GuessTrace(guesses=guesses, truth=bits, correct=correct, switch_index=switch)
 
 
@@ -67,7 +71,11 @@ def empirical_ratio(n, p_one, trials, seed):
     """
     if trials < 1:
         raise InputError("trials must be >= 1")
+    if n < 1:
+        raise InputError(f"n must be >= 1, got {n}")
     p = float(p_one)
+    if not 0 <= p <= 1:
+        raise InputError(f"p_one must lie in [0, 1], got {p_one}")
     total_correct = 0
     for t in range(trials):
         rng = rng_for(seed, t)

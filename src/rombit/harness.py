@@ -34,10 +34,11 @@ from .core import (
 
 
 def worker_count():
-    try:
-        return max(1, int(os.environ.get("ROMBIT_WORKERS", "1")))
-    except ValueError:
-        return 1
+    """Worker processes from ``ROMBIT_WORKERS`` (default 1); must be a positive int."""
+    text = os.environ.get("ROMBIT_WORKERS", "1").strip()
+    if not text.isdecimal() or int(text) < 1:
+        raise InputError(f"ROMBIT_WORKERS must be a positive integer, got {text!r}")
+    return int(text)
 
 
 def _map(fn, items):

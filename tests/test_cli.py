@@ -137,3 +137,22 @@ def test_malformed_params(command, params, tmp_path, capsys):
     rc = main(argv)
     assert rc == 2
     assert "--params" in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("flag,name,value", [("--n", "n", "0"), ("--n", "n", "-3"),
+                                             ("--p-one", "p_one", "1.5"),
+                                             ("--p-one", "p_one", "nan")])
+def test_guess_rejects_bad_input(flag, name, value, capsys):
+    rc = main(["guess", flag, value, "--trials", "2", "--seed", "2"])
+    assert rc == 2
+    line = _one_error_line(capsys)
+    assert f"{name} must" in line and value in line
+
+
+@pytest.mark.parametrize("workers", ["abc", "0", "-2"])
+def test_bad_rombit_workers(workers, monkeypatch, capsys):
+    monkeypatch.setenv("ROMBIT_WORKERS", workers)
+    rc = main(["knapsack", "--count", "2", "--params", '{"n": 4, "support": 2}',
+               "--exact", "--seed", "1"])
+    assert rc == 2
+    assert "ROMBIT_WORKERS" in _one_error_line(capsys)

@@ -8,6 +8,7 @@ import pytest
 
 from rombit.core import (
     CapacityError,
+    CounterStream,
     InputError,
     ParseError,
     distinct_orderings,
@@ -161,3 +162,48 @@ def test_instance_validation():
                 make_item((10, 0), {"release": 1, "proc": 10, "slack": 0}),
             ],
         )
+
+
+def _chi2(counts, expected):
+    return sum((c - expected) ** 2 / expected for c in counts)
+
+
+def test_counter_stream_range_and_determinism():
+    for seed, ix in ((0, ()), (7, (3,)), (2**70 + 5, (1, 2))):
+        for bound in (1, 2, 3, 7, 10**5, 2**64):
+            a = CounterStream(seed, *ix)
+            b = CounterStream(seed, *ix)
+            xs = [a.below(bound) for _ in range(50)]
+            assert xs == [b.below(bound) for _ in range(50)]
+            assert all(0 <= x < bound for x in xs)
+    # a different seed or index gives a different stream
+    streams = [CounterStream(s, t) for s in range(3) for t in range(3, 6)]
+    assert len({tuple(c.below(2**64) for _ in range(3)) for c in streams}) == 9
+    for bad in (0, -1, 2**64 + 1):
+        with pytest.raises(InputError):
+            CounterStream(1).below(bad)
+
+
+@pytest.mark.parametrize("bound,limit", [(2, 10.83), (3, 13.82), (7, 22.46)])
+def test_counter_stream_chi_square(bound, limit):
+    # 0.999 quantiles of chi-square with bound - 1 degrees of freedom
+    draws = 7000
+    counts = [0] * bound
+    for t in range(draws // 7):
+        s = CounterStream(11, t)
+        for _ in range(7):
+            counts[s.below(bound)] += 1
+    assert _chi2(counts, draws / bound) < limit
+
+
+def test_counter_stream_rejection_near_2_63():
+    # For bound 3 * 2**62 the high word of x * bound is floor(3x / 4): without
+    # the rejection step, values divisible by 3 would take half of all draws.
+    bound = 3 << 62
+    s = CounterStream(5)
+    counts = [0, 0, 0]
+    for _ in range(3000):
+        x = s.below(bound)
+        assert 0 <= x < bound
+        counts[x % 3] += 1
+    assert _chi2(counts, 1000) < 13.82

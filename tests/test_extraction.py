@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rombit.core import InputError, StateError, distinct_orderings
+from rombit.core import InputError, StateError, distinct_orderings, make_instance, make_item
 from rombit.extraction import (
     CombineExtractor,
     Process1Extractor,
@@ -126,6 +126,55 @@ def test_empirical_bias_determinism():
     a = empirical_bias(counts, "combine", 500, 11)
     b = empirical_bias(counts, "combine", 500, 11)
     assert a.prob_one == b.prob_one and a.no_bit == b.no_bit
+
+
+def test_empirical_bias_source_forms_agree():
+    rng = random.Random(8)
+    keys = [(Fraction(rng.randint(-3, 3)), Fraction(rng.randint(0, 1))) for _ in range(40)]
+    counts = {}
+    for k in keys:
+        counts[k] = counts.get(k, 0) + 1
+    shuffled = list(counts.items())
+    rng.shuffle(shuffled)
+    inst = make_instance("knapsack_general", [make_item(k) for k in keys])
+    sources = (counts, keys, inst, dict(shuffled))
+    for mode, first_key in (("process1", None), ("combine", None),
+                            ("process1", keys[0]), ("combine", keys[0])):
+        reps = [empirical_bias(src, mode, 400, 13, first_key=first_key) for src in sources]
+        assert all(rep == reps[0] for rep in reps), (mode, first_key)
+    distinct = [(Fraction(i),) for i in range(30)]
+    rng.shuffle(distinct)
+    sources = (all_distinct_counts(30), distinct, dict.fromkeys(distinct, 1))
+    reps = [empirical_bias(src, "distinct_unbiased", 400, 13) for src in sources]
+    assert all(rep == reps[0] for rep in reps)
+
+
+def test_monte_carlo_matches_enumeration():
+    # two routes that share no sampling code: 4.5 sigma plus a 1e-3 floor
+    rng = random.Random(2024)
+    trials = 20000
+    for case in range(24):
+        n = rng.randint(1, 8)
+        if case % 3 == 2:
+            mode = "distinct_unbiased"
+            keys = [(Fraction(v),) for v in rng.sample(range(20), max(n, 2))]
+        else:
+            mode = ("process1", "combine")[case % 3]
+            keys = [(Fraction(rng.randint(0, 3)),) for _ in range(n)]
+        exact = exact_bias(keys, mode)
+        cases = [(None, exact.prob_one, exact.no_bit)]
+        if mode != "distinct_unbiased":
+            # conditioned on the first arrival: the distinct orders starting
+            # with it are equally likely
+            bits = [bit_for_sequence(o, mode) for o in distinct_orderings(keys)
+                    if o[0] == keys[0]]
+            cases.append((keys[0], Fraction(bits.count(1), len(bits)),
+                          Fraction(bits.count(None), len(bits))))
+        for first_key, p_one, no_bit in cases:
+            rep = empirical_bias(keys, mode, trials, case, first_key=first_key)
+            for got, want in ((rep.prob_one, float(p_one)), (rep.no_bit, float(no_bit))):
+                tol = 4.5 * math.sqrt(want * (1 - want) / trials) + 1e-3
+                assert abs(got - want) <= tol, (keys, mode, first_key, rep, want)
 
 
 def test_closed_forms():

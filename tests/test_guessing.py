@@ -3,6 +3,11 @@
 import math
 from fractions import Fraction
 
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from rombit.core import InputError
 from rombit.guessing import (
     empirical_ratio,
     exact_expected_correct,
@@ -21,6 +26,25 @@ def test_hand_trace():
 def test_constant_strings():
     assert guess_run([0] * 6).correct == 6
     assert guess_run([1] * 6).correct == 5  # only the forced first guess misses
+
+
+@given(st.lists(st.sampled_from([0, 1, False, True, Fraction(0), Fraction(1)]),
+                max_size=30))
+@example([])
+@example([0] * 9)
+@example([1] * 9)
+@example([True, False, True])
+def test_guess_run_correct_matches_zip_count(bits):
+    tr = guess_run(bits)
+    assert tr.truth == tuple(int(b) for b in bits)
+    assert len(tr.guesses) == len(bits)
+    assert tr.correct == sum(g == b for g, b in zip(tr.guesses, tr.truth))
+
+
+@pytest.mark.parametrize("bits", [[0, 2], [1.5, 0], ["1", 0], [-1]])
+def test_guess_run_rejects_non_bits(bits):
+    with pytest.raises(InputError):
+        guess_run(bits)
 
 
 def test_majority_lower_bound_all_small_strings():
