@@ -1,13 +1,10 @@
 """Random-order bit extraction and de-randomized 1-bit online algorithms."""
 
 from .core import (
-    ArrivalSequence,
     Instance,
-    enumerate_permutations,
     lex_compare,
     make_instance,
     make_item,
-    permute,
     read_instances,
     write_instances,
 )
@@ -26,7 +23,6 @@ from .harness import ExperimentConfig, generate_instances, run_experiment
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArrivalSequence",
     "BiasReport",
     "CombineExtractor",
     "ExperimentConfig",
@@ -35,14 +31,12 @@ __all__ = [
     "bias_curve",
     "distinct_unbiased",
     "empirical_bias",
-    "enumerate_permutations",
     "exact_bias",
     "generate_instances",
     "lex_compare",
     "make_instance",
     "make_item",
     "pairwise_bits",
-    "permute",
     "read_instances",
     "run_experiment",
     "write_instances",

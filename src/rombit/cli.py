@@ -1,7 +1,8 @@
 """Command-line front end: rombit {bias,guess,knapsack,intervals,throughput,gen,report}.
 
-Exit status is nonzero iff any audit found a violation or an input failed
-to parse.
+Exit status: 0 when the run succeeded, 1 when an audit found a violation
+(each is printed to stderr), 2 when the input was bad (one ``error:`` line).
+``--audit`` requires ``--exact``: it checks every arrival order.
 """
 
 from __future__ import annotations
@@ -129,7 +130,7 @@ def _run_and_report(args, problem, variant=None, fixed_params=None):
         for row in report.rows:
             for v in row["violations"]:
                 sys.stderr.write(f"{row['instance_id']}: {v}\n")
-        return 2
+        return 1
     return 0
 
 

@@ -1,4 +1,9 @@
-"""Shared instance model: exact rationals, item keys, arrival models, serialization.
+"""Shared instance model: exact rationals, item keys, seeded randomness,
+distinct-ordering enumeration, serialization.
+
+Arrival orders are built in ``harness`` (``_order_domain``), which
+enumerates them with ``distinct_orderings`` or samples them with
+``rng_for``; the audit checks each order inside that one walk.
 
 Every quantity that enters a comparison or an eviction rule is an exact
 rational (``fractions.Fraction``), so class boundaries and ties are
@@ -8,9 +13,7 @@ functions of their inputs; values are safe to share across workers.
 
 from __future__ import annotations
 
-import itertools
 import json
-import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -25,8 +28,6 @@ PROBLEMS = (
 
 # problems whose items carry a release coordinate that stays sorted in place
 REALTIME_PROBLEMS = ("interval", "throughput")
-
-ARRIVAL_MODELS = ("adversarial", "rom", "realtime_rom")
 
 ENUMERATION_GUARD = 10
 
@@ -156,39 +157,6 @@ def make_instance(problem, items, meta=None):
     return Instance(problem=problem, items=items, meta=meta_pairs)
 
 
-@dataclass(frozen=True)
-class ArrivalSequence:
-    """A permuted instance under one arrival model.
-
-    ``permutation`` is 0-based: arrival slot i receives source item
-    permutation[i].  Under realtime_rom only the payload row moves; the
-    release column keeps its position, so releases stay non-decreasing.
-    """
-
-    instance: Instance
-    model: str
-    permutation: tuple
-    seed: int = 0
-
-    def arrival_items(self):
-        """Effective items in arrival order."""
-        inst = self.instance
-        if self.model in ("adversarial", "rom"):
-            return [inst.items[j] for j in self.permutation]
-        out = []
-        for i, j in enumerate(self.permutation):
-            src = inst.items[j]
-            rel = inst.items[i].field_("release")
-            payload = tuple(
-                (k, rel if k == "release" else v) for k, v in src.payload
-            )
-            out.append(Item(key=src.key, payload=payload))
-        return out
-
-    def arrival_keys(self):
-        return [it.key for it in self.arrival_items()]
-
-
 # deterministic seed splitting (splitmix64 finalizer)
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -247,38 +215,6 @@ class CounterStream:
         return m >> 64
 
 
-def permute(instance, model, seed=0):
-    """Deterministic arrival sequence for (instance, model, seed)."""
-    if model not in ARRIVAL_MODELS:
-        raise InputError(f"unknown arrival model {model!r}")
-    n = instance.n
-    if model == "realtime_rom" and instance.problem not in REALTIME_PROBLEMS:
-        raise InputError(f"{instance.problem} has no release coordinate")
-    if model == "adversarial":
-        perm = tuple(range(n))
-    else:
-        order = list(range(n))
-        rng_for(seed).shuffle(order)
-        perm = tuple(order)
-    return ArrivalSequence(instance=instance, model=model, permutation=perm, seed=seed)
-
-
-def sequence_with_permutation(instance, model, perm, seed=0):
-    if sorted(perm) != list(range(instance.n)):
-        raise InputError("permutation is not a bijection on the item labels")
-    if model == "realtime_rom" and instance.problem not in REALTIME_PROBLEMS:
-        raise InputError(f"{instance.problem} has no release coordinate")
-    return ArrivalSequence(instance=instance, model=model, permutation=tuple(perm), seed=seed)
-
-
-def enumerate_permutations(instance):
-    """All n! label-level arrival orders; identical items keep distinct labels."""
-    n = instance.n
-    if n > ENUMERATION_GUARD:
-        raise CapacityError(f"n={n} exceeds enumeration guard {ENUMERATION_GUARD}")
-    return itertools.permutations(range(n))
-
-
 def distinct_orderings(values):
     """Distinct orderings of a value multiset, each yielded once.
 
@@ -301,17 +237,6 @@ def distinct_orderings(values):
             yield from rec(prefix + [v], remaining[:i] + remaining[i + 1 :])
 
     return rec([], pool)
-
-
-def ordering_multiplicity(values):
-    """Number of label permutations realizing each distinct ordering."""
-    counts = {}
-    for v in values:
-        counts[v] = counts.get(v, 0) + 1
-    m = 1
-    for c in counts.values():
-        m *= math.factorial(c)
-    return m
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,16 @@
-"""Experiment orchestration: instance families, exact and Monte Carlo ROM
-drivers, per-instance inequality audits, and report assembly.
+"""Experiment orchestration: instance families, the arrival model, exact and
+Monte Carlo ROM drivers, per-order inequality audits, and report assembly.
 
-Exact mode enumerates distinct arrival orders of the permuted payload (each
-stands for the same number of labeled permutations) and runs the full
-pipeline per order; the extracted bit is a deterministic function of the
-order, so no bias model enters the computation.  Monte Carlo mode samples
-seeded permutations of the same pipeline; both modes feed one reducer.
+The arrival model lives here, once: ``_order_domain`` is the permuted
+payload column of an instance, and ``_intervals_for``/``_jobs_for`` place
+an order of it on the fixed release positions (realtime ROM).  Exact mode
+enumerates its distinct orders (each stands for the same number of labeled
+permutations) and runs the full pipeline per order; the extracted bit is a
+deterministic function of the order, so no bias model enters the
+computation.  Monte Carlo mode samples seeded permutations of the same
+pipeline.  Both modes feed one reducer, ``_row``, the only walk over an
+instance's orders; the audit (exact mode only) rides that walk, checking
+each order's run against the problem's per-order inequalities.
 
 Ratio conventions follow the per-problem literature: knapsack reports
 E[ALG]/OPT (at most 1), string guessing and intervals report OPT/E[ALG],
@@ -317,7 +322,7 @@ def scale_throughput(instance):
 
 
 # ---------------------------------------------------------------------------
-# per-arrival-order pipeline runs
+# per-arrival-order pipeline runs and inequality checks
 # ---------------------------------------------------------------------------
 
 
@@ -335,39 +340,154 @@ def _jobs_for(scaled, order):
     ]
 
 
-def run_order(instance_view, problem, order, variant=None):
-    """Run one arrival order; returns (alg_value, opt_value) as Fractions."""
+def _audit_proportional(s, order, ws, run, opt):
+    """A1+A2 >= 7/5 OPT; A1 and A2 are replayed step by step here, as a
+    cross-check of rom_proportional that shares none of its code, and the
+    run must equal one of them."""
+    order = tuple(ws)  # violations name the weight sequence
+    violations = []
+    a1 = knapsack.SubroutineA1(s.cap)
+    a2 = knapsack.SubroutineA2(s.cap)
+    for i, w in enumerate(ws):
+        a1.feed(w, i)
+        a2.feed(w, i)
+        if a1.total() > s.cap or a2.total() > s.cap:
+            violations.append(f"capacity exceeded at step {i} of {order}")
+    if 5 * (a1.total() + a2.total()) < 7 * opt:
+        violations.append(f"A1+A2 < 1.4*OPT on {order}")
+    if run.value not in (a1.total(), a2.total()):
+        violations.append(f"run differs from both subroutines on {order}")
+    return violations
+
+
+def _audit_tworbin(s, order, ws, run, opt):
+    """The reported two-bin knapsack is a packing of this order: its value
+    is its contents' weight within capacity, each content is the arrival at
+    its index with no index twice, and only bit 0 revokes."""
+    order = tuple(ws)
+    violations = []
+    if run.value != sum(w for w, _ in run.contents) or run.value > s.cap:
+        violations.append(f"two-bin value {run.value} is not a packing within cap on {order}")
+    indices = [i for _, i in run.contents]
+    if len(set(indices)) != len(indices) or any(
+        not 0 <= i < len(ws) or ws[i] != w for w, i in run.contents
+    ):
+        violations.append(f"two-bin contents differ from the arrivals on {order}")
+    if run.revocations and run.bit != 0:
+        violations.append(f"revocation without bit 0 on {order}")
+    return violations
+
+
+def _audit_general(s, order, items, run, opt):
+    """GREEDY+MAX >= OPT."""
+    g, _ = knapsack.greedy_density_run(items, s.cap)
+    if g + max(v for _, v in items) < opt:
+        return [f"GREEDY+MAX < OPT on {order}"]
+    return []
+
+
+def _audit_intervals(s, order, arr, run, opt):
+    """Feasibility plus the covering observations: prefix optimality, the
+    prefix/suffix relaxation, the slot-cover bound (single length) and
+    branch-sum >= suffix OPT (adaptive)."""
+    violations = []
+    if s.variant == "single":
+        branches = [run.selection.accepted]
+    else:
+        branches = [run.trace.a_accepted, run.trace.b_accepted, run.selection.accepted]
+    anchor = run.anchor_index
+    prefix_val = sum(iv.weight for iv in run.prefix_accepted)
+    for br in branches:
+        if not intervals.feasible_selection(br):
+            violations.append(f"overlapping selection on {order}")
+    if anchor is None:
+        if run.selection.value != opt:
+            violations.append(f"identical-input prefix not optimal on {order}")
+        return violations
+    pre = intervals.offline_opt_intervals(arr[:anchor])
+    suf = intervals.offline_opt_intervals(arr[anchor:])
+    if prefix_val != pre:
+        violations.append(f"prefix != OPT(prefix) on {order}")
+    if opt > pre + suf:
+        violations.append(f"OPT > OPT(prefix)+OPT(suffix) on {order}")
+    if s.variant == "single":
+        cover = sum(w.weight for w in run.winners.values())
+        if suf > cover:
+            violations.append(f"slot cover misses OPT(suffix) on {order}")
+    else:
+        ab = sum(x.weight for x in run.trace.a_accepted) + sum(
+            x.weight for x in run.trace.b_accepted
+        )
+        if ab < suf:
+            violations.append(f"A+B < OPT(suffix) on {order}")
+    return violations
+
+
+def _audit_throughput(s, order, jobs, run, opt):
+    """Charging bound, the factor-2 bound and normality."""
+    violations = []
+    nx, ny = len(run.x), len(run.y)
+    if 6 * opt > 5 * (nx + ny):
+        violations.append(f"|OPT| > 5/6(|X|+|Y|) on {order}")
+    if nx and ny:
+        if not (Fraction(1, 2) <= Fraction(nx, ny) <= 2):
+            violations.append(f"factor-2 violated on {order}")
+    elif max(nx, ny, 0) > 1:
+        violations.append(f"factor-2 zero-denominator violated on {order}")
+    for sched in (run.x, run.y):
+        ok, why = throughput.is_normal(sched, jobs, s.proc)
+        if not ok:
+            violations.append(f"not normal on {order}: {why}")
+    return violations
+
+
+def run_order(instance_view, problem, order, variant=None, audit=False):
+    """Run one arrival order; returns (alg_value, opt_value, violations).
+
+    The values are Fractions.  With ``audit`` set, ``violations`` lists the
+    failures of the problem's per-order inequality checks on this run;
+    otherwise it is empty.
+    """
     s = instance_view
     if problem == "knapsack_proportional":
-        ws = [w for w, _ in order]
+        arrivals = [w for w, _ in order]
         if variant == "tworbin":
-            run = knapsack.rom_proportional_tworbin(ws, s.cap)
+            run = knapsack.rom_proportional_tworbin(arrivals, s.cap)
+            check = _audit_tworbin
         else:
-            run = knapsack.rom_proportional(ws, s.cap)
-        return Fraction(run.value, s.cap), Fraction(s.opt, s.cap)
-    if problem == "knapsack_general":
-        run = knapsack.rom_general(list(order), s.cap)
-        return Fraction(run.value, s.value_den), Fraction(s.opt, s.value_den)
-    if problem == "interval":
-        arr = _intervals_for(s, order)
+            run = knapsack.rom_proportional(arrivals, s.cap)
+            check = _audit_proportional
+        alg, opt, unit = run.value, s.opt, s.cap
+    elif problem == "knapsack_general":
+        arrivals = list(order)
+        run = knapsack.rom_general(arrivals, s.cap)
+        alg, opt, unit, check = run.value, s.opt, s.value_den, _audit_general
+    elif problem == "interval":
+        arrivals = _intervals_for(s, order)
         if s.variant == "single":
-            run = intervals.rom_single_length(arr)
+            run = intervals.rom_single_length(arrivals)
         else:
-            run = intervals.rom_adaptive(arr, s.variant)
-        opt = intervals.offline_opt_intervals(arr)
-        return Fraction(run.selection.value), Fraction(opt)
-    if problem == "throughput":
-        jobs = _jobs_for(s, order)
-        run = throughput.rom_simulation(jobs, s.proc)
-        opt = throughput.offline_opt_throughput(jobs, s.proc)
-        return Fraction(len(run.chosen)), Fraction(opt)
-    if problem == "string_guess":
+            run = intervals.rom_adaptive(arrivals, s.variant)
+        opt = intervals.offline_opt_intervals(arrivals)
+        alg, unit, check = run.selection.value, 1, _audit_intervals
+    elif problem == "throughput":
+        arrivals = _jobs_for(s, order)
+        run = throughput.rom_simulation(arrivals, s.proc)
+        opt = throughput.offline_opt_throughput(arrivals, s.proc)
+        alg, unit, check = len(run.chosen), 1, _audit_throughput
+    elif problem == "string_guess":
         tr = guessing.guess_run(order)
-        return Fraction(tr.correct), Fraction(len(order))
-    raise InputError(f"unknown problem {problem!r}")
+        return Fraction(tr.correct), Fraction(len(order)), []
+    else:
+        raise InputError(f"unknown problem {problem!r}")
+    violations = check(s, order, arrivals, run, opt) if audit else []
+    return Fraction(alg, unit), Fraction(opt, unit), violations
 
 
 def _order_domain(instance, scaled):
+    """The permuted column of an instance: the values whose orders are the
+    arrival orders.  Release times are not in it; ``_intervals_for`` and
+    ``_jobs_for`` put each order back on the fixed release positions."""
     if instance.problem in ("knapsack_general", "knapsack_proportional"):
         return list(scaled.pairs)
     if instance.problem == "interval":
@@ -387,128 +507,6 @@ def scaled_view(instance):
     if instance.problem == "throughput":
         return scale_throughput(instance)
     return None
-
-
-# ---------------------------------------------------------------------------
-# inequality audits (exhaustive per instance)
-# ---------------------------------------------------------------------------
-
-
-def audit_knapsack(instance, variant=None):
-    """A1+A2 >= 7/5 OPT (proportional) or GREEDY+MAX >= OPT (general), for
-    every arrival order; also checks the chosen run matches one subroutine."""
-    s = scale_knapsack(instance)
-    violations = []
-    orders = 0
-    if s.proportional:
-        ws_all = [w for w, _ in s.pairs]
-        for order in distinct_orderings(ws_all):
-            orders += 1
-            a1 = knapsack.SubroutineA1(s.cap)
-            a2 = knapsack.SubroutineA2(s.cap)
-            for i, w in enumerate(order):
-                a1.feed(w, i)
-                a2.feed(w, i)
-                if a1.total() > s.cap or a2.total() > s.cap:
-                    violations.append(f"capacity exceeded at step {i} of {order}")
-            run = knapsack.rom_proportional(list(order), s.cap)
-            if 5 * (a1.total() + a2.total()) < 7 * s.opt:
-                violations.append(f"A1+A2 < 1.4*OPT on {order}")
-            if run.value not in (a1.total(), a2.total()):
-                violations.append(f"run differs from both subroutines on {order}")
-    else:
-        for order in distinct_orderings(s.pairs):
-            orders += 1
-            g, _ = knapsack.greedy_density_run(order, s.cap)
-            m = max(v for _, v in order)
-            if g + m < s.opt:
-                violations.append(f"GREEDY+MAX < OPT on {order}")
-    return {"orders": orders, "violations": violations}
-
-
-def audit_intervals(instance):
-    """Feasibility plus the covering observations for every arrival order:
-    prefix optimality, the prefix/suffix relaxation, the slot-cover bound
-    (single length) and branch-sum >= suffix OPT (adaptive)."""
-    s = scale_intervals(instance)
-    violations = []
-    orders = 0
-    for order in distinct_orderings(s.payload):
-        orders += 1
-        arr = _intervals_for(s, order)
-        opt = intervals.offline_opt_intervals(arr)
-        if s.variant == "single":
-            run = intervals.rom_single_length(arr)
-            branches = [run.selection.accepted]
-        else:
-            run = intervals.rom_adaptive(arr, s.variant)
-            branches = [run.trace.a_accepted, run.trace.b_accepted, run.selection.accepted]
-        anchor = run.anchor_index
-        prefix_val = sum(iv.weight for iv in run.prefix_accepted)
-        for br in branches:
-            if not intervals.feasible_selection(br):
-                violations.append(f"overlapping selection on {order}")
-        if anchor is None:
-            if run.selection.value != opt:
-                violations.append(f"identical-input prefix not optimal on {order}")
-            continue
-        pre = intervals.offline_opt_intervals(arr[:anchor])
-        suf = intervals.offline_opt_intervals(arr[anchor:])
-        if prefix_val != pre:
-            violations.append(f"prefix != OPT(prefix) on {order}")
-        if opt > pre + suf:
-            violations.append(f"OPT > OPT(prefix)+OPT(suffix) on {order}")
-        if s.variant == "single":
-            cover = sum(w.weight for w in run.winners.values())
-            if suf > cover:
-                violations.append(f"slot cover misses OPT(suffix) on {order}")
-        else:
-            ab = sum(x.weight for x in run.trace.a_accepted) + sum(
-                x.weight for x in run.trace.b_accepted
-            )
-            if ab < suf:
-                violations.append(f"A+B < OPT(suffix) on {order}")
-    return {"orders": orders, "violations": violations}
-
-
-def audit_throughput(instance):
-    """Charging bound, the factor-2 bound and normality for every order."""
-    s = scale_throughput(instance)
-    violations = []
-    orders = 0
-    for order in distinct_orderings(s.slacks):
-        orders += 1
-        jobs = _jobs_for(s, order)
-        run = throughput.rom_simulation(jobs, s.proc)
-        opt = throughput.offline_opt_throughput(jobs, s.proc)
-        nx, ny = len(run.x), len(run.y)
-        if 6 * opt > 5 * (nx + ny):
-            violations.append(f"|OPT| > 5/6(|X|+|Y|) on {order}")
-        if nx and ny:
-            if not (Fraction(1, 2) <= Fraction(nx, ny) <= 2):
-                violations.append(f"factor-2 violated on {order}")
-        elif max(nx, ny, 0) > 1:
-            violations.append(f"factor-2 zero-denominator violated on {order}")
-        for sched in (run.x, run.y):
-            ok, why = throughput.is_normal(sched, jobs, s.proc)
-            if not ok:
-                violations.append(f"not normal on {order}: {why}")
-    return {"orders": orders, "violations": violations}
-
-
-def audit_instance(instance, variant=None):
-    if instance.n > ENUMERATION_GUARD:
-        raise CapacityError(
-            f"{instance.meta_value('id', '?')}: n={instance.n} exceeds the "
-            f"audit enumeration guard {ENUMERATION_GUARD}"
-        )
-    if instance.problem in ("knapsack_general", "knapsack_proportional"):
-        return audit_knapsack(instance, variant)
-    if instance.problem == "interval":
-        return audit_intervals(instance)
-    if instance.problem == "throughput":
-        return audit_throughput(instance)
-    return {"orders": 0, "violations": []}
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +551,9 @@ def _sampled_orders(domain, trials, seed):
 
 def _row(instance, config):
     """Reduce one instance over its arrival orders: every distinct ordering
-    when exact, seeded shuffles when sampled.
+    when exact, seeded shuffles when sampled.  This is the only walk over an
+    instance's orders; with ``config.audit`` set, ``run_order`` also checks
+    each order and the row collects the violations.
 
     Only running sums are kept; the sampled variance E[alg^2] - mean^2 is an
     exact Fraction, equal to the two-pass sum of squared deviations.
@@ -572,8 +572,10 @@ def _row(instance, config):
         orders = _sampled_orders(domain, config.trials, config.seed)
     count = 0
     sum_alg = sum_alg2 = sum_opt = sum_ratio = Fraction(0)
+    violations = []
     for order in orders:
-        alg, opt = run_order(view, problem, order, config.variant)
+        alg, opt, failed = run_order(view, problem, order, config.variant, config.audit)
+        violations += failed
         count += 1
         sum_alg += alg
         sum_alg2 += alg * alg
@@ -600,7 +602,18 @@ def _row(instance, config):
         "stderr": stderr,
         "orders": count,
         "trials": "exact" if config.exact else config.trials,
+        "violations": violations,
     }
+
+
+def audit_instance(instance, variant=None):
+    """Every distinct arrival order of ``instance`` through its algorithm and
+    per-order checks; returns {"orders": count, "violations": [...]}."""
+    config = ExperimentConfig(
+        problem=instance.problem, instances=[instance], variant=variant, audit=True
+    )
+    row = _row(instance, config)
+    return {"orders": row["orders"], "violations": row["violations"]}
 
 
 def _run_one(args):
@@ -610,9 +623,6 @@ def _run_one(args):
     row["problem"] = config.problem
     row["model"] = config.model()
     row["seed"] = config.seed
-    row["violations"] = []
-    if config.audit:
-        row["violations"] = audit_instance(instance, config.variant)["violations"]
     return row
 
 
@@ -621,6 +631,8 @@ def run_experiment(config):
         raise InputError("no instances to run")
     if not config.exact and config.trials < 1:
         raise InputError(f"trials must be >= 1 when sampling, got {config.trials}")
+    if config.audit and not config.exact:
+        raise InputError("audit requires exact mode (--exact): it checks every order")
     rows = _map(_run_one, [(inst, config) for inst in config.instances])
     rows.sort(key=lambda r: r["instance_id"])
     ratios = [r["empirical_ratio"] for r in rows]

@@ -62,15 +62,25 @@ def test_intervals_and_throughput_cli(tmp_path):
 def test_audit_violation_exit_code(monkeypatch, capsys):
     from rombit import harness
 
-    def fake_audit(instance, variant=None):
-        return {"orders": 1, "violations": ["synthetic violation"]}
+    def fake_check(s, order, ws, run, opt):
+        return ["synthetic violation"]
 
-    monkeypatch.setattr(harness, "audit_instance", fake_audit)
-    rc = main(["knapsack", "--variant", "proportional", "--count", "2",
-               "--params", '{"n": 4, "support": 2}', "--exact", "--audit",
-               "--seed", "5"])
-    assert rc == 2
+    monkeypatch.setattr(harness, "_audit_proportional", fake_check)
+    argv = ["knapsack", "--variant", "proportional", "--count", "2",
+            "--params", '{"n": 4, "support": 2}', "--exact", "--audit", "--seed", "5"]
+    assert main(argv) == 1
     assert "synthetic violation" in capsys.readouterr().err
+    # bad input still exits 2
+    assert main(argv[:-2] + ["--count", "0"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_audit_requires_exact(capsys):
+    rc = main(["knapsack", "--variant", "proportional", "--count", "2",
+               "--params", '{"n": 4}', "--trials", "5", "--audit", "--seed", "5"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--exact" in err and err.count("\n") == 1
 
 
 def test_jsonl_report_and_convert(tmp_path):

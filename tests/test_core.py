@@ -1,28 +1,26 @@
-"""Instance model, arrival models, permutation enumeration, serialization."""
+"""Instance model, the harness arrival model, ordering enumeration, serialization."""
 
-import math
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from rombit.core import (
-    CapacityError,
     CounterStream,
     InputError,
     ParseError,
     distinct_orderings,
-    enumerate_permutations,
     instance_from_json,
     instance_to_json,
     lex_compare,
     make_instance,
     make_item,
-    ordering_multiplicity,
-    permute,
     read_instances,
     write_instances,
 )
+from rombit.harness import _jobs_for, _order_domain, _sampled_orders, scaled_view
 
 
 def test_lex_compare_examples():
@@ -57,23 +55,12 @@ def _bit_instance(bits):
     )
 
 
-def test_permute_adversarial_identity_and_determinism():
-    inst = _bit_instance([0, 1, 0])
-    seq = permute(inst, "adversarial", seed=9)
-    assert seq.permutation == (0, 1, 2)
-    a = permute(inst, "rom", seed=5)
-    b = permute(inst, "rom", seed=5)
-    assert a.permutation == b.permutation
-
-
 def test_rom_uniformity_n4():
-    # all 24 permutations observed with frequency 1/24 within 0.01 at K=1e5
-    inst = _bit_instance([0, 1, 0, 1])
+    # all 24 orders observed with frequency 1/24 within 0.01 at K=1e5
     counts = {}
     K = 100000
-    for seed in range(1, K + 1):
-        p = permute(inst, "rom", seed=seed).permutation
-        counts[p] = counts.get(p, 0) + 1
+    for order in _sampled_orders([0, 1, 2, 3], K, seed=1):
+        counts[tuple(order)] = counts.get(tuple(order), 0) + 1
     assert len(counts) == 24
     for c in counts.values():
         assert abs(c / K - 1 / 24) <= 0.01
@@ -89,34 +76,43 @@ def _throughput_instance(rel_slacks, p=10):
 
 def test_realtime_rom_keeps_releases_sorted():
     inst = _throughput_instance([(0, 5), (2, 0), (2, 20), (7, 5)])
-    for seed in range(40):
-        seq = permute(inst, "realtime_rom", seed=seed)
-        rel = [it.field_("release") for it in seq.arrival_items()]
-        assert rel == sorted(rel)
-        slacks = sorted(it.field_("slack") for it in seq.arrival_items())
-        assert slacks == sorted([5, 0, 20, 5])
+    view = scaled_view(inst)
+    domain = _order_domain(inst, view)
+    for order in _sampled_orders(domain, 40, seed=0):
+        jobs = _jobs_for(view, order)
+        assert [j.release for j in jobs] == [0, 2, 2, 7]
+        assert sorted(j.slack for j in jobs) == [0, 5, 5, 20]
 
 
 def test_realtime_rom_requires_release():
-    inst = _bit_instance([0, 1])
-    with pytest.raises(InputError):
-        permute(inst, "realtime_rom", seed=0)
-
-
-def test_enumerate_permutations():
-    assert len(list(enumerate_permutations(_bit_instance([1])))) == 1
-    assert len(list(enumerate_permutations(_bit_instance([0, 1, 1])))) == 6
-    big = _bit_instance([0] * 11)
-    with pytest.raises(CapacityError):
-        enumerate_permutations(big)
+    # the realtime-ROM problems place orders on release positions, so their
+    # instances cannot be built without one
+    for problem, payload in (
+        ("throughput", {"proc": 10, "slack": 0}),
+        ("interval", {"length": 2, "weight": 1}),
+    ):
+        with pytest.raises(InputError):
+            make_instance(problem, [make_item((1, 0), payload)])
 
 
 def test_distinct_orderings_match_labeled_enumeration():
-    vals = [1, 1, 2]
-    orders = list(distinct_orderings(vals))
-    assert len(orders) == 3
-    assert ordering_multiplicity(vals) == 2
-    assert len(orders) * ordering_multiplicity(vals) == math.factorial(3)
+    # every distinct ordering is realized by the same number of the n!
+    # labeled permutations
+    for vals in ([1, 1, 2], [3, 1, 3, 2, 1], [0, 0, 0, 1]):
+        orders = list(distinct_orderings(vals))
+        assert len(orders) == len(set(orders))
+        labeled = Counter(
+            tuple(vals[j] for j in perm)
+            for perm in itertools.permutations(range(len(vals)))
+        )
+        assert set(orders) == set(labeled)
+        assert len(set(labeled.values())) == 1
+
+
+def test_public_api_resolves():
+    import rombit
+
+    assert [name for name in rombit.__all__ if not hasattr(rombit, name)] == []
 
 
 def test_instance_roundtrip(tmp_path):

@@ -172,7 +172,7 @@ def test_sampled_row_matches_two_pass_reference(problem):
     for t in range(trials):
         perm = list(range(len(domain)))
         rng_for(seed, t).shuffle(perm)
-        alg, opt = hz.run_order(view, problem, [domain[j] for j in perm])
+        alg, opt, _ = hz.run_order(view, problem, [domain[j] for j in perm])
         algs.append(alg)
         opts.append(opt)
     mean = sum(algs) / trials
@@ -194,7 +194,48 @@ def test_knapsack_opt_once_per_scaling(monkeypatch):
         "knapsack_general", "uniform", {"n": 5, "support": 3}, 1, 2)
     hz.run_experiment(hz.ExperimentConfig(
         problem="knapsack_general", instances=insts, exact=True, audit=True))
-    assert len(calls) == 2  # one for the row, one for the audit
+    assert len(calls) == 1  # the audit rides the row's walk and its scaling
+
+
+@pytest.mark.parametrize("module, name, problem, params", [
+    ("throughput", "rom_simulation", "throughput", {"n": [4, 5]}),
+    ("intervals", "rom_adaptive", "interval", {"n": [4, 5], "variant": "monotone"}),
+])
+def test_audited_exact_run_walks_each_order_once(monkeypatch, module, name, problem,
+                                                  params):
+    from rombit.core import distinct_orderings
+
+    mod = getattr(hz, module)
+    calls = []
+    real = getattr(mod, name)
+    monkeypatch.setattr(mod, name, lambda *a: calls.append(1) or real(*a))
+    insts = hz.generate_instances(problem, "uniform", params, 3, 5)
+    rep = hz.run_experiment(hz.ExperimentConfig(
+        problem=problem, instances=insts, exact=True, audit=True))
+    orders = sum(len(list(distinct_orderings(hz._order_domain(i, hz.scaled_view(i)))))
+                 for i in insts)
+    assert rep.ok()
+    assert len(calls) == orders == sum(r["orders"] for r in rep.rows)
+
+
+def test_tworbin_audit_checks_the_two_bin_run(monkeypatch):
+    from rombit import knapsack
+
+    insts = hz.generate_instances(
+        "knapsack_proportional", "uniform", {"n": [4, 5], "support": 3}, 4, 8)
+    cfg = hz.ExperimentConfig(problem="knapsack_proportional", instances=insts,
+                              variant="tworbin", exact=True, audit=True)
+    assert hz.run_experiment(cfg).violation_count == 0
+
+    def over_capacity(weights, cap):
+        contents = [(w, i) for i, w in enumerate(weights)]
+        return knapsack.TwoBinRun(bit=1, early_exit=False, contents=contents,
+                                  value=sum(weights), revocations=0, cap=cap)
+
+    monkeypatch.setattr(knapsack, "rom_proportional_tworbin", over_capacity)
+    rep = hz.run_experiment(cfg)
+    assert rep.violation_count > 0
+    assert all("two-bin value" in v for r in rep.rows for v in r["violations"])
 
 
 def test_run_experiment_rejects_empty_work():
