@@ -316,6 +316,10 @@ def scale_throughput(instance):
     slacks = [it.field_("slack") for it in instance.items]
     if len(set(procs)) != 1:
         raise InputError("throughput instance requires one common processing time")
+    if procs[0] <= 0:
+        raise InputError(f"throughput proc must be positive, got {procs[0]}")
+    if min(slacks) < 0:
+        raise InputError(f"throughput slack must be non-negative, got {min(slacks)}")
     times, _ = _common_scale(rel + slacks + [procs[0]])
     n = instance.n
     return ScaledThroughput(releases=times[:n], slacks=times[n:-1], proc=times[-1])

@@ -19,6 +19,7 @@ normal.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -378,33 +379,57 @@ def offline_opt_throughput(jobs, p):
     """Exact maximum number of completable jobs.
 
     Depth-first search over which job starts next, each start shifted left
-    to max(current time, release); memoized on (time, remaining set).
+    to max(current time, release), memoized on a canonical (time, live set)
+    state.  The live set drops every job whose latest start is before the
+    time, and the time then advances to the earliest live release.  Both
+    steps are exact: time only moves forward, so a dropped job can never
+    start again, and no live job can start before that release, so each
+    start is the same from either time.  States that differ only by dead
+    jobs or an idle gap thus share one memo entry.  Jobs are tried in
+    latest-start order, and a state stops once every live job is counted.
+    A job whose latest start precedes its release is never live.
     """
     if len(jobs) > OPT_GUARD:
         raise CapacityError(f"n={len(jobs)} exceeds oracle guard {OPT_GUARD}")
-    jobs = list(jobs)
-    index = {j.label: i for i, j in enumerate(jobs)}
+    jobs = sorted(jobs, key=lambda j: j.release + j.slack)
+    n = len(jobs)
+    rel = [j.release for j in jobs]
+    last = [j.release + j.slack for j in jobs]
+    by_release = sorted(range(n), key=rel.__getitem__)
     memo = {}
 
-    def rec(t, remaining):
-        key = (t, remaining)
-        if key in memo:
-            return memo[key]
+    def rec(t, live):
+        # dead jobs are a prefix of the latest-start order
+        k = bisect_left(last, t)
+        live = live >> k << k
+        if not live:
+            return 0
+        for i in by_release:
+            if live >> i & 1:
+                if rel[i] > t:
+                    t = rel[i]
+                break
+        key = (t, live)
+        best = memo.get(key)
+        if best is not None:
+            return best
         best = 0
-        for i, j in enumerate(jobs):
-            if not remaining >> i & 1:
+        cap = live.bit_count()
+        for i in range(k, n):
+            if not live >> i & 1:
                 continue
-            s = t if t > j.release else j.release
-            if s > j.expiry:
-                continue
-            v = 1 + rec(s + p, remaining & ~(1 << i))
+            # t <= last[i] and rel[i] <= last[i], so every live job can start
+            s = t if t > rel[i] else rel[i]
+            v = 1 + rec(s + p, live ^ (1 << i))
             if v > best:
                 best = v
+                if best == cap:
+                    break
         memo[key] = best
         return best
 
-    full = (1 << len(jobs)) - 1
-    return rec(min((j.release for j in jobs), default=0), full)
+    valid = sum(1 << i for i in range(n) if last[i] >= rel[i])
+    return rec(min(rel, default=0), valid)
 
 
 def offline_opt_orderings(jobs, p):

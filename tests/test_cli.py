@@ -137,6 +137,22 @@ def test_run_rejects_empty_instance_file(tmp_path, capsys):
     assert "no instances" in _one_error_line(capsys)
 
 
+@pytest.mark.parametrize("proc,slack,word", [(0, 5, "proc"), (-10, 5, "proc"),
+                                             (10, -5, "slack")])
+def test_throughput_rejects_bad_proc_or_slack(proc, slack, word, tmp_path, capsys):
+    def item(release, s):
+        return {"key": [[proc, 1], [s, 1]],
+                "payload": {"proc": [proc, 1], "release": [release, 1], "slack": [s, 1]}}
+
+    inst = {"items": [item(0, 20), item(3, slack), item(7, 0)],
+            "meta": {"id": "bad"}, "problem": "throughput"}
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps(inst) + "\n")
+    rc = main(["throughput", "--instances", str(path), "--exact"])
+    assert rc == 2
+    assert word in _one_error_line(capsys)
+
+
 @pytest.mark.parametrize("command", ["knapsack", "intervals", "throughput", "gen"])
 @pytest.mark.parametrize("params", ["{n: 4", "[4]"])
 def test_malformed_params(command, params, tmp_path, capsys):

@@ -4,9 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rombit.core import CapacityError, distinct_orderings
 from rombit.throughput import (
+    OPT_GUARD,
     Entry,
     Job,
     _Process,
@@ -142,15 +145,6 @@ def test_oracle_examples_and_guard():
         offline_opt_throughput([J(0, 1, 0, i) for i in range(11)], 1)
 
 
-def test_oracle_against_ordering_bruteforce():
-    rng = random.Random(5)
-    for _ in range(120):
-        n = rng.randint(1, 7)
-        rel = sorted(rng.randrange(0, 30) for _ in range(n))
-        jobs = [J(rel[i], 10, rng.choice([0, 5, 10, 20]), i) for i in range(n)]
-        assert offline_opt_throughput(jobs, 10) == offline_opt_orderings(jobs, 10)
-
-
 def test_decomposition_and_prefix_extension():
     rng = random.Random(31)
     for _ in range(30):
@@ -192,3 +186,63 @@ def test_inequalities_small_batch():
                 assert max(nx, ny) <= 1
             assert is_normal(run.x, jobs, 10)[0]
             assert is_normal(run.y, jobs, 10)[0]
+
+
+def reference_opt_throughput(jobs, p):
+    """Memoized DFS over (time, remaining mask) with no canonical state: the
+    reference for offline_opt_throughput."""
+    if len(jobs) > OPT_GUARD:
+        raise CapacityError(f"n={len(jobs)} exceeds oracle guard {OPT_GUARD}")
+    jobs = list(jobs)
+    memo = {}
+
+    def rec(t, remaining):
+        key = (t, remaining)
+        if key in memo:
+            return memo[key]
+        best = 0
+        for i, j in enumerate(jobs):
+            if not remaining >> i & 1:
+                continue
+            s = t if t > j.release else j.release
+            if s > j.expiry:
+                continue
+            v = 1 + rec(s + p, remaining & ~(1 << i))
+            if v > best:
+                best = v
+        memo[key] = best
+        return best
+
+    full = (1 << len(jobs)) - 1
+    return rec(min((j.release for j in jobs), default=0), full)
+
+
+@st.composite
+def oracle_inputs(draw, max_n):
+    """Jobs in no particular release order, with equal releases, idle gaps,
+    zero slack, slack up to 4p and negative slack (latest start before
+    release)."""
+    p = draw(st.sampled_from([1, 2, 10]))
+    n = draw(st.integers(0, max_n))
+    release = st.one_of(st.sampled_from([0, p, 8 * p]), st.integers(0, 3 * p))
+    slack = st.one_of(st.sampled_from([0, p, 4 * p, -1]), st.integers(-p, 4 * p))
+    jobs = [J(draw(release), p, draw(slack), i) for i in range(n)]
+    return jobs, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(oracle_inputs(max_n=7))
+def test_oracle_against_ordering_bruteforce(case):
+    jobs, p = case
+    assert offline_opt_throughput(jobs, p) == offline_opt_orderings(jobs, p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(oracle_inputs(max_n=OPT_GUARD), st.randoms(use_true_random=False))
+def test_oracle_matches_reference_dfs_and_ignores_labels(case, rng):
+    jobs, p = case
+    opt = offline_opt_throughput(jobs, p)
+    assert opt == reference_opt_throughput(jobs, p)
+    shuffled = [J(j.release, j.proc, j.slack, 100 - k)
+                for k, j in enumerate(rng.sample(jobs, len(jobs)))]
+    assert offline_opt_throughput(shuffled, p) == opt
