@@ -51,7 +51,9 @@ def _cmd_bias(args):
             )
         else:
             counts = extraction.all_distinct_counts(args.n)
-        rep = extraction.exact_bias(counts, mode)
+        # combine conditions on the copied key arriving first, as bias_curve does
+        first_key = (Fraction(0),) if mode == "combine" else None
+        rep = extraction.exact_bias(counts, mode, first_key=first_key)
         lines = [
             f"mode={mode} n={rep.n_items} exact prob_one={rep.prob_one} no_bit={rep.no_bit}"
         ]

@@ -14,8 +14,9 @@ functions of their inputs; values are safe to share across workers.
 from __future__ import annotations
 
 import json
+import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 PROBLEMS = (
@@ -65,6 +66,13 @@ def to_fraction(x):
     if isinstance(x, (list, tuple)) and len(x) == 2 and all(isinstance(v, int) for v in x):
         return Fraction(x[0], x[1])
     raise InputError(f"not a rational: {x!r}")
+
+
+def common_scale(fracs):
+    """Integers in the ratio of the given Fractions, and their common
+    denominator (the lcm of theirs), so ``ints[i] == fracs[i] * den``."""
+    den = math.lcm(*(f.denominator for f in fracs))
+    return [int(f * den) for f in fracs], den
 
 
 def lex_compare(a, b):
@@ -126,9 +134,6 @@ class Instance:
             if k == name:
                 return v
         return default
-
-    def releases(self):
-        return [it.field_("release") for it in self.items]
 
 
 def make_instance(problem, items, meta=None):

@@ -186,29 +186,44 @@ def _key_counts(source):
     return counts
 
 
-def exact_bias(source, mode):
+def _first_key(counts, first_key):
+    """``first_key`` as a key tuple of ``counts``, or None when not given."""
+    if first_key is None:
+        return None
+    first_key = tuple(first_key)
+    if first_key not in counts:
+        raise InputError(f"first_key {first_key!r} not present in the instance")
+    return first_key
+
+
+def exact_bias(source, mode, first_key=None):
     """Exact Pr(b=1) over all labeled arrival orders (n <= 10).
 
-    Orders where no bit is emitted are reported as ``no_bit`` mass, not an
-    error: on an all-identical instance the arrival order carries no
+    ``first_key`` conditions on the first arrival being an item with that
+    key, as in ``empirical_bias``: only the distinct orders that start with
+    it are enumerated, and each stands for the same number of labeled
+    orders.  Orders where no bit is emitted are reported as ``no_bit`` mass,
+    not an error: on an all-identical instance the arrival order carries no
     randomness at all.
     """
     counts = _key_counts(source)
     n = sum(counts.values())
     if n > ENUMERATION_GUARD:
         raise CapacityError(f"n={n} exceeds enumeration guard {ENUMERATION_GUARD}")
+    first_key = _first_key(counts, first_key)
+    head = ()
+    if first_key is not None:
+        counts[first_key] -= 1
+        head = (first_key,)
     multiset = [k for k, c in counts.items() for _ in range(c)]
-    ones = zeros = nobit = 0
-    total = 0
-    for order in distinct_orderings(multiset):
-        b = bit_for_sequence(order, mode)
+    ones = nobit = total = 0
+    for rest in distinct_orderings(multiset):
+        b = bit_for_sequence(head + rest, mode)
         total += 1
         if b is None:
             nobit += 1
         elif b == 1:
             ones += 1
-        else:
-            zeros += 1
     return BiasReport(
         mode=mode,
         prob_one=Fraction(ones, total),
@@ -272,10 +287,7 @@ def empirical_bias(source, mode, trials, seed, first_key=None):
         raise InputError(f"unknown mode {mode!r}")
     counts = _key_counts(source)
     n = sum(counts.values())
-    if first_key is not None:
-        first_key = tuple(first_key)
-        if first_key not in counts:
-            raise InputError(f"first_key {first_key!r} not present in the instance")
+    first_key = _first_key(counts, first_key)
 
     ones = nobit = 0
     if mode == "distinct_unbiased":

@@ -10,7 +10,9 @@ deterministic function of the order, so no bias model enters the
 computation.  Monte Carlo mode samples seeded permutations of the same
 pipeline.  Both modes feed one reducer, ``_row``, the only walk over an
 instance's orders; the audit (exact mode only) rides that walk, checking
-each order's run against the problem's per-order inequalities.
+each order's run record and OPT against the problem's per-order
+inequalities; only the general knapsack check reruns an algorithm (GREEDY,
+which a bit-0 run stops at the switch).
 
 Ratio conventions follow the per-problem literature: knapsack reports
 E[ALG]/OPT (at most 1), string guessing and intervals report OPT/E[ALG],
@@ -29,11 +31,11 @@ from .core import (
     CapacityError,
     ENUMERATION_GUARD,
     InputError,
+    common_scale,
     distinct_orderings,
     make_instance,
     make_item,
     rng_for,
-    split_seed,
     write_report,
 )
 
@@ -219,19 +221,11 @@ def generate_instances(problem, family, params, count, seed):
 # ---------------------------------------------------------------------------
 
 
-def _common_scale(fracs):
-    den = 1
-    for f in fracs:
-        den = den * f.denominator // math.gcd(den, f.denominator)
-    return [int(f * den) for f in fracs], den
-
-
 @dataclass
 class ScaledKnapsack:
     pairs: list  # (weight, value) ints per item label
     cap: int
     value_den: int
-    proportional: bool
     opt: int  # offline optimum in the scaled units; independent of the order
 
 
@@ -239,15 +233,13 @@ def scale_knapsack(instance):
     ws = [it.field_("weight") for it in instance.items]
     vs = [it.field_("value") for it in instance.items]
     wints, cap = knapsack.scale_weights(ws)
-    proportional = instance.problem == "knapsack_proportional"
-    if proportional:
+    if instance.problem == "knapsack_proportional":
         vints, vden = wints, cap
     else:
         vints, vden = knapsack.scale_values(vs)
     pairs = list(zip(wints, vints))
     return ScaledKnapsack(
-        pairs=pairs, cap=cap, value_den=vden, proportional=proportional,
-        opt=knapsack.offline_opt_scaled(pairs, cap),
+        pairs=pairs, cap=cap, value_den=vden, opt=knapsack.offline_opt_scaled(pairs, cap),
     )
 
 
@@ -293,8 +285,8 @@ def scale_intervals(instance):
     rel = [it.field_("release") for it in instance.items]
     lens = [it.field_("length") for it in instance.items]
     ws = [it.field_("weight") for it in instance.items]
-    times, _ = _common_scale(rel + lens)
-    wints, _ = _common_scale(ws)
+    times, _ = common_scale(rel + lens)
+    wints, _ = common_scale(ws)
     n = instance.n
     return ScaledIntervals(
         releases=times[:n],
@@ -320,7 +312,7 @@ def scale_throughput(instance):
         raise InputError(f"throughput proc must be positive, got {procs[0]}")
     if min(slacks) < 0:
         raise InputError(f"throughput slack must be non-negative, got {min(slacks)}")
-    times, _ = _common_scale(rel + slacks + [procs[0]])
+    times, _ = common_scale(rel + slacks + [procs[0]])
     n = instance.n
     return ScaledThroughput(releases=times[:n], slacks=times[n:-1], proc=times[-1])
 
@@ -345,21 +337,16 @@ def _jobs_for(scaled, order):
 
 
 def _audit_proportional(s, order, ws, run, opt):
-    """A1+A2 >= 7/5 OPT; A1 and A2 are replayed step by step here, as a
-    cross-check of rom_proportional that shares none of its code, and the
-    run must equal one of them."""
+    """The proportional run against the paper's per-order inequalities, read
+    off its record: neither A1's nor A2's knapsack ever exceeded capacity
+    (``run.peak``), A1+A2 >= 7/5 OPT, and the run's value is A1's or A2's."""
     order = tuple(ws)  # violations name the weight sequence
     violations = []
-    a1 = knapsack.SubroutineA1(s.cap)
-    a2 = knapsack.SubroutineA2(s.cap)
-    for i, w in enumerate(ws):
-        a1.feed(w, i)
-        a2.feed(w, i)
-        if a1.total() > s.cap or a2.total() > s.cap:
-            violations.append(f"capacity exceeded at step {i} of {order}")
-    if 5 * (a1.total() + a2.total()) < 7 * opt:
+    if run.peak > s.cap:
+        violations.append(f"capacity exceeded: peak {run.peak} > cap {s.cap} on {order}")
+    if 5 * (run.a1_value + run.a2_value) < 7 * opt:
         violations.append(f"A1+A2 < 1.4*OPT on {order}")
-    if run.value not in (a1.total(), a2.total()):
+    if run.value not in (run.a1_value, run.a2_value):
         violations.append(f"run differs from both subroutines on {order}")
     return violations
 

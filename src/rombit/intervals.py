@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .core import InputError
 from .extraction import harvest
@@ -35,10 +34,6 @@ class Interval:
         return self.release + self.length
 
 
-def overlaps(a, b):
-    return a.release < b.end and b.release < a.end
-
-
 def feasible_selection(intervals):
     ivs = sorted(intervals, key=lambda iv: iv.release)
     return all(ivs[i].end <= ivs[i + 1].release for i in range(len(ivs) - 1))
@@ -47,11 +42,6 @@ def feasible_selection(intervals):
 @dataclass
 class Selection:
     accepted: list
-    revoked: list
-    bit: int = None
-    switch_index: int = None
-    prefix: list = None
-    branch_values: tuple = None  # (bit-1 branch, bit-0 branch)
 
     @property
     def value(self):
@@ -77,21 +67,6 @@ def offline_opt_intervals(intervals):
     return best[-1]
 
 
-def offline_opt_subsets(intervals):
-    """Independent cross-check: brute force over subsets (small n only)."""
-    n = len(intervals)
-    if n > 14:
-        raise InputError("subset cross-check limited to n <= 14")
-    best = 0
-    for mask in range(1 << n):
-        chosen = [intervals[i] for i in range(n) if mask >> i & 1]
-        if feasible_selection(chosen):
-            v = sum(iv.weight for iv in chosen)
-            if v > best:
-                best = v
-    return best
-
-
 # ---------------------------------------------------------------------------
 # single-length slots
 # ---------------------------------------------------------------------------
@@ -113,27 +88,11 @@ def slot_winners(intervals, origin, width):
     return winners
 
 
-def fung_single_length(intervals, bit, origin):
-    """Keep the heaviest interval of each odd slot (bit 1) or even slot (bit 0)."""
-    lengths = {iv.length for iv in intervals}
-    if len(lengths) > 1:
-        raise InputError("single-length algorithm requires equal lengths")
-    if not intervals:
-        return Selection(accepted=[], revoked=[], bit=bit)
-    width = next(iter(lengths))
-    winners = slot_winners(intervals, origin, width)
-    want = 1 if bit == 1 else 0
-    accepted = [iv for k, iv in sorted(winners.items()) if k % 2 == want]
-    revoked = [iv for iv in intervals if iv not in accepted]
-    return Selection(accepted=accepted, revoked=revoked, bit=bit)
-
-
 @dataclass
 class SingleLengthRun:
     selection: Selection
     prefix_accepted: list
     anchor_index: int  # arrival index of the last greedily accepted interval
-    switch_index: int
     bit: int
     odd_value: int
     even_value: int
@@ -167,11 +126,9 @@ def rom_single_length(arrivals):
     bit, switch = harvest((iv.weight, iv.length) for iv in arrivals)
     if switch is None:
         accepted = [iv for _, iv in greedy_prefix(arrivals, len(arrivals))]
-        sel = Selection(accepted=accepted, revoked=[], bit=None,
-                        prefix=accepted, branch_values=None)
+        sel = Selection(accepted=accepted)
         return SingleLengthRun(
-            selection=sel, prefix_accepted=accepted, anchor_index=None,
-            switch_index=None, bit=None,
+            selection=sel, prefix_accepted=accepted, anchor_index=None, bit=None,
             odd_value=sel.value, even_value=sel.value, winners={},
         )
     prefix = greedy_prefix(arrivals, switch)
@@ -187,14 +144,9 @@ def rom_single_length(arrivals):
         accepted = kept_prefix + odd
     else:
         accepted = kept_prefix + [anchor] + even
-    revoked = [iv for iv in arrivals if iv not in accepted]
-    sel = Selection(
-        accepted=accepted, revoked=revoked, bit=bit, switch_index=switch,
-        prefix=kept_prefix, branch_values=(odd_value, even_value),
-    )
     return SingleLengthRun(
-        selection=sel, prefix_accepted=kept_prefix, anchor_index=anchor_ix,
-        switch_index=switch, bit=bit,
+        selection=Selection(accepted=accepted), prefix_accepted=kept_prefix,
+        anchor_index=anchor_ix, bit=bit,
         odd_value=odd_value, even_value=even_value, winners=winners,
     )
 
@@ -244,7 +196,6 @@ class AdaptiveTrace:
     a_accepted: list
     b_accepted: list
     slots: list  # (start, end) per slot in chain order
-    phases: int
 
 
 def adaptive_slots_run(intervals, variant):
@@ -258,11 +209,9 @@ def adaptive_slots_run(intervals, variant):
     key = _winner_key(variant)
     ivs = sorted(intervals, key=lambda iv: (iv.release, iv.label))
     a_acc, b_acc, slots = [], [], []
-    phases = 0
     pos = 0
     n = len(ivs)
     while pos < n:
-        phases += 1
         t0 = ivs[pos].release
         pool = []
         while pos < n and ivs[pos].release == t0:
@@ -288,7 +237,7 @@ def adaptive_slots_run(intervals, variant):
                 b_acc.append(winner)
             slot_start, slot_end = slot_end, winner.end
             slot_index += 1
-    return AdaptiveTrace(a_accepted=a_acc, b_accepted=b_acc, slots=slots, phases=phases)
+    return AdaptiveTrace(a_accepted=a_acc, b_accepted=b_acc, slots=slots)
 
 
 @dataclass
@@ -297,7 +246,6 @@ class AdaptiveRun:
     trace: AdaptiveTrace
     prefix_accepted: list
     anchor_index: int
-    switch_index: int
     bit: int
     a_value: int
     b_value: int
@@ -310,10 +258,10 @@ def rom_adaptive(arrivals, variant):
     bit, switch = harvest((iv.weight, iv.length) for iv in arrivals)
     if switch is None:
         accepted = [iv for _, iv in greedy_prefix(arrivals, len(arrivals))]
-        sel = Selection(accepted=accepted, revoked=[], bit=None, prefix=accepted)
+        sel = Selection(accepted=accepted)
         return AdaptiveRun(
-            selection=sel, trace=AdaptiveTrace([], [], [], 0),
-            prefix_accepted=accepted, anchor_index=None, switch_index=None,
+            selection=sel, trace=AdaptiveTrace([], [], []),
+            prefix_accepted=accepted, anchor_index=None,
             bit=None, a_value=sel.value, b_value=sel.value,
         )
     prefix = greedy_prefix(arrivals, switch)
@@ -324,14 +272,8 @@ def rom_adaptive(arrivals, variant):
     a_value = prefix_value + sum(iv.weight for iv in trace.a_accepted)
     b_value = prefix_value + sum(iv.weight for iv in trace.b_accepted)
     branch = trace.a_accepted if bit == 1 else trace.b_accepted
-    accepted = kept_prefix + list(branch)
-    revoked = [iv for iv in arrivals if iv not in accepted]
-    sel = Selection(
-        accepted=accepted, revoked=revoked, bit=bit, switch_index=switch,
-        prefix=kept_prefix, branch_values=(a_value, b_value),
-    )
     return AdaptiveRun(
-        selection=sel, trace=trace, prefix_accepted=kept_prefix,
-        anchor_index=anchor_ix, switch_index=switch, bit=bit,
+        selection=Selection(accepted=kept_prefix + list(branch)), trace=trace,
+        prefix_accepted=kept_prefix, anchor_index=anchor_ix, bit=bit,
         a_value=a_value, b_value=b_value,
     )

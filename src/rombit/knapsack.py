@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import CapacityError, InputError, rng_for
+from .core import CapacityError, InputError, common_scale, rng_for
 from .extraction import harvest
 
 OPT_GUARD = 24
@@ -52,20 +52,14 @@ def scale_weights(weights):
     fracs = [Fraction(w) for w in weights]
     if any(not 0 < w <= 1 for w in fracs):
         raise InputError("weights must lie in (0, 1]")
-    cap = 1
-    for w in fracs:
-        cap = cap * w.denominator // math.gcd(cap, w.denominator)
-    return [int(w * cap) for w in fracs], cap
+    return common_scale(fracs)
 
 
 def scale_values(values):
     fracs = [Fraction(v) for v in values]
     if any(v <= 0 for v in fracs):
         raise InputError("values must be positive")
-    den = 1
-    for v in fracs:
-        den = den * v.denominator // math.gcd(den, v.denominator)
-    return [int(v * den) for v in fracs], den
+    return common_scale(fracs)
 
 
 # ---------------------------------------------------------------------------
@@ -73,26 +67,17 @@ def scale_values(values):
 # ---------------------------------------------------------------------------
 
 
-class SubroutineA1:
-    """Aggressive continuation: hold at most one heavy-medium (M3/M4) item,
-    the smallest of the preferred class (M4 once any M4 item has been seen,
-    M3 before that), and around it retain the maximum-weight fitting subset
-    of the lighter items.  A large arrival evicts everything else and
-    completes the packing.
-
-    Two heavy-medium items never fit together, so the choice is which single
-    one to hold; the smallest pairs best with later small items.  The slot
-    stays empty when the light items alone outweigh it (forcing the keeper
-    can strand it against a heavier pair), and cheaper greedy evictions lose
-    the 7/5 pair bound in both directions, so the fitting subset is exact.
-    """
+class _Subroutine:
+    """What A1 and A2 share: a large arrival evicts everything else and
+    completes (freezes) the packing, an M4 arrival is remembered, and any
+    other arrival goes with the current contents to the subclass's
+    ``_place``, which sets the new contents."""
 
     def __init__(self, cap):
         self.cap = cap
         self.contents = []  # (weight, arrival_index)
         self.seen_m4 = False
         self.frozen = False
-        self.revoked = []
 
     def total(self):
         return sum(w for w, _ in self.contents)
@@ -102,13 +87,28 @@ class SubroutineA1:
             return
         cls = weight_class(w, self.cap)
         if cls == "L":
-            self.revoked.extend(self.contents)
             self.contents = [(w, arr)]
             self.frozen = True
             return
         if cls == "M4":
             self.seen_m4 = True
-        q = self.contents + [(w, arr)]
+        self._place(self.contents + [(w, arr)])
+
+
+class SubroutineA1(_Subroutine):
+    """Aggressive continuation: hold at most one heavy-medium (M3/M4) item,
+    the smallest of the preferred class (M4 once any M4 item has been seen,
+    M3 before that), and around it retain the maximum-weight fitting subset
+    of the lighter items.
+
+    Two heavy-medium items never fit together, so the choice is which single
+    one to hold; the smallest pairs best with later small items.  The slot
+    stays empty when the light items alone outweigh it (forcing the keeper
+    can strand it against a heavier pair), and cheaper greedy evictions lose
+    the 7/5 pair bound in both directions, so the fitting subset is exact.
+    """
+
+    def _place(self, q):
         want = "M4" if self.seen_m4 else "M3"
         candidates = [e for e in q if weight_class(e[0], self.cap) == want]
         if not candidates:
@@ -125,42 +125,19 @@ class SubroutineA1:
             with_k, kept_k = max_subset_within(lights, self.cap - keeper[0])
             if keeper[0] + with_k >= best_light:
                 new_contents = [keeper] + list(kept_k)
-        self.revoked.extend(e for e in q if e not in new_contents)
         self.contents = new_contents
 
 
-class SubroutineA2:
+class SubroutineA2(_Subroutine):
     """Balanced continuation: freeze as soon as some subset of the knapsack
     plus the new item carries at least 9/10 weight (8/10 once an M4 item has
     been seen); otherwise protect the smallest M2 and M1 items, evicting
     other medium items heaviest-first and then the lightest small items."""
 
-    def __init__(self, cap):
-        self.cap = cap
-        self.contents = []
-        self.seen_m4 = False
-        self.frozen = False
-        self.revoked = []
-
-    def total(self):
-        return sum(w for w, _ in self.contents)
-
-    def feed(self, w, arr):
-        if self.frozen:
-            return
-        cls = weight_class(w, self.cap)
-        if cls == "L":
-            self.revoked.extend(self.contents)
-            self.contents = [(w, arr)]
-            self.frozen = True
-            return
-        if cls == "M4":
-            self.seen_m4 = True
-        q = self.contents + [(w, arr)]
+    def _place(self, q):
         threshold = 8 if self.seen_m4 else 9
         best_sum, best_set = max_subset_within(q, self.cap)
         if 10 * best_sum >= threshold * self.cap:
-            self.revoked.extend(e for e in q if e not in best_set)
             self.contents = list(best_set)
             self.frozen = True
             return
@@ -180,14 +157,12 @@ class SubroutineA2:
             if total <= self.cap:
                 break
             q.remove(victim)
-            self.revoked.append(victim)
             total -= victim[0]
         smalls = [e for e in q if weight_class(e[0], self.cap) == "S"]
         for victim in sorted(smalls, key=lambda e: (e[0], -e[1])):
             if total <= self.cap:
                 break
             q.remove(victim)
-            self.revoked.append(victim)
             total -= victim[0]
         self.contents = q
 
@@ -224,17 +199,11 @@ def max_subset_within(entries, cap):
 @dataclass
 class ProportionalRun:
     bit: int
-    switch_index: int
-    chosen: str  # "A1", "A2", or "prefix" when no bit was extracted
     contents: list
     value: int
     a1_value: int
     a2_value: int
-    revoked: list
-    cap: int
-
-    def value_fraction(self):
-        return Fraction(self.value, self.cap)
+    peak: int  # largest A1 or A2 knapsack total after any step
 
 
 def rom_proportional(weights, cap):
@@ -244,25 +213,24 @@ def rom_proportional(weights, cap):
     the identical prefix their knapsacks coincide with the greedy packing,
     so the returned knapsack always equals one full A1 or A2 run.
     """
-    bit, switch = harvest((w,) for w in weights)
+    bit, _ = harvest((w,) for w in weights)
     a1 = SubroutineA1(cap)
     a2 = SubroutineA2(cap)
+    peak = 0
     for i, w in enumerate(weights):
         a1.feed(w, i)
         a2.feed(w, i)
+        peak = max(peak, a1.total(), a2.total())
     # without a bit all items are identical and both subroutines hold the
     # same greedy packing
     side = a2 if bit == 0 else a1
     return ProportionalRun(
         bit=bit,
-        switch_index=switch,
-        chosen={None: "prefix", 1: "A1", 0: "A2"}[bit],
         contents=list(side.contents),
         value=side.total(),
         a1_value=a1.total(),
         a2_value=a2.total(),
-        revoked=list(side.revoked),
-        cap=cap,
+        peak=peak,
     )
 
 
@@ -278,10 +246,6 @@ class TwoBinRun:
     contents: list
     value: int
     revocations: int
-    cap: int
-
-    def value_fraction(self):
-        return Fraction(self.value, self.cap)
 
 
 def rom_proportional_tworbin(weights, cap, force_bit=None):
@@ -301,14 +265,14 @@ def rom_proportional_tworbin(weights, cap, force_bit=None):
     if bit is None:
         return TwoBinRun(
             bit=None, early_exit=False, contents=packed, value=total,
-            revocations=0, cap=cap,
+            revocations=0,
         )
     if force_bit is not None:
         bit = force_bit
     if total > 0 and cap - total < weights[0]:
         return TwoBinRun(
             bit=bit, early_exit=True, contents=packed, value=total,
-            revocations=0, cap=cap,
+            revocations=0,
         )
     # bin 1 keeps filling greedily; on bit 0 the overflow goes to bin 2
     bin1, w1 = list(packed), total
@@ -324,12 +288,12 @@ def rom_proportional_tworbin(weights, cap, force_bit=None):
     if bit == 1:
         return TwoBinRun(
             bit=1, early_exit=False, contents=bin1, value=w1,
-            revocations=0, cap=cap,
+            revocations=0,
         )
     # bit 0 revokes the greedy prefix
     return TwoBinRun(
         bit=0, early_exit=False, contents=bin2, value=w2,
-        revocations=len(packed), cap=cap,
+        revocations=len(packed),
     )
 
 
@@ -357,18 +321,12 @@ def greedy_density_run(items, cap):
 @dataclass
 class GeneralRun:
     bit: int
-    switch_index: int
     greedy_value: int
     max_value: int
     value: int
-    cap: int
-    value_den: int
-
-    def value_fraction(self):
-        return Fraction(self.value, self.value_den)
 
 
-def rom_general(items, cap, value_den=1):
+def rom_general(items, cap):
     """GREEDY on the identical prefix; the bit keeps GREEDY or switches to MAX.
 
     ``items`` are scaled (weight, value) integer pairs; COMBINE compares
@@ -380,12 +338,9 @@ def rom_general(items, cap, value_den=1):
     max_value = max((v for _, v in items), default=0)
     return GeneralRun(
         bit=bit,
-        switch_index=switch,
         greedy_value=greedy_value,
         max_value=max_value,
         value=max_value if bit == 0 else greedy_value,
-        cap=cap,
-        value_den=value_den,
     )
 
 
@@ -430,14 +385,6 @@ def offline_opt_scaled(items, cap):
 
     rec(0, cap, 0)
     return best
-
-
-def offline_opt(items):
-    """Exact optimum for rational (weight, value) items, unit capacity."""
-    items = [(Fraction(w), Fraction(v)) for w, v in items]
-    ws, cap = scale_weights([w for w, _ in items])
-    vs, den = scale_values([v for _, v in items])
-    return Fraction(offline_opt_scaled(list(zip(ws, vs)), cap), den)
 
 
 # ---------------------------------------------------------------------------

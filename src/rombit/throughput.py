@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .core import CapacityError, InputError
 from .extraction import harvest
@@ -223,13 +222,7 @@ def single_greedy_run(jobs, p, horizon=None):
             proc.completed.add(job.label)
         else:
             running = (job, s, flex)
-    return proc.entries, proc.completed, running
-
-
-def chrobak_dual(jobs, bit, p, start_time=0):
-    """Plain dual-process algorithm from time 0; the bit picks the schedule."""
-    xs, ys = dual_run(jobs, p, start_time=start_time)
-    return xs, ys, (xs if bit == 1 else ys)
+    return proc.entries, running
 
 
 @dataclass
@@ -259,14 +252,14 @@ def rom_simulation(arrivals, p):
         raise InputError("throughput instance requires equal processing times")
     bit, distinct_ix = harvest((j.proc, j.slack) for j in arrivals)
     if distinct_ix is None:
-        entries, _, running = single_greedy_run(arrivals, p, horizon=None)
+        entries, _ = single_greedy_run(arrivals, p, horizon=None)
         return RomRun(
             x=entries, y=entries, chosen=entries, bit=None, breakpoint=None,
             prefix=entries, x_tail=[], y_tail=[], subinstance=[],
         )
     r = arrivals[distinct_ix].release
     early = [j for j in arrivals if j.release < r]
-    entries, completed, running = single_greedy_run(early, p, horizon=r)
+    entries, running = single_greedy_run(early, p, horizon=r)
     if running is not None:
         bpoint = running[1]
     else:
@@ -430,33 +423,3 @@ def offline_opt_throughput(jobs, p):
 
     valid = sum(1 << i for i in range(n) if last[i] >= rel[i])
     return rec(min(rel, default=0), valid)
-
-
-def offline_opt_orderings(jobs, p):
-    """Independent cross-check: try every subset in every start order."""
-    import itertools
-
-    n = len(jobs)
-    if n > 8:
-        raise CapacityError("ordering cross-check limited to n <= 8")
-    best = 0
-    for mask in range(1 << n):
-        chosen = [jobs[i] for i in range(n) if mask >> i & 1]
-        if len(chosen) <= best:
-            continue
-        ok = False
-        for order in itertools.permutations(chosen):
-            t = 0
-            good = True
-            for j in order:
-                s = t if t > j.release else j.release
-                if s > j.expiry:
-                    good = False
-                    break
-                t = s + p
-            if good:
-                ok = True
-                break
-        if ok:
-            best = len(chosen)
-    return best

@@ -11,7 +11,6 @@ from fractions import Fraction
 
 from rombit import extraction as ex
 from rombit import harness as hz
-from rombit.core import distinct_orderings
 from rombit.guessing import exact_ratio
 from rombit.knapsack import (
     exact_revocation_tail,

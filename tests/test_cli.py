@@ -34,6 +34,10 @@ def test_bias_exact_cli(capsys):
     rc = main(["bias", "--mode", "p1", "--alpha", "1/2", "--n", "6", "--exact"])
     assert rc == 0
     assert "prob_one=" in capsys.readouterr().out
+    # combine conditions on the copied key arriving first, as Monte Carlo
+    # does; over all orders it would be 113/210
+    assert main(["bias", "--mode", "combine", "--r", "2/5", "--n", "10", "--exact"]) == 0
+    assert capsys.readouterr().out == "mode=combine n=10 exact prob_one=25/42 no_bit=0\n"
 
 
 def test_guess_cli(capsys):

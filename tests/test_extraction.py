@@ -66,6 +66,11 @@ def test_combine_rule():
     assert ext.feed(B) == 1  # first distinct item at odd index
     rep = exact_bias([A, A, B], "combine")
     assert rep.prob_one == Fraction(2, 3)
+    # conditioned on the first arrival: AAB gives 1, ABA 0; BAA gives 1
+    assert exact_bias([A, A, B], "combine", first_key=A).prob_one == Fraction(1, 2)
+    assert exact_bias([A, A, B], "combine", first_key=B).prob_one == 1
+    with pytest.raises(InputError):
+        exact_bias([A, A, B], "combine", first_key=(Fraction(2),))
 
 
 def test_exact_bias_no_bit_mass():
@@ -161,18 +166,12 @@ def test_monte_carlo_matches_enumeration():
         else:
             mode = ("process1", "combine")[case % 3]
             keys = [(Fraction(rng.randint(0, 3)),) for _ in range(n)]
-        exact = exact_bias(keys, mode)
-        cases = [(None, exact.prob_one, exact.no_bit)]
-        if mode != "distinct_unbiased":
-            # conditioned on the first arrival: the distinct orders starting
-            # with it are equally likely
-            bits = [bit_for_sequence(o, mode) for o in distinct_orderings(keys)
-                    if o[0] == keys[0]]
-            cases.append((keys[0], Fraction(bits.count(1), len(bits)),
-                          Fraction(bits.count(None), len(bits))))
-        for first_key, p_one, no_bit in cases:
+        first_keys = [None] if mode == "distinct_unbiased" else [None, keys[0]]
+        for first_key in first_keys:
+            exact = exact_bias(keys, mode, first_key=first_key)
             rep = empirical_bias(keys, mode, trials, case, first_key=first_key)
-            for got, want in ((rep.prob_one, float(p_one)), (rep.no_bit, float(no_bit))):
+            for got, want in ((rep.prob_one, float(exact.prob_one)),
+                              (rep.no_bit, float(exact.no_bit))):
                 tol = 4.5 * math.sqrt(want * (1 - want) / trials) + 1e-3
                 assert abs(got - want) <= tol, (keys, mode, first_key, rep, want)
 

@@ -1,6 +1,7 @@
 """Instance families, exact/Monte Carlo drivers, audits, reports."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -200,6 +201,7 @@ def test_knapsack_opt_once_per_scaling(monkeypatch):
 @pytest.mark.parametrize("module, name, problem, params", [
     ("throughput", "rom_simulation", "throughput", {"n": [4, 5]}),
     ("intervals", "rom_adaptive", "interval", {"n": [4, 5], "variant": "monotone"}),
+    ("knapsack", "SubroutineA1", "knapsack_proportional", {"n": [4, 5], "support": 3}),
 ])
 def test_audited_exact_run_walks_each_order_once(monkeypatch, module, name, problem,
                                                   params):
@@ -230,12 +232,32 @@ def test_tworbin_audit_checks_the_two_bin_run(monkeypatch):
     def over_capacity(weights, cap):
         contents = [(w, i) for i, w in enumerate(weights)]
         return knapsack.TwoBinRun(bit=1, early_exit=False, contents=contents,
-                                  value=sum(weights), revocations=0, cap=cap)
+                                  value=sum(weights), revocations=0)
 
     monkeypatch.setattr(knapsack, "rom_proportional_tworbin", over_capacity)
     rep = hz.run_experiment(cfg)
     assert rep.violation_count > 0
     assert all("two-bin value" in v for r in rep.rows for v in r["violations"])
+
+
+@pytest.mark.parametrize("check, doctor", [
+    ("capacity exceeded", lambda run, cap: replace(run, peak=cap + 1)),
+    ("A1+A2 < 1.4*OPT", lambda run, cap: replace(run, value=0, a1_value=0, a2_value=0)),
+    ("run differs", lambda run, cap: replace(run, value=run.a1_value + run.a2_value + 1)),
+])
+def test_proportional_audit_checks_the_run_record(monkeypatch, check, doctor):
+    # the undoctored runs of these instances pass: test_audit_wiring
+    insts = hz.generate_instances(
+        "knapsack_proportional", "uniform", {"n": [4, 5], "support": 3}, 5, 4)
+    cfg = hz.ExperimentConfig(problem="knapsack_proportional", instances=insts,
+                              exact=True, audit=True)
+    real = hz.knapsack.rom_proportional
+    monkeypatch.setattr(hz.knapsack, "rom_proportional",
+                        lambda weights, cap: doctor(real(weights, cap), cap))
+    rep = hz.run_experiment(cfg)
+    violations = [v for r in rep.rows for v in r["violations"]]
+    assert len(violations) == sum(r["orders"] for r in rep.rows)  # one per order
+    assert all(check in v for v in violations)
 
 
 def test_run_experiment_rejects_empty_work():

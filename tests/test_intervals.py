@@ -10,15 +10,28 @@ from rombit.intervals import (
     Interval,
     adaptive_slots_run,
     feasible_selection,
-    fung_single_length,
     offline_opt_intervals,
-    offline_opt_subsets,
     rom_adaptive,
     rom_single_length,
     validate_variant,
 )
 
 I = Interval
+
+
+def offline_opt_subsets(intervals):
+    """Independent cross-check: brute force over subsets (small n only)."""
+    n = len(intervals)
+    if n > 14:
+        raise InputError("subset cross-check limited to n <= 14")
+    best = 0
+    for mask in range(1 << n):
+        chosen = [intervals[i] for i in range(n) if mask >> i & 1]
+        if feasible_selection(chosen):
+            v = sum(iv.weight for iv in chosen)
+            if v > best:
+                best = v
+    return best
 
 
 def test_dp_examples():
@@ -36,20 +49,6 @@ def test_dp_against_subset_enumeration():
         assert offline_opt_intervals(arr) == offline_opt_subsets(arr)
 
 
-def test_fung_single_length():
-    one = [I(2, 4, 3, 0)]
-    sel = fung_single_length(one, bit=1, origin=0)
-    assert sel.accepted == one  # released in slot 1, odd branch keeps it
-    sel = fung_single_length(one, bit=0, origin=0)
-    assert sel.accepted == []
-    two = [I(1, 4, 2, 0), I(2, 4, 5, 1)]
-    sel = fung_single_length(two, bit=1, origin=0)
-    assert [iv.weight for iv in sel.accepted] == [5]
-    assert two[0] in sel.revoked
-    with pytest.raises(InputError):
-        fung_single_length([I(0, 4, 1, 0), I(0, 5, 1, 1)], 1, 0)
-
-
 def test_rom_single_length_branch_values():
     arr = [I(0, 10, 1, 0), I(2, 10, 1, 1), I(15, 10, 3, 2)]
     run = rom_single_length(arr)
@@ -60,6 +59,8 @@ def test_rom_single_length_branch_values():
     # per-order covering chain: 2*prefix + odd + even >= OPT
     pre = sum(iv.weight for iv in run.prefix_accepted)
     assert 2 * pre + run.odd_value + run.even_value >= 4
+    with pytest.raises(InputError):
+        rom_single_length([I(0, 4, 1, 0), I(0, 5, 1, 1)])
 
 
 def test_rom_single_length_identical_prefix_is_opt():

@@ -13,13 +13,11 @@ from rombit.knapsack import (
     exact_revocation_tail,
     forced_revocation_weights,
     greedy_density_run,
-    offline_opt,
     offline_opt_scaled,
     revocation_experiment,
     rom_general,
     rom_proportional,
     rom_proportional_tworbin,
-    scale_weights,
     weight_class,
 )
 
@@ -116,18 +114,17 @@ def test_tworbin_cases():
 
 
 def test_rom_general_example():
-    run = rom_general([(3, 3), (3, 3), (5, 9)], 10, 10)
+    run = rom_general([(3, 3), (3, 3), (5, 9)], 10)
     assert run.greedy_value == 12 and run.max_value == 9
     assert run.bit == 1 and run.value == 12
-    run = rom_general([(5, 9)], 10, 10)
+    run = rom_general([(5, 9)], 10)
     assert run.value == 9  # single item: both branches keep it
 
 
 def test_offline_opt():
-    assert offline_opt([(Fraction(1), Fraction(7))]) == 7
-    prop = [(Fraction(6, 10), Fraction(6, 10)), (Fraction(1, 2), Fraction(1, 2)),
-            (Fraction(1, 2), Fraction(1, 2))]
-    assert offline_opt(prop) == 1
+    assert offline_opt_scaled([(1, 7)], 1) == 7
+    # weights 6/10, 1/2, 1/2 on capacity 10: the two halves fill it
+    assert offline_opt_scaled([(6, 6), (5, 5), (5, 5)], 10) == 10
     assert offline_opt_scaled([(12, 5), (15, 9)], 10) == 0
     with pytest.raises(CapacityError):
         offline_opt_scaled([(1, 1)] * 25, 100)

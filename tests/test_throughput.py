@@ -1,5 +1,6 @@
 """Dual-process throughput scheduling: classification, lock dynamics, oracle."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -13,12 +14,10 @@ from rombit.throughput import (
     Entry,
     Job,
     _Process,
-    chrobak_dual,
     classify,
     dual_run,
     flip_time,
     is_normal,
-    offline_opt_orderings,
     offline_opt_throughput,
     process_step,
     rom_simulation,
@@ -56,12 +55,12 @@ def test_process_step_branches():
 
 def test_single_job_both_processes():
     for slack in (25, 3):
-        xs, ys, chosen = chrobak_dual([J(0, 10, slack, 0)], 1, 10)
+        xs, ys = dual_run([J(0, 10, slack, 0)], 10)
         assert len(xs) == 1 and len(ys) == 1
 
 
 def test_two_identical_zero_slack_golden():
-    xs, ys, _ = chrobak_dual([J(0, 10, 0, 0), J(0, 10, 0, 1)], 1, 10)
+    xs, ys = dual_run([J(0, 10, 0, 0), J(0, 10, 0, 1)], 10)
     assert [(e.job.label, e.start) for e in xs] == [(0, 0)]
     assert [(e.job.label, e.start) for e in ys] == [(0, 0)]
 
@@ -132,7 +131,7 @@ def test_chrobak_dual_charging_bound():
         n = rng.randint(2, 6)
         rel = sorted(rng.randrange(0, 25) for _ in range(n))
         jobs = [J(rel[i], 10, rng.choice([0, 5, 10, 30]), i) for i in range(n)]
-        xs, ys, _ = chrobak_dual(jobs, 1, 10)
+        xs, ys = dual_run(jobs, 10)
         opt = offline_opt_throughput(jobs, 10)
         assert 6 * opt <= 5 * (len(xs) + len(ys))
 
@@ -215,6 +214,34 @@ def reference_opt_throughput(jobs, p):
 
     full = (1 << len(jobs)) - 1
     return rec(min((j.release for j in jobs), default=0), full)
+
+
+def offline_opt_orderings(jobs, p):
+    """Independent cross-check: try every subset in every start order."""
+    n = len(jobs)
+    if n > 8:
+        raise CapacityError("ordering cross-check limited to n <= 8")
+    best = 0
+    for mask in range(1 << n):
+        chosen = [jobs[i] for i in range(n) if mask >> i & 1]
+        if len(chosen) <= best:
+            continue
+        ok = False
+        for order in itertools.permutations(chosen):
+            t = 0
+            good = True
+            for j in order:
+                s = t if t > j.release else j.release
+                if s > j.expiry:
+                    good = False
+                    break
+                t = s + p
+            if good:
+                ok = True
+                break
+        if ok:
+            best = len(chosen)
+    return best
 
 
 @st.composite
