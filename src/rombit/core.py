@@ -6,7 +6,8 @@ enumerates them with ``distinct_orderings`` or samples them with
 ``rng_for``; the audit checks each order inside that one walk.
 
 Every quantity that enters a comparison or an eviction rule is an exact
-rational (``fractions.Fraction``), so class boundaries and ties are
+rational (``fractions.Fraction``), or its rescaling to integers over one
+common denominator (``common_scale``), so class boundaries and ties are
 unambiguous.  All stochastic operations take an explicit seed and are pure
 functions of their inputs; values are safe to share across workers.
 """
@@ -63,7 +64,7 @@ def to_fraction(x):
         raise InputError(f"not a rational: {x!r}")
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, (list, tuple)) and len(x) == 2 and all(isinstance(v, int) for v in x):
+    if isinstance(x, (list, tuple)) and len(x) == 2 and all(type(v) is int for v in x) and x[1]:
         return Fraction(x[0], x[1])
     raise InputError(f"not a rational: {x!r}")
 
@@ -273,6 +274,20 @@ def _decode_meta_value(v):
     raise InputError(f"cannot decode meta value {v!r}")
 
 
+def _decode_weight_table(v):
+    """A C-benevolent ``weight_table``: a list of [length, weight] pairs,
+    each side an int or a [num, den] rational."""
+    try:
+        if isinstance(v, list) and all(isinstance(p, list) for p in v):
+            return [[to_fraction(length), to_fraction(weight)] for length, weight in v]
+    except ValueError:  # a pair of the wrong size, or a side that is no rational
+        pass
+    raise InputError(
+        f"weight_table must be a list of [length, weight] pairs of ints or "
+        f"[num, den] rationals, got {v!r}"
+    )
+
+
 def instance_to_json(instance):
     obj = {
         "problem": instance.problem,
@@ -304,7 +319,10 @@ def instance_from_json(text, line=None):
             )
             for rec in obj["items"]
         ]
-        meta = {k: _decode_meta_value(v) for k, v in obj.get("meta", {}).items()}
+        meta = {
+            k: _decode_weight_table(v) if k == "weight_table" else _decode_meta_value(v)
+            for k, v in obj.get("meta", {}).items()
+        }
         return make_instance(problem, items, meta)
     except (KeyError, TypeError, InputError) as e:
         raise ParseError(str(e), line=line) from None

@@ -295,10 +295,13 @@ def empirical_bias(source, mode, trials, seed, first_key=None):
             raise InputError("distinct_unbiased requires all-distinct items")
         if n < 2:
             raise InputError("need at least two items")
+        # a given first key fixes the first arrival's rank; only the second
+        # arrival is drawn then
+        first_rank = None if first_key is None else sum(k < first_key for k in counts)
         for t in range(trials):
             below = CounterStream(seed, t).below
             # ranks of the first two arrivals among the n distinct keys
-            a = below(n)
+            a = below(n) if first_rank is None else first_rank
             b = below(n - 1)
             if b >= a:
                 b += 1

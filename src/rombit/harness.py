@@ -11,8 +11,12 @@ computation.  Monte Carlo mode samples seeded permutations of the same
 pipeline.  Both modes feed one reducer, ``_row``, the only walk over an
 instance's orders; the audit (exact mode only) rides that walk, checking
 each order's run record and OPT against the problem's per-order
-inequalities; only the general knapsack check reruns an algorithm (GREEDY,
-which a bit-0 run stops at the switch).
+inequalities without rerunning any algorithm.
+
+The walk is integer-only: ``scaled_view`` turns an instance's rationals
+into ints with one unit per instance, every run and check compares those
+ints, and ``_row`` keeps integer running sums that become Fractions once
+per row.
 
 Ratio conventions follow the per-problem literature: knapsack reports
 E[ALG]/OPT (at most 1), string guessing and intervals report OPT/E[ALG],
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -370,9 +375,8 @@ def _audit_tworbin(s, order, ws, run, opt):
 
 
 def _audit_general(s, order, items, run, opt):
-    """GREEDY+MAX >= OPT."""
-    g, _ = knapsack.greedy_density_run(items, s.cap)
-    if g + max(v for _, v in items) < opt:
+    """GREEDY+MAX >= OPT, with the full-order GREEDY value of the run."""
+    if run.greedy_value + run.max_value < opt:
         return [f"GREEDY+MAX < OPT on {order}"]
     return []
 
@@ -421,7 +425,7 @@ def _audit_throughput(s, order, jobs, run, opt):
     if 6 * opt > 5 * (nx + ny):
         violations.append(f"|OPT| > 5/6(|X|+|Y|) on {order}")
     if nx and ny:
-        if not (Fraction(1, 2) <= Fraction(nx, ny) <= 2):
+        if ny > 2 * nx or nx > 2 * ny:
             violations.append(f"factor-2 violated on {order}")
     elif max(nx, ny, 0) > 1:
         violations.append(f"factor-2 zero-denominator violated on {order}")
@@ -433,11 +437,13 @@ def _audit_throughput(s, order, jobs, run, opt):
 
 
 def run_order(instance_view, problem, order, variant=None, audit=False):
-    """Run one arrival order; returns (alg_value, opt_value, violations).
+    """Run one arrival order; returns (alg, opt, unit, violations).
 
-    The values are Fractions.  With ``audit`` set, ``violations`` lists the
-    failures of the problem's per-order inequality checks on this run;
-    otherwise it is empty.
+    ``alg`` and ``opt`` are ints in the instance's scaled units, so the
+    values are ``alg/unit`` and ``opt/unit``; no Fraction is built per
+    order.  With ``audit`` set, ``violations`` lists the failures of the
+    problem's per-order inequality checks on this run; otherwise it is
+    empty.
     """
     s = instance_view
     if problem == "knapsack_proportional":
@@ -468,11 +474,11 @@ def run_order(instance_view, problem, order, variant=None, audit=False):
         alg, unit, check = len(run.chosen), 1, _audit_throughput
     elif problem == "string_guess":
         tr = guessing.guess_run(order)
-        return Fraction(tr.correct), Fraction(len(order)), []
+        return tr.correct, len(order), 1, []
     else:
         raise InputError(f"unknown problem {problem!r}")
     violations = check(s, order, arrivals, run, opt) if audit else []
-    return Fraction(alg, unit), Fraction(opt, unit), violations
+    return alg, opt, unit, violations
 
 
 def _order_domain(instance, scaled):
@@ -546,8 +552,11 @@ def _row(instance, config):
     instance's orders; with ``config.audit`` set, ``run_order`` also checks
     each order and the row collects the violations.
 
-    Only running sums are kept; the sampled variance E[alg^2] - mean^2 is an
-    exact Fraction, equal to the two-pass sum of squared deviations.
+    Only integer running sums in the scaled units are kept; the means and
+    the sampled variance E[alg^2] - mean^2 become exact Fractions once, at
+    the end, equal to the two-pass sum of squared deviations.  The
+    throughput mean of per-order OPT/ALG counts each (opt, alg) pair and
+    sums one Fraction per distinct pair.
     """
     problem = config.problem
     if config.exact and instance.n > ENUMERATION_GUARD:
@@ -561,30 +570,32 @@ def _row(instance, config):
         orders = distinct_orderings(domain)
     else:
         orders = _sampled_orders(domain, config.trials, config.seed)
-    count = 0
-    sum_alg = sum_alg2 = sum_opt = sum_ratio = Fraction(0)
+    count = sum_alg = sum_alg2 = sum_opt = 0
+    pair_counts = Counter()
     violations = []
     for order in orders:
-        alg, opt, failed = run_order(view, problem, order, config.variant, config.audit)
+        alg, opt, unit, failed = run_order(view, problem, order, config.variant, config.audit)
         violations += failed
         count += 1
         sum_alg += alg
         sum_alg2 += alg * alg
         sum_opt += opt
         if problem == "throughput":
-            sum_ratio += opt / alg if alg else Fraction(0)
-    mean_alg = sum_alg / count
-    mean_opt = sum_opt / count
+            pair_counts[opt, alg] += 1
+    mean_alg = Fraction(sum_alg, count * unit)
+    mean_opt = Fraction(sum_opt, count * unit)
     if problem in RATIO_AT_MOST_ONE:
         ratio = mean_alg / mean_opt if mean_opt else Fraction(1)
     elif problem == "throughput":
-        ratio = sum_ratio / count
+        # an order with ALG = 0 adds 0, as OPT/ALG is taken to be there
+        ratio = sum((Fraction(k * opt, alg) for (opt, alg), k in pair_counts.items() if alg),
+                    Fraction(0)) / count
     else:
         ratio = mean_opt / mean_alg if mean_alg else Fraction(0)
     if config.exact:
         stderr = None
     else:
-        var = sum_alg2 / count - mean_alg * mean_alg
+        var = Fraction(sum_alg2, count * unit * unit) - mean_alg * mean_alg
         stderr = math.sqrt(float(var) / count)
     return {
         "mean_alg": mean_alg,

@@ -305,14 +305,21 @@ def rom_proportional_tworbin(weights, cap, force_bit=None):
 def greedy_density_run(items, cap):
     """Online GREEDY with revoking: keep the densest items, evicting the
     least dense (most recent on ties) whenever the knapsack overflows.
-    Returns the final packed value."""
+    Returns the final packed value and contents.
+
+    Densities v/w of positive integer weights compare by cross-multiplying,
+    so no rational is built; ``contents`` stays in arrival order, so the
+    last of the least dense entries is the most recent."""
     contents = []  # (w, v, arrival)
     total_w = 0
     for i, (w, v) in enumerate(items):
         contents.append((w, v, i))
         total_w += w
         while total_w > cap:
-            victim = min(contents, key=lambda e: (Fraction(e[1], e[0]), -e[2]))
+            victim = contents[0]
+            for e in contents:
+                if e[1] * victim[0] <= victim[1] * e[0]:
+                    victim = e
             contents.remove(victim)
             total_w -= victim[0]
     return sum(e[1] for e in contents), contents
@@ -321,7 +328,7 @@ def greedy_density_run(items, cap):
 @dataclass
 class GeneralRun:
     bit: int
-    greedy_value: int
+    greedy_value: int  # GREEDY on the full order, whatever the bit
     max_value: int
     value: int
 
@@ -330,11 +337,12 @@ def rom_general(items, cap):
     """GREEDY on the identical prefix; the bit keeps GREEDY or switches to MAX.
 
     ``items`` are scaled (weight, value) integer pairs; COMBINE compares
-    items by value first, then weight.
+    items by value first, then weight.  GREEDY runs once, on the full
+    order, and ``greedy_value`` records its value whatever the bit, so the
+    audit checks GREEDY+MAX >= OPT on this run without rerunning it.
     """
-    bit, switch = harvest((v, w) for w, v in items)
-    # bit 0 abandons GREEDY at the switch; its value stays that of the prefix
-    greedy_value, _ = greedy_density_run(items[:switch] if bit == 0 else items, cap)
+    bit, _ = harvest((v, w) for w, v in items)
+    greedy_value, _ = greedy_density_run(items, cap)
     max_value = max((v for _, v in items), default=0)
     return GeneralRun(
         bit=bit,
@@ -361,22 +369,24 @@ def offline_opt_scaled(items, cap):
     n = len(order)
     best = 0
 
-    def bound(i, room):
-        b = 0
+    def hopeless(i, room, value):
+        """value + the fractional bound of items i.. <= best.  The first
+        item that does not fit adds v*room/w, so that test is multiplied
+        through by its weight w > 0 and stays in integers."""
+        gap = value - best
         for j in range(i, n):
             w, v = order[j]
-            if w <= room:
-                room -= w
-                b += v
-            else:
-                return b + Fraction(v * room, w)
-        return b
+            if w > room:
+                return gap * w + v * room <= 0
+            room -= w
+            gap += v
+        return gap <= 0
 
     def rec(i, room, value):
         nonlocal best
         if value > best:
             best = value
-        if i == n or value + bound(i, room) <= best:
+        if i == n or hopeless(i, room, value):
             return
         w, v = order[i]
         if w <= room:

@@ -186,3 +186,36 @@ def test_bad_rombit_workers(workers, monkeypatch, capsys):
                "--exact", "--seed", "1"])
     assert rc == 2
     assert "ROMBIT_WORKERS" in _one_error_line(capsys)
+
+
+def _cben_file(tmp_path, table, lengths=((2, 4), (3, 9), (2, 4))):
+    items = [{"key": [[w, 1], [L, 1]],
+              "payload": {"length": [L, 1], "release": [r, 1], "weight": [w, 1]}}
+             for r, (L, w) in zip((0, 1, 4), lengths)]
+    inst = {"items": items, "meta": {"id": "cben-0", "variant": "c_benevolent",
+                                     "weight_table": table},
+            "problem": "interval"}
+    path = tmp_path / "cben.jsonl"
+    path.write_text(json.dumps(inst) + "\n")
+    return path
+
+
+def test_cben_weight_table_plain_and_rational_sides(tmp_path, capsys):
+    outputs = []
+    for table in ([[2, 4], [3, 9]], [[[2, 1], [4, 1]], [[3, 1], [9, 1]]],
+                  [[2, [8, 2]], [[6, 2], 9]]):
+        path = _cben_file(tmp_path, table)
+        rc = main(["intervals", "--variant", "cben", "--instances", str(path),
+                   "--exact", "--audit"])
+        assert rc == 0, capsys.readouterr().err
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize("table", [[[2]], [[2, 4, 8]], "abc", 4, [2, 4], [[2, [1, 0]]],
+                                   [[True, 4]], [[2, "4"]]])
+def test_cben_malformed_weight_table(table, tmp_path, capsys):
+    path = _cben_file(tmp_path, table)
+    rc = main(["intervals", "--variant", "cben", "--instances", str(path), "--exact"])
+    assert rc == 2
+    assert "weight_table" in _one_error_line(capsys)

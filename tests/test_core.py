@@ -141,6 +141,14 @@ def test_read_instances_empty_and_errors(tmp_path):
     assert "line 2" in str(ei.value)
 
 
+@pytest.mark.parametrize("bad", ["[1, 0]", "[true, 2]"])
+def test_bad_rational_is_a_parse_error(bad):
+    text = ('{"problem": "string_guess", "items": [{"key": [[1, 1]], '
+            '"payload": {"bit": %s}}]}' % bad)
+    with pytest.raises(ParseError):
+        instance_from_json(text)
+
+
 def test_json_rationals_roundtrip():
     inst = _bit_instance([0, 1])
     again = instance_from_json(instance_to_json(inst))

@@ -166,7 +166,7 @@ def test_monte_carlo_matches_enumeration():
         else:
             mode = ("process1", "combine")[case % 3]
             keys = [(Fraction(rng.randint(0, 3)),) for _ in range(n)]
-        first_keys = [None] if mode == "distinct_unbiased" else [None, keys[0]]
+        first_keys = [None, keys[0]]
         for first_key in first_keys:
             exact = exact_bias(keys, mode, first_key=first_key)
             rep = empirical_bias(keys, mode, trials, case, first_key=first_key)
@@ -174,6 +174,19 @@ def test_monte_carlo_matches_enumeration():
                               (rep.no_bit, float(exact.no_bit))):
                 tol = 4.5 * math.sqrt(want * (1 - want) / trials) + 1e-3
                 assert abs(got - want) <= tol, (keys, mode, first_key, rep, want)
+
+
+def test_monte_carlo_distinct_unbiased_honours_first_key():
+    # the first arrival's rank is fixed; the bit is 1 when the second ranks
+    # above it, so Pr(b=1) = (n-1-rank)/(n-1) by enumeration
+    keys = [(Fraction(v),) for v in (0, 1, 2)]
+    trials = 4000
+    for first, want in zip(keys, (Fraction(1), Fraction(1, 2), Fraction(0))):
+        assert exact_bias(keys, "distinct_unbiased", first_key=first).prob_one == want
+        rep = empirical_bias(keys, "distinct_unbiased", trials, 5, first_key=first)
+        tol = 4.5 * math.sqrt(want * (1 - want) / trials) + 1e-3
+        assert abs(rep.prob_one - want) <= tol, (first, rep)
+        assert rep.no_bit == 0
 
 
 def test_closed_forms():

@@ -7,7 +7,13 @@ from fractions import Fraction
 import pytest
 
 from rombit import harness as hz
-from rombit.core import InputError, read_instances, rng_for, write_instances
+from rombit.core import (
+    InputError,
+    distinct_orderings,
+    read_instances,
+    rng_for,
+    write_instances,
+)
 
 
 def test_adversarial_family_counts():
@@ -173,15 +179,85 @@ def test_sampled_row_matches_two_pass_reference(problem):
     for t in range(trials):
         perm = list(range(len(domain)))
         rng_for(seed, t).shuffle(perm)
-        alg, opt, _ = hz.run_order(view, problem, [domain[j] for j in perm])
-        algs.append(alg)
-        opts.append(opt)
+        alg, opt, unit, _ = hz.run_order(view, problem, [domain[j] for j in perm])
+        algs.append(Fraction(alg, unit))
+        opts.append(Fraction(opt, unit))
     mean = sum(algs) / trials
     var = sum((a - mean) ** 2 for a in algs) / trials
     assert row["mean_alg"] == mean
     assert row["opt"] == sum(opts) / trials
     assert row["stderr"] == math.sqrt(float(var) / trials)
     assert row["orders"] == trials
+
+
+def _fraction_row(inst, problem, variant):
+    """The exact row reduced in Fractions, one per order: the reference for
+    the integer running sums of ``_row``."""
+    view = hz.scaled_view(inst)
+    algs, opts = [], []
+    for order in distinct_orderings(hz._order_domain(inst, view)):
+        alg, opt, unit, _ = hz.run_order(view, problem, order, variant)
+        algs.append(Fraction(alg, unit))
+        opts.append(Fraction(opt, unit))
+    count = len(algs)
+    mean_alg, mean_opt = sum(algs) / count, sum(opts) / count
+    if problem in hz.RATIO_AT_MOST_ONE:
+        ratio = mean_alg / mean_opt if mean_opt else Fraction(1)
+    elif problem == "throughput":
+        ratio = sum(o / a if a else Fraction(0) for o, a in zip(opts, algs)) / count
+    else:
+        ratio = mean_opt / mean_alg if mean_alg else Fraction(0)
+    return {"mean_alg": mean_alg, "opt": mean_opt, "empirical_ratio": ratio,
+            "orders": count}
+
+
+@pytest.mark.parametrize("problem, variant, params", [
+    ("knapsack_general", None, {"n": [4, 5], "support": 3}),
+    ("knapsack_proportional", None, {"n": [4, 5], "support": 3}),
+    ("knapsack_proportional", "tworbin", {"n": [4, 5], "support": 3}),
+    ("interval", None, {"n": [4, 5], "variant": "single"}),
+    ("interval", None, {"n": [4, 5], "variant": "monotone"}),
+    ("interval", None, {"n": [4, 5], "variant": "c_benevolent"}),
+    ("throughput", None, {"n": [4, 5]}),
+    ("string_guess", None, {"n": [4, 5]}),
+])
+def test_exact_row_matches_fraction_reference(problem, variant, params, monkeypatch):
+    family = "bernoulli" if problem == "string_guess" else "uniform"
+    insts = hz.generate_instances(problem, family, params, 4, 11)
+    if problem == "throughput":
+        # ALG = 0 on every order that starts with a least-slack job, so the
+        # mean of OPT/ALG meets its zero case
+        real = hz.throughput.rom_simulation
+
+        def sometimes_empty(arrivals, p):
+            run = real(arrivals, p)
+            if arrivals[0].slack == min(j.slack for j in arrivals):
+                return replace(run, chosen=[])
+            return run
+
+        monkeypatch.setattr(hz.throughput, "rom_simulation", sometimes_empty)
+    for inst in insts:
+        row = hz._row(inst, hz.ExperimentConfig(problem=problem, instances=[inst],
+                                                variant=variant))
+        want = _fraction_row(inst, problem, variant)
+        assert {k: row[k] for k in want} == want
+        assert all(type(row[k]) is Fraction
+                   for k in ("mean_alg", "opt", "empirical_ratio"))
+        assert row["stderr"] is None
+
+
+@pytest.mark.parametrize("nx, ny, violated", [
+    (1, 2, False), (2, 1, False), (1, 3, True), (3, 1, True), (2, 4, False),
+    (2, 5, True), (0, 1, False), (0, 2, True),
+])
+def test_throughput_factor_two_boundary(nx, ny, violated, monkeypatch):
+    from types import SimpleNamespace
+
+    monkeypatch.setattr(hz.throughput, "is_normal", lambda *a: (True, ""))
+    run = SimpleNamespace(x=[None] * nx, y=[None] * ny)
+    got = hz._audit_throughput(SimpleNamespace(proc=1), "o", [], run, 0)
+    assert any("factor-2" in v for v in got) == violated
+    assert len(got) == violated
 
 
 def test_knapsack_opt_once_per_scaling(monkeypatch):

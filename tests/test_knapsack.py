@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rombit.core import CapacityError, distinct_orderings
 from rombit.knapsack import (
@@ -119,6 +121,10 @@ def test_rom_general_example():
     assert run.bit == 1 and run.value == 12
     run = rom_general([(5, 9)], 10)
     assert run.value == 9  # single item: both branches keep it
+    # bit 0 takes MAX, and the record still holds GREEDY on the full order
+    run = rom_general([(4, 1), (4, 2), (6, 12)], 10)
+    assert run.bit == 0 and run.value == 12
+    assert run.greedy_value == 14  # the prefix alone would give 1
 
 
 def test_offline_opt():
@@ -153,6 +159,77 @@ def test_per_order_inequalities_small_batch():
             g, _ = greedy_density_run(order, cap)
             m = max(v for _, v in order)
             assert g + m >= gopt
+
+
+def subset_opt_reference(items, cap):
+    """Knapsack optimum by enumerating every subset's (weight, value) sums:
+    the second route to ``offline_opt_scaled``, sharing none of its code."""
+    sums = [(0, 0)]
+    for w, v in items:
+        sums += [(sw + w, sv + v) for sw, sv in sums]
+    return max(sv for sw, sv in sums if sw <= cap)
+
+
+def greedy_density_reference(items, cap):
+    """GREEDY as it was with a Fraction density key, kept verbatim as the
+    reference for the cross-multiplying ``greedy_density_run``."""
+    contents = []  # (w, v, arrival)
+    total_w = 0
+    for i, (w, v) in enumerate(items):
+        contents.append((w, v, i))
+        total_w += w
+        while total_w > cap:
+            victim = min(contents, key=lambda e: (Fraction(e[1], e[0]), -e[2]))
+            contents.remove(victim)
+            total_w -= victim[0]
+    return sum(e[1] for e in contents), contents
+
+
+@st.composite
+def knapsack_cases(draw, max_n=12):
+    """Scaled (items, cap): items are multiples of a few base pairs, so
+    densities tie often; the cap is either a subset's exact weight or small
+    enough that some items outweigh it."""
+    base = draw(st.lists(st.tuples(st.integers(1, 12), st.integers(1, 12)),
+                         min_size=1, max_size=4))
+    n = draw(st.integers(1, max_n))
+    items = []
+    for _ in range(n):
+        w, v = draw(st.sampled_from(base))
+        k = draw(st.integers(1, 3))
+        items.append((k * w, k * v))
+    if draw(st.booleans()):
+        chosen = draw(st.lists(st.sampled_from(range(n)), min_size=1, unique=True))
+        cap = sum(items[i][0] for i in chosen)
+    else:
+        cap = draw(st.integers(1, 30))
+    return items, cap
+
+
+@settings(max_examples=300, deadline=None)
+@given(knapsack_cases())
+def test_offline_opt_matches_subset_enumeration(case):
+    items, cap = case
+    assert offline_opt_scaled(items, cap) == subset_opt_reference(items, cap)
+
+
+def test_offline_opt_reference_examples():
+    # equal densities, an item heavier than the cap, and a cap filled exactly
+    for items, cap, want in (
+        ([(2, 4), (3, 6), (5, 10)], 5, 10),
+        ([(11, 50), (4, 4), (6, 6)], 10, 10),
+        ([(3, 5), (4, 7), (5, 1)], 7, 12),
+        ([(3, 3), (3, 3), (4, 5)], 6, 6),
+    ):
+        assert subset_opt_reference(items, cap) == want
+        assert offline_opt_scaled(items, cap) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(knapsack_cases(max_n=10))
+def test_greedy_density_run_matches_fraction_reference(case):
+    items, cap = case
+    assert greedy_density_run(items, cap) == greedy_density_reference(items, cap)
 
 
 def test_freeze_monotonicity():
