@@ -303,25 +303,32 @@ def instance_to_json(instance):
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _json_object(value, what, line):
+    if not isinstance(value, dict):
+        raise ParseError(f"{what} must be a JSON object", line=line)
+    return value
+
+
 def instance_from_json(text, line=None):
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON: {e.msg}", line=line) from None
-    problem = obj.get("problem")
+    problem = _json_object(obj, "an instance line", line).get("problem")
     if problem not in PROBLEMS:
         raise ParseError(f"unknown problem tag {problem!r}", line=line)
     try:
         items = [
             make_item(
                 [to_fraction(c) for c in rec["key"]],
-                {k: to_fraction(v) for k, v in rec.get("payload", {}).items()},
+                {k: to_fraction(v)
+                 for k, v in _json_object(rec.get("payload", {}), "payload", line).items()},
             )
             for rec in obj["items"]
         ]
         meta = {
             k: _decode_weight_table(v) if k == "weight_table" else _decode_meta_value(v)
-            for k, v in obj.get("meta", {}).items()
+            for k, v in _json_object(obj.get("meta", {}), "meta", line).items()
         }
         return make_instance(problem, items, meta)
     except (KeyError, TypeError, InputError) as e:

@@ -71,23 +71,26 @@ class _Subroutine:
     """What A1 and A2 share: a large arrival evicts everything else and
     completes (freezes) the packing, an M4 arrival is remembered, and any
     other arrival goes with the current contents to the subclass's
-    ``_place``, which sets the new contents."""
+    ``_place``, which sets the new contents.  ``total``, the contents'
+    weight, is set with them."""
 
     def __init__(self, cap):
         self.cap = cap
         self.contents = []  # (weight, arrival_index)
+        self.total = 0
         self.seen_m4 = False
         self.frozen = False
 
-    def total(self):
-        return sum(w for w, _ in self.contents)
+    def _set(self, contents, total):
+        self.contents = contents
+        self.total = total
 
     def feed(self, w, arr):
         if self.frozen:
             return
         cls = weight_class(w, self.cap)
         if cls == "L":
-            self.contents = [(w, arr)]
+            self._set([(w, arr)], w)
             self.frozen = True
             return
         if cls == "M4":
@@ -120,12 +123,12 @@ class SubroutineA1(_Subroutine):
             e for e in q if weight_class(e[0], self.cap) not in ("M3", "M4")
         ]
         best_light, kept_light = max_subset_within(lights, self.cap)
-        new_contents = list(kept_light)
         if keeper is not None:
             with_k, kept_k = max_subset_within(lights, self.cap - keeper[0])
             if keeper[0] + with_k >= best_light:
-                new_contents = [keeper] + list(kept_k)
-        self.contents = new_contents
+                self._set([keeper] + list(kept_k), keeper[0] + with_k)
+                return
+        self._set(list(kept_light), best_light)
 
 
 class SubroutineA2(_Subroutine):
@@ -138,7 +141,7 @@ class SubroutineA2(_Subroutine):
         threshold = 8 if self.seen_m4 else 9
         best_sum, best_set = max_subset_within(q, self.cap)
         if 10 * best_sum >= threshold * self.cap:
-            self.contents = list(best_set)
+            self._set(list(best_set), best_sum)
             self.frozen = True
             return
         keepers = set()
@@ -164,7 +167,7 @@ class SubroutineA2(_Subroutine):
                 break
             q.remove(victim)
             total -= victim[0]
-        self.contents = q
+        self._set(q, total)
 
 
 def max_subset_within(entries, cap):
@@ -220,16 +223,16 @@ def rom_proportional(weights, cap):
     for i, w in enumerate(weights):
         a1.feed(w, i)
         a2.feed(w, i)
-        peak = max(peak, a1.total(), a2.total())
+        peak = max(peak, a1.total, a2.total)
     # without a bit all items are identical and both subroutines hold the
     # same greedy packing
     side = a2 if bit == 0 else a1
     return ProportionalRun(
         bit=bit,
         contents=list(side.contents),
-        value=side.total(),
-        a1_value=a1.total(),
-        a2_value=a2.total(),
+        value=side.total,
+        a1_value=a1.total,
+        a2_value=a2.total,
         peak=peak,
     )
 

@@ -54,6 +54,22 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "mystery" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line, word", [
+    ("[1, 2]", "object"),
+    ('{"problem": "knapsack_proportional", "meta": [1], "items": []}', "meta"),
+    ('{"problem": "knapsack_proportional", "items": '
+     '[{"key": [[1, 2]], "payload": [1, 2]}]}', "payload"),
+], ids=["line", "meta", "payload"])
+def test_malformed_instance_line(line, word, tmp_path, capsys):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(line + "\n")
+    rc = main(["knapsack", "--instances", str(bad), "--exact"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 1:") and word in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_intervals_and_throughput_cli(tmp_path):
     rc = main(["intervals", "--variant", "cben", "--count", "3",
                "--params", '{"n": [3, 4]}', "--exact", "--audit", "--seed", "6"])

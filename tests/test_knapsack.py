@@ -61,7 +61,7 @@ def test_a1_keeps_small_over_duplicate_medium():
     s = SubroutineA1(20)
     for i, w in enumerate((6, 6, 11, 11, 11)):
         s.feed(w, i)
-    assert s.total() == 17
+    assert s.total == 17
 
 
 def test_a2_hand_traces():
@@ -73,7 +73,7 @@ def test_a2_hand_traces():
     s = SubroutineA2(100)
     s.feed(50, 0)
     s.feed(45, 1)  # subset of weight 95 >= 90: freeze
-    assert s.frozen and s.total() == 95
+    assert s.frozen and s.total == 95
     s = SubroutineA2(10)
     s.feed(2, 0)
     s.feed(8, 1)
@@ -99,7 +99,7 @@ def test_rom_proportional_matches_a_subroutine():
         for i, w in enumerate(ws):
             a1.feed(w, i)
             a2.feed(w, i)
-        assert run.value in (a1.total(), a2.total())
+        assert run.value in (a1.total, a2.total)
         assert sorted(run.contents) in (sorted(a1.contents), sorted(a2.contents))
 
 
@@ -150,8 +150,8 @@ def test_per_order_inequalities_small_batch():
             for i, w in enumerate(order):
                 a1.feed(w, i)
                 a2.feed(w, i)
-                assert a1.total() <= cap and a2.total() <= cap
-            assert 5 * (a1.total() + a2.total()) >= 7 * opt
+                assert a1.total <= cap and a2.total <= cap
+            assert 5 * (a1.total + a2.total) >= 7 * opt
         items = [(w, rng.randint(1, 30)) for w in pool]
         seq = [rng.choice(items) for _ in range(n)]
         gopt = offline_opt_scaled(seq, cap)
@@ -290,3 +290,25 @@ def test_tworbin_exact_expectation():
             count += 1
         worst = min(worst, (total / count) / opt)
     assert float(worst) >= math.sqrt(2) - 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 30).flatmap(
+    lambda cap: st.tuples(st.just(cap), st.lists(st.integers(1, cap), max_size=10))))
+def test_running_totals_and_peak_match_contents(case):
+    """A1's and A2's running totals equal their contents' weight after every
+    step, and ``peak`` is the largest of those weights."""
+    cap, ws = case
+    a1 = SubroutineA1(cap)
+    a2 = SubroutineA2(cap)
+    peak = 0
+    sums = [0, 0]
+    for i, w in enumerate(ws):
+        a1.feed(w, i)
+        a2.feed(w, i)
+        sums = [sum(x for x, _ in s.contents) for s in (a1, a2)]
+        assert [a1.total, a2.total] == sums
+        peak = max(peak, *sums)
+    run = rom_proportional(ws, cap)
+    assert run.peak == peak
+    assert [run.a1_value, run.a2_value] == sums

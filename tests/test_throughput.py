@@ -3,53 +3,66 @@
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rombit import throughput
 from rombit.core import CapacityError, distinct_orderings
 from rombit.throughput import (
     OPT_GUARD,
     Entry,
     Job,
-    _Process,
-    classify,
+    _scan,
+    _table,
     dual_run,
-    flip_time,
     is_normal,
     offline_opt_throughput,
-    process_step,
     rom_simulation,
+    single_greedy_run,
 )
 
 J = Job
 
 
+def fused_classify(jobs, t, p):
+    """The classification of a whole job set at t read off one ``_scan``:
+    infeasible iff t > f + p, flexible iff t < f, otherwise urgent."""
+    if not jobs:
+        return "flexible"
+    _, rel, last, lab = _table(jobs)
+    _, f = _scan(rel, last, lab, set(), max(rel), min(last), p)
+    if t > f + p:
+        return "infeasible"
+    return "flexible" if t < f else "urgent"
+
+
 def test_classify_examples():
-    assert classify([], 0, 10) == "flexible"
+    assert fused_classify([], 0, 10) == "flexible"
     two_tight = [J(0, 10, 0, 0), J(0, 10, 0, 1)]
-    assert classify(two_tight, 0, 10) == "infeasible"
+    assert fused_classify(two_tight, 0, 10) == "infeasible"
     mixed = [J(0, 10, 1, 0), J(0, 10, 11, 1)]
-    assert classify(mixed, 0, 10) == "urgent"
-    assert classify([J(0, 10, 30, 0)], 0, 10) == "flexible"
+    assert fused_classify(mixed, 0, 10) == "urgent"
+    assert fused_classify([J(0, 10, 30, 0)], 0, 10) == "flexible"
 
 
 def test_process_step_branches():
     p = 10
     jobs = [J(0, p, 0, 0)]
     # urgent set: start even though the other process holds the lock
-    proc = _Process("Y")
-    lock = process_step(proc, jobs, 0, p, "X")
+    proc = _ReferenceProcess("Y")
+    lock = reference_process_step(proc, jobs, 0, p, "X")
     assert proc.running is not None and lock == "X"
     # flexible set, free lock: acquire it
     jobs = [J(0, p, 40, 0)]
-    proc = _Process("X")
-    lock = process_step(proc, jobs, 0, p, None)
+    proc = _ReferenceProcess("X")
+    lock = reference_process_step(proc, jobs, 0, p, None)
     assert lock == "X" and proc.running[2]
     # flexible set, lock taken: do nothing
-    proc = _Process("Y")
-    lock = process_step(proc, jobs, 0, p, "X")
+    proc = _ReferenceProcess("Y")
+    lock = reference_process_step(proc, jobs, 0, p, "X")
     assert proc.running is None and lock == "X"
 
 
@@ -80,7 +93,7 @@ def test_lock_asymmetry_wake_at_flip():
     jobs = [J(0, 10, 12, 0), J(0, 10, 40, 1)]
     xs, ys = dual_run(jobs, 10)
     assert xs[0].start == 0 and xs[0].flexible
-    assert ys[0].start == flip_time(jobs, 10) == 2
+    assert ys[0].start == reference_flip_time(jobs, 10) == 2
     assert not ys[0].flexible
     assert {e.job.label for e in xs} == {e.job.label for e in ys} == {0, 1}
 
@@ -273,3 +286,382 @@ def test_oracle_matches_reference_dfs_and_ignores_labels(case, rng):
     shuffled = [J(j.release, j.proc, j.slack, 100 - k)
                 for k, j in enumerate(rng.sample(jobs, len(jobs)))]
     assert offline_opt_throughput(shuffled, p) == opt
+
+
+# ---------------------------------------------------------------------------
+# The simulation and the normality audit as they were before they ran on int
+# lists: copied verbatim apart from the reference_ names, as references for
+# the differential tests below.
+# ---------------------------------------------------------------------------
+
+def reference_ed_order(jobs):
+    return sorted(jobs, key=lambda j: (j.deadline, j.label))
+
+
+def reference_feasible_from(jobs, t, p):
+    """Can every job start by its expiry when run back-to-back from t?"""
+    cur = t
+    for j in reference_ed_order(jobs):
+        if cur > j.expiry:
+            return False
+        cur += p
+    return True
+
+
+def reference_flip_time(jobs, p):
+    """Last instant at which the set is still flexible (strictly before it)."""
+    best = None
+    for k, j in enumerate(reference_ed_order(jobs), start=1):
+        v = j.expiry - k * p
+        if best is None or v < best:
+            best = v
+    return best
+
+
+def reference_classify(jobs, t, p):
+    """'infeasible', 'urgent' or 'flexible' for a pending set at time t.
+
+    Empty sets are flexible (vacuously feasible).  The flexible boundary is
+    strict: at the last instant where waiting p still works, the set counts
+    as urgent, so a locked-out process starts it right there.
+    """
+    jobs = list(jobs)
+    if not jobs:
+        return "flexible"
+    if not reference_feasible_from(jobs, t, p):
+        return "infeasible"
+    if t < reference_flip_time(jobs, p):
+        return "flexible"
+    return "urgent"
+
+
+class _ReferenceProcess:
+    def __init__(self, name):
+        self.name = name
+        self.entries = []
+        self.completed = set()
+        self.running = None  # (job, start, holds_lock, flexible)
+
+    def pending(self, jobs, t):
+        return [
+            j
+            for j in jobs
+            if j.release <= t <= j.expiry and j.label not in self.completed
+        ]
+
+
+def reference_process_step(proc, jobs, t, p, lock):
+    """One decision for an idle process; returns the new lock holder.
+
+    Exactly the three-branch rule: a non-flexible pending set starts the ED
+    job immediately (ignoring the lock); a flexible set starts the ED job
+    only when the lock is free, acquiring it; otherwise do nothing.
+    """
+    q = proc.pending(jobs, t)
+    if not q:
+        return lock
+    cls = reference_classify(q, t, p)
+    ed = reference_ed_order(q)[0]
+    if cls != "flexible":
+        proc.running = (ed, t, False, False)
+        return lock
+    if lock is None:
+        proc.running = (ed, t, True, True)
+        return proc.name
+    return lock
+
+
+def reference_dual_run(jobs, p, start_time=0):
+    """Event-driven simulation of both lock-sharing processes.
+
+    Decision instants are releases, completions and per-process wake-ups (the
+    instant an idle process's pending set stops being flexible); between
+    instants nothing changes.  X steps before Y at every instant.
+    """
+    x = _ReferenceProcess("X")
+    y = _ReferenceProcess("Y")
+    lock = None
+    releases = sorted({j.release for j in jobs if j.release >= start_time})
+    t = start_time
+    while True:
+        # completions first, releasing the lock
+        for proc in (x, y):
+            if proc.running is not None:
+                job, s, holds, flex = proc.running
+                if s + p == t:
+                    proc.entries.append(Entry(job=job, start=s, flexible=flex))
+                    proc.completed.add(job.label)
+                    proc.running = None
+                    if holds:
+                        lock = None
+        for proc in (x, y):
+            if proc.running is None:
+                lock = reference_process_step(proc, jobs, t, p, lock)
+        # next decision instant
+        candidates = []
+        for proc in (x, y):
+            if proc.running is not None:
+                candidates.append(proc.running[1] + p)
+            else:
+                q = proc.pending(jobs, t)
+                if q and reference_classify(q, t, p) == "flexible":
+                    candidates.append(reference_flip_time(q, p))
+        for r in releases:
+            if r > t:
+                candidates.append(r)
+                break
+        candidates = [c for c in candidates if c > t]
+        if not candidates:
+            break
+        t = min(candidates)
+    return x.entries, y.entries
+
+
+def reference_single_greedy_run(jobs, p, horizon=None):
+    """Phase-1 process: run the ED pending job whenever idle, idle only on
+    an empty pending set.  Stops at ``horizon`` and reports the entry still
+    running there, if any."""
+    proc = _ReferenceProcess("S")
+    releases = sorted({j.release for j in jobs})
+    t = releases[0] if releases else 0
+    if horizon is not None and t > horizon:
+        t = horizon
+    while horizon is None or t < horizon:
+        if proc.running is not None:
+            job, s, holds, flex = proc.running
+            if s + p == t:
+                proc.entries.append(Entry(job=job, start=s, flexible=flex))
+                proc.completed.add(job.label)
+                proc.running = None
+        if proc.running is None:
+            q = proc.pending(jobs, t)
+            if q:
+                cls = reference_classify(q, t, p)
+                ed = reference_ed_order(q)[0]
+                proc.running = (ed, t, False, cls == "flexible")
+        candidates = []
+        if proc.running is not None:
+            candidates.append(proc.running[1] + p)
+        for r in releases:
+            if r > t:
+                candidates.append(r)
+                break
+        candidates = [c for c in candidates if c > t]
+        if horizon is not None:
+            candidates = [c for c in candidates if c <= horizon]
+        if not candidates:
+            break
+        t = min(candidates)
+    running = None
+    if proc.running is not None:
+        job, s, holds, flex = proc.running
+        if horizon is not None and s + p <= horizon:
+            proc.entries.append(Entry(job=job, start=s, flexible=flex))
+            proc.completed.add(job.label)
+        else:
+            running = (job, s, flex)
+    return proc.entries, running
+
+
+def reference_is_normal(entries, jobs, p, start_time=0, end_time=None):
+    """Replay a schedule against its instance; returns (ok, first_violation).
+
+    Normal means every start picks the earliest-deadline pending job, and the
+    machine is never idle over an interval of positive length on which the
+    pending set is not flexible.
+    """
+    entries = sorted(entries, key=lambda e: e.start)
+    for a, b in zip(entries, entries[1:]):
+        if a.completion > b.start:
+            return False, f"entries overlap at {b.start}"
+    completed = set()
+    for e in entries:
+        if e.start < e.job.release or e.start > e.job.expiry:
+            return False, f"job {e.job.label} started outside its window"
+        pending = [
+            j
+            for j in jobs
+            if j.release <= e.start <= j.expiry and j.label not in completed
+        ]
+        ed = reference_ed_order(pending)[0]
+        if (ed.deadline, ed.label) != (e.job.deadline, e.job.label):
+            return False, f"start at {e.start} is not the ED pending job"
+        flex = reference_classify(pending, e.start, p) == "flexible"
+        if flex != e.flexible:
+            return False, f"flexible flag mismatch at {e.start}"
+        completed.add(e.job.label)
+    # no idle instant may have a non-flexible pending set
+    def executing(t):
+        return any(e.start <= t < e.completion for e in entries)
+
+    for tau in sorted({j.release for j in jobs} | {j.expiry for j in jobs}):
+        if tau < start_time or executing(tau):
+            continue
+        done_now = {e.job.label for e in entries if e.completion <= tau}
+        pending = [
+            j
+            for j in jobs
+            if j.release <= tau <= j.expiry and j.label not in done_now
+        ]
+        if pending and reference_classify(pending, tau, p) != "flexible":
+            return False, f"idle at {tau} with a non-flexible pending set"
+
+    # idle intervals must be flexible throughout
+    horizon = max((j.expiry for j in jobs), default=start_time)
+    if end_time is not None:
+        horizon = max(horizon, end_time)
+    gaps = []
+    cur = start_time
+    done = set()
+    for e in entries:
+        if e.start > cur:
+            gaps.append((cur, e.start, frozenset(done)))
+        cur = max(cur, e.completion)
+        done.add(e.job.label)
+    if horizon > cur:
+        gaps.append((cur, horizon, frozenset(done)))
+    for lo, hi, done_now in gaps:
+        cuts = sorted({lo, hi} | {j.release for j in jobs if lo < j.release < hi}
+                      | {j.expiry for j in jobs if lo < j.expiry < hi})
+        for u, v in zip(cuts, cuts[1:]):
+            pending = [
+                j
+                for j in jobs
+                if j.release <= u and j.expiry >= v and j.label not in done_now
+            ]
+            if not pending:
+                continue
+            ft = reference_flip_time(pending, p)
+            if v > ft:
+                return False, f"idle over [{u},{v}) with a non-flexible pending set"
+    return True, None
+
+
+def reference_rom_simulation(arrivals, p):
+    """``rom_simulation`` on the reference phase-1 and dual processes."""
+    with mock.patch.object(throughput, "single_greedy_run", reference_single_greedy_run), \
+            mock.patch.object(throughput, "dual_run", reference_dual_run):
+        return rom_simulation(arrivals, p)
+
+
+@st.composite
+def schedule_inputs(draw, max_n=8):
+    """Equal-length jobs with tied releases, deadlines and labels and zero
+    slack, releases sorted or not, plus a start time, a phase-1 horizon and
+    an end time for the audit."""
+    p = draw(st.sampled_from([1, 2, 3, 10]))
+    n = draw(st.integers(0, max_n))
+    release = st.one_of(st.sampled_from([0, p]), st.integers(0, 3 * p))
+    slack = st.one_of(st.just(0), st.sampled_from([p, 2 * p]), st.integers(0, 4 * p))
+    jobs = [
+        J(draw(release), p, draw(slack), draw(st.one_of(st.just(i), st.integers(0, 2))))
+        for i in range(n)
+    ]
+    if draw(st.booleans()):
+        jobs.sort(key=lambda j: j.release)
+    start = draw(st.one_of(st.just(0), st.integers(0, 3 * p)))
+    horizon = draw(st.one_of(st.none(), st.integers(0, 5 * p)))
+    end = draw(st.one_of(st.none(), st.integers(0, 8 * p)))
+    return jobs, p, start, horizon, end
+
+
+@settings(max_examples=300, deadline=None)
+@given(schedule_inputs())
+def test_fused_classification_matches_classify(case):
+    jobs, p, start, _, _ = case
+    for t in range(start - p, start + 5 * p):
+        assert fused_classify(jobs, t, p) == reference_classify(jobs, t, p)
+    if jobs:
+        ed, rel, last, lab = _table(jobs)
+        first, _ = _scan(rel, last, lab, set(), max(rel), min(last), p)
+        assert ed[first] is reference_ed_order(jobs)[0]
+
+
+@settings(max_examples=400, deadline=None)
+@given(schedule_inputs())
+def test_runs_match_reference(case):
+    jobs, p, start, horizon, _ = case
+    assert dual_run(jobs, p, start_time=start) == reference_dual_run(jobs, p, start_time=start)
+    assert single_greedy_run(jobs, p, horizon=horizon) == reference_single_greedy_run(
+        jobs, p, horizon=horizon)
+    assert rom_simulation(jobs, p) == reference_rom_simulation(jobs, p)
+
+
+def normality(check, entries, jobs, p, start, end):
+    """A normality verdict, or the type of the exception it raised."""
+    try:
+        return check(entries, jobs, p, start, end)
+    except IndexError:
+        return IndexError
+
+
+MUTATIONS = ("none", "overlap", "window", "job", "flag", "drop", "delay", "repeat")
+
+
+def mutate(entries, jobs, p, kind, k, shift):
+    """One schedule edit aimed at one violation of ``is_normal``: entries
+    that overlap, a start outside its window, a start of another job, a
+    flipped flexible flag, a dropped entry (an idle instant or gap), a
+    delayed start, or a job started twice."""
+    entries = sorted(entries, key=lambda e: e.start)
+    if kind == "none" or not entries:
+        return entries
+    k %= len(entries)
+    e = entries[k]
+    if kind == "overlap":
+        e = e._replace(start=entries[k - 1].start + shift % p if k else e.start)
+    elif kind == "window":
+        e = e._replace(start=e.job.release - 1 - shift if shift % 2 else e.job.expiry + 1 + shift)
+    elif kind == "job":
+        e = e._replace(job=jobs[shift % len(jobs)])
+    elif kind == "flag":
+        e = e._replace(flexible=not e.flexible)
+    elif kind == "drop":
+        return entries[:k] + entries[k + 1:]
+    elif kind == "delay":
+        e = e._replace(start=e.start + 1 + shift)
+    else:
+        return entries + [e._replace(start=entries[-1].completion + shift)]
+    return entries[:k] + [e] + entries[k + 1:]
+
+
+def schedules(jobs, p, start):
+    run = rom_simulation(jobs, p)
+    xs, ys = dual_run(jobs, p, start_time=start)
+    return [run.x, run.y, xs, ys, single_greedy_run(jobs, p)[0]]
+
+
+@settings(max_examples=400, deadline=None)
+@given(schedule_inputs(), st.sampled_from(MUTATIONS), st.integers(0, 7), st.integers(0, 12))
+def test_is_normal_matches_reference(case, kind, k, shift):
+    jobs, p, start, _, end = case
+    for entries in schedules(jobs, p, start):
+        entries = mutate(entries, jobs, p, kind, k, shift)
+        for s in (0, start):
+            assert normality(is_normal, entries, jobs, p, s, end) == normality(
+                reference_is_normal, entries, jobs, p, s, end)
+
+
+def test_is_normal_mutations_reach_every_violation():
+    """The mutations above reach every violation of ``is_normal`` and its
+    exception, and both implementations agree on each."""
+    rng = random.Random(8)
+    seen = set()
+    for _ in range(400):
+        p = rng.choice([1, 2, 10])
+        n = rng.randint(1, 7)
+        jobs = [J(rng.randint(0, 3 * p), p, rng.choice([0, p, rng.randint(0, 4 * p)]), i)
+                for i in range(n)]
+        start = rng.choice([0, rng.randint(0, 2 * p)])
+        for entries in schedules(jobs, p, start):
+            for kind in MUTATIONS:
+                m = mutate(entries, jobs, p, kind, rng.randrange(8), rng.randrange(13))
+                want = normality(reference_is_normal, m, jobs, p, start, None)
+                assert normality(is_normal, m, jobs, p, start, None) == want
+                if want is IndexError or want[0]:
+                    seen.add(want if want is IndexError else "ok")
+                else:
+                    words = want[1].split()
+                    seen.add(" ".join(words[:2]) if words[0] == "idle" else words[0])
+    assert seen == {"ok", "entries", "job", "start", "flexible", "idle at", "idle over",
+                    IndexError}
