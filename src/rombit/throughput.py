@@ -252,7 +252,10 @@ def rom_simulation(arrivals, p):
         new_release = max(j.release, bpoint)
         if j.expiry < new_release:
             continue  # already unschedulable for every continuation
-        sub.append(Job(new_release, p, j.expiry - new_release, j.label))
+        if new_release != j.release or j.proc != p:
+            # re-released at B; a job released from B on enters as it is
+            j = Job(new_release, p, j.expiry - new_release, j.label)
+        sub.append(j)
     x_tail, y_tail = dual_run(sub, p, start_time=bpoint)
     x = prefix + x_tail
     y = prefix + y_tail
