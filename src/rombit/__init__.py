@@ -10,8 +10,6 @@ from .core import (
 )
 from .extraction import (
     BiasReport,
-    CombineExtractor,
-    Process1Extractor,
     bias_curve,
     distinct_unbiased,
     empirical_bias,
@@ -24,10 +22,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BiasReport",
-    "CombineExtractor",
     "ExperimentConfig",
     "Instance",
-    "Process1Extractor",
     "bias_curve",
     "distinct_unbiased",
     "empirical_bias",

@@ -19,6 +19,7 @@ from .core import (
     ParseError,
     format_number,
     read_instances,
+    to_fraction,
     write_instances,
     write_report,
 )
@@ -160,23 +161,31 @@ def _cmd_gen(args):
     return 0
 
 
-def _decode_row(row):
-    out = {}
-    for k, v in row.items():
-        if isinstance(v, list) and len(v) == 2 and all(isinstance(x, int) for x in v):
-            out[k] = Fraction(v[0], v[1])
-        else:
-            out[k] = v
-    return out
+def _report_row(text, line):
+    """One JSON-lines report row, with its ``[num, den]`` cells as Fractions."""
+    try:
+        row = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"invalid JSON: {e.msg}", line=line) from None
+    if not isinstance(row, dict):
+        raise ParseError("a report line must be a JSON object", line=line)
+    try:
+        return {k: to_fraction(v) if _is_pair(v) else v for k, v in row.items()}
+    except InputError as e:
+        raise ParseError(str(e), line=line) from None
+
+
+def _is_pair(v):
+    return isinstance(v, list) and len(v) == 2 and all(type(x) is int for x in v)
 
 
 def _cmd_report(args):
     rows = []
     with open(args.input, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if line:
-                rows.append(_decode_row(json.loads(line)))
+                rows.append(_report_row(line, lineno))
     write_report(rows, args.out, args.format)
     sys.stdout.write(f"wrote {len(rows)} rows to {args.out}\n")
     return 0

@@ -42,10 +42,6 @@ class CapacityError(ValueError):
     """Instance too large for an exhaustive operation."""
 
 
-class StateError(RuntimeError):
-    """Operation applied to an object in the wrong state (e.g. feed after emit)."""
-
-
 class ParseError(ValueError):
     """Instance/report file could not be parsed; carries the offending line."""
 
@@ -269,7 +265,7 @@ def _decode_meta_value(v):
         return v
     if isinstance(v, list):
         if len(v) == 2 and all(isinstance(x, int) for x in v):
-            return Fraction(v[0], v[1])
+            return to_fraction(v)
         return [_decode_meta_value(x) for x in v]
     raise InputError(f"cannot decode meta value {v!r}")
 

@@ -1,20 +1,21 @@
 """One-bit extraction processes, the pairwise extractor, and bias oracles.
 
-Three processes read the arrival stream of item keys:
+Three processes read the arrival stream of item keys.  Let i be the first
+0-based index whose key differs from the first arrival's key:
 
-* ``process1``  -- watch for the first key different from the first arrival's
-  key; if it arrives at index i, emit ``1 - (i % 2)`` (1 at even i).
+* ``process1`` -- emit ``i % 2`` (1 when the change is at an even 1-based
+  position).
 * ``distinct_unbiased`` -- compare the first two (distinct) keys; emit 1 when
   the first is lexicographically smaller.
-* ``combine`` -- if the first two keys differ, emit 1 when the second is
-  smaller than the first; if they are identical, keep scanning and emit 1
-  when the first different key arrives at an odd index (>= 3).
+* ``combine`` -- at i = 1 the first two keys differ: emit 1 when the second
+  is smaller than the first.  Otherwise emit ``(i + 1) % 2`` (1 when the
+  change is at an odd 1-based position >= 3).
 
 The parity inside ``combine`` is deliberately the opposite of standalone
 ``process1``: with it, Pr(b=1) stays in (1/2, 2 - sqrt(2)] for every input
 mix, so downstream algorithms can rely on min(Pr(b=1), Pr(b=0)) >= sqrt(2)-1.
 
-``harvest`` runs an incremental extractor over an arrival stream and is the
+``harvest`` is the process1 and combine rule on an arrival stream, and the
 one place where applications take their bit.
 
 Bias oracles come in two routes that never share code paths: exact
@@ -38,76 +39,12 @@ from .core import (
     ENUMERATION_GUARD,
     InputError,
     Instance,
-    StateError,
     distinct_orderings,
     lex_compare,
     split_seed,
 )
 
 MODES = ("process1", "distinct_unbiased", "combine")
-
-
-class Process1Extractor:
-    """Biased bit extraction: parity of the first type change (Algorithm-1 rule)."""
-
-    mode = "process1"
-
-    def __init__(self):
-        self.first_type = None
-        self.counter = 0
-        self.emitted = None
-
-    def feed(self, key):
-        if self.emitted is not None:
-            raise StateError("bit already emitted")
-        self.counter += 1
-        if self.counter == 1:
-            self.first_type = tuple(key)
-            return None
-        if lex_compare(tuple(key), self.first_type) != 0:
-            self.emitted = 1 - (self.counter % 2)
-            return self.emitted
-        return None
-
-
-class CombineExtractor:
-    """Order comparison when the first two items differ, else type-change parity.
-
-    When the first two keys are identical the bit is 1 iff the first distinct
-    key arrives at an odd index.
-    """
-
-    mode = "combine"
-
-    def __init__(self):
-        self.first_type = None
-        self.counter = 0
-        self.emitted = None
-
-    def feed(self, key):
-        if self.emitted is not None:
-            raise StateError("bit already emitted")
-        key = tuple(key)
-        self.counter += 1
-        if self.counter == 1:
-            self.first_type = key
-            return None
-        cmp = lex_compare(key, self.first_type)
-        if cmp == 0:
-            return None
-        if self.counter == 2:
-            self.emitted = 1 if cmp < 0 else 0
-        else:
-            self.emitted = self.counter % 2
-        return self.emitted
-
-
-def extractor_for(mode):
-    if mode == "process1":
-        return Process1Extractor()
-    if mode == "combine":
-        return CombineExtractor()
-    raise InputError(f"no incremental extractor for mode {mode!r}")
 
 
 def distinct_unbiased(first, second):
@@ -127,18 +64,28 @@ def pairwise_bits(keys):
 
 
 def harvest(keys, mode="combine"):
-    """First emission of an incremental extractor on an arrival stream.
+    """The bit of ``process1`` or ``combine`` on an arrival stream.
 
-    Returns ``(bit, index)`` with the 0-based arrival index of the key that
-    made the process emit, or ``(None, None)`` when it never emits.  Keys are
-    consumed lazily and the stream is not read past the emission, so every
-    application takes its bit here and commits at ``index``.
+    Let i be the first 0-based index whose key differs from the first
+    arrival's.  ``process1`` emits ``i % 2``; ``combine`` emits
+    ``[second < first]`` at i = 1 and ``(i + 1) % 2`` after that.  Returns
+    ``(bit, i)``, or ``(None, None)`` when every key is identical.  Keys are
+    consumed lazily and the stream is not read past index i, so every
+    application takes its bit here and commits at ``i``.
     """
-    ext = extractor_for(mode)
-    for i, k in enumerate(keys):
-        b = ext.feed(k)
-        if b is not None:
-            return b, i
+    if mode not in ("process1", "combine"):
+        raise InputError(f"harvest has no rule for mode {mode!r}")
+    stream = iter(keys)
+    first = next(stream, None)
+    if first is None:
+        return None, None
+    first = tuple(first)
+    for i, key in enumerate(stream, start=1):
+        cmp = lex_compare(tuple(key), first)
+        if cmp:
+            if mode == "process1":
+                return i % 2, i
+            return (int(cmp < 0) if i == 1 else (i + 1) % 2), i
     return None, None
 
 

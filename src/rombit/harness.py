@@ -206,16 +206,22 @@ def generate_instances(problem, family, params, count, seed):
     params["family"] = family
     for i in range(count):
         rng = rng_for(seed, 7000 + i)
-        if problem in ("knapsack_general", "knapsack_proportional"):
-            items, meta = _knapsack_items(problem, rng, params)
-        elif problem == "interval":
-            items, meta = _interval_items(rng, params)
-        elif problem == "throughput":
-            items, meta = _throughput_items(rng, params)
-        elif problem == "string_guess":
-            items, meta = _string_items(rng, params)
-        else:
-            raise InputError(f"unknown problem {problem!r}")
+        try:
+            if problem in ("knapsack_general", "knapsack_proportional"):
+                items, meta = _knapsack_items(problem, rng, params)
+            elif problem == "interval":
+                items, meta = _interval_items(rng, params)
+            elif problem == "throughput":
+                items, meta = _throughput_items(rng, params)
+            elif problem == "string_guess":
+                items, meta = _string_items(rng, params)
+            else:
+                raise InputError(f"unknown problem {problem!r}")
+        except InputError:
+            raise
+        except (ValueError, TypeError, IndexError, ZeroDivisionError) as e:
+            # a parameter of the wrong type or range, e.g. {"n": "abc"}
+            raise InputError(f"bad {problem} {family} parameters: {e}") from None
         meta["id"] = f"{problem}-{family}-{seed}-{i:04d}"
         out.append(make_instance(problem, items, meta))
     return out
@@ -290,6 +296,8 @@ def scale_intervals(instance):
     rel = [it.field_("release") for it in instance.items]
     lens = [it.field_("length") for it in instance.items]
     ws = [it.field_("weight") for it in instance.items]
+    if min(lens) <= 0:
+        raise InputError(f"interval length must be positive, got {min(lens)}")
     times, _ = common_scale(rel + lens)
     wints, _ = common_scale(ws)
     n = instance.n
@@ -382,39 +390,27 @@ def _audit_general(s, order, items, run, opt):
 
 
 def _audit_intervals(s, order, arr, run, opt):
-    """Feasibility plus the covering observations: prefix optimality, the
-    prefix/suffix relaxation, the slot-cover bound (single length) and
-    branch-sum >= suffix OPT (adaptive)."""
+    """Feasibility of both branches, then the covering observations read off
+    the run record: prefix optimality, the prefix/suffix relaxation, and
+    ``cover`` >= OPT(suffix) (the slot winners for single length, A+B for
+    adaptive chains)."""
     violations = []
-    if s.variant == "single":
-        branches = [run.selection.accepted]
-    else:
-        branches = [run.trace.a_accepted, run.trace.b_accepted, run.selection.accepted]
-    anchor = run.anchor_index
-    prefix_val = sum(iv.weight for iv in run.prefix_accepted)
-    for br in branches:
-        if not intervals.feasible_selection(br):
+    for branch in (run.a, run.b):
+        if not intervals.feasible_selection(run.prefix + branch):
             violations.append(f"overlapping selection on {order}")
+    anchor = run.anchor_index
     if anchor is None:
-        if run.selection.value != opt:
+        if run.value != opt:
             violations.append(f"identical-input prefix not optimal on {order}")
         return violations
     pre = intervals.offline_opt_intervals(arr[:anchor])
     suf = intervals.offline_opt_intervals(arr[anchor:])
-    if prefix_val != pre:
+    if sum(iv.weight for iv in run.prefix) != pre:
         violations.append(f"prefix != OPT(prefix) on {order}")
     if opt > pre + suf:
         violations.append(f"OPT > OPT(prefix)+OPT(suffix) on {order}")
-    if s.variant == "single":
-        cover = sum(w.weight for w in run.winners.values())
-        if suf > cover:
-            violations.append(f"slot cover misses OPT(suffix) on {order}")
-    else:
-        ab = sum(x.weight for x in run.trace.a_accepted) + sum(
-            x.weight for x in run.trace.b_accepted
-        )
-        if ab < suf:
-            violations.append(f"A+B < OPT(suffix) on {order}")
+    if run.cover < suf:
+        violations.append(f"cover < OPT(suffix) on {order}")
     return violations
 
 
@@ -466,7 +462,7 @@ def run_order(instance_view, problem, order, variant=None, audit=False):
         else:
             run = intervals.rom_adaptive(arrivals, s.variant)
         opt = intervals.offline_opt_intervals(arrivals)
-        alg, unit, check = run.selection.value, 1, _audit_intervals
+        alg, unit, check = run.value, 1, _audit_intervals
     elif problem == "throughput":
         arrivals = _jobs_for(s, order)
         run = throughput.rom_simulation(arrivals, s.proc)

@@ -1,12 +1,12 @@
 """De-randomized weighted interval selection with revoking.
 
-Single-length instances use fixed slots of width p anchored at the last
-greedily accepted interval; monotone and C-benevolent instances use the
-adaptive slot chain where each new slot is bounded by the end of the
-interval accepted in the previous one.  In both cases two deterministic
-branches pick winners in alternating slots, and the COMBINE bit that
-``extraction.harvest`` takes at the first distinct (weight, length) key
-selects one branch.
+Every variant runs one skeleton, ``_rom``: greedy over the pseudo-identical
+prefix, the COMBINE bit that ``extraction.harvest`` takes at the first
+distinct (weight, length) key, then two branches A and B from the anchor,
+the last greedily accepted interval, that pick winners in alternating
+slots; bit 1 selects A.  Single-length instances use fixed slots of width p;
+monotone and C-benevolent instances use the adaptive slot chain where each
+new slot is bounded by the end of the interval accepted in the previous one.
 
 Intervals carry integer release/length/weight (rescaled rationals); an
 interval occupies [release, release + length) and half-open windows that
@@ -39,15 +39,6 @@ def feasible_selection(intervals):
     return all(ivs[i].end <= ivs[i + 1].release for i in range(len(ivs) - 1))
 
 
-@dataclass
-class Selection:
-    accepted: list
-
-    @property
-    def value(self):
-        return sum(iv.weight for iv in self.accepted)
-
-
 # ---------------------------------------------------------------------------
 # offline oracle: classic weighted interval scheduling DP
 # ---------------------------------------------------------------------------
@@ -65,6 +56,52 @@ def offline_opt_intervals(intervals):
         take = iv.weight + best[pred]
         best[j] = take if take > best[j - 1] else best[j - 1]
     return best[-1]
+
+
+# ---------------------------------------------------------------------------
+# the ROM skeleton: greedy prefix, the bit, two branches from the anchor
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class IntervalRun:
+    """One arrival order's run: the greedy prefix before the anchor, both
+    branches from the anchor on (bit 1 takes ``a``, bit 0 takes ``b``), and
+    ``cover``, a bound on OPT from the anchor on.  With no bit, the prefix
+    is the greedy run over all arrivals and the branches are empty."""
+
+    bit: int
+    anchor_index: int  # arrival index of the last greedily accepted interval
+    prefix: list
+    a: list
+    b: list
+    cover: int
+
+    @property
+    def accepted(self):
+        return self.prefix + (self.a if self.bit == 1 else self.b)
+
+    @property
+    def value(self):
+        return sum(iv.weight for iv in self.accepted)
+
+
+def _rom(arrivals, branches):
+    """Greedy over the pseudo-identical prefix, accepting whatever does not
+    conflict with the last acceptance (earliest deadline first, as arrivals
+    are release-sorted), up to the bit; the last acceptance is the anchor.
+    ``branches(suffix)`` returns ``(a, b, cover)`` for the arrivals from the
+    anchor on."""
+    bit, switch = harvest((iv.weight, iv.length) for iv in arrivals)
+    kept = []  # arrival indices of the greedy acceptances
+    for ix in range(len(arrivals) if switch is None else switch):
+        if not kept or arrivals[ix].release >= arrivals[kept[-1]].end:
+            kept.append(ix)
+    prefix = [arrivals[ix] for ix in kept]
+    if switch is None:
+        return IntervalRun(None, None, prefix, [], [], 0)
+    a, b, cover = branches(arrivals[kept[-1]:])
+    return IntervalRun(bit, kept[-1], prefix[:-1], a, b, cover)
 
 
 # ---------------------------------------------------------------------------
@@ -88,67 +125,24 @@ def slot_winners(intervals, origin, width):
     return winners
 
 
-@dataclass
-class SingleLengthRun:
-    selection: Selection
-    prefix_accepted: list
-    anchor_index: int  # arrival index of the last greedily accepted interval
-    bit: int
-    odd_value: int
-    even_value: int
-    winners: dict
-
-
-def greedy_prefix(arrivals, stop_index):
-    """Earliest-deadline greedy over arrivals[0:stop_index] (release-sorted,
-    pseudo-identical): accept whatever does not conflict with the last
-    acceptance."""
-    accepted = []
-    last_end = None
-    for ix in range(stop_index):
-        iv = arrivals[ix]
-        if last_end is None or iv.release >= last_end:
-            accepted.append((ix, iv))
-            last_end = iv.end
-    return accepted
+def _slot_branches(suffix):
+    """Fixed slots from the anchor: the odd branch re-feeds the anchor
+    interval through slot 1; the even branch keeps the anchor and adds the
+    even-slot winners."""
+    anchor = suffix[0]
+    winners = slot_winners(suffix, anchor.release, anchor.length)
+    odd = [iv for k, iv in sorted(winners.items()) if k % 2 == 1]
+    even = [iv for k, iv in sorted(winners.items()) if k % 2 == 0]
+    return odd, [anchor] + even, sum(iv.weight for iv in winners.values())
 
 
 def rom_single_length(arrivals):
-    """Greedy pseudo-identical prefix, then fixed slots from the anchor.
-
-    The odd branch re-feeds the anchor interval through slot 1; the even
-    branch keeps the anchor and adds the even-slot winners.  Bit 1 selects
-    the odd branch.
-    """
+    """Greedy pseudo-identical prefix, then fixed slots from the anchor;
+    bit 1 selects the odd branch."""
     lengths = {iv.length for iv in arrivals}
     if len(lengths) > 1:
         raise InputError("single-length instance has mixed lengths")
-    bit, switch = harvest((iv.weight, iv.length) for iv in arrivals)
-    if switch is None:
-        accepted = [iv for _, iv in greedy_prefix(arrivals, len(arrivals))]
-        sel = Selection(accepted=accepted)
-        return SingleLengthRun(
-            selection=sel, prefix_accepted=accepted, anchor_index=None, bit=None,
-            odd_value=sel.value, even_value=sel.value, winners={},
-        )
-    prefix = greedy_prefix(arrivals, switch)
-    anchor_ix, anchor = prefix[-1]
-    kept_prefix = [iv for _, iv in prefix[:-1]]
-    winners = slot_winners(arrivals[anchor_ix:], anchor.release, anchor.length)
-    odd = [iv for k, iv in sorted(winners.items()) if k % 2 == 1]
-    even = [iv for k, iv in sorted(winners.items()) if k % 2 == 0]
-    prefix_value = sum(iv.weight for iv in kept_prefix)
-    odd_value = prefix_value + sum(iv.weight for iv in odd)
-    even_value = prefix_value + anchor.weight + sum(iv.weight for iv in even)
-    if bit == 1:
-        accepted = kept_prefix + odd
-    else:
-        accepted = kept_prefix + [anchor] + even
-    return SingleLengthRun(
-        selection=Selection(accepted=accepted), prefix_accepted=kept_prefix,
-        anchor_index=anchor_ix, bit=bit,
-        odd_value=odd_value, even_value=even_value, winners=winners,
-    )
+    return _rom(arrivals, _slot_branches)
 
 
 # ---------------------------------------------------------------------------
@@ -191,20 +185,14 @@ def validate_variant(intervals, variant):
         raise InputError(f"unknown adaptive variant {variant!r}")
 
 
-@dataclass
-class AdaptiveTrace:
-    a_accepted: list
-    b_accepted: list
-    slots: list  # (start, end) per slot in chain order
-
-
 def adaptive_slots_run(intervals, variant):
     """Chain phases of adaptive slots; branch B opens each phase.
 
     Within a phase, slot_1 = [t0, d1) is scanned by A while B holds the
     phase opener; thereafter slot_i = [d_{i-1}, d_i) and the roles
     alternate.  A slot candidate must release inside the slot and end after
-    it; the phase ends when a slot has no candidate.
+    it; the phase ends when a slot has no candidate.  Returns A's and B's
+    intervals and the (start, end) of each slot in chain order.
     """
     key = _winner_key(variant)
     ivs = sorted(intervals, key=lambda iv: (iv.release, iv.label))
@@ -237,43 +225,16 @@ def adaptive_slots_run(intervals, variant):
                 b_acc.append(winner)
             slot_start, slot_end = slot_end, winner.end
             slot_index += 1
-    return AdaptiveTrace(a_accepted=a_acc, b_accepted=b_acc, slots=slots)
-
-
-@dataclass
-class AdaptiveRun:
-    selection: Selection
-    trace: AdaptiveTrace
-    prefix_accepted: list
-    anchor_index: int
-    bit: int
-    a_value: int
-    b_value: int
+    return a_acc, b_acc, slots
 
 
 def rom_adaptive(arrivals, variant):
     """Greedy pseudo-identical prefix, then the adaptive chain from the anchor;
     bit 1 selects branch A, bit 0 branch B."""
     validate_variant(arrivals, variant)
-    bit, switch = harvest((iv.weight, iv.length) for iv in arrivals)
-    if switch is None:
-        accepted = [iv for _, iv in greedy_prefix(arrivals, len(arrivals))]
-        sel = Selection(accepted=accepted)
-        return AdaptiveRun(
-            selection=sel, trace=AdaptiveTrace([], [], []),
-            prefix_accepted=accepted, anchor_index=None,
-            bit=None, a_value=sel.value, b_value=sel.value,
-        )
-    prefix = greedy_prefix(arrivals, switch)
-    anchor_ix, _ = prefix[-1]
-    kept_prefix = [iv for _, iv in prefix[:-1]]
-    trace = adaptive_slots_run(arrivals[anchor_ix:], variant)
-    prefix_value = sum(iv.weight for iv in kept_prefix)
-    a_value = prefix_value + sum(iv.weight for iv in trace.a_accepted)
-    b_value = prefix_value + sum(iv.weight for iv in trace.b_accepted)
-    branch = trace.a_accepted if bit == 1 else trace.b_accepted
-    return AdaptiveRun(
-        selection=Selection(accepted=kept_prefix + list(branch)), trace=trace,
-        prefix_accepted=kept_prefix, anchor_index=anchor_ix, bit=bit,
-        a_value=a_value, b_value=b_value,
-    )
+
+    def chain_branches(suffix):
+        a, b, _ = adaptive_slots_run(suffix, variant)
+        return a, b, sum(iv.weight for iv in a + b)
+
+    return _rom(arrivals, chain_branches)

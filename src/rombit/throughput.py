@@ -281,8 +281,8 @@ def is_normal(entries, jobs, p, start_time=0, end_time=None):
     latest-start instant from ``start_time`` on; each idle gap up to the
     horizon, cut at the releases and latest starts inside it.  Every
     pending set is a filter of the one ED order of ``jobs``, classified by
-    one ``_scan``.  An entry that starts while no job is pending raises
-    IndexError.
+    one ``_scan``.  An entry that starts while no job is pending (a job
+    started twice, or one not in ``jobs``) is a violation.
     """
     entries = sorted(entries, key=lambda e: e.start)
     starts = [e.start for e in entries]
@@ -299,7 +299,7 @@ def is_normal(entries, jobs, p, start_time=0, end_time=None):
             return False, f"job {job.label} started outside its window"
         i, f = _scan(rel, last, lab, done, s, s, p)
         if i is None:
-            raise IndexError(f"no job is pending at {s}")
+            return False, f"no job is pending at {s}"
         ed = jobs[i]
         if ed is not job and (ed.deadline, ed.label) != (job.deadline, job.label):
             return False, f"start at {s} is not the ED pending job"

@@ -59,7 +59,9 @@ def test_parse_error_exit_code(tmp_path, capsys):
     ('{"problem": "knapsack_proportional", "meta": [1], "items": []}', "meta"),
     ('{"problem": "knapsack_proportional", "items": '
      '[{"key": [[1, 2]], "payload": [1, 2]}]}', "payload"),
-], ids=["line", "meta", "payload"])
+    ('{"problem": "knapsack_proportional", "meta": {"x": [1, 0]}, "items": '
+     '[{"key": [[1, 2]], "payload": {"weight": [1, 2], "value": [1, 2]}}]}', "rational"),
+], ids=["line", "meta", "payload", "meta-zero-denominator"])
 def test_malformed_instance_line(line, word, tmp_path, capsys):
     bad = tmp_path / "bad.jsonl"
     bad.write_text(line + "\n")
@@ -235,3 +237,43 @@ def test_cben_malformed_weight_table(table, tmp_path, capsys):
     rc = main(["intervals", "--variant", "cben", "--instances", str(path), "--exact"])
     assert rc == 2
     assert "weight_table" in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("line, word", [
+    ('{"opt": [1, 0]}', "not a rational"),
+    ("not json", "JSON"),
+    ("[1,2]", "object"),
+], ids=["zero-denominator", "not-json", "not-object"])
+def test_report_rejects_malformed_line(line, word, tmp_path, capsys):
+    rows = tmp_path / "rows.jsonl"
+    rows.write_text('{"instance_id": "a", "opt": [3, 2]}\n' + line + "\n")
+    rc = main(["report", "--input", str(rows), "--out", str(tmp_path / "rows.csv")])
+    assert rc == 2
+    err = _one_error_line(capsys)
+    assert err.startswith("error: line 2: ") and word in err
+
+
+@pytest.mark.parametrize("argv, word", [
+    (["knapsack", "--params", '{"n": "abc"}'], "abc"),
+    (["knapsack", "--params", '{"den": 0}'], "knapsack"),
+    (["throughput", "--params", '{"proc": "x"}'], "x"),
+    (["intervals", "--params", '{"length": 0}'], "length"),
+    (["intervals", "--params", '{"support": 0}'], "interval"),
+], ids=["knapsack-n", "knapsack-den", "throughput-proc", "intervals-length",
+        "intervals-support"])
+def test_bad_params_values(argv, word, capsys):
+    rc = main(argv + ["--count", "1", "--exact"])
+    assert rc == 2
+    assert word in _one_error_line(capsys)
+
+
+def test_intervals_reject_nonpositive_length_in_file(tmp_path, capsys):
+    items = [{"key": [[w, 1], [0, 1]],
+              "payload": {"length": [0, 1], "release": [r, 1], "weight": [w, 1]}}
+             for r, w in ((0, 1), (1, 2))]
+    path = tmp_path / "zero.jsonl"
+    path.write_text(json.dumps({"items": items, "meta": {"id": "z"},
+                                "problem": "interval"}) + "\n")
+    rc = main(["intervals", "--instances", str(path), "--exact"])
+    assert rc == 2
+    assert "length" in _one_error_line(capsys)

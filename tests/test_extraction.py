@@ -8,10 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rombit.core import InputError, StateError, distinct_orderings, make_instance, make_item
+from rombit.core import InputError, distinct_orderings, make_instance, make_item
 from rombit.extraction import (
-    CombineExtractor,
-    Process1Extractor,
     all_distinct_counts,
     bias_curve,
     bit_for_sequence,
@@ -31,15 +29,8 @@ A, B = (Fraction(0),), (Fraction(1),)
 
 
 def test_process1_rule():
-    ext = Process1Extractor()
-    assert ext.feed(A) is None
-    assert ext.feed(B) == 1  # change at even index
-    ext = Process1Extractor()
-    for k in (A, A):
-        ext.feed(k)
-    assert ext.feed(B) == 0  # change at index 3
-    with pytest.raises(StateError):
-        ext.feed(A)
+    assert harvest([A, B], "process1") == (1, 1)  # change at even index
+    assert harvest([A, A, B], "process1") == (0, 2)  # change at index 3
 
 
 def test_process1_exact_aab():
@@ -57,13 +48,8 @@ def test_distinct_unbiased():
 
 
 def test_combine_rule():
-    ext = CombineExtractor()
-    ext.feed(B)
-    assert ext.feed(A) == 1  # second smaller than first
-    ext = CombineExtractor()
-    ext.feed(A)
-    assert ext.feed(A) is None
-    assert ext.feed(B) == 1  # first distinct item at odd index
+    assert harvest([B, A], "combine") == (1, 1)  # second smaller than first
+    assert harvest([A, A, B], "combine") == (1, 2)  # first distinct item at odd index
     rep = exact_bias([A, A, B], "combine")
     assert rep.prob_one == Fraction(2, 3)
     # conditioned on the first arrival: AAB gives 1, ABA 0; BAA gives 1
@@ -241,3 +227,10 @@ def test_harvest_no_emission_and_laziness():
     stream = iter([A, A, A, B, A])
     assert harvest(stream, "combine") == (0, 3)
     assert list(stream) == [A]  # nothing read past the emission
+
+
+def test_harvest_rejects_bad_input():
+    with pytest.raises(InputError):  # dimension mismatch
+        harvest([A, (Fraction(0), Fraction(1))], "combine")
+    with pytest.raises(InputError):  # no streaming rule
+        harvest([A, B], "distinct_unbiased")

@@ -336,6 +336,30 @@ def test_proportional_audit_checks_the_run_record(monkeypatch, check, doctor):
     assert all(check in v for v in violations)
 
 
+@pytest.mark.parametrize("variant, rom", [("single", "rom_single_length"),
+                                          ("monotone", "rom_adaptive")],
+                         ids=["single", "monotone"])
+@pytest.mark.parametrize("check, doctor", [
+    ("overlapping selection", lambda run: replace(run, b=run.b + run.b[:1])),
+    ("cover < OPT(suffix)", lambda run: replace(run, cover=0)),
+    ("prefix != OPT(prefix)",
+     lambda run: replace(run, prefix=[hz.intervals.Interval(-10, 1, 1)] + run.prefix)),
+], ids=["overlapping-b", "cover", "prefix"])
+def test_interval_audit_checks_the_run_record(monkeypatch, variant, rom, check, doctor):
+    insts = hz.generate_instances(
+        "interval", "uniform", {"n": [4, 5], "variant": variant}, 5, 4)
+    # two distinct keys in every instance, so every order takes a bit
+    assert all(len({it.key for it in inst.items}) > 1 for inst in insts)
+    cfg = hz.ExperimentConfig(problem="interval", instances=insts, exact=True, audit=True)
+    assert hz.run_experiment(cfg).violation_count == 0
+    real = getattr(hz.intervals, rom)
+    monkeypatch.setattr(hz.intervals, rom, lambda *args: doctor(real(*args)))
+    rep = hz.run_experiment(cfg)
+    violations = [v for r in rep.rows for v in r["violations"]]
+    assert len(violations) == sum(r["orders"] for r in rep.rows)  # one per order
+    assert all(check in v for v in violations)
+
+
 def test_run_experiment_rejects_empty_work():
     insts = hz.generate_instances("string_guess", "bernoulli", {"n": 4}, 1, 1)
     for cfg in (

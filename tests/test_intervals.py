@@ -19,6 +19,10 @@ from rombit.intervals import (
 I = Interval
 
 
+def weight(ivs):
+    return sum(iv.weight for iv in ivs)
+
+
 def offline_opt_subsets(intervals):
     """Independent cross-check: brute force over subsets (small n only)."""
     n = len(intervals)
@@ -53,12 +57,13 @@ def test_rom_single_length_branch_values():
     arr = [I(0, 10, 1, 0), I(2, 10, 1, 1), I(15, 10, 3, 2)]
     run = rom_single_length(arr)
     assert run.bit == 1  # identical pair then distinct at odd index 3
-    assert (run.odd_value, run.even_value) == (1, 4)
-    assert run.selection.value == 1
+    odd_value, even_value = weight(run.prefix + run.a), weight(run.prefix + run.b)
+    assert (odd_value, even_value) == (1, 4)
+    assert run.value == 1
     assert offline_opt_intervals(arr) == 4
     # per-order covering chain: 2*prefix + odd + even >= OPT
-    pre = sum(iv.weight for iv in run.prefix_accepted)
-    assert 2 * pre + run.odd_value + run.even_value >= 4
+    pre = weight(run.prefix)
+    assert 2 * pre + odd_value + even_value >= 4
     with pytest.raises(InputError):
         rom_single_length([I(0, 4, 1, 0), I(0, 5, 1, 1)])
 
@@ -67,21 +72,21 @@ def test_rom_single_length_identical_prefix_is_opt():
     arr = [I(0, 4, 2, 0), I(1, 4, 2, 1), I(5, 4, 2, 2)]
     run = rom_single_length(arr)
     assert run.bit is None
-    assert run.selection.value == offline_opt_intervals(arr)
+    assert run.value == offline_opt_intervals(arr)
 
 
 def test_adaptive_hand_trace():
     arr = [I(0, 4, 16, 0), I(2, 4, 16, 1), I(5, 3, 9, 2)]
-    tr = adaptive_slots_run(arr, "c_benevolent")
-    assert [iv.label for iv in tr.a_accepted] == [1]
-    assert [iv.label for iv in tr.b_accepted] == [0, 2]
-    assert tr.slots == [(0, 4), (4, 6), (6, 8)]
+    a, b, slots = adaptive_slots_run(arr, "c_benevolent")
+    assert [iv.label for iv in a] == [1]
+    assert [iv.label for iv in b] == [0, 2]
+    assert slots == [(0, 4), (4, 6), (6, 8)]
 
 
 def test_adaptive_degenerate_phase():
-    tr = adaptive_slots_run([I(3, 5, 25, 0)], "c_benevolent")
-    assert [iv.label for iv in tr.b_accepted] == [0]
-    assert tr.a_accepted == []
+    a, b, _ = adaptive_slots_run([I(3, 5, 25, 0)], "c_benevolent")
+    assert [iv.label for iv in b] == [0]
+    assert a == []
 
 
 def test_validate_variant():
@@ -99,7 +104,7 @@ def test_rom_adaptive_prefix_plus_heavy():
     run = rom_adaptive(arr, "monotone")
     assert run.anchor_index == 1
     best = offline_opt_intervals(arr)
-    assert max(run.a_value, run.b_value) == best
+    assert max(weight(run.prefix + run.a), weight(run.prefix + run.b)) == best
 
 
 def test_adaptive_audits_random():
@@ -114,13 +119,11 @@ def test_adaptive_audits_random():
         for order in distinct_orderings(pay):
             arr = [I(rel[i], L, w, i) for i, (L, w) in enumerate(order)]
             run = rom_adaptive(arr, "monotone")
-            assert feasible_selection(run.trace.a_accepted)
-            assert feasible_selection(run.trace.b_accepted)
+            assert feasible_selection(run.a)
+            assert feasible_selection(run.b)
             if run.anchor_index is not None:
                 suf = offline_opt_intervals(arr[run.anchor_index:])
-                ab = sum(x.weight for x in run.trace.a_accepted) + sum(
-                    x.weight for x in run.trace.b_accepted
-                )
+                ab = weight(run.a) + weight(run.b)
                 assert ab >= suf
 
 
@@ -141,7 +144,7 @@ def test_adaptive_exact_expectations_frozen():
         for order in distinct_orderings(pay):
             arr = [I(rel[i], L, w, i) for i, (L, w) in enumerate(order)]
             run = rom_adaptive(arr, variant)
-            total_alg += run.selection.value
+            total_alg += run.value
             total_opt += offline_opt_intervals(arr)
             count += 1
         assert total_alg / count == want_alg
@@ -164,15 +167,15 @@ def test_single_length_finite_n_coupling_frozen():
         arr = [I(rel[i], L, w, i) for i, (L, w) in enumerate(order)]
         run = rom_single_length(arr)
         opt = offline_opt_intervals(arr)
-        total_alg += run.selection.value
+        total_alg += run.value
         total_opt += opt
         count += 1
         ai = run.anchor_index
         pre = offline_opt_intervals(arr[:ai])
         suf = offline_opt_intervals(arr[ai:])
-        assert sum(iv.weight for iv in run.prefix_accepted) == pre
+        assert weight(run.prefix) == pre
         assert opt <= pre + suf
-        assert suf <= sum(w.weight for w in run.winners.values())
+        assert suf <= run.cover
     assert count == 6
     assert total_alg / count == Fraction(25, 6)
     assert total_opt / count == 14
@@ -188,14 +191,14 @@ def test_single_length_observations_random():
         for order in distinct_orderings(ws):
             arr = [I(rel[i], 4, order[i], i) for i in range(n)]
             run = rom_single_length(arr)
-            assert feasible_selection(run.selection.accepted)
+            assert feasible_selection(run.accepted)
             opt = offline_opt_intervals(arr)
             if run.anchor_index is None:
-                assert run.selection.value == opt
+                assert run.value == opt
                 continue
             ai = run.anchor_index
             pre = offline_opt_intervals(arr[:ai])
             suf = offline_opt_intervals(arr[ai:])
-            assert sum(iv.weight for iv in run.prefix_accepted) == pre
+            assert weight(run.prefix) == pre
             assert opt <= pre + suf
-            assert suf <= sum(w.weight for w in run.winners.values())
+            assert suf <= run.cover
