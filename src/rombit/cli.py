@@ -42,24 +42,14 @@ def _print_or_write(text, out):
 
 def _cmd_bias(args):
     mode = {"p1": "process1", "p2": "distinct_unbiased", "combine": "combine"}[args.mode]
+    param = {"process1": args.alpha, "combine": args.r}.get(mode, Fraction(1, 2))
     if args.exact:
-        if mode == "process1" or mode == "combine":
-            param = args.alpha if mode == "process1" else args.r
-            counts = (
-                extraction.two_type_counts(param, args.n)
-                if mode == "process1"
-                else extraction.first_frequency_counts(param, args.n)
-            )
-        else:
-            counts = extraction.all_distinct_counts(args.n)
-        # combine conditions on the copied key arriving first, as bias_curve does
-        first_key = (Fraction(0),) if mode == "combine" else None
+        _, counts, first_key = extraction.bias_family(mode, param, args.n)
         rep = extraction.exact_bias(counts, mode, first_key=first_key)
         lines = [
             f"mode={mode} n={rep.n_items} exact prob_one={rep.prob_one} no_bit={rep.no_bit}"
         ]
     else:
-        param = {"process1": args.alpha, "combine": args.r}.get(mode, Fraction(1, 2))
         rows = extraction.bias_curve(mode, [param], args.n, args.trials, args.seed)
         lines = [_curve_line(mode, row) for row in rows]
     _print_or_write("\n".join(lines) + "\n", args.out)
@@ -97,21 +87,27 @@ def _params(text):
     return params
 
 
-def _load_or_generate(args, problem, fixed_params=None):
+def _load_or_generate(args, problem, variant=None):
     if args.instances:
         insts = read_instances(args.instances)
         bad = [i.problem for i in insts if i.problem != problem]
         if bad:
             raise ParseError(f"instance problem {bad[0]!r} does not match {problem!r}")
+        # an interval instance's variant defaults to single, as in harness
+        bad = [v for v in (i.meta_value("variant", "single") for i in insts) if v != variant]
+        if variant and bad:
+            raise ParseError(f"instance variant {bad[0]!r} does not match {variant!r}")
         return insts
-    params = {**_params(args.params), **(fixed_params or {})}
+    params = _params(args.params)
+    if variant and params.setdefault("variant", variant) != variant:
+        raise InputError(f"--params variant {params['variant']!r} does not match {variant!r}")
     return harness.generate_instances(
         problem, args.family, params, args.count, args.seed
     )
 
 
-def _run_and_report(args, problem, variant=None, fixed_params=None):
-    instances = _load_or_generate(args, problem, fixed_params)
+def _run_and_report(args, problem, variant=None, interval_variant=None):
+    instances = _load_or_generate(args, problem, interval_variant)
     config = harness.ExperimentConfig(
         problem=problem,
         instances=instances,
@@ -145,7 +141,7 @@ def _cmd_knapsack(args):
 
 def _cmd_intervals(args):
     variant = {"single": "single", "monotone": "monotone", "cben": "c_benevolent"}
-    return _run_and_report(args, "interval", fixed_params={"variant": variant[args.variant]})
+    return _run_and_report(args, "interval", interval_variant=variant[args.variant])
 
 
 def _cmd_throughput(args):

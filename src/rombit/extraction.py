@@ -308,10 +308,7 @@ def combine_predicted(r):
 
 def two_type_counts(alpha, n):
     """Two keys 0 < 1 with floor(alpha*n) copies of the first."""
-    a = Fraction(alpha)
-    if not 0 < a < 1:
-        raise InputError("alpha must lie strictly between 0 and 1")
-    c0 = int(a * n)
+    c0 = int(Fraction(alpha) * n)
     if c0 < 1 or c0 >= n:
         raise InputError("alpha*n must leave at least one item of each type")
     return {(Fraction(0),): c0, (Fraction(1),): n - c0}
@@ -326,10 +323,7 @@ def first_frequency_counts(r, n):
     seconds fall below or above the median with near-equal probability, and
     the identical branch sees the remaining copies with share ~r.
     """
-    rr = Fraction(r)
-    if not 0 < rr < 1:
-        raise InputError("r must lie strictly between 0 and 1")
-    copies = int(rr * n)
+    copies = int(Fraction(r) * n)
     if copies < 1 or copies >= n:
         raise InputError("r*n must leave at least one distinct item")
     rest = n - copies
@@ -347,28 +341,29 @@ def all_distinct_counts(n):
     return {(Fraction(i),): 1 for i in range(n)}
 
 
-def bias_curve(mode, params, n_items, trials, seed):
-    """(parameter, predicted, empirical, stderr) rows for a parameter grid.
+def bias_family(mode, param, n):
+    """The instance family behind a mode's bias curve, as (predicted,
+    counts, first_key): process1 uses the two-type family, combine the
+    first-frequency worst-case family with the first arrival conditioned on
+    the copied key, and distinct_unbiased all-distinct keys (``param`` is
+    not read)."""
+    if mode == "process1":
+        return process1_predicted(param), two_type_counts(param, n), None
+    if mode == "combine":
+        return combine_predicted(param), first_frequency_counts(param, n), (Fraction(0),)
+    if mode == "distinct_unbiased":
+        return Fraction(1, 2), all_distinct_counts(n), None
+    raise InputError(f"unknown mode {mode!r}")
 
-    process1 uses the two-type family; combine uses the first-frequency
-    worst-case family with the first arrival conditioned on the copied key.
-    """
+
+def bias_curve(mode, params, n_items, trials, seed):
+    """(parameter, predicted, empirical, stderr) rows for a parameter grid,
+    sampled on ``bias_family``."""
     rows = []
     for ix, param in enumerate(params):
-        child = split_seed(seed, 1000 + ix)
-        if mode == "process1":
-            predicted = process1_predicted(param)
-            counts = two_type_counts(param, n_items)
-            rep = empirical_bias(counts, mode, trials, child)
-        elif mode == "combine":
-            predicted = combine_predicted(param)
-            counts = first_frequency_counts(param, n_items)
-            rep = empirical_bias(counts, mode, trials, child, first_key=(Fraction(0),))
-        elif mode == "distinct_unbiased":
-            predicted = Fraction(1, 2)
-            rep = empirical_bias(all_distinct_counts(n_items), mode, trials, child)
-        else:
-            raise InputError(f"unknown mode {mode!r}")
+        predicted, counts, first_key = bias_family(mode, param, n_items)
+        rep = empirical_bias(counts, mode, trials, split_seed(seed, 1000 + ix),
+                             first_key=first_key)
         rows.append(
             {
                 "parameter": param,

@@ -16,7 +16,9 @@ inequalities without rerunning any algorithm.
 The walk is integer-only: ``scaled_view`` turns an instance's rationals
 into ints with one unit per instance, every run and check compares those
 ints, and ``_row`` keeps integer running sums that become Fractions once
-per row.
+per row.  Scaling also checks, once, each instance rule that holds for
+every arrival order or for none (one common proc; each interval variant's
+rule), so no algorithm checks it per order.
 
 Ratio conventions follow the per-problem literature: knapsack reports
 E[ALG]/OPT (at most 1), string guessing and intervals report OPT/E[ALG],
@@ -36,6 +38,7 @@ from .core import (
     CapacityError,
     ENUMERATION_GUARD,
     InputError,
+    REPORT_COLUMNS,
     common_scale,
     distinct_orderings,
     make_instance,
@@ -199,11 +202,20 @@ def _string_items(rng, params):
     return items, {}
 
 
+class _Params(dict):
+    """Family parameters that record in ``read`` the keys the family reads."""
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
 def generate_instances(problem, family, params, count, seed):
-    """Deterministic instance family; meta carries an id per instance."""
+    """Deterministic instance family; meta carries an id per instance.  A
+    parameter that the family does not read is bad input."""
     out = []
-    params = dict(params or {})
-    params["family"] = family
+    params = _Params(params or {}, family=family)
+    params.read = {"family"}
     for i in range(count):
         rng = rng_for(seed, 7000 + i)
         try:
@@ -222,6 +234,9 @@ def generate_instances(problem, family, params, count, seed):
         except (ValueError, TypeError, IndexError, ZeroDivisionError) as e:
             # a parameter of the wrong type or range, e.g. {"n": "abc"}
             raise InputError(f"bad {problem} {family} parameters: {e}") from None
+        unread = sorted(set(params) - params.read)
+        if unread:
+            raise InputError(f"unknown {problem} {family} parameter {unread[0]!r}")
         meta["id"] = f"{problem}-{family}-{seed}-{i:04d}"
         out.append(make_instance(problem, items, meta))
     return out
@@ -261,15 +276,15 @@ class ScaledIntervals:
     variant: str
 
 
-def validate_weight_table(instance):
-    """C-benevolent weight tables must be strictly increasing and convex,
-    and every item's weight must match its length's table entry."""
-    table = instance.meta_value("weight_table")
+def validate_weight_table(table, lens, ws):
+    """C-benevolent weights: the weight ``ws[i]`` of each length ``lens[i]``
+    is its entry in a table that increases strictly with length and is
+    convex.  The table is the meta ``weight_table`` or, with none, the
+    instance's own (length, weight) pairs, so two weights at one length
+    fail as a table that does not increase."""
     if table is None:
-        return
-    pairs = [(Fraction(L) if not isinstance(L, Fraction) else L,
-              Fraction(w) if not isinstance(w, Fraction) else w)
-             for L, w in table]
+        table = sorted(set(zip(lens, ws)))
+    pairs = [(Fraction(L), Fraction(w)) for L, w in table]
     for (l0, w0), (l1, w1) in zip(pairs, pairs[1:]):
         if l1 <= l0 or w1 <= w0:
             raise InputError("weight table must increase strictly with length")
@@ -284,27 +299,42 @@ def validate_weight_table(instance):
         if s1 < s0:
             raise InputError("weight table must be convex in length")
     lookup = dict(pairs)
-    for it in instance.items:
-        L, w = it.field_("length"), it.field_("weight")
-        if L not in lookup or lookup[L] != w:
+    for L, w in zip(lens, ws):
+        if lookup.get(L) != w:
             raise InputError(f"item weight {w} does not match the table at length {L}")
 
 
 def scale_intervals(instance):
-    if instance.meta_value("variant") == "c_benevolent":
-        validate_weight_table(instance)
+    """The instance in integer units, after checking once its variant's
+    rule, which holds for every arrival order or for none: one length; a
+    length spread within the smallest positive release gap, so that
+    deadlines keep release order; or ``validate_weight_table``."""
+    variant = instance.meta_value("variant", "single")
     rel = [it.field_("release") for it in instance.items]
     lens = [it.field_("length") for it in instance.items]
     ws = [it.field_("weight") for it in instance.items]
     if min(lens) <= 0:
         raise InputError(f"interval length must be positive, got {min(lens)}")
+    if variant == "single":
+        if len(set(lens)) > 1:
+            raise InputError("single-length instance has mixed lengths")
+    elif variant == "monotone":
+        gaps = [b - a for a, b in zip(rel, rel[1:]) if b > a]  # releases are sorted
+        spread = max(lens) - min(lens)
+        if gaps and spread > min(gaps):
+            raise InputError(f"monotone constraint violated: length spread {spread} "
+                             f"exceeds the smallest release gap {min(gaps)}")
+    elif variant == "c_benevolent":
+        validate_weight_table(instance.meta_value("weight_table"), lens, ws)
+    else:
+        raise InputError(f"unknown interval variant {variant!r}")
     times, _ = common_scale(rel + lens)
     wints, _ = common_scale(ws)
     n = instance.n
     return ScaledIntervals(
         releases=times[:n],
         payload=list(zip(times[n:], wints)),
-        variant=instance.meta_value("variant", "single"),
+        variant=variant,
     )
 
 
@@ -644,19 +674,5 @@ def run_experiment(config):
 
 
 def report_to_file(report, path, fmt="csv"):
-    rows = []
-    for r in report.rows:
-        rows.append(
-            {
-                "instance_id": r["instance_id"],
-                "problem": r["problem"],
-                "model": r["model"],
-                "trials": r["trials"],
-                "seed": r["seed"],
-                "mean_alg": r["mean_alg"],
-                "opt": r["opt"],
-                "empirical_ratio": r["empirical_ratio"],
-                "stderr": r["stderr"],
-            }
-        )
+    rows = [{c: r[c] for c in REPORT_COLUMNS} for r in report.rows]
     return write_report(rows, path, fmt)

@@ -7,6 +7,8 @@ the last greedily accepted interval, that pick winners in alternating
 slots; bit 1 selects A.  Single-length instances use fixed slots of width p;
 monotone and C-benevolent instances use the adaptive slot chain where each
 new slot is bounded by the end of the interval accepted in the previous one.
+A variant's instance rule holds for every arrival order or for none, so
+``harness.scale_intervals`` checks it once per instance.
 
 Intervals carry integer release/length/weight (rescaled rationals); an
 interval occupies [release, release + length) and half-open windows that
@@ -18,7 +20,6 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 
-from .core import InputError
 from .extraction import harvest
 
 
@@ -113,11 +114,11 @@ def slot_winners(intervals, origin, width):
     """Heaviest interval released in each fixed slot [origin+k*w, origin+(k+1)*w).
 
     Ties keep the earliest arrival.  Returns {slot_index (1-based): Interval}.
+    Every interval releases at or after ``origin``, as the suffix of a
+    release-sorted instance from its anchor does.
     """
     winners = {}
     for iv in intervals:
-        if iv.release < origin:
-            raise InputError("interval releases before the slot origin")
         k = (iv.release - origin) // width + 1
         cur = winners.get(k)
         if cur is None or iv.weight > cur.weight:
@@ -139,9 +140,6 @@ def _slot_branches(suffix):
 def rom_single_length(arrivals):
     """Greedy pseudo-identical prefix, then fixed slots from the anchor;
     bit 1 selects the odd branch."""
-    lengths = {iv.length for iv in arrivals}
-    if len(lengths) > 1:
-        raise InputError("single-length instance has mixed lengths")
     return _rom(arrivals, _slot_branches)
 
 
@@ -153,9 +151,7 @@ def rom_single_length(arrivals):
 def _winner_key(variant):
     if variant == "c_benevolent":
         return lambda iv: (iv.length, iv.weight, -iv.label)
-    if variant == "monotone":
-        return lambda iv: (iv.weight, iv.length, -iv.label)
-    raise InputError(f"unknown adaptive variant {variant!r}")
+    return lambda iv: (iv.weight, iv.length, -iv.label)
 
 
 def _qualifies(variant, end, slot_end):
@@ -164,25 +160,6 @@ def _qualifies(variant, end, slot_end):
     if variant == "monotone":
         return end >= slot_end
     return end > slot_end
-
-
-def validate_variant(intervals, variant):
-    ivs = sorted(intervals, key=lambda iv: (iv.release, iv.label))
-    if variant == "monotone":
-        for a, b in zip(ivs, ivs[1:]):
-            if a.release < b.release and a.end > b.end:
-                raise InputError("monotone constraint violated")
-    elif variant == "c_benevolent":
-        by_len = {}
-        for iv in ivs:
-            if by_len.setdefault(iv.length, iv.weight) != iv.weight:
-                raise InputError("C-benevolent weights must be a function of length")
-        lens = sorted(by_len)
-        for a, b in zip(lens, lens[1:]):
-            if by_len[a] >= by_len[b]:
-                raise InputError("C-benevolent weights must increase with length")
-    else:
-        raise InputError(f"unknown adaptive variant {variant!r}")
 
 
 def adaptive_slots_run(intervals, variant):
@@ -231,7 +208,6 @@ def adaptive_slots_run(intervals, variant):
 def rom_adaptive(arrivals, variant):
     """Greedy pseudo-identical prefix, then the adaptive chain from the anchor;
     bit 1 selects branch A, bit 0 branch B."""
-    validate_variant(arrivals, variant)
 
     def chain_branches(suffix):
         a, b, _ = adaptive_slots_run(suffix, variant)

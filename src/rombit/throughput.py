@@ -4,10 +4,11 @@ Two processes run the same deterministic rule and share one lock: a process
 may always start the earliest-deadline pending job when the pending set is
 urgent, but a flexible start requires the lock (held until completion), so
 the two schedules drift apart.  The ROM algorithm first packs jobs
-pseudo-identical to the first arrival with a single greedy process, then at
-the first distinct (proc, slack) key takes the COMBINE bit from
-``extraction.harvest`` and continues with the dual processes from the
-breakpoint B; the bit selects which schedule is real.
+pseudo-identical to the first arrival with one such process, alone and so
+greedy, then at the first distinct (proc, slack) key takes the COMBINE bit
+from ``extraction.harvest`` and continues with two from the breakpoint B;
+the bit selects which schedule is real.  One simulator, ``run_processes``,
+runs both phases.
 
 All times are integers (rescaled rationals).  Each simulation and audit
 call reads its jobs once into int lists in earliest-deadline (ED) order,
@@ -27,7 +28,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import CapacityError, InputError
+from .core import CapacityError
 from .extraction import harvest
 
 OPT_GUARD = 10
@@ -104,8 +105,10 @@ class Entry(NamedTuple):
         return self.start + self.job.proc
 
 
-def dual_run(jobs, p, start_time=0):
-    """Event-driven simulation of both lock-sharing processes.
+def run_processes(jobs, p, start_time=0, count=2):
+    """Event-driven simulation of ``count`` lock-sharing processes; returns
+    each one's entries.  A lone process always finds the lock free, so it
+    is the phase-1 greedy process.
 
     Decision instants are releases, completions and per-process wake-ups (the
     instant an idle process's pending set stops being flexible); between
@@ -117,15 +120,15 @@ def dual_run(jobs, p, start_time=0):
     """
     jobs, rel, last, lab = _table(jobs)
     releases = sorted(set(rel))
-    entries = ([], [])
-    done = (set(), set())
+    entries = tuple([] for _ in range(count))
+    done = tuple(set() for _ in range(count))
     # per process: (position, start, flexible); a flexible start holds the lock
-    running = [None, None]
+    running = [None] * count
     lock = None  # the process holding it
     t = start_time
     while True:
         # completions first, releasing the lock
-        for k in (0, 1):
+        for k in range(count):
             run = running[k]
             if run is not None and run[1] + p == t:
                 i, s, flex = run
@@ -135,10 +138,10 @@ def dual_run(jobs, p, start_time=0):
                 if flex:
                     lock = None
         # each process's step, and its next decision instant; a release
-        # changes nothing while both processes run
+        # changes nothing while every process runs
         wake = []
         idle = False
-        for k in (0, 1):
+        for k in range(count):
             if running[k] is None:
                 i, f = _scan(rel, last, lab, done[k], t, t, p)
                 flex = i is not None and t < f
@@ -162,48 +165,6 @@ def dual_run(jobs, p, start_time=0):
     return entries
 
 
-def single_greedy_run(jobs, p, horizon=None):
-    """Phase-1 process: run the ED pending job whenever idle, idle only on
-    an empty pending set.  Stops at ``horizon`` and reports the entry still
-    running there, if any."""
-    jobs, rel, last, lab = _table(jobs)
-    releases = sorted(set(rel))
-    entries = []
-    done = set()
-    running = None  # (position, start, flexible)
-    t = releases[0] if releases else 0
-    if horizon is not None and t > horizon:
-        t = horizon
-    while horizon is None or t < horizon:
-        if running is not None and running[1] + p == t:
-            i, s, flex = running
-            entries.append(Entry(jobs[i], s, flex))
-            done.add(lab[i])
-            running = None
-        if running is None:
-            i, f = _scan(rel, last, lab, done, t, t, p)
-            if i is not None:
-                running = (i, t, t < f)
-        if running is not None:
-            # a release changes nothing while a job runs
-            wake = [running[1] + p]
-        else:
-            r = bisect_right(releases, t)
-            wake = releases[r:r + 1]
-        wake = [c for c in wake if c > t and (horizon is None or c <= horizon)]
-        if not wake:
-            break
-        t = min(wake)
-    if running is not None:
-        i, s, flex = running
-        if horizon is not None and s + p <= horizon:
-            entries.append(Entry(jobs[i], s, flex))
-            running = None
-        else:
-            running = (jobs[i], s, flex)
-    return entries, running
-
-
 @dataclass
 class RomRun:
     x: list
@@ -220,30 +181,27 @@ class RomRun:
 def rom_simulation(arrivals, p):
     """Greedy identical phase, breakpoint, then the dual continuation on J'.
 
-    ``arrivals`` are Jobs in arrival order with non-decreasing releases.  The
-    continuation runs from B on the subinstance J' (unfinished jobs
-    pseudo-identical to the first arrival re-released at B, plus everything
-    releasing later); per the decomposition X = G u X', Y = G u Y'.  At most
-    one job is ever dropped mid-run: the one Y abandons at B when the
-    breakpoint set is flexible.
+    ``arrivals`` are Jobs of processing time ``p`` in arrival order with
+    non-decreasing releases from 0 on.  Phase 1 runs on the jobs released
+    before r, the distinct arrival's release, since they alone decide every
+    start before r.  B is the start of the phase-1 job running across r, or
+    r; G is the phase-1 starts before B.  The continuation runs from B on
+    the subinstance J' (unfinished jobs pseudo-identical to the first
+    arrival re-released at B, plus everything releasing later); per the
+    decomposition X = G u X', Y = G u Y'.  At most one job is ever dropped
+    mid-run: the one Y abandons at B when the breakpoint set is flexible.
     """
-    if any(j.proc != arrivals[0].proc for j in arrivals):
-        raise InputError("throughput instance requires equal processing times")
     bit, distinct_ix = harvest((j.proc, j.slack) for j in arrivals)
     if distinct_ix is None:
-        entries, _ = single_greedy_run(arrivals, p, horizon=None)
+        (entries,) = run_processes(arrivals, p, count=1)
         return RomRun(
             x=entries, y=entries, chosen=entries, bit=None, breakpoint=None,
             prefix=entries, x_tail=[], y_tail=[], subinstance=[],
         )
     r = arrivals[distinct_ix].release
-    early = [j for j in arrivals if j.release < r]
-    entries, running = single_greedy_run(early, p, horizon=r)
-    if running is not None:
-        bpoint = running[1]
-    else:
-        bpoint = r
-    prefix = [e for e in entries if e.start < bpoint]
+    (greedy,) = run_processes([j for j in arrivals if j.release < r], p, count=1)
+    bpoint = next((e.start for e in greedy if e.start < r < e.completion), r)
+    prefix = [e for e in greedy if e.start < bpoint]
     done = {e.job.label for e in prefix}
     sub = []
     for j in arrivals:
@@ -256,7 +214,7 @@ def rom_simulation(arrivals, p):
             # re-released at B; a job released from B on enters as it is
             j = Job(new_release, p, j.expiry - new_release, j.label)
         sub.append(j)
-    x_tail, y_tail = dual_run(sub, p, start_time=bpoint)
+    x_tail, y_tail = run_processes(sub, p, bpoint, count=2)
     x = prefix + x_tail
     y = prefix + y_tail
     return RomRun(
@@ -270,7 +228,7 @@ def rom_simulation(arrivals, p):
 # ---------------------------------------------------------------------------
 
 
-def is_normal(entries, jobs, p, start_time=0, end_time=None):
+def is_normal(entries, jobs, p):
     """Replay a schedule against its instance; returns (ok, first_violation).
 
     Normal means every start picks the earliest-deadline pending job, and the
@@ -278,8 +236,8 @@ def is_normal(entries, jobs, p, start_time=0, end_time=None):
     pending set is not flexible.  The checks run in this order and the first
     failure is reported: overlapping entries; each start in time order
     (its window, the ED job, the flexible flag); each idle release or
-    latest-start instant from ``start_time`` on; each idle gap up to the
-    horizon, cut at the releases and latest starts inside it.  Every
+    latest-start instant from time 0 on; each idle gap from time 0 up to the
+    last latest start, cut at the releases and latest starts inside it.  Every
     pending set is a filter of the one ED order of ``jobs``, classified by
     one ``_scan``.  An entry that starts while no job is pending (a job
     started twice, or one not in ``jobs``) is a violation.
@@ -314,7 +272,7 @@ def is_normal(entries, jobs, p, start_time=0, end_time=None):
     points = sorted(set(rel) | set(last))
     done = set()
     k = 0
-    for tau in points[bisect_left(points, start_time):]:
+    for tau in points[bisect_left(points, 0):]:
         while k < m and comps[k] <= tau:
             done.add(labels[k])
             k += 1
@@ -327,11 +285,9 @@ def is_normal(entries, jobs, p, start_time=0, end_time=None):
     # idle intervals must be flexible throughout; the first k entries are
     # done in the gap before entry k, and between consecutive cuts the
     # pending set is fixed
-    horizon = max(last, default=start_time)
-    if end_time is not None:
-        horizon = max(horizon, end_time)
+    horizon = max(last, default=0)
     gaps = []
-    cur = start_time
+    cur = 0
     for k in range(m):
         if starts[k] > cur:
             gaps.append((cur, starts[k], k))

@@ -206,16 +206,20 @@ def test_bad_rombit_workers(workers, monkeypatch, capsys):
     assert "ROMBIT_WORKERS" in _one_error_line(capsys)
 
 
-def _cben_file(tmp_path, table, lengths=((2, 4), (3, 9), (2, 4))):
-    items = [{"key": [[w, 1], [L, 1]],
-              "payload": {"length": [L, 1], "release": [r, 1], "weight": [w, 1]}}
-             for r, (L, w) in zip((0, 1, 4), lengths)]
-    inst = {"items": items, "meta": {"id": "cben-0", "variant": "c_benevolent",
-                                     "weight_table": table},
-            "problem": "interval"}
-    path = tmp_path / "cben.jsonl"
+def _interval_file(tmp_path, items, meta):
+    """An interval instance file of (release, length, weight) items."""
+    inst = {"items": [{"key": [[w, 1], [L, 1]],
+                       "payload": {"length": [L, 1], "release": [r, 1], "weight": [w, 1]}}
+                      for r, L, w in items],
+            "meta": {"id": "iv-0", **meta}, "problem": "interval"}
+    path = tmp_path / "iv.jsonl"
     path.write_text(json.dumps(inst) + "\n")
     return path
+
+
+def _cben_file(tmp_path, table, lengths=((2, 4), (3, 9), (2, 4))):
+    return _interval_file(tmp_path, [(r, L, w) for r, (L, w) in zip((0, 1, 4), lengths)],
+                          {"variant": "c_benevolent", "weight_table": table})
 
 
 def test_cben_weight_table_plain_and_rational_sides(tmp_path, capsys):
@@ -259,8 +263,12 @@ def test_report_rejects_malformed_line(line, word, tmp_path, capsys):
     (["throughput", "--params", '{"proc": "x"}'], "x"),
     (["intervals", "--params", '{"length": 0}'], "length"),
     (["intervals", "--params", '{"support": 0}'], "interval"),
+    (["knapsack", "--params", '{"nn": 5}'], "'nn'"),
+    (["intervals", "--variant", "monotone", "--params", '{"length": 4}'], "'length'"),
+    (["intervals", "--params", '{"variant": "x"}'], "variant"),
 ], ids=["knapsack-n", "knapsack-den", "throughput-proc", "intervals-length",
-        "intervals-support"])
+        "intervals-support", "knapsack-unknown-key", "intervals-unread-key",
+        "intervals-other-variant"])
 def test_bad_params_values(argv, word, capsys):
     rc = main(argv + ["--count", "1", "--exact"])
     assert rc == 2
@@ -277,3 +285,29 @@ def test_intervals_reject_nonpositive_length_in_file(tmp_path, capsys):
     rc = main(["intervals", "--instances", str(path), "--exact"])
     assert rc == 2
     assert "length" in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("meta, variant", [({}, "cben"), ({"variant": "c_benevolent"}, "single")],
+                         ids=["single-as-cben", "cben-as-single"])
+def test_intervals_reject_other_variant_in_file(meta, variant, tmp_path, capsys):
+    path = _interval_file(tmp_path, [(0, 2, 4), (1, 2, 4), (4, 2, 4)], meta)
+    rc = main(["intervals", "--variant", variant, "--instances", str(path),
+               "--exact", "--audit"])
+    assert rc == 2
+    assert "variant" in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("items, meta, argv, word", [
+    # weight is increasing in length but not convex, and there is no table
+    ([(0, 2, 10), (1, 3, 11), (4, 2, 10)], {"variant": "c_benevolent"},
+     ["--variant", "cben", "--exact"], "convex"),
+    # a length spread of 4 over a release gap of 3: only the orders that put
+    # the long interval first break the deadlines' release order
+    ([(0, 3, 1), (3, 7, 2)], {"variant": "monotone"},
+     ["--variant", "monotone", "--trials", "1", "--seed", "5"], "monotone"),
+], ids=["cben-tableless-concave", "monotone-some-orders"])
+def test_intervals_check_the_variant_rule_once(items, meta, argv, word, tmp_path, capsys):
+    path = _interval_file(tmp_path, items, meta)
+    rc = main(["intervals", "--instances", str(path)] + argv)
+    assert rc == 2
+    assert word in _one_error_line(capsys)

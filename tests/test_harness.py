@@ -5,11 +5,15 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rombit import harness as hz
 from rombit.core import (
     InputError,
     distinct_orderings,
+    make_instance,
+    make_item,
     read_instances,
     rng_for,
     write_instances,
@@ -155,15 +159,65 @@ def test_worker_pool_matches_serial(monkeypatch):
     ]
 
 
+def interval_instance(variant, items):
+    """An interval instance of (release, length, weight) items."""
+    built = [make_item((w, L), {"release": r, "length": L, "weight": w})
+             for r, L, w in items]
+    return make_instance("interval", built, {"variant": variant})
+
+
+def monotone_in_every_order(releases, lengths):
+    """The monotone rule checked per arrival order: with the positions in
+    (release, position) order, no interval released strictly before the
+    next one ends after it, in any distinct order of the lengths."""
+    pos = sorted(range(len(releases)), key=lambda i: (releases[i], i))
+    for order in distinct_orderings(lengths):
+        for a, b in zip(pos, pos[1:]):
+            if releases[a] < releases[b] and releases[a] + order[a] > releases[b] + order[b]:
+                return False
+    return True
+
+
 def test_monotone_family_is_permutation_robust():
     insts = hz.generate_instances("interval", "uniform",
                                   {"n": [5, 6], "variant": "monotone"}, 10, 12)
-    from rombit.core import distinct_orderings
-    from rombit.intervals import validate_variant
     for inst in insts:
         view = hz.scale_intervals(inst)
-        for order in distinct_orderings(view.payload):
-            validate_variant(hz._intervals_for(view, order), "monotone")
+        assert monotone_in_every_order(view.releases, [L for L, _ in view.payload])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 12), st.integers(1, 8)), min_size=1, max_size=6))
+def test_monotone_rule_matches_every_order(pairs):
+    pairs.sort(key=lambda pair: pair[0])  # instances release in item order
+    releases = [r for r, _ in pairs]
+    lengths = [L for _, L in pairs]
+    try:
+        hz.scale_intervals(interval_instance("monotone", [(r, L, 1) for r, L in pairs]))
+        ok = True
+    except InputError:
+        ok = False
+    assert ok == monotone_in_every_order(releases, lengths)
+
+
+@pytest.mark.parametrize("variant, items, ok", [
+    ("single", [(0, 4, 1), (0, 5, 1)], False),  # mixed lengths
+    ("single", [(0, 4, 1), (2, 4, 3)], True),
+    ("monotone", [(0, 9, 1), (1, 2, 1)], False),  # spread 7 over a gap of 1
+    ("monotone", [(0, 3, 1), (3, 6, 2), (3, 4, 1)], True),  # spread 3, gap 3
+    ("c_benevolent", [(0, 2, 5), (3, 2, 6)], False),  # two weights at one length
+    ("c_benevolent", [(0, 2, 4), (3, 3, 3)], False),  # weight falls with length
+    ("c_benevolent", [(0, 2, 10), (3, 3, 11)], False),  # concave, no table
+    ("c_benevolent", [(0, 2, 4), (3, 3, 9), (5, 2, 4)], True),
+    ("mystery", [(0, 2, 4)], False),
+])
+def test_scale_intervals_checks_the_variant_rule(variant, items, ok):
+    inst = interval_instance(variant, items)
+    if ok:
+        assert hz.scale_intervals(inst).variant == variant
+    else:
+        with pytest.raises(InputError):
+            hz.scale_intervals(inst)
 
 
 @pytest.mark.parametrize("problem", ["knapsack_general", "throughput"])

@@ -3,8 +3,6 @@
 import random
 from fractions import Fraction
 
-import pytest
-
 from rombit.core import InputError, distinct_orderings
 from rombit.intervals import (
     Interval,
@@ -13,7 +11,6 @@ from rombit.intervals import (
     offline_opt_intervals,
     rom_adaptive,
     rom_single_length,
-    validate_variant,
 )
 
 I = Interval
@@ -64,8 +61,6 @@ def test_rom_single_length_branch_values():
     # per-order covering chain: 2*prefix + odd + even >= OPT
     pre = weight(run.prefix)
     assert 2 * pre + odd_value + even_value >= 4
-    with pytest.raises(InputError):
-        rom_single_length([I(0, 4, 1, 0), I(0, 5, 1, 1)])
 
 
 def test_rom_single_length_identical_prefix_is_opt():
@@ -87,15 +82,6 @@ def test_adaptive_degenerate_phase():
     a, b, _ = adaptive_slots_run([I(3, 5, 25, 0)], "c_benevolent")
     assert [iv.label for iv in b] == [0]
     assert a == []
-
-
-def test_validate_variant():
-    with pytest.raises(InputError):
-        validate_variant([I(0, 9, 1, 0), I(1, 2, 1, 1)], "monotone")
-    with pytest.raises(InputError):
-        validate_variant([I(0, 2, 5, 0), I(3, 2, 6, 1)], "c_benevolent")
-    with pytest.raises(InputError):
-        validate_variant([I(0, 2, 4, 0), I(3, 3, 3, 1)], "c_benevolent")
 
 
 def test_rom_adaptive_prefix_plus_heavy():

@@ -11,17 +11,17 @@ from hypothesis import strategies as st
 
 from rombit import throughput
 from rombit.core import CapacityError, distinct_orderings
+from rombit.extraction import harvest
 from rombit.throughput import (
     OPT_GUARD,
     Entry,
     Job,
     _scan,
     _table,
-    dual_run,
     is_normal,
     offline_opt_throughput,
     rom_simulation,
-    single_greedy_run,
+    run_processes,
 )
 
 J = Job
@@ -68,12 +68,12 @@ def test_process_step_branches():
 
 def test_single_job_both_processes():
     for slack in (25, 3):
-        xs, ys = dual_run([J(0, 10, slack, 0)], 10)
+        xs, ys = run_processes([J(0, 10, slack, 0)], 10)
         assert len(xs) == 1 and len(ys) == 1
 
 
 def test_two_identical_zero_slack_golden():
-    xs, ys = dual_run([J(0, 10, 0, 0), J(0, 10, 0, 1)], 10)
+    xs, ys = run_processes([J(0, 10, 0, 0), J(0, 10, 0, 1)], 10)
     assert [(e.job.label, e.start) for e in xs] == [(0, 0)]
     assert [(e.job.label, e.start) for e in ys] == [(0, 0)]
 
@@ -82,7 +82,7 @@ def test_lock_asymmetry_flexible_start():
     # one relaxed job: X takes it under the lock; Y gets the lock back at
     # X's completion and starts flexibly then
     jobs = [J(0, 10, 30, 0)]
-    xs, ys = dual_run(jobs, 10)
+    xs, ys = run_processes(jobs, 10)
     assert xs[0].start == 0 and xs[0].flexible
     assert ys[0].start == 10 and ys[0].flexible
 
@@ -91,7 +91,7 @@ def test_lock_asymmetry_wake_at_flip():
     # the lock is still held when flexibility lapses: Y wakes at the flip
     # instant and starts the ED job urgently, without the lock
     jobs = [J(0, 10, 12, 0), J(0, 10, 40, 1)]
-    xs, ys = dual_run(jobs, 10)
+    xs, ys = run_processes(jobs, 10)
     assert xs[0].start == 0 and xs[0].flexible
     assert ys[0].start == reference_flip_time(jobs, 10) == 2
     assert not ys[0].flexible
@@ -144,7 +144,7 @@ def test_chrobak_dual_charging_bound():
         n = rng.randint(2, 6)
         rel = sorted(rng.randrange(0, 25) for _ in range(n))
         jobs = [J(rel[i], 10, rng.choice([0, 5, 10, 30]), i) for i in range(n)]
-        xs, ys = dual_run(jobs, 10)
+        xs, ys = run_processes(jobs, 10)
         opt = offline_opt_throughput(jobs, 10)
         assert 6 * opt <= 5 * (len(xs) + len(ys))
 
@@ -171,7 +171,7 @@ def test_decomposition_and_prefix_extension():
             run = rom_simulation(jobs, 10)
             if run.breakpoint is None:
                 continue
-            xs, ys = dual_run(run.subinstance, 10, start_time=run.breakpoint)
+            xs, ys = run_processes(run.subinstance, 10, start_time=run.breakpoint)
             assert xs == run.x_tail and ys == run.y_tail
             opt = offline_opt_throughput(jobs, 10)
             assert opt == len(run.prefix) + offline_opt_throughput(run.subinstance, 10)
@@ -537,18 +537,24 @@ def reference_is_normal(entries, jobs, p, start_time=0, end_time=None):
     return True, None
 
 
+def reference_processes(jobs, p, start_time=0, count=2):
+    """``run_processes`` on the references: the phase-1 process for one
+    process, the dual processes for two."""
+    if count == 1:
+        return (reference_single_greedy_run(jobs, p)[0],)
+    return reference_dual_run(jobs, p, start_time=start_time)
+
+
 def reference_rom_simulation(arrivals, p):
     """``rom_simulation`` on the reference phase-1 and dual processes."""
-    with mock.patch.object(throughput, "single_greedy_run", reference_single_greedy_run), \
-            mock.patch.object(throughput, "dual_run", reference_dual_run):
+    with mock.patch.object(throughput, "run_processes", reference_processes):
         return rom_simulation(arrivals, p)
 
 
 @st.composite
 def schedule_inputs(draw, max_n=8):
     """Equal-length jobs with tied releases, deadlines and labels and zero
-    slack, releases sorted or not, plus a start time, a phase-1 horizon and
-    an end time for the audit."""
+    slack, releases sorted or not, plus a start time and a phase-1 horizon."""
     p = draw(st.sampled_from([1, 2, 3, 10]))
     n = draw(st.integers(0, max_n))
     release = st.one_of(st.sampled_from([0, p]), st.integers(0, 3 * p))
@@ -561,14 +567,13 @@ def schedule_inputs(draw, max_n=8):
         jobs.sort(key=lambda j: j.release)
     start = draw(st.one_of(st.just(0), st.integers(0, 3 * p)))
     horizon = draw(st.one_of(st.none(), st.integers(0, 5 * p)))
-    end = draw(st.one_of(st.none(), st.integers(0, 8 * p)))
-    return jobs, p, start, horizon, end
+    return jobs, p, start, horizon
 
 
 @settings(max_examples=300, deadline=None)
 @given(schedule_inputs())
 def test_fused_classification_matches_classify(case):
-    jobs, p, start, _, _ = case
+    jobs, p, start, _ = case
     for t in range(start - p, start + 5 * p):
         assert fused_classify(jobs, t, p) == reference_classify(jobs, t, p)
     if jobs:
@@ -580,19 +585,47 @@ def test_fused_classification_matches_classify(case):
 @settings(max_examples=400, deadline=None)
 @given(schedule_inputs())
 def test_runs_match_reference(case):
-    jobs, p, start, horizon, _ = case
-    assert dual_run(jobs, p, start_time=start) == reference_dual_run(jobs, p, start_time=start)
-    assert single_greedy_run(jobs, p, horizon=horizon) == reference_single_greedy_run(
-        jobs, p, horizon=horizon)
+    jobs, p, start, horizon = case
+    assert run_processes(jobs, p, start_time=start, count=2) == reference_dual_run(
+        jobs, p, start_time=start)
+    (greedy,) = run_processes(jobs, p, count=1)
+    assert greedy == reference_single_greedy_run(jobs, p)[0]
+    if horizon is not None:
+        # the phase-1 run cut at the horizon: the entries done by then and
+        # the one running across it
+        done, running = reference_single_greedy_run(jobs, p, horizon=horizon)
+        assert [e for e in greedy if e.completion <= horizon] == done
+        across = [tuple(e) for e in greedy if e.start < horizon < e.completion]
+        assert across == ([] if running is None else [running])
     assert rom_simulation(jobs, p) == reference_rom_simulation(jobs, p)
 
 
-def normality(check, entries, jobs, p, start, end):
-    """A normality verdict.  The reference raises IndexError at the first
-    entry (in start order) that starts while no job is pending; that maps to
-    the verdict ``is_normal`` returns for it."""
+@settings(max_examples=300, deadline=None)
+@given(schedule_inputs())
+def test_breakpoint_is_phase_one_cut_at_the_distinct_release(case):
+    """B and G as the reference phase-1 run stopped at r gives them: B is the
+    start of the job running at r, or r, and G the starts before B."""
+    jobs, p, _, _ = case
+    run = rom_simulation(jobs, p)
+    _, ix = harvest((j.proc, j.slack) for j in jobs)
+    if ix is None:
+        assert run.breakpoint is None
+        return
+    r = jobs[ix].release
+    done, running = reference_single_greedy_run([j for j in jobs if j.release < r], p,
+                                                horizon=r)
+    bpoint = r if running is None else running[1]
+    assert run.breakpoint == bpoint
+    assert run.prefix == [e for e in done if e.start < bpoint]
+
+
+def normality(check, entries, jobs, p):
+    """A normality verdict, the reference's from time 0 with no end time.
+    The reference raises IndexError at the first entry (in start order) that
+    starts while no job is pending; that maps to the verdict ``is_normal``
+    returns for it."""
     try:
-        return check(entries, jobs, p, start, end)
+        return check(entries, jobs, p)
     except IndexError:
         if check is not reference_is_normal:
             raise
@@ -636,19 +669,18 @@ def mutate(entries, jobs, p, kind, k, shift):
 
 def schedules(jobs, p, start):
     run = rom_simulation(jobs, p)
-    xs, ys = dual_run(jobs, p, start_time=start)
-    return [run.x, run.y, xs, ys, single_greedy_run(jobs, p)[0]]
+    xs, ys = run_processes(jobs, p, start_time=start, count=2)
+    return [run.x, run.y, xs, ys, run_processes(jobs, p, count=1)[0]]
 
 
 @settings(max_examples=400, deadline=None)
 @given(schedule_inputs(), st.sampled_from(MUTATIONS), st.integers(0, 7), st.integers(0, 12))
 def test_is_normal_matches_reference(case, kind, k, shift):
-    jobs, p, start, _, end = case
+    jobs, p, start, _ = case
     for entries in schedules(jobs, p, start):
         entries = mutate(entries, jobs, p, kind, k, shift)
-        for s in (0, start):
-            assert normality(is_normal, entries, jobs, p, s, end) == normality(
-                reference_is_normal, entries, jobs, p, s, end)
+        assert normality(is_normal, entries, jobs, p) == normality(
+            reference_is_normal, entries, jobs, p)
 
 
 def test_is_normal_mutations_reach_every_violation():
@@ -665,8 +697,8 @@ def test_is_normal_mutations_reach_every_violation():
         for entries in schedules(jobs, p, start):
             for kind in MUTATIONS:
                 m = mutate(entries, jobs, p, kind, rng.randrange(8), rng.randrange(13))
-                want = normality(reference_is_normal, m, jobs, p, start, None)
-                assert normality(is_normal, m, jobs, p, start, None) == want
+                want = normality(reference_is_normal, m, jobs, p)
+                assert normality(is_normal, m, jobs, p) == want
                 if want[0]:
                     seen.add("ok")
                 else:
