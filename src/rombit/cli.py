@@ -2,7 +2,8 @@
 
 Exit status: 0 when the run succeeded, 1 when an audit found a violation
 (each is printed to stderr), 2 when the input was bad (one ``error:`` line).
-``--audit`` requires ``--exact``: it checks every arrival order.
+``--audit`` requires ``--exact``: it checks every arrival order.  The row
+commands knapsack, intervals and throughput are one handler over ``RUNS``.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ from .core import (
 def _fraction(text):
     if "/" in text:
         num, den = text.split("/", 1)
+        if int(den) == 0:  # a ValueError, so argparse rejects it as bad input
+            raise ValueError(f"zero denominator in {text!r}")
         return Fraction(int(num), int(den))
     return Fraction(text)
 
@@ -87,14 +90,14 @@ def _params(text):
     return params
 
 
-def _load_or_generate(args, problem, variant=None):
+def _load_or_generate(args, problem, variant):
     if args.instances:
         insts = read_instances(args.instances)
         bad = [i.problem for i in insts if i.problem != problem]
         if bad:
             raise ParseError(f"instance problem {bad[0]!r} does not match {problem!r}")
-        # an interval instance's variant defaults to single, as in harness
-        bad = [v for v in (i.meta_value("variant", "single") for i in insts) if v != variant]
+        default = harness.DEFAULT_INTERVAL_VARIANT
+        bad = [v for v in (i.meta_value("variant", default) for i in insts) if v != variant]
         if variant and bad:
             raise ParseError(f"instance variant {bad[0]!r} does not match {variant!r}")
         return insts
@@ -106,8 +109,22 @@ def _load_or_generate(args, problem, variant=None):
     )
 
 
-def _run_and_report(args, problem, variant=None, interval_variant=None):
-    instances = _load_or_generate(args, problem, interval_variant)
+# (subcommand, --variant) -> (problem, algorithm variant, instance variant);
+# a subcommand's first row gives its default --variant
+RUNS = {
+    ("knapsack", "proportional"): ("knapsack_proportional", None, None),
+    ("knapsack", "general"): ("knapsack_general", None, None),
+    ("knapsack", "tworbin"): ("knapsack_proportional", "tworbin", None),
+    ("intervals", "single"): ("interval", None, "single"),
+    ("intervals", "monotone"): ("interval", None, "monotone"),
+    ("intervals", "cben"): ("interval", None, "c_benevolent"),
+    ("throughput", None): ("throughput", None, None),
+}
+
+
+def _cmd_run(args):
+    problem, variant, instance_variant = RUNS[args.command, args.variant]
+    instances = _load_or_generate(args, problem, instance_variant)
     config = harness.ExperimentConfig(
         problem=problem,
         instances=instances,
@@ -131,21 +148,6 @@ def _run_and_report(args, problem, variant=None, interval_variant=None):
                 sys.stderr.write(f"{row['instance_id']}: {v}\n")
         return 1
     return 0
-
-
-def _cmd_knapsack(args):
-    problem = "knapsack_general" if args.variant == "general" else "knapsack_proportional"
-    variant = "tworbin" if args.variant == "tworbin" else None
-    return _run_and_report(args, problem, variant)
-
-
-def _cmd_intervals(args):
-    variant = {"single": "single", "monotone": "monotone", "cben": "c_benevolent"}
-    return _run_and_report(args, "interval", interval_variant=variant[args.variant])
-
-
-def _cmd_throughput(args):
-    return _run_and_report(args, "throughput")
 
 
 def _cmd_gen(args):
@@ -187,16 +189,6 @@ def _cmd_report(args):
     return 0
 
 
-def _add_experiment_flags(sp, default_family):
-    sp.add_argument("--instances", help="JSON-lines instance file")
-    sp.add_argument("--family", default=default_family)
-    sp.add_argument("--params", help="JSON dict of family parameters")
-    sp.add_argument("--count", type=int, default=20)
-    sp.add_argument("--exact", action="store_true")
-    sp.add_argument("--trials", type=int, default=200)
-    sp.add_argument("--audit", action="store_true")
-
-
 def build_parser():
     ap = argparse.ArgumentParser(prog="rombit")
     ap.add_argument("--seed", type=int, default=0)
@@ -224,20 +216,23 @@ def build_parser():
     g.add_argument("--trials", type=int, default=1000)
     g.set_defaults(fn=_cmd_guess)
 
-    k = sub.add_parser("knapsack", parents=[shared], help="knapsack ROM experiments")
-    k.add_argument("--variant", choices=("general", "proportional", "tworbin"),
-                   default="proportional")
-    _add_experiment_flags(k, "uniform")
-    k.set_defaults(fn=_cmd_knapsack)
-
-    iv = sub.add_parser("intervals", parents=[shared], help="interval selection ROM experiments")
-    iv.add_argument("--variant", choices=("single", "monotone", "cben"), default="single")
-    _add_experiment_flags(iv, "uniform")
-    iv.set_defaults(fn=_cmd_intervals)
-
-    tp = sub.add_parser("throughput", parents=[shared], help="equal-length throughput ROM experiments")
-    _add_experiment_flags(tp, "uniform")
-    tp.set_defaults(fn=_cmd_throughput)
+    for command, text in (("knapsack", "knapsack ROM experiments"),
+                          ("intervals", "interval selection ROM experiments"),
+                          ("throughput", "equal-length throughput ROM experiments")):
+        sp = sub.add_parser(command, parents=[shared], help=text)
+        variants = [v for c, v in RUNS if c == command]
+        if variants == [None]:
+            sp.set_defaults(variant=None)
+        else:
+            sp.add_argument("--variant", choices=variants, default=variants[0])
+        sp.add_argument("--instances", help="JSON-lines instance file")
+        sp.add_argument("--family", default="uniform")
+        sp.add_argument("--params", help="JSON dict of family parameters")
+        sp.add_argument("--count", type=int, default=20)
+        sp.add_argument("--exact", action="store_true")
+        sp.add_argument("--trials", type=int, default=200)
+        sp.add_argument("--audit", action="store_true")
+        sp.set_defaults(fn=_cmd_run)
 
     gen = sub.add_parser("gen", parents=[shared], help="write an instance file")
     gen.add_argument("--problem", required=True)

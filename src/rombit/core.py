@@ -1,9 +1,10 @@
 """Shared instance model: exact rationals, item keys, seeded randomness,
 distinct-ordering enumeration, serialization.
 
-Arrival orders are built in ``harness`` (``_order_domain``), which
-enumerates them with ``distinct_orderings`` or samples them with
-``rng_for``; the audit checks each order inside that one walk.
+Arrival orders are built in ``harness``: a problem's record in
+``harness.PROBLEM_TABLE`` scales an instance to its permuted column, whose
+orders ``distinct_orderings`` enumerates or ``rng_for`` samples; the audit
+checks each order inside that one walk.
 
 Every quantity that enters a comparison or an eviction rule is an exact
 rational (``fractions.Fraction``), or its rescaling to integers over one

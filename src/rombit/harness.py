@@ -1,20 +1,22 @@
 """Experiment orchestration: instance families, the arrival model, exact and
 Monte Carlo ROM drivers, per-order inequality audits, and report assembly.
 
-The arrival model lives here, once: ``_order_domain`` is the permuted
-payload column of an instance, and ``_intervals_for``/``_jobs_for`` place
-an order of it on the fixed release positions (realtime ROM).  Exact mode
-enumerates its distinct orders (each stands for the same number of labeled
-permutations) and runs the full pipeline per order; the extracted bit is a
-deterministic function of the order, so no bias model enters the
-computation.  Monte Carlo mode samples seeded permutations of the same
-pipeline.  Both modes feed one reducer, ``_row``, the only walk over an
-instance's orders; the audit (exact mode only) rides that walk, checking
-each order's run record and OPT against the problem's per-order
-inequalities without rerunning any algorithm.
+Each problem's decisions are one ``Problem`` record of ``PROBLEM_TABLE``:
+its instance families, its scaling, its per-order run and its ratio
+convention.  The arrival model lives here, once: the scaling gives a view
+whose ``column`` is the permuted payload column of an instance, and the
+per-order run places an order of it on the fixed release positions
+(realtime ROM).  Exact mode enumerates the column's distinct orders (each
+stands for the same number of labeled permutations) and runs the full
+pipeline per order; the extracted bit is a deterministic function of the
+order, so no bias model enters the computation.  Monte Carlo mode samples
+seeded permutations of the same pipeline.  Both modes feed one reducer,
+``_row``, the only walk over an instance's orders; the audit (exact mode
+only) rides that walk, checking each order's run record and OPT against the
+problem's per-order inequalities without rerunning any algorithm.
 
-The walk is integer-only: ``scaled_view`` turns an instance's rationals
-into ints with one unit per instance, every run and check compares those
+The walk is integer-only: the scaling turns an instance's rationals into
+ints over one ``unit`` per instance, every run and check compares those
 ints, and ``_row`` keeps integer running sums that become Fractions once
 per row.  Scaling also checks, once, each instance rule that holds for
 every arrival order or for none (one common proc; each interval variant's
@@ -30,14 +32,17 @@ from __future__ import annotations
 import math
 import os
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from . import guessing, intervals, knapsack, throughput
 from .core import (
     CapacityError,
     ENUMERATION_GUARD,
     InputError,
+    REALTIME_PROBLEMS,
     REPORT_COLUMNS,
     common_scale,
     distinct_orderings,
@@ -46,6 +51,9 @@ from .core import (
     rng_for,
     write_report,
 )
+
+# the variant of an interval instance whose meta names none
+DEFAULT_INTERVAL_VARIANT = "single"
 
 
 def worker_count():
@@ -56,14 +64,14 @@ def worker_count():
     return int(text)
 
 
-def _map(fn, items):
+def _starmap(fn, args):
     n = worker_count()
-    if n > 1 and len(items) > 1:
+    if n > 1 and len(args) > 1:
         from multiprocessing import Pool
 
         with Pool(n) as pool:
-            return pool.map(fn, items)
-    return [fn(x) for x in items]
+            return pool.starmap(fn, args)
+    return [fn(*a) for a in args]
 
 
 # ---------------------------------------------------------------------------
@@ -71,71 +79,64 @@ def _map(fn, items):
 # ---------------------------------------------------------------------------
 
 
+def _least(key, value, least):
+    """The int ``value`` of family parameter ``key``, which must be at least ``least``."""
+    if value < least:
+        raise ValueError(f"{key!r} must be at least {least}, got {value}")
+    return value
+
+
 def _pick_n(params, rng):
     n = params.get("n", 6)
     if isinstance(n, (list, tuple)):
-        return rng.choice(list(n))
-    return int(n)
+        if not n:
+            raise ValueError("'n' must not be an empty list")
+        n = rng.choice(list(n))
+    return _least("n", int(n), 1)
 
 
-def _knapsack_items(problem, rng, params):
+def _knapsack_items(rng, params, general):
     n = _pick_n(params, rng)
-    den = int(params.get("den", 20))
+    den = _least("den", int(params.get("den", 20)), 1)
     family = params["family"]
+    pairs = None
     if family == "uniform":
-        support_size = params.get("support")
+        support_size = _least("support", int(params.get("support", 0)), 0)
         if support_size:
-            pool = [rng.randint(1, den) for _ in range(int(support_size))]
+            pool = [rng.randint(1, den) for _ in range(support_size)]
             ws = [rng.choice(pool) for _ in range(n)]
         else:
             ws = [rng.randint(1, den) for _ in range(n)]
         weights = [Fraction(w, den) for w in ws]
-        if problem == "knapsack_general":
+        if general and support_size:
             # draw (weight, value) pairs from a small pool so arrival orders
             # repeat items, the same way the proportional family does
-            if support_size:
-                pairs = [
-                    (Fraction(w, den), Fraction(rng.randint(1, 3 * den), den))
-                    for w in pool
-                ]
-                chosen = [rng.choice(pairs) for _ in range(n)]
-            else:
-                chosen = [
-                    (w, Fraction(rng.randint(1, 3 * den), den)) for w in weights
-                ]
-            return [
-                make_item(key=(v, w), payload={"weight": w, "value": v})
-                for w, v in chosen
-            ], {}
+            pool = [(Fraction(w, den), Fraction(rng.randint(1, 3 * den), den)) for w in pool]
+            pairs = [rng.choice(pool) for _ in range(n)]
     elif family == "two_type":
         a = Fraction(params.get("alpha", Fraction(1, 2)))
         w0 = Fraction(params.get("w0", Fraction(1, 5)))
         w1 = Fraction(params.get("w1", Fraction(2, 5)))
         c0 = max(1, min(n - 1, int(a * n)))
         weights = [w0] * c0 + [w1] * (n - c0)
-    elif family == "adversarial":
+    else:  # adversarial
         eps = Fraction(params.get("epsilon", Fraction(1, 100)))
         weights = [eps / n] * (n - 1) + [Fraction(1)]
-    else:
-        raise InputError(f"unknown knapsack family {family!r}")
-    items = []
-    for w in weights:
-        if problem == "knapsack_proportional":
-            v = w
-        else:
-            v = Fraction(rng.randint(1, 3 * den), den)
-        items.append(make_item(key=(v, w), payload={"weight": w, "value": v}))
+    if pairs is None:
+        pairs = [(w, Fraction(rng.randint(1, 3 * den), den) if general else w) for w in weights]
+    items = [make_item(key=(v, w), payload={"weight": w, "value": v}) for w, v in pairs]
     return items, {}
 
 
 def _interval_items(rng, params):
     n = _pick_n(params, rng)
-    variant = params.get("variant", "single")
+    variant = params.get("variant", DEFAULT_INTERVAL_VARIANT)
     meta = {"variant": variant}
     if variant == "single":
         p = Fraction(params.get("length", 4))
         releases = sorted(Fraction(rng.randrange(0, int(3 * n))) for _ in range(n))
-        pool = [Fraction(rng.randint(1, 9)) for _ in range(int(params.get("support", 3)))]
+        support = _least("support", int(params.get("support", 3)), 1)
+        pool = [Fraction(rng.randint(1, 9)) for _ in range(support)]
         payload = [(p, rng.choice(pool)) for _ in range(n)]
     elif variant == "monotone":
         # spread of lengths bounded by the minimum positive release gap, so
@@ -144,14 +145,16 @@ def _interval_items(rng, params):
         releases = [Fraction(0)]
         for g in gaps:
             releases.append(releases[-1] + g)
+        support = _least("support", int(params.get("support", 4)), 1)
         pool = [
             (Fraction(rng.choice([3, 4, 5, 6])), Fraction(rng.randint(1, 9)))
-            for _ in range(int(params.get("support", 4)))
+            for _ in range(support)
         ]
         payload = [rng.choice(pool) for _ in range(n)]
     elif variant == "c_benevolent":
         releases = sorted(Fraction(rng.randrange(0, int(4 * n))) for _ in range(n))
-        pool = sorted({rng.choice([2, 3, 4, 5, 6]) for _ in range(int(params.get("support", 3)))})
+        support = _least("support", int(params.get("support", 3)), 1)
+        pool = sorted({rng.choice([2, 3, 4, 5, 6]) for _ in range(support)})
         lengths = [Fraction(rng.choice(pool)) for _ in range(n)]
         payload = [(L, L * L) for L in lengths]
         meta["weight_table"] = [[Fraction(L), Fraction(L * L)] for L in pool]
@@ -175,7 +178,7 @@ def _throughput_items(rng, params):
         releases.append(releases[-1] + rng.choice([0, 2, 3, p // 2, p, p + 3]))
     pool = [0, p // 2, p, 2 * p, 4 * p]
     rng.shuffle(pool)
-    support = pool[: rng.randint(2, int(params.get("support", 4)))]
+    support = pool[: rng.randint(2, _least("support", int(params.get("support", 4)), 2))]
     items = [
         make_item(
             key=(p, s),
@@ -188,16 +191,13 @@ def _throughput_items(rng, params):
 
 def _string_items(rng, params):
     n = _pick_n(params, rng)
-    family = params["family"]
-    if family == "bernoulli":
+    if params["family"] == "bernoulli":
         p1 = float(params.get("p_one", 0.6))
         bits = [1 if rng.random() < p1 else 0 for _ in range(n)]
-    elif family == "two_type":
+    else:  # two_type
         a = Fraction(params.get("alpha", Fraction(1, 2)))
         c0 = max(0, min(n, int(a * n)))
         bits = [0] * c0 + [1] * (n - c0)
-    else:
-        raise InputError(f"unknown string family {family!r}")
     items = [make_item(key=(b,), payload={"bit": Fraction(b)}) for b in bits]
     return items, {}
 
@@ -212,23 +212,19 @@ class _Params(dict):
 
 def generate_instances(problem, family, params, count, seed):
     """Deterministic instance family; meta carries an id per instance.  A
-    parameter that the family does not read is bad input."""
+    family the problem does not have, or a parameter that the family does
+    not read, is bad input."""
+    spec = _spec(problem)
+    if family not in spec.families:
+        raise InputError(f"unknown {problem} family {family!r}; "
+                         f"expected one of {', '.join(spec.families)}")
     out = []
     params = _Params(params or {}, family=family)
     params.read = {"family"}
     for i in range(count):
         rng = rng_for(seed, 7000 + i)
         try:
-            if problem in ("knapsack_general", "knapsack_proportional"):
-                items, meta = _knapsack_items(problem, rng, params)
-            elif problem == "interval":
-                items, meta = _interval_items(rng, params)
-            elif problem == "throughput":
-                items, meta = _throughput_items(rng, params)
-            elif problem == "string_guess":
-                items, meta = _string_items(rng, params)
-            else:
-                raise InputError(f"unknown problem {problem!r}")
+            items, meta = spec.items(rng, params)
         except InputError:
             raise
         except (ValueError, TypeError, IndexError, ZeroDivisionError) as e:
@@ -248,32 +244,33 @@ def generate_instances(problem, family, params, count, seed):
 
 
 @dataclass
-class ScaledKnapsack:
-    pairs: list  # (weight, value) ints per item label
-    cap: int
-    value_den: int
-    opt: int  # offline optimum in the scaled units; independent of the order
+class Scaled:
+    """An instance in integer units: its arrival orders are the orders of
+    ``column``, and every value is an int over ``unit``."""
+
+    column: list  # the permuted payload, one entry per item label
+    unit: int = 1
+    releases: list = None  # realtime ROM: the fixed release int per position
+    cap: int = None  # knapsack capacity
+    opt: int = None  # knapsack offline optimum, the same for every order
+    proc: int = None  # throughput's common processing time
+    variant: str = None  # interval variant
 
 
-def scale_knapsack(instance):
+def scale_knapsack(instance, proportional):
+    """Weights over the capacity; values are the weights when
+    ``proportional``, else over their own common denominator."""
     ws = [it.field_("weight") for it in instance.items]
     vs = [it.field_("value") for it in instance.items]
     wints, cap = knapsack.scale_weights(ws)
-    if instance.problem == "knapsack_proportional":
+    if proportional:
         vints, vden = wints, cap
     else:
         vints, vden = knapsack.scale_values(vs)
     pairs = list(zip(wints, vints))
-    return ScaledKnapsack(
-        pairs=pairs, cap=cap, value_den=vden, opt=knapsack.offline_opt_scaled(pairs, cap),
+    return Scaled(
+        column=pairs, cap=cap, unit=vden, opt=knapsack.offline_opt_scaled(pairs, cap),
     )
-
-
-@dataclass
-class ScaledIntervals:
-    releases: list  # int per position
-    payload: list   # (length, weight) ints per item label
-    variant: str
 
 
 def validate_weight_table(table, lens, ws):
@@ -309,7 +306,7 @@ def scale_intervals(instance):
     rule, which holds for every arrival order or for none: one length; a
     length spread within the smallest positive release gap, so that
     deadlines keep release order; or ``validate_weight_table``."""
-    variant = instance.meta_value("variant", "single")
+    variant = instance.meta_value("variant", DEFAULT_INTERVAL_VARIANT)
     rel = [it.field_("release") for it in instance.items]
     lens = [it.field_("length") for it in instance.items]
     ws = [it.field_("weight") for it in instance.items]
@@ -331,18 +328,7 @@ def scale_intervals(instance):
     times, _ = common_scale(rel + lens)
     wints, _ = common_scale(ws)
     n = instance.n
-    return ScaledIntervals(
-        releases=times[:n],
-        payload=list(zip(times[n:], wints)),
-        variant=variant,
-    )
-
-
-@dataclass
-class ScaledThroughput:
-    releases: list
-    slacks: list  # int per item label
-    proc: int
+    return Scaled(column=list(zip(times[n:], wints)), releases=times[:n], variant=variant)
 
 
 def scale_throughput(instance):
@@ -357,26 +343,16 @@ def scale_throughput(instance):
         raise InputError(f"throughput slack must be non-negative, got {min(slacks)}")
     times, _ = common_scale(rel + slacks + [procs[0]])
     n = instance.n
-    return ScaledThroughput(releases=times[:n], slacks=times[n:-1], proc=times[-1])
+    return Scaled(column=times[n:-1], releases=times[:n], proc=times[-1])
+
+
+def scale_bits(instance):
+    return Scaled(column=[int(it.key[0]) for it in instance.items])
 
 
 # ---------------------------------------------------------------------------
 # per-arrival-order pipeline runs and inequality checks
 # ---------------------------------------------------------------------------
-
-
-def _intervals_for(scaled, order):
-    return [
-        intervals.Interval(release=scaled.releases[i], length=L, weight=w, label=i)
-        for i, (L, w) in enumerate(order)
-    ]
-
-
-def _jobs_for(scaled, order):
-    return [
-        throughput.Job(release=scaled.releases[i], proc=scaled.proc, slack=s, label=i)
-        for i, s in enumerate(order)
-    ]
 
 
 def _audit_proportional(s, order, ws, run, opt):
@@ -462,6 +438,93 @@ def _audit_throughput(s, order, jobs, run, opt):
     return violations
 
 
+def _audit_guess(s, order, bits, run, opt):
+    """String guessing has no per-order inequality to check."""
+    return []
+
+
+def _run_proportional(s, order, variant):
+    arrivals = [w for w, _ in order]
+    if variant == "tworbin":
+        run = knapsack.rom_proportional_tworbin(arrivals, s.cap)
+        return run.value, s.opt, arrivals, run, _audit_tworbin
+    run = knapsack.rom_proportional(arrivals, s.cap)
+    return run.value, s.opt, arrivals, run, _audit_proportional
+
+
+def _run_general(s, order, variant):
+    arrivals = list(order)
+    run = knapsack.rom_general(arrivals, s.cap)
+    return run.value, s.opt, arrivals, run, _audit_general
+
+
+def _run_intervals(s, order, variant):
+    arrivals = [
+        intervals.Interval(release=s.releases[i], length=L, weight=w, label=i)
+        for i, (L, w) in enumerate(order)
+    ]
+    if s.variant == "single":
+        run = intervals.rom_single_length(arrivals)
+    else:
+        run = intervals.rom_adaptive(arrivals, s.variant)
+    opt = intervals.offline_opt_intervals(arrivals)
+    return run.value, opt, arrivals, run, _audit_intervals
+
+
+def _run_throughput(s, order, variant):
+    jobs = [
+        throughput.Job(release=s.releases[i], proc=s.proc, slack=x, label=i)
+        for i, x in enumerate(order)
+    ]
+    run = throughput.rom_simulation(jobs, s.proc)
+    opt = throughput.offline_opt_throughput(jobs, s.proc)
+    return len(run.chosen), opt, jobs, run, _audit_throughput
+
+
+def _run_guess(s, order, variant):
+    run = guessing.guess_run(order)
+    return run.correct, len(order), order, run, _audit_guess
+
+
+@dataclass(frozen=True)
+class Problem:
+    """Every per-problem decision of the harness.  ``run(view, order,
+    variant)`` places one arrival order on the fixed release positions, if
+    any, runs it and returns (alg, opt, arrivals, run record, audit check).
+    The functions call the application modules through their attributes at
+    call time, so a patched or traced name is the one that runs."""
+
+    families: tuple  # the family names that ``items`` builds
+    items: Callable  # (rng, params) -> (items, meta) of one instance
+    scale: Callable  # instance -> Scaled view
+    run: Callable
+    ratio: str  # "alg/opt" (at most 1), "opt/alg", or "mean opt/alg" over orders
+
+
+_KNAPSACK_FAMILIES = ("uniform", "two_type", "adversarial")
+
+PROBLEM_TABLE = {
+    "string_guess": Problem(
+        ("bernoulli", "two_type"), _string_items, scale_bits, _run_guess, "opt/alg"),
+    "knapsack_general": Problem(
+        _KNAPSACK_FAMILIES, partial(_knapsack_items, general=True),
+        partial(scale_knapsack, proportional=False), _run_general, "alg/opt"),
+    "knapsack_proportional": Problem(
+        _KNAPSACK_FAMILIES, partial(_knapsack_items, general=False),
+        partial(scale_knapsack, proportional=True), _run_proportional, "alg/opt"),
+    "interval": Problem(
+        ("uniform",), _interval_items, scale_intervals, _run_intervals, "opt/alg"),
+    "throughput": Problem(
+        ("uniform",), _throughput_items, scale_throughput, _run_throughput, "mean opt/alg"),
+}
+
+
+def _spec(problem):
+    if problem not in PROBLEM_TABLE:
+        raise InputError(f"unknown problem {problem!r}")
+    return PROBLEM_TABLE[problem]
+
+
 def run_order(instance_view, problem, order, variant=None, audit=False):
     """Run one arrival order; returns (alg, opt, unit, violations).
 
@@ -472,71 +535,14 @@ def run_order(instance_view, problem, order, variant=None, audit=False):
     empty.
     """
     s = instance_view
-    if problem == "knapsack_proportional":
-        arrivals = [w for w, _ in order]
-        if variant == "tworbin":
-            run = knapsack.rom_proportional_tworbin(arrivals, s.cap)
-            check = _audit_tworbin
-        else:
-            run = knapsack.rom_proportional(arrivals, s.cap)
-            check = _audit_proportional
-        alg, opt, unit = run.value, s.opt, s.cap
-    elif problem == "knapsack_general":
-        arrivals = list(order)
-        run = knapsack.rom_general(arrivals, s.cap)
-        alg, opt, unit, check = run.value, s.opt, s.value_den, _audit_general
-    elif problem == "interval":
-        arrivals = _intervals_for(s, order)
-        if s.variant == "single":
-            run = intervals.rom_single_length(arrivals)
-        else:
-            run = intervals.rom_adaptive(arrivals, s.variant)
-        opt = intervals.offline_opt_intervals(arrivals)
-        alg, unit, check = run.value, 1, _audit_intervals
-    elif problem == "throughput":
-        arrivals = _jobs_for(s, order)
-        run = throughput.rom_simulation(arrivals, s.proc)
-        opt = throughput.offline_opt_throughput(arrivals, s.proc)
-        alg, unit, check = len(run.chosen), 1, _audit_throughput
-    elif problem == "string_guess":
-        tr = guessing.guess_run(order)
-        return tr.correct, len(order), 1, []
-    else:
-        raise InputError(f"unknown problem {problem!r}")
+    alg, opt, arrivals, run, check = PROBLEM_TABLE[problem].run(s, order, variant)
     violations = check(s, order, arrivals, run, opt) if audit else []
-    return alg, opt, unit, violations
-
-
-def _order_domain(instance, scaled):
-    """The permuted column of an instance: the values whose orders are the
-    arrival orders.  Release times are not in it; ``_intervals_for`` and
-    ``_jobs_for`` put each order back on the fixed release positions."""
-    if instance.problem in ("knapsack_general", "knapsack_proportional"):
-        return list(scaled.pairs)
-    if instance.problem == "interval":
-        return list(scaled.payload)
-    if instance.problem == "throughput":
-        return list(scaled.slacks)
-    if instance.problem == "string_guess":
-        return [int(it.key[0]) for it in instance.items]
-    raise InputError(f"unknown problem {instance.problem!r}")
-
-
-def scaled_view(instance):
-    if instance.problem in ("knapsack_general", "knapsack_proportional"):
-        return scale_knapsack(instance)
-    if instance.problem == "interval":
-        return scale_intervals(instance)
-    if instance.problem == "throughput":
-        return scale_throughput(instance)
-    return None
+    return alg, opt, s.unit, violations
 
 
 # ---------------------------------------------------------------------------
 # experiment driver
 # ---------------------------------------------------------------------------
-
-RATIO_AT_MOST_ONE = ("knapsack_general", "knapsack_proportional")
 
 
 @dataclass
@@ -548,9 +554,6 @@ class ExperimentConfig:
     trials: int = 0
     seed: int = 0
     audit: bool = False
-
-    def model(self):
-        return "realtime_rom" if self.problem in ("interval", "throughput") else "rom"
 
 
 @dataclass
@@ -573,46 +576,49 @@ def _sampled_orders(domain, trials, seed):
 
 
 def _row(instance, config):
-    """Reduce one instance over its arrival orders: every distinct ordering
-    when exact, seeded shuffles when sampled.  This is the only walk over an
-    instance's orders; with ``config.audit`` set, ``run_order`` also checks
-    each order and the row collects the violations.
+    """The report row of one instance, reduced over its arrival orders:
+    every distinct ordering when exact, seeded shuffles when sampled.  This
+    is the only walk over an instance's orders; with ``config.audit`` set,
+    ``run_order`` also checks each order and the row collects the
+    violations.
 
     Only integer running sums in the scaled units are kept; the means and
     the sampled variance E[alg^2] - mean^2 become exact Fractions once, at
     the end, equal to the two-pass sum of squared deviations.  The
-    throughput mean of per-order OPT/ALG counts each (opt, alg) pair and
-    sums one Fraction per distinct pair.
+    per-order ratio mean counts each (opt, alg) pair and sums one Fraction
+    per distinct pair.
     """
     problem = config.problem
+    spec = PROBLEM_TABLE[problem]
     if config.exact and instance.n > ENUMERATION_GUARD:
         raise CapacityError(
             f"{instance.meta_value('id', '?')}: n={instance.n} exceeds the "
             f"exact-mode enumeration guard {ENUMERATION_GUARD}"
         )
-    view = scaled_view(instance)
-    domain = _order_domain(instance, view)
+    view = spec.scale(instance)
     if config.exact:
-        orders = distinct_orderings(domain)
+        orders = distinct_orderings(view.column)
     else:
-        orders = _sampled_orders(domain, config.trials, config.seed)
+        orders = _sampled_orders(view.column, config.trials, config.seed)
+    per_order = spec.ratio == "mean opt/alg"
     count = sum_alg = sum_alg2 = sum_opt = 0
     pair_counts = Counter()
     violations = []
     for order in orders:
-        alg, opt, unit, failed = run_order(view, problem, order, config.variant, config.audit)
+        alg, opt, _, failed = run_order(view, problem, order, config.variant, config.audit)
         violations += failed
         count += 1
         sum_alg += alg
         sum_alg2 += alg * alg
         sum_opt += opt
-        if problem == "throughput":
+        if per_order:
             pair_counts[opt, alg] += 1
+    unit = view.unit
     mean_alg = Fraction(sum_alg, count * unit)
     mean_opt = Fraction(sum_opt, count * unit)
-    if problem in RATIO_AT_MOST_ONE:
+    if spec.ratio == "alg/opt":
         ratio = mean_alg / mean_opt if mean_opt else Fraction(1)
-    elif problem == "throughput":
+    elif per_order:
         # an order with ALG = 0 adds 0, as OPT/ALG is taken to be there
         ratio = sum((Fraction(k * opt, alg) for (opt, alg), k in pair_counts.items() if alg),
                     Fraction(0)) / count
@@ -624,6 +630,10 @@ def _row(instance, config):
         var = Fraction(sum_alg2, count * unit * unit) - mean_alg * mean_alg
         stderr = math.sqrt(float(var) / count)
     return {
+        "instance_id": instance.meta_value("id", ""),
+        "problem": problem,
+        "model": "realtime_rom" if problem in REALTIME_PROBLEMS else "rom",
+        "seed": config.seed,
         "mean_alg": mean_alg,
         "opt": mean_opt,
         "empirical_ratio": ratio,
@@ -644,28 +654,18 @@ def audit_instance(instance, variant=None):
     return {"orders": row["orders"], "violations": row["violations"]}
 
 
-def _run_one(args):
-    instance, config = args
-    row = _row(instance, config)
-    row["instance_id"] = instance.meta_value("id", "")
-    row["problem"] = config.problem
-    row["model"] = config.model()
-    row["seed"] = config.seed
-    return row
-
-
 def run_experiment(config):
+    spec = _spec(config.problem)
     if not config.instances:
         raise InputError("no instances to run")
     if not config.exact and config.trials < 1:
         raise InputError(f"trials must be >= 1 when sampling, got {config.trials}")
     if config.audit and not config.exact:
         raise InputError("audit requires exact mode (--exact): it checks every order")
-    rows = _map(_run_one, [(inst, config) for inst in config.instances])
+    rows = _starmap(_row, [(inst, config) for inst in config.instances])
     rows.sort(key=lambda r: r["instance_id"])
     ratios = [r["empirical_ratio"] for r in rows]
-    at_most_one = config.problem in RATIO_AT_MOST_ONE
-    worst = min(ratios) if at_most_one else max(ratios)
+    worst = min(ratios) if spec.ratio == "alg/opt" else max(ratios)
     mean = sum(float(r) for r in ratios) / len(ratios) if ratios else 0.0
     violations = sum(len(r["violations"]) for r in rows)
     return ExperimentReport(

@@ -259,20 +259,57 @@ def test_report_rejects_malformed_line(line, word, tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, word", [
     (["knapsack", "--params", '{"n": "abc"}'], "abc"),
-    (["knapsack", "--params", '{"den": 0}'], "knapsack"),
+    (["knapsack", "--params", '{"den": 0}'], "'den'"),
     (["throughput", "--params", '{"proc": "x"}'], "x"),
     (["intervals", "--params", '{"length": 0}'], "length"),
-    (["intervals", "--params", '{"support": 0}'], "interval"),
+    (["intervals", "--params", '{"support": 0}'], "'support'"),
     (["knapsack", "--params", '{"nn": 5}'], "'nn'"),
     (["intervals", "--variant", "monotone", "--params", '{"length": 4}'], "'length'"),
     (["intervals", "--params", '{"variant": "x"}'], "variant"),
+    (["knapsack", "--params", '{"support": -1}'], "'support'"),
+    (["throughput", "--params", '{"support": 1}'], "'support'"),
+    (["knapsack", "--params", '{"n": 0}'], "'n'"),
+    (["intervals", "--params", '{"n": [3, 0]}'], "'n'"),
+    (["throughput", "--params", '{"n": []}'], "'n'"),
 ], ids=["knapsack-n", "knapsack-den", "throughput-proc", "intervals-length",
         "intervals-support", "knapsack-unknown-key", "intervals-unread-key",
-        "intervals-other-variant"])
+        "intervals-other-variant", "knapsack-support", "throughput-support",
+        "knapsack-n-zero", "intervals-n-list-zero", "throughput-n-empty-list"])
 def test_bad_params_values(argv, word, capsys):
     rc = main(argv + ["--count", "1", "--exact"])
     assert rc == 2
     assert word in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["intervals", "--family", "bogus", "--count", "1", "--exact"],
+    ["throughput", "--family", "bogus", "--count", "1", "--exact"],
+    ["gen", "--problem", "interval", "--family", "bogus"],
+    ["knapsack", "--family", "bogus", "--count", "1", "--exact"],
+    ["gen", "--problem", "string_guess", "--family", "uniform"],
+], ids=["intervals", "throughput", "gen-interval", "knapsack", "gen-string-uniform"])
+def test_unknown_family(argv, tmp_path, capsys):
+    out = tmp_path / "x.jsonl"
+    rc = main(argv + ["--out", str(out)])
+    assert rc == 2 and not out.exists()
+    assert repr(argv[argv.index("--family") + 1]) in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("flag", ["--alpha", "--r"])
+@pytest.mark.parametrize("value", ["1/0", "3/ 0", "-2/-0"])
+def test_bias_rejects_zero_denominator(flag, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bias", "--mode", "p1", f"{flag}={value}", "--n", "10", "--exact"])
+    assert exc.value.code == 2
+    assert f"invalid _fraction value: {value!r}" in capsys.readouterr().err
+
+
+def test_bias_fraction_spellings(capsys):
+    # every spelling of a rational that the flags took before a zero
+    # denominator became bad input
+    for value in ("1/2", " 1 / 2 ", "2/4", "-1/-2", "0.5"):
+        assert main(["bias", "--mode", "p1", f"--alpha={value}", "--n", "6", "--exact"]) == 0
+    assert capsys.readouterr().out.count("prob_one=") == 5
 
 
 def test_intervals_reject_nonpositive_length_in_file(tmp_path, capsys):

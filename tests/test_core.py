@@ -20,7 +20,7 @@ from rombit.core import (
     read_instances,
     write_instances,
 )
-from rombit.harness import _jobs_for, _order_domain, _sampled_orders, scaled_view
+from rombit.harness import PROBLEM_TABLE, _sampled_orders
 
 
 def test_lex_compare_examples():
@@ -76,10 +76,10 @@ def _throughput_instance(rel_slacks, p=10):
 
 def test_realtime_rom_keeps_releases_sorted():
     inst = _throughput_instance([(0, 5), (2, 0), (2, 20), (7, 5)])
-    view = scaled_view(inst)
-    domain = _order_domain(inst, view)
-    for order in _sampled_orders(domain, 40, seed=0):
-        jobs = _jobs_for(view, order)
+    spec = PROBLEM_TABLE["throughput"]
+    view = spec.scale(inst)
+    for order in _sampled_orders(view.column, 40, seed=0):
+        _, _, jobs, _, _ = spec.run(view, order, None)
         assert [j.release for j in jobs] == [0, 2, 2, 7]
         assert sorted(j.slack for j in jobs) == [0, 5, 5, 20]
 

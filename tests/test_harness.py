@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from rombit import harness as hz
 from rombit.core import (
+    PROBLEMS,
     InputError,
     distinct_orderings,
     make_instance,
@@ -18,6 +19,16 @@ from rombit.core import (
     rng_for,
     write_instances,
 )
+
+
+def test_problem_table_covers_every_problem():
+    assert sorted(hz.PROBLEM_TABLE) == sorted(PROBLEMS)
+    for problem, spec in hz.PROBLEM_TABLE.items():
+        for family in spec.families:
+            insts = hz.generate_instances(problem, family, {"n": 4}, 2, 1)
+            rep = hz.run_experiment(hz.ExperimentConfig(
+                problem=problem, instances=insts, exact=True, audit=True))
+            assert rep.ok() and len(rep.rows) == 2
 
 
 def test_adversarial_family_counts():
@@ -183,7 +194,7 @@ def test_monotone_family_is_permutation_robust():
                                   {"n": [5, 6], "variant": "monotone"}, 10, 12)
     for inst in insts:
         view = hz.scale_intervals(inst)
-        assert monotone_in_every_order(view.releases, [L for L, _ in view.payload])
+        assert monotone_in_every_order(view.releases, [L for L, _ in view.column])
 
 
 @settings(max_examples=300, deadline=None)
@@ -227,8 +238,8 @@ def test_sampled_row_matches_two_pass_reference(problem):
     trials, seed = 60, 3
     row = hz.run_experiment(hz.ExperimentConfig(
         problem=problem, instances=[inst], exact=False, trials=trials, seed=seed)).rows[0]
-    view = hz.scaled_view(inst)
-    domain = hz._order_domain(inst, view)
+    view = hz.PROBLEM_TABLE[problem].scale(inst)
+    domain = view.column
     algs, opts = [], []
     for t in range(trials):
         perm = list(range(len(domain)))
@@ -247,15 +258,15 @@ def test_sampled_row_matches_two_pass_reference(problem):
 def _fraction_row(inst, problem, variant):
     """The exact row reduced in Fractions, one per order: the reference for
     the integer running sums of ``_row``."""
-    view = hz.scaled_view(inst)
+    view = hz.PROBLEM_TABLE[problem].scale(inst)
     algs, opts = [], []
-    for order in distinct_orderings(hz._order_domain(inst, view)):
+    for order in distinct_orderings(view.column):
         alg, opt, unit, _ = hz.run_order(view, problem, order, variant)
         algs.append(Fraction(alg, unit))
         opts.append(Fraction(opt, unit))
     count = len(algs)
     mean_alg, mean_opt = sum(algs) / count, sum(opts) / count
-    if problem in hz.RATIO_AT_MOST_ONE:
+    if problem in ("knapsack_general", "knapsack_proportional"):
         ratio = mean_alg / mean_opt if mean_opt else Fraction(1)
     elif problem == "throughput":
         ratio = sum(o / a if a else Fraction(0) for o, a in zip(opts, algs)) / count
@@ -344,7 +355,7 @@ def test_audited_exact_run_walks_each_order_once(monkeypatch, module, name, prob
     insts = hz.generate_instances(problem, "uniform", params, 3, 5)
     rep = hz.run_experiment(hz.ExperimentConfig(
         problem=problem, instances=insts, exact=True, audit=True))
-    orders = sum(len(list(distinct_orderings(hz._order_domain(i, hz.scaled_view(i)))))
+    orders = sum(len(list(distinct_orderings(hz.PROBLEM_TABLE[problem].scale(i).column)))
                  for i in insts)
     assert rep.ok()
     assert len(calls) == orders == sum(r["orders"] for r in rep.rows)
