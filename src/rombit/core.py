@@ -105,7 +105,7 @@ class Item:
         for k, v in self.payload:
             if k == name:
                 return v
-        raise KeyError(name)
+        raise InputError(f"item has no {name!r} payload field")
 
     def has_field(self, name):
         return any(k == name for k, _ in self.payload)
@@ -316,11 +316,7 @@ def instance_from_json(text, line=None):
         raise ParseError(f"unknown problem tag {problem!r}", line=line)
     try:
         items = [
-            make_item(
-                [to_fraction(c) for c in rec["key"]],
-                {k: to_fraction(v)
-                 for k, v in _json_object(rec.get("payload", {}), "payload", line).items()},
-            )
+            make_item(rec["key"], _json_object(rec.get("payload", {}), "payload", line))
             for rec in obj["items"]
         ]
         meta = {

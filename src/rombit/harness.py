@@ -395,23 +395,25 @@ def _audit_general(s, order, items, run, opt):
     return []
 
 
-def _audit_intervals(s, order, arr, run, opt):
+def _audit_intervals(s, order, suffix_opt, run, opt):
     """Feasibility of both branches, then the covering observations read off
     the run record: prefix optimality, the prefix/suffix relaxation, and
     ``cover`` >= OPT(suffix) (the slot winners for single length, A+B for
-    adaptive chains)."""
+    adaptive chains).  ``suffix_opt`` is the oracle's suffix optima of this
+    order, so OPT(suffix) is read off it and only OPT(prefix) calls the
+    oracle again."""
     violations = []
     for branch in (run.a, run.b):
-        if not intervals.feasible_selection(run.prefix + branch):
+        if not intervals.feasible_selection(s.releases, order, run.prefix + branch):
             violations.append(f"overlapping selection on {order}")
     anchor = run.anchor_index
     if anchor is None:
         if run.value != opt:
             violations.append(f"identical-input prefix not optimal on {order}")
         return violations
-    pre = intervals.offline_opt_intervals(arr[:anchor])
-    suf = intervals.offline_opt_intervals(arr[anchor:])
-    if sum(iv.weight for iv in run.prefix) != pre:
+    pre = intervals.offline_opt_intervals(s.releases, order[:anchor])[0]
+    suf = suffix_opt[anchor]
+    if sum(order[ix][1] for ix in run.prefix) != pre:
         violations.append(f"prefix != OPT(prefix) on {order}")
     if opt > pre + suf:
         violations.append(f"OPT > OPT(prefix)+OPT(suffix) on {order}")
@@ -459,16 +461,12 @@ def _run_general(s, order, variant):
 
 
 def _run_intervals(s, order, variant):
-    arrivals = [
-        intervals.Interval(release=s.releases[i], length=L, weight=w, label=i)
-        for i, (L, w) in enumerate(order)
-    ]
     if s.variant == "single":
-        run = intervals.rom_single_length(arrivals)
+        run = intervals.rom_single_length(s.releases, order)
     else:
-        run = intervals.rom_adaptive(arrivals, s.variant)
-    opt = intervals.offline_opt_intervals(arrivals)
-    return run.value, opt, arrivals, run, _audit_intervals
+        run = intervals.rom_adaptive(s.releases, order, s.variant)
+    suffix_opt = intervals.offline_opt_intervals(s.releases, order)
+    return run.value, suffix_opt[0], suffix_opt, run, _audit_intervals
 
 
 def _run_throughput(s, order, variant):
@@ -490,7 +488,8 @@ def _run_guess(s, order, variant):
 class Problem:
     """Every per-problem decision of the harness.  ``run(view, order,
     variant)`` places one arrival order on the fixed release positions, if
-    any, runs it and returns (alg, opt, arrivals, run record, audit check).
+    any, runs it and returns (alg, opt, what the check reads besides the
+    view, order and run, run record, audit check).
     The functions call the application modules through their attributes at
     call time, so a patched or traced name is the one that runs."""
 
@@ -526,18 +525,18 @@ def _spec(problem):
 
 
 def run_order(instance_view, problem, order, variant=None, audit=False):
-    """Run one arrival order; returns (alg, opt, unit, violations).
+    """Run one arrival order; returns (alg, opt, violations).
 
     ``alg`` and ``opt`` are ints in the instance's scaled units, so the
-    values are ``alg/unit`` and ``opt/unit``; no Fraction is built per
-    order.  With ``audit`` set, ``violations`` lists the failures of the
-    problem's per-order inequality checks on this run; otherwise it is
-    empty.
+    values are ``alg/unit`` and ``opt/unit`` with the view's ``unit``; no
+    Fraction is built per order.  With ``audit`` set, ``violations`` lists
+    the failures of the problem's per-order inequality checks on this run;
+    otherwise it is empty.
     """
     s = instance_view
-    alg, opt, arrivals, run, check = PROBLEM_TABLE[problem].run(s, order, variant)
-    violations = check(s, order, arrivals, run, opt) if audit else []
-    return alg, opt, s.unit, violations
+    alg, opt, reads, run, check = PROBLEM_TABLE[problem].run(s, order, variant)
+    violations = check(s, order, reads, run, opt) if audit else []
+    return alg, opt, violations
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +604,7 @@ def _row(instance, config):
     pair_counts = Counter()
     violations = []
     for order in orders:
-        alg, opt, _, failed = run_order(view, problem, order, config.variant, config.audit)
+        alg, opt, failed = run_order(view, problem, order, config.variant, config.audit)
         violations += failed
         count += 1
         sum_alg += alg

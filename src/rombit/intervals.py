@@ -1,18 +1,26 @@
 """De-randomized weighted interval selection with revoking.
 
+An instance is its release column ``rel``: the fixed release int of each
+arrival position, non-decreasing.  An arrival order is the column ``order``
+of (length, weight) int pairs placed on those positions, so arrival k
+occupies [rel[k], rel[k] + L_k); half-open windows that merely touch do not
+conflict.  Selections are lists of arrival indices.
+
 Every variant runs one skeleton, ``_rom``: greedy over the pseudo-identical
 prefix, the COMBINE bit that ``extraction.harvest`` takes at the first
 distinct (weight, length) key, then two branches A and B from the anchor,
-the last greedily accepted interval, that pick winners in alternating
-slots; bit 1 selects A.  Single-length instances use fixed slots of width p;
+the last greedily accepted arrival, that pick winners in alternating slots;
+bit 1 selects A.  Single-length instances use fixed slots of width p;
 monotone and C-benevolent instances use the adaptive slot chain where each
-new slot is bounded by the end of the interval accepted in the previous one.
+new slot is bounded by the end of the arrival accepted in the previous one.
 A variant's instance rule holds for every arrival order or for none, so
 ``harness.scale_intervals`` checks it once per instance.
 
-Intervals carry integer release/length/weight (rescaled rationals); an
-interval occupies [release, release + length) and half-open windows that
-merely touch do not conflict.
+The offline oracle is one backward pass over the release column: as
+``rel`` is sorted and lengths are positive, arrival k conflicts exactly
+with the later arrivals released before it ends, so the optimum over
+arrivals k onward is ``max(S[k+1], w_k + S[first arrival released at or
+after rel[k] + L_k])``.  One pass gives OPT and the optimum of every suffix.
 """
 
 from __future__ import annotations
@@ -23,40 +31,35 @@ from dataclasses import dataclass
 from .extraction import harvest
 
 
-@dataclass(frozen=True)
-class Interval:
-    release: int
-    length: int
-    weight: int
-    label: int = 0
-
-    @property
-    def end(self):
-        return self.release + self.length
-
-
-def feasible_selection(intervals):
-    ivs = sorted(intervals, key=lambda iv: iv.release)
-    return all(ivs[i].end <= ivs[i + 1].release for i in range(len(ivs) - 1))
+def feasible_selection(rel, order, chosen):
+    """No two of the ``chosen`` arrival indices overlap; an index listed
+    twice overlaps itself."""
+    ix = sorted(chosen, key=rel.__getitem__)
+    return all(rel[i] + order[i][0] <= rel[j] for i, j in zip(ix, ix[1:]))
 
 
 # ---------------------------------------------------------------------------
-# offline oracle: classic weighted interval scheduling DP
+# offline oracle: suffix optima by one backward pass
 # ---------------------------------------------------------------------------
 
 
-def offline_opt_intervals(intervals):
-    """Exact maximum-weight non-overlapping subset value."""
-    if not intervals:
-        return 0
-    ivs = sorted(intervals, key=lambda iv: (iv.end, iv.release))
-    ends = [iv.end for iv in ivs]
-    best = [0] * (len(ivs) + 1)
-    for j, iv in enumerate(ivs, start=1):
-        pred = bisect.bisect_right(ends, iv.release, 0, j - 1)
-        take = iv.weight + best[pred]
-        best[j] = take if take > best[j - 1] else best[j - 1]
-    return best[-1]
+def offline_opt_intervals(rel, order):
+    """The suffix optima ``S`` of ``order`` placed on ``rel``: ``S[k]`` is the
+    largest weight of non-overlapping arrivals among k, k+1, ..., and
+    ``S[len(order)] == 0``, so OPT is ``S[0]``.  A prefix of an order is an
+    order: OPT of arrivals before j is ``offline_opt_intervals(rel,
+    order[:j])[0]``.
+
+    Preconditions, both checked once at scaling: ``rel`` is sorted, and
+    every length is > 0.
+    """
+    n = len(order)
+    best = [0] * (n + 1)
+    for k in range(n - 1, -1, -1):
+        length, weight = order[k]
+        take = weight + best[bisect.bisect_left(rel, rel[k] + length, k + 1, n)]
+        best[k] = take if take > best[k + 1] else best[k + 1]
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -66,43 +69,41 @@ def offline_opt_intervals(intervals):
 
 @dataclass
 class IntervalRun:
-    """One arrival order's run: the greedy prefix before the anchor, both
-    branches from the anchor on (bit 1 takes ``a``, bit 0 takes ``b``), and
-    ``cover``, a bound on OPT from the anchor on.  With no bit, the prefix
-    is the greedy run over all arrivals and the branches are empty."""
+    """One arrival order's run, in arrival indices: the greedy prefix before
+    the anchor, both branches from the anchor on (bit 1 takes ``a``, bit 0
+    takes ``b``), ``cover``, a bound on OPT from the anchor on, and the
+    weight ``value`` of the prefix plus the chosen branch.  With no bit, the
+    prefix is the greedy run over all arrivals and the branches are
+    empty."""
 
     bit: int
-    anchor_index: int  # arrival index of the last greedily accepted interval
+    anchor_index: int  # the last greedily accepted arrival
     prefix: list
     a: list
     b: list
     cover: int
-
-    @property
-    def accepted(self):
-        return self.prefix + (self.a if self.bit == 1 else self.b)
-
-    @property
-    def value(self):
-        return sum(iv.weight for iv in self.accepted)
+    value: int
 
 
-def _rom(arrivals, branches):
+def _rom(rel, order, branches):
     """Greedy over the pseudo-identical prefix, accepting whatever does not
     conflict with the last acceptance (earliest deadline first, as arrivals
     are release-sorted), up to the bit; the last acceptance is the anchor.
-    ``branches(suffix)`` returns ``(a, b, cover)`` for the arrivals from the
+    ``branches(anchor)`` returns ``(a, b, cover)`` for the arrivals from the
     anchor on."""
-    bit, switch = harvest((iv.weight, iv.length) for iv in arrivals)
-    kept = []  # arrival indices of the greedy acceptances
-    for ix in range(len(arrivals) if switch is None else switch):
-        if not kept or arrivals[ix].release >= arrivals[kept[-1]].end:
+    bit, switch = harvest((w, length) for length, w in order)
+    kept = []
+    free = None  # the end of the last acceptance
+    for ix in range(len(order) if switch is None else switch):
+        if not kept or rel[ix] >= free:
             kept.append(ix)
-    prefix = [arrivals[ix] for ix in kept]
+            free = rel[ix] + order[ix][0]
     if switch is None:
-        return IntervalRun(None, None, prefix, [], [], 0)
-    a, b, cover = branches(arrivals[kept[-1]:])
-    return IntervalRun(bit, kept[-1], prefix[:-1], a, b, cover)
+        return IntervalRun(None, None, kept, [], [], 0, sum(order[ix][1] for ix in kept))
+    anchor = kept.pop()
+    a, b, cover = branches(anchor)
+    chosen = kept + (a if bit == 1 else b)
+    return IntervalRun(bit, anchor, kept, a, b, cover, sum(order[ix][1] for ix in chosen))
 
 
 # ---------------------------------------------------------------------------
@@ -110,37 +111,27 @@ def _rom(arrivals, branches):
 # ---------------------------------------------------------------------------
 
 
-def slot_winners(intervals, origin, width):
-    """Heaviest interval released in each fixed slot [origin+k*w, origin+(k+1)*w).
+def rom_single_length(rel, order):
+    """Greedy pseudo-identical prefix, then fixed slots
+    [rel[anchor] + (k-1)p, rel[anchor] + kp), k = 1, 2, ..., of the anchor's
+    length p.  The heaviest arrival released in a slot wins it, ties keeping
+    the earliest; ``cover`` is the weight of all winners.  Bit 1 selects the
+    odd-slot winners, which re-feed the anchor through slot 1; bit 0 keeps
+    the anchor and adds the even-slot winners."""
 
-    Ties keep the earliest arrival.  Returns {slot_index (1-based): Interval}.
-    Every interval releases at or after ``origin``, as the suffix of a
-    release-sorted instance from its anchor does.
-    """
-    winners = {}
-    for iv in intervals:
-        k = (iv.release - origin) // width + 1
-        cur = winners.get(k)
-        if cur is None or iv.weight > cur.weight:
-            winners[k] = iv
-    return winners
+    def slot_branches(anchor):
+        origin, width = rel[anchor], order[anchor][0]
+        winners = {}  # slot k -> arrival index, filled in slot order
+        for ix in range(anchor, len(order)):
+            k = (rel[ix] - origin) // width + 1
+            cur = winners.get(k)
+            if cur is None or order[ix][1] > order[cur][1]:
+                winners[k] = ix
+        odd = [ix for k, ix in winners.items() if k % 2 == 1]
+        even = [ix for k, ix in winners.items() if k % 2 == 0]
+        return odd, [anchor] + even, sum(order[ix][1] for ix in winners.values())
 
-
-def _slot_branches(suffix):
-    """Fixed slots from the anchor: the odd branch re-feeds the anchor
-    interval through slot 1; the even branch keeps the anchor and adds the
-    even-slot winners."""
-    anchor = suffix[0]
-    winners = slot_winners(suffix, anchor.release, anchor.length)
-    odd = [iv for k, iv in sorted(winners.items()) if k % 2 == 1]
-    even = [iv for k, iv in sorted(winners.items()) if k % 2 == 0]
-    return odd, [anchor] + even, sum(iv.weight for iv in winners.values())
-
-
-def rom_single_length(arrivals):
-    """Greedy pseudo-identical prefix, then fixed slots from the anchor;
-    bit 1 selects the odd branch."""
-    return _rom(arrivals, _slot_branches)
+    return _rom(rel, order, slot_branches)
 
 
 # ---------------------------------------------------------------------------
@@ -148,69 +139,59 @@ def rom_single_length(arrivals):
 # ---------------------------------------------------------------------------
 
 
-def _winner_key(variant):
-    if variant == "c_benevolent":
-        return lambda iv: (iv.length, iv.weight, -iv.label)
-    return lambda iv: (iv.weight, iv.length, -iv.label)
-
-
-def _qualifies(variant, end, slot_end):
-    # monotone deadlines already satisfy end >= slot_end for every interval
-    # releasing after the slot owner; ties at the boundary stay selectable.
-    if variant == "monotone":
-        return end >= slot_end
-    return end > slot_end
-
-
-def adaptive_slots_run(intervals, variant):
-    """Chain phases of adaptive slots; branch B opens each phase.
+def adaptive_slots_run(rel, order, start, variant):
+    """Chain phases of adaptive slots over the arrivals from ``start`` on;
+    branch B opens each phase.
 
     Within a phase, slot_1 = [t0, d1) is scanned by A while B holds the
     phase opener; thereafter slot_i = [d_{i-1}, d_i) and the roles
     alternate.  A slot candidate must release inside the slot and end after
-    it; the phase ends when a slot has no candidate.  Returns A's and B's
-    intervals and the (start, end) of each slot in chain order.
+    it (monotone: at or after, which monotone deadlines already give every
+    arrival releasing after the slot owner); the phase ends when a slot has
+    no candidate.  The winner is the candidate of the largest (weight,
+    length), (length, weight) when C-benevolent, ties keeping the earliest
+    arrival.  Returns A's and B's arrival indices and the (start, end) of
+    each slot in chain order.
     """
-    key = _winner_key(variant)
-    ivs = sorted(intervals, key=lambda iv: (iv.release, iv.label))
+    if variant == "c_benevolent":
+        key = order.__getitem__
+    else:
+        def key(ix):
+            return order[ix][::-1]
+    reach = 0 if variant == "monotone" else 1  # ints: end > d is end >= d + 1
     a_acc, b_acc, slots = [], [], []
-    pos = 0
-    n = len(ivs)
+    pos, n = start, len(order)
     while pos < n:
-        t0 = ivs[pos].release
-        pool = []
-        while pos < n and ivs[pos].release == t0:
-            pool.append(ivs[pos])
+        t0 = rel[pos]
+        pool = pos
+        while pos < n and rel[pos] == t0:
             pos += 1
-        opener = max(pool, key=key)
+        opener = max(range(pool, pos), key=key)
         b_acc.append(opener)
-        slot_start, slot_end = t0, opener.end
-        slot_index = 1
+        slot_start, slot_end = t0, t0 + order[opener][0]
+        to_a = True
         while True:
             slots.append((slot_start, slot_end))
             candidates = []
-            while pos < n and ivs[pos].release < slot_end:
-                if _qualifies(variant, ivs[pos].end, slot_end):
-                    candidates.append(ivs[pos])
+            while pos < n and rel[pos] < slot_end:
+                if rel[pos] + order[pos][0] >= slot_end + reach:
+                    candidates.append(pos)
                 pos += 1
             if not candidates:
                 break
             winner = max(candidates, key=key)
-            if slot_index % 2 == 1:
-                a_acc.append(winner)
-            else:
-                b_acc.append(winner)
-            slot_start, slot_end = slot_end, winner.end
-            slot_index += 1
+            (a_acc if to_a else b_acc).append(winner)
+            slot_start, slot_end = slot_end, rel[winner] + order[winner][0]
+            to_a = not to_a
     return a_acc, b_acc, slots
 
 
-def rom_adaptive(arrivals, variant):
+def rom_adaptive(rel, order, variant):
     """Greedy pseudo-identical prefix, then the adaptive chain from the anchor;
     bit 1 selects branch A, bit 0 branch B."""
 
-    def chain_branches(suffix):
-        a, b, _ = adaptive_slots_run(suffix, variant)
-        return a, b, sum(iv.weight for iv in a + b)
+    def chain_branches(anchor):
+        a, b, _ = adaptive_slots_run(rel, order, anchor, variant)
+        return a, b, sum(order[ix][1] for ix in a + b)
 
-    return _rom(arrivals, chain_branches)
+    return _rom(rel, order, chain_branches)

@@ -324,6 +324,25 @@ def test_intervals_reject_nonpositive_length_in_file(tmp_path, capsys):
     assert "length" in _one_error_line(capsys)
 
 
+@pytest.mark.parametrize("command, problem, field", [
+    ("knapsack", "knapsack_proportional", "weight"),
+    ("intervals", "interval", "length"),
+    ("throughput", "throughput", "slack"),
+])
+def test_missing_payload_field_is_bad_input(command, problem, field, tmp_path, capsys):
+    path = tmp_path / "inst.jsonl"
+    assert main(["gen", "--problem", problem, "--family", "uniform", "--params",
+                 '{"n": 4}', "--count", "1", "--seed", "1", "--out", str(path)]) == 0
+    inst = json.loads(path.read_text())
+    for item in inst["items"]:
+        del item["payload"][field]
+    path.write_text(json.dumps(inst) + "\n")
+    capsys.readouterr()
+    rc = main([command, "--instances", str(path), "--exact"])
+    assert rc == 2
+    assert repr(field) in _one_error_line(capsys)
+
+
 @pytest.mark.parametrize("meta, variant", [({}, "cben"), ({"variant": "c_benevolent"}, "single")],
                          ids=["single-as-cben", "cben-as-single"])
 def test_intervals_reject_other_variant_in_file(meta, variant, tmp_path, capsys):

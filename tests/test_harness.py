@@ -244,9 +244,9 @@ def test_sampled_row_matches_two_pass_reference(problem):
     for t in range(trials):
         perm = list(range(len(domain)))
         rng_for(seed, t).shuffle(perm)
-        alg, opt, unit, _ = hz.run_order(view, problem, [domain[j] for j in perm])
-        algs.append(Fraction(alg, unit))
-        opts.append(Fraction(opt, unit))
+        alg, opt, _ = hz.run_order(view, problem, [domain[j] for j in perm])
+        algs.append(Fraction(alg, view.unit))
+        opts.append(Fraction(opt, view.unit))
     mean = sum(algs) / trials
     var = sum((a - mean) ** 2 for a in algs) / trials
     assert row["mean_alg"] == mean
@@ -261,9 +261,9 @@ def _fraction_row(inst, problem, variant):
     view = hz.PROBLEM_TABLE[problem].scale(inst)
     algs, opts = [], []
     for order in distinct_orderings(view.column):
-        alg, opt, unit, _ = hz.run_order(view, problem, order, variant)
-        algs.append(Fraction(alg, unit))
-        opts.append(Fraction(opt, unit))
+        alg, opt, _ = hz.run_order(view, problem, order, variant)
+        algs.append(Fraction(alg, view.unit))
+        opts.append(Fraction(opt, view.unit))
     count = len(algs)
     mean_alg, mean_opt = sum(algs) / count, sum(opts) / count
     if problem in ("knapsack_general", "knapsack_proportional"):
@@ -361,6 +361,35 @@ def test_audited_exact_run_walks_each_order_once(monkeypatch, module, name, prob
     assert len(calls) == orders == sum(r["orders"] for r in rep.rows)
 
 
+@pytest.mark.parametrize("variant", ["single", "monotone", "c_benevolent"])
+def test_audited_interval_run_calls_the_oracle_at_most_twice(monkeypatch, variant):
+    # once per order for OPT and every OPT(suffix); once more per order that
+    # takes a bit, for OPT(prefix)
+    calls, bits = [], []
+    real_opt = hz.intervals.offline_opt_intervals
+    monkeypatch.setattr(hz.intervals, "offline_opt_intervals",
+                        lambda *a: calls.append(1) or real_opt(*a))
+    rom = "rom_single_length" if variant == "single" else "rom_adaptive"
+    real_rom = getattr(hz.intervals, rom)
+
+    def counted_rom(*args):
+        run = real_rom(*args)
+        bits.append(run.bit is not None)
+        return run
+
+    monkeypatch.setattr(hz.intervals, rom, counted_rom)
+    insts = hz.generate_instances(
+        "interval", "uniform", {"n": [4, 5], "variant": variant, "support": 2}, 4, 6)
+    insts.append(interval_instance(variant, [(0, 3, 2), (1, 3, 2), (5, 3, 2)]))  # no bit
+    rep = hz.run_experiment(hz.ExperimentConfig(
+        problem="interval", instances=insts, exact=True, audit=True))
+    orders = sum(r["orders"] for r in rep.rows)
+    assert rep.ok()
+    assert len(bits) == orders
+    assert 0 < sum(bits) < orders  # both kinds of order occur
+    assert len(calls) == orders + sum(bits)
+
+
 def test_tworbin_audit_checks_the_two_bin_run(monkeypatch):
     from rombit import knapsack
 
@@ -404,13 +433,16 @@ def test_proportional_audit_checks_the_run_record(monkeypatch, check, doctor):
 @pytest.mark.parametrize("variant, rom", [("single", "rom_single_length"),
                                           ("monotone", "rom_adaptive")],
                          ids=["single", "monotone"])
-@pytest.mark.parametrize("check, doctor", [
-    ("overlapping selection", lambda run: replace(run, b=run.b + run.b[:1])),
-    ("cover < OPT(suffix)", lambda run: replace(run, cover=0)),
-    ("prefix != OPT(prefix)",
-     lambda run: replace(run, prefix=[hz.intervals.Interval(-10, 1, 1)] + run.prefix)),
+@pytest.mark.parametrize("check, doctor, flagged", [
+    ("overlapping selection", lambda run: replace(run, b=run.b + run.b[:1]),
+     lambda run: True),
+    ("cover < OPT(suffix)", lambda run: replace(run, cover=0), lambda run: True),
+    # dropping a prefix acceptance leaves a lighter, still feasible prefix
+    ("prefix != OPT(prefix)", lambda run: replace(run, prefix=run.prefix[:-1]),
+     lambda run: bool(run.prefix)),
 ], ids=["overlapping-b", "cover", "prefix"])
-def test_interval_audit_checks_the_run_record(monkeypatch, variant, rom, check, doctor):
+def test_interval_audit_checks_the_run_record(monkeypatch, variant, rom, check, doctor,
+                                              flagged):
     insts = hz.generate_instances(
         "interval", "uniform", {"n": [4, 5], "variant": variant}, 5, 4)
     # two distinct keys in every instance, so every order takes a bit
@@ -418,10 +450,18 @@ def test_interval_audit_checks_the_run_record(monkeypatch, variant, rom, check, 
     cfg = hz.ExperimentConfig(problem="interval", instances=insts, exact=True, audit=True)
     assert hz.run_experiment(cfg).violation_count == 0
     real = getattr(hz.intervals, rom)
-    monkeypatch.setattr(hz.intervals, rom, lambda *args: doctor(real(*args)))
+    doctored = []
+
+    def doctored_rom(*args):
+        run = real(*args)
+        doctored.append(flagged(run))
+        return doctor(run)
+
+    monkeypatch.setattr(hz.intervals, rom, doctored_rom)
     rep = hz.run_experiment(cfg)
     violations = [v for r in rep.rows for v in r["violations"]]
-    assert len(violations) == sum(r["orders"] for r in rep.rows)  # one per order
+    assert len(doctored) == sum(r["orders"] for r in rep.rows)
+    assert 0 < len(violations) == sum(doctored)  # one per flagged order
     assert all(check in v for v in violations)
 
 

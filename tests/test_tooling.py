@@ -1,25 +1,55 @@
-"""The benchmark tracer patches names that exist in the package, and the
-README's CLI commands parse."""
+"""The benchmark tracer patches names that exist in the package, the tiny
+exact reports match the benchmark's golden digests, and the README's CLI
+commands parse."""
 
 import importlib
 import importlib.util
+import json
 import shlex
+import sys
 from pathlib import Path
 
-from rombit.cli import build_parser
+from rombit import core, harness
+from rombit.cli import build_parser, main
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def perfbench_module(name):
+    """A module of the benchmark directory, loaded read-only from its file."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_traced_names_exist():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = perfbench_module("tracing")
     patches = tracing.PATCHES + tracing.GENERATOR_PATCHES
     assert patches
     for _, home, fn, _ in patches:
         module = importlib.import_module(f"rombit.{home}")
         assert callable(getattr(module, fn, None)), f"rombit.{home}.{fn}"
+
+
+def test_tiny_exact_reports_match_golden_digests(tmp_path, monkeypatch):
+    # every pinned tiny exact_audit slot, run through the CLI as the benchmark
+    # runs it: a report that is not byte-identical fails here
+    workloads, checks = perfbench_module("workloads"), perfbench_module("checks")
+    golden = json.loads((PERFBENCH / "golden.json").read_text(encoding="utf-8"))
+    monkeypatch.setenv("ROMBIT_WORKERS", "1")
+    checked = 0
+    for slot in range(workloads.GOLDEN_SLOTS):
+        workdir = tmp_path / str(slot)
+        workdir.mkdir()
+        for cmd in workloads.exact_set(slot, "tiny", str(workdir), harness, core):
+            assert main(list(cmd.argv)) == 0, cmd.golden_key
+            report = Path(cmd.report).read_bytes()
+            assert checks.digest(report) == golden[cmd.golden_key], cmd.golden_key
+            checked += 1
+    assert checked == len(workloads.EXACT_COMMANDS) * workloads.GOLDEN_SLOTS
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
