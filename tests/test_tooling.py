@@ -1,9 +1,12 @@
 """The benchmark tracer patches names that exist in the package, the tiny
-exact reports match the benchmark's golden digests, and the README's CLI
-commands parse."""
+exact reports match the benchmark's golden digests, seeded Monte Carlo and
+``bias --exact`` lines stay byte-identical, and the README's CLI commands
+parse."""
 
+import contextlib
 import importlib
 import importlib.util
+import io
 import json
 import shlex
 import sys
@@ -50,6 +53,51 @@ def test_tiny_exact_reports_match_golden_digests(tmp_path, monkeypatch):
             assert checks.digest(report) == golden[cmd.golden_key], cmd.golden_key
             checked += 1
     assert checked == len(workloads.EXACT_COMMANDS) * workloads.GOLDEN_SLOTS
+
+
+# stdout of the tiny stream_mc commands and of ``bias --exact`` at n = 8,
+# captured before the Monte Carlo trials became one inlined stream loop
+STREAM_STDOUT = {
+    (3, "bias_combine"): "mode=combine parameter=2071/5000 predicted=0.585786 "
+                         "empirical=0.586140 stderr=0.002203\n",
+    (3, "bias_p1"): "mode=process1 parameter=1/2 predicted=0.666667 empirical=0.667180 "
+                    "stderr=0.002107\n",
+    (3, "bias_p2"): "mode=distinct_unbiased parameter=1/2 predicted=0.500000 "
+                    "empirical=0.503060 stderr=0.002236\n",
+    (3, "guess"): "n=1000 trials=20 mean_correct=527.000 ratio=1.8975\n",
+    (42, "bias_combine"): "mode=combine parameter=2071/5000 predicted=0.585786 "
+                          "empirical=0.581040 stderr=0.002207\n",
+    (42, "bias_p1"): "mode=process1 parameter=1/2 predicted=0.666667 empirical=0.667040 "
+                     "stderr=0.002108\n",
+    (42, "bias_p2"): "mode=distinct_unbiased parameter=1/2 predicted=0.500000 "
+                     "empirical=0.494680 stderr=0.002236\n",
+    (42, "guess"): "n=1000 trials=20 mean_correct=538.050 ratio=1.8586\n",
+}
+EXACT_STDOUT = {
+    "p1": "mode=process1 n=8 exact prob_one=24/35 no_bit=0\n",
+    "p2": "mode=distinct_unbiased n=8 exact prob_one=1/2 no_bit=0\n",
+    "combine": "mode=combine n=8 exact prob_one=11/21 no_bit=0\n",
+}
+
+
+def cli_stdout(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(list(argv)) == 0, argv
+    return buf.getvalue()
+
+
+def test_seeded_stream_output_is_frozen(tmp_path):
+    # the benchmark's tiny stream_mc commands, byte for byte
+    workloads = perfbench_module("workloads")
+    seen = {}
+    for seed in (3, 42):
+        for cmd in workloads.build("stream_mc", seed, "tiny", str(tmp_path), harness,
+                                   core)[0]:
+            seen[seed, cmd.name] = cli_stdout(cmd.argv)
+    assert seen == STREAM_STDOUT
+    for mode, line in EXACT_STDOUT.items():
+        assert cli_stdout(["bias", "--mode", mode, "--n", "8", "--exact"]) == line
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
