@@ -26,7 +26,8 @@ from .core import (
 )
 
 
-def _fraction(text):
+def rational(text):
+    """argparse type of --alpha and --r: an int, decimal or num/den as a Fraction."""
     if "/" in text:
         num, den = text.split("/", 1)
         if int(den) == 0:  # a ValueError, so argparse rejects it as bad input
@@ -203,8 +204,8 @@ def build_parser():
 
     b = sub.add_parser("bias", parents=[shared], help="bit-extraction bias estimates")
     b.add_argument("--mode", choices=("p1", "p2", "combine"), required=True)
-    b.add_argument("--alpha", type=_fraction, default=Fraction(1, 2))
-    b.add_argument("--r", type=_fraction, default=Fraction(2, 5))
+    b.add_argument("--alpha", type=rational, default=Fraction(1, 2))
+    b.add_argument("--r", type=rational, default=Fraction(2, 5))
     b.add_argument("--n", type=int, default=100000)
     b.add_argument("--trials", type=int, default=100000)
     b.add_argument("--exact", action="store_true")

@@ -184,40 +184,6 @@ def rng_for(seed, *indices):
     return random.Random(split_seed(seed, *indices))
 
 
-class CounterStream:
-    """splitmix64 counter stream keyed by ``split_seed(seed, *indices)``.
-
-    Draw k = 1, 2, ... is the splitmix64 finalizer of key + k*gamma, i.e.
-    ``_mix64`` of the state, which then advances by gamma (Steele, Lea and
-    Flood, OOPSLA 2014).  Creating one costs a few integer mixes, where a
-    ``random.Random`` seeds a whole Mersenne Twister, so a stream per trial
-    is cheap and the trial's outcome depends only on its indices.
-    """
-
-    __slots__ = ("state",)
-
-    def __init__(self, seed, *indices):
-        self.state = split_seed(seed, *indices)
-
-    def below(self, bound):
-        """Uniform int on [0, bound) for 1 <= bound <= 2**64.
-
-        Lemire's multiply-shift (ACM TOMACS 2019): the high word of x*bound,
-        with draws whose low word falls under 2**64 mod bound rejected, so
-        every value has exactly the same number of preimages.
-        """
-        if not 0 < bound <= _MASK64 + 1:
-            raise InputError(f"bound must lie in [1, 2**64], got {bound}")
-        m = _mix64(self.state) * bound
-        self.state = (self.state + _GAMMA) & _MASK64
-        if m & _MASK64 < bound:
-            threshold = (_MASK64 + 1 - bound) % bound
-            while m & _MASK64 < threshold:
-                m = _mix64(self.state) * bound
-                self.state = (self.state + _GAMMA) & _MASK64
-        return m >> 64
-
-
 def distinct_orderings(values):
     """Distinct orderings of a value multiset, each yielded once.
 

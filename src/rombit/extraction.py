@@ -20,9 +20,11 @@ one place where applications take their bit.
 
 Bias oracles come in two routes that never share code paths: exact
 enumeration over all labeled arrival orders (small n), and Monte Carlo
-sampling without replacement from a key multiset (large n).  Monte Carlo
-trial t draws from the splitmix64 counter stream ``CounterStream(seed, t)``;
-all other randomness in the package uses ``rng_for``.
+sampling without replacement from a key multiset (large n).  Every Monte
+Carlo trial runs in one loop in ``empirical_bias`` that inlines the
+splitmix64 counter stream keyed by ``split_seed(seed, t)``; the tests keep
+the object form, a ``CounterStream`` per trial, as the reference it must
+match draw for draw.  All other randomness in the package uses ``rng_for``.
 """
 
 from __future__ import annotations
@@ -35,10 +37,12 @@ from fractions import Fraction
 
 from .core import (
     CapacityError,
-    CounterStream,
     ENUMERATION_GUARD,
     InputError,
     Instance,
+    _GAMMA,
+    _MASK64,
+    _mix64,
     distinct_orderings,
     lex_compare,
     split_seed,
@@ -198,35 +202,21 @@ def exact_distinct_conditional(source, mode="combine"):
     return Fraction(ones, total)
 
 
-def _sample_bit(below, c_below, c_eq, remaining, mode):
-    """One trial after the first arrival: draw without replacement until decided.
-
-    ``c_below`` and ``c_eq`` count the remaining items below and equal to the
-    first key, out of ``remaining``; ``below(m)`` is a uniform draw on
-    [0, m).  Only the category of each draw relative to the first key
-    (below / equal / above) matters, so a trial is O(#draws).
-    """
-    if c_eq == remaining:
-        return None
-    r = below(remaining)
-    if mode == "combine" and r >= c_eq:
-        return 1 if r - c_eq < c_below else 0
-    i = 2
-    while r < c_eq:
-        c_eq -= 1
-        remaining -= 1
-        i += 1
-        r = below(remaining)
-    return 1 - (i % 2) if mode == "process1" else i % 2
-
-
 def empirical_bias(source, mode, trials, seed, first_key=None):
     """Monte Carlo Pr(b=1) over ROM arrivals sampled without replacement.
 
     ``first_key`` conditions every trial on the first arrival being an item
     with that key; this realizes the worst-case analyses that fix the
-    frequency of the first-arriving type.  Trial t draws from
-    ``CounterStream(seed, t)``, so its outcome depends only on (seed, t).
+    frequency of the first-arriving type.
+
+    Trial t reads the splitmix64 counter stream keyed by ``split_seed(seed,
+    t)``, so its outcome depends only on (seed, t).  Draw k is the splitmix64
+    finalizer of key + k*gamma (Steele, Lea and Flood, OOPSLA 2014), taken to
+    [0, bound) by Lemire's multiply-shift (ACM TOMACS 2019): the high word of
+    x*bound, redrawn while the low word falls under 2**64 mod bound.  Only
+    the category of each arrival relative to the first (below / equal /
+    above) matters, so a trial reads the counts of the first arrival's key
+    and costs O(#draws), whatever the keys.
     """
     if trials < 1:
         raise InputError("trials must be >= 1")
@@ -235,43 +225,58 @@ def empirical_bias(source, mode, trials, seed, first_key=None):
     counts = _key_counts(source)
     n = sum(counts.values())
     first_key = _first_key(counts, first_key)
-
-    ones = nobit = 0
-    if mode == "distinct_unbiased":
+    process1, distinct = mode == "process1", mode == "distinct_unbiased"
+    if distinct:
         if n != len(counts):
             raise InputError("distinct_unbiased requires all-distinct items")
         if n < 2:
             raise InputError("need at least two items")
-        # a given first key fixes the first arrival's rank; only the second
-        # arrival is drawn then
-        first_rank = None if first_key is None else sum(k < first_key for k in counts)
-        for t in range(trials):
-            below = CounterStream(seed, t).below
-            # ranks of the first two arrivals among the n distinct keys
-            a = below(n) if first_rank is None else first_rank
-            b = below(n - 1)
-            if b >= a:
-                b += 1
-            if a < b:
-                ones += 1
-    else:
-        if first_key is not None:
-            c_below = sum(c for k, c in counts.items() if k < first_key)
-            c_eq = counts[first_key] - 1
+    if first_key is not None:
+        c_below = sum(c for k, c in counts.items() if k < first_key)
+        c_eq = counts[first_key] - 1
+    elif not distinct:
+        # the first arrival's rank selects the key whose count range holds it
+        prefix = list(itertools.accumulate((counts[k] for k in sorted(counts)), initial=0))
+    top = n - (first_key is not None)  # no trial draws on a larger bound
+    if n == 0 or top > _MASK64 + 1:
+        raise InputError(f"bound must lie in [1, 2**64], got {top}")
+
+    # arrival i is drawn from ``bound`` remaining items: ``eq`` copies of the
+    # first arrival's key, ``lo`` items below it, the rest above (eq = -1
+    # until the first arrival is drawn)
+    start = (1, n, 0, -1) if first_key is None else (2, n - 1, c_below, c_eq)
+    z0 = _mix64(seed & _MASK64)
+    ones = nobit = 0
+    for t in range(trials):
+        state = _mix64(z0 ^ _mix64(t))  # split_seed(seed, t)
+        i, bound, lo, eq = start
+        while eq < bound:
+            state = (state + _GAMMA) & _MASK64
+            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+            m = (z ^ (z >> 31)) * bound
+            if m & _MASK64 < bound and m & _MASK64 < (_MASK64 + 1 - bound) % bound:
+                continue  # Lemire's rejection: redraw on the same bound
+            r = m >> 64
+            if i == 1:
+                if distinct:  # r is the first arrival's rank
+                    lo, eq = r, 0
+                else:
+                    ix = bisect.bisect_right(prefix, r)
+                    lo, eq = prefix[ix - 1], prefix[ix] - prefix[ix - 1] - 1
+            elif r >= eq:  # arrival i differs from the first
+                if i == 2 and not process1:
+                    # combine emits [second < first], distinct_unbiased the opposite
+                    ones += (r - eq < lo) != distinct
+                else:  # process1 emits 1 at an even i, combine at an odd one
+                    ones += (i + process1) % 2
+                break
+            else:
+                eq -= 1
+            i += 1
+            bound -= 1
         else:
-            # the first arrival's rank selects the key whose count range holds it
-            pairs = sorted(counts.items())
-            prefix = list(itertools.accumulate((c for _, c in pairs), initial=0))[:-1]
-        for t in range(trials):
-            below = CounterStream(seed, t).below
-            if first_key is None:
-                ix = bisect.bisect_right(prefix, below(n)) - 1
-                c_below, c_eq = prefix[ix], pairs[ix][1] - 1
-            b = _sample_bit(below, c_below, c_eq, n - 1, mode)
-            if b is None:
-                nobit += 1
-            elif b == 1:
-                ones += 1
+            nobit += 1
 
     p = ones / trials
     return BiasReport(
@@ -311,7 +316,7 @@ def two_type_counts(alpha, n):
     c0 = int(Fraction(alpha) * n)
     if c0 < 1 or c0 >= n:
         raise InputError("alpha*n must leave at least one item of each type")
-    return {(Fraction(0),): c0, (Fraction(1),): n - c0}
+    return {(0,): c0, (1,): n - c0}
 
 
 def first_frequency_counts(r, n):
@@ -329,16 +334,14 @@ def first_frequency_counts(r, n):
     rest = n - copies
     below = rest // 2
     above = rest - below
-    counts = {(Fraction(0),): copies}
-    for i in range(below):
-        counts[(Fraction(-(i + 1)),)] = 1
-    for i in range(above):
-        counts[(Fraction(i + 1),)] = 1
+    counts = {(0,): copies}
+    counts.update(((-i,), 1) for i in range(1, below + 1))
+    counts.update(((i,), 1) for i in range(1, above + 1))
     return counts
 
 
 def all_distinct_counts(n):
-    return {(Fraction(i),): 1 for i in range(n)}
+    return {(i,): 1 for i in range(n)}
 
 
 def bias_family(mode, param, n):
@@ -350,7 +353,7 @@ def bias_family(mode, param, n):
     if mode == "process1":
         return process1_predicted(param), two_type_counts(param, n), None
     if mode == "combine":
-        return combine_predicted(param), first_frequency_counts(param, n), (Fraction(0),)
+        return combine_predicted(param), first_frequency_counts(param, n), (0,)
     if mode == "distinct_unbiased":
         return Fraction(1, 2), all_distinct_counts(n), None
     raise InputError(f"unknown mode {mode!r}")

@@ -301,7 +301,7 @@ def test_bias_rejects_zero_denominator(flag, value, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bias", "--mode", "p1", f"{flag}={value}", "--n", "10", "--exact"])
     assert exc.value.code == 2
-    assert f"invalid _fraction value: {value!r}" in capsys.readouterr().err
+    assert f"invalid rational value: {value!r}" in capsys.readouterr().err
 
 
 def test_bias_fraction_spellings(capsys):

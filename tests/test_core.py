@@ -8,7 +8,6 @@ from fractions import Fraction
 import pytest
 
 from rombit.core import (
-    CounterStream,
     InputError,
     ParseError,
     distinct_orderings,
@@ -21,6 +20,7 @@ from rombit.core import (
     write_instances,
 )
 from rombit.harness import PROBLEM_TABLE, _sampled_orders
+from stream_reference import CounterStream
 
 
 def test_lex_compare_examples():

@@ -8,10 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rombit.core import InputError, distinct_orderings, make_instance, make_item
+from rombit.core import (
+    InputError,
+    _mix64,
+    distinct_orderings,
+    make_instance,
+    make_item,
+    split_seed,
+)
 from rombit.extraction import (
+    MODES,
     all_distinct_counts,
     bias_curve,
+    bias_family,
     bit_for_sequence,
     combine_predicted,
     distinct_unbiased,
@@ -24,6 +33,7 @@ from rombit.extraction import (
     process1_predicted,
     two_type_counts,
 )
+from stream_reference import reference_counts
 
 A, B = (Fraction(0),), (Fraction(1),)
 
@@ -173,6 +183,66 @@ def test_monte_carlo_distinct_unbiased_honours_first_key():
         tol = 4.5 * math.sqrt(want * (1 - want) / trials) + 1e-3
         assert abs(rep.prob_one - want) <= tol, (first, rep)
         assert rep.no_bit == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.dictionaries(st.tuples(st.integers(-3, 3)), st.integers(1, 6), min_size=1,
+                    max_size=5),
+    st.sampled_from(MODES),
+    st.integers(0, 2**70),
+    st.data(),
+)
+def test_empirical_bias_matches_counter_stream_reference(counts, mode, seed, data):
+    # the inlined trial loop reads the draws CounterStream(seed, t) gives
+    if mode == "distinct_unbiased":
+        counts = dict.fromkeys(counts, 1)
+        if len(counts) < 2:
+            counts[(9,)] = 1
+    first_key = data.draw(st.sampled_from([None, *sorted(counts)]))
+    trials = 200
+    rep = empirical_bias(counts, mode, trials, seed, first_key=first_key)
+    ones, nobit = reference_counts(counts, mode, trials, seed, first_key=first_key)
+    p = ones / trials
+    assert (rep.prob_one, rep.no_bit, rep.stderr) == (
+        p, nobit / trials, math.sqrt(p * (1 - p) / trials))
+
+
+def test_empirical_bias_matches_reference_under_rejection():
+    # at bounds near 2**62 Lemire's rejection redraws about a quarter of all
+    # draws; small bounds never reach that branch
+    counts = {(0,): 2**62 + 5, (1,): 2**61 + 3}
+    n, trials, seed = sum(counts.values()), 3000, 17
+    threshold = (2**64 - n) % n
+    assert any((_mix64(split_seed(seed, t)) * n) & (2**64 - 1) < threshold
+               for t in range(trials))
+    for mode, first_key in (("process1", None), ("combine", None), ("combine", (0,)),
+                            ("process1", (1,))):
+        rep = empirical_bias(counts, mode, trials, seed, first_key=first_key)
+        ones, nobit = reference_counts(counts, mode, trials, seed, first_key=first_key)
+        assert (rep.prob_one, rep.no_bit) == (ones / trials, nobit / trials), mode
+
+
+def test_integer_key_families_keep_exact_results():
+    # the families' int keys order, compare and hash as the Fraction keys do
+    grid = [Fraction(k, 10) for k in range(1, 10)]
+    checked = 0
+    for n in range(2, 9):
+        for mode in MODES:
+            for param in grid if mode != "distinct_unbiased" else grid[:1]:
+                try:
+                    _, counts, first_key = bias_family(mode, param, n)
+                except InputError:
+                    continue
+                as_fractions = {tuple(map(Fraction, k)): c for k, c in counts.items()}
+                fraction_first = None if first_key is None else tuple(map(Fraction, first_key))
+                assert exact_bias(counts, mode, first_key=first_key) == exact_bias(
+                    as_fractions, mode, first_key=fraction_first), (mode, param, n)
+                checked += 1
+    assert checked > 100
+    counts = first_frequency_counts(Fraction(4142, 10000), 1000)
+    assert empirical_bias(counts, "combine", 2000, 3, first_key=(Fraction(0),)) == \
+        empirical_bias(counts, "combine", 2000, 3, first_key=(0,))
 
 
 def test_closed_forms():
