@@ -341,6 +341,8 @@ def first_frequency_counts(r, n):
 
 
 def all_distinct_counts(n):
+    if n < 2:
+        raise InputError("need at least two items")
     return {(i,): 1 for i in range(n)}
 
 

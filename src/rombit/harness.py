@@ -80,7 +80,10 @@ def _starmap(fn, args):
 
 
 def _least(key, value, least):
-    """The int ``value`` of family parameter ``key``, which must be at least ``least``."""
+    """The ``value`` of family parameter ``key``, which must be an int (not
+    a bool) of at least ``least``."""
+    if type(value) is not int:
+        raise ValueError(f"{key!r} must be an integer, got {value!r}")
     if value < least:
         raise ValueError(f"{key!r} must be at least {least}, got {value}")
     return value
@@ -92,16 +95,16 @@ def _pick_n(params, rng):
         if not n:
             raise ValueError("'n' must not be an empty list")
         n = rng.choice(list(n))
-    return _least("n", int(n), 1)
+    return _least("n", n, 1)
 
 
 def _knapsack_items(rng, params, general):
     n = _pick_n(params, rng)
-    den = _least("den", int(params.get("den", 20)), 1)
+    den = _least("den", params.get("den", 20), 1)
     family = params["family"]
     pairs = None
     if family == "uniform":
-        support_size = _least("support", int(params.get("support", 0)), 0)
+        support_size = _least("support", params.get("support", 0), 0)
         if support_size:
             pool = [rng.randint(1, den) for _ in range(support_size)]
             ws = [rng.choice(pool) for _ in range(n)]
@@ -135,7 +138,7 @@ def _interval_items(rng, params):
     if variant == "single":
         p = Fraction(params.get("length", 4))
         releases = sorted(Fraction(rng.randrange(0, int(3 * n))) for _ in range(n))
-        support = _least("support", int(params.get("support", 3)), 1)
+        support = _least("support", params.get("support", 3), 1)
         pool = [Fraction(rng.randint(1, 9)) for _ in range(support)]
         payload = [(p, rng.choice(pool)) for _ in range(n)]
     elif variant == "monotone":
@@ -145,7 +148,7 @@ def _interval_items(rng, params):
         releases = [Fraction(0)]
         for g in gaps:
             releases.append(releases[-1] + g)
-        support = _least("support", int(params.get("support", 4)), 1)
+        support = _least("support", params.get("support", 4), 1)
         pool = [
             (Fraction(rng.choice([3, 4, 5, 6])), Fraction(rng.randint(1, 9)))
             for _ in range(support)
@@ -153,7 +156,7 @@ def _interval_items(rng, params):
         payload = [rng.choice(pool) for _ in range(n)]
     elif variant == "c_benevolent":
         releases = sorted(Fraction(rng.randrange(0, int(4 * n))) for _ in range(n))
-        support = _least("support", int(params.get("support", 3)), 1)
+        support = _least("support", params.get("support", 3), 1)
         pool = sorted({rng.choice([2, 3, 4, 5, 6]) for _ in range(support)})
         lengths = [Fraction(rng.choice(pool)) for _ in range(n)]
         payload = [(L, L * L) for L in lengths]
@@ -178,7 +181,7 @@ def _throughput_items(rng, params):
         releases.append(releases[-1] + rng.choice([0, 2, 3, p // 2, p, p + 3]))
     pool = [0, p // 2, p, 2 * p, 4 * p]
     rng.shuffle(pool)
-    support = pool[: rng.randint(2, _least("support", int(params.get("support", 4)), 2))]
+    support = pool[: rng.randint(2, _least("support", params.get("support", 4), 2))]
     items = [
         make_item(
             key=(p, s),
@@ -422,8 +425,9 @@ def _audit_intervals(s, order, suffix_opt, run, opt):
     return violations
 
 
-def _audit_throughput(s, order, jobs, run, opt):
-    """Charging bound, the factor-2 bound and normality."""
+def _audit_throughput(s, order, last, run, opt):
+    """Charging bound, the factor-2 bound and normality of each distinct
+    schedule: an order with no bit has one, ``run.x is run.y``."""
     violations = []
     nx, ny = len(run.x), len(run.y)
     if 6 * opt > 5 * (nx + ny):
@@ -433,8 +437,8 @@ def _audit_throughput(s, order, jobs, run, opt):
             violations.append(f"factor-2 violated on {order}")
     elif max(nx, ny, 0) > 1:
         violations.append(f"factor-2 zero-denominator violated on {order}")
-    for sched in (run.x, run.y):
-        ok, why = throughput.is_normal(sched, jobs, s.proc)
+    for sched in (run.x,) if run.y is run.x else (run.x, run.y):
+        ok, why = throughput.is_normal(sched, s.releases, last, s.proc)
         if not ok:
             violations.append(f"not normal on {order}: {why}")
     return violations
@@ -470,13 +474,10 @@ def _run_intervals(s, order, variant):
 
 
 def _run_throughput(s, order, variant):
-    jobs = [
-        throughput.Job(release=s.releases[i], proc=s.proc, slack=x, label=i)
-        for i, x in enumerate(order)
-    ]
-    run = throughput.rom_simulation(jobs, s.proc)
-    opt = throughput.offline_opt_throughput(jobs, s.proc)
-    return len(run.chosen), opt, jobs, run, _audit_throughput
+    last = [r + x for r, x in zip(s.releases, order)]
+    run = throughput.rom_simulation(s.releases, last, s.proc)
+    opt = throughput.offline_opt_throughput(s.releases, last, s.proc)
+    return len(run.chosen), opt, last, run, _audit_throughput
 
 
 def _run_guess(s, order, variant):

@@ -5,21 +5,25 @@ may always start the earliest-deadline pending job when the pending set is
 urgent, but a flexible start requires the lock (held until completion), so
 the two schedules drift apart.  The ROM algorithm first packs jobs
 pseudo-identical to the first arrival with one such process, alone and so
-greedy, then at the first distinct (proc, slack) key takes the COMBINE bit
-from ``extraction.harvest`` and continues with two from the breakpoint B;
-the bit selects which schedule is real.  One simulator, ``run_processes``,
+greedy, then at the first distinct slack takes the COMBINE bit from
+``extraction.harvest`` and continues with two from the breakpoint B; the
+bit selects which schedule is real.  One simulator, ``run_processes``,
 runs both phases.
 
-All times are integers (rescaled rationals).  Each simulation and audit
-call reads its jobs once into int lists in earliest-deadline (ED) order,
-by deadline and then label, so the ED order of any pending set is that
-order filtered and no pending set is sorted.  One pass over a pending set
-gives f, the minimum over k of the k-th job's latest start minus k*p:
-run back-to-back from t, the set is feasible iff t <= f + p and flexible
-iff t < f, which is exact for equal processing times.  ``flexible`` is
-taken strictly (feasible from any time before t+p lapses), so a process
-woken at the last flexible instant f starts the job as urgent, without
-the lock; this keeps every produced schedule normal.
+An instance is two int columns and one int: ``rel[i]`` and ``last[i]``,
+the release and latest start of arrival i, and the common processing time
+``p``, so arrival i's deadline is ``last[i] + p``.  All times are integers
+(rescaled rationals), and a schedule names each job by its arrival index.
+Each simulation and audit call sorts the indices it may start once into
+earliest-deadline (ED) order, by latest start and then index, so the ED
+order of any pending set is that order filtered and no pending set is
+sorted.  One pass over a pending set gives f, the minimum over k of the
+k-th job's latest start minus k*p: run back-to-back from t, the set is
+feasible iff t <= f + p and flexible iff t < f, which is exact for equal
+processing times.  ``flexible`` is taken strictly (feasible from any time
+before t+p lapses), so a process woken at the last flexible instant f
+starts the job as urgent, without the lock; this keeps every produced
+schedule normal.
 """
 
 from __future__ import annotations
@@ -34,45 +38,19 @@ from .extraction import harvest
 OPT_GUARD = 10
 
 
-@dataclass(frozen=True)
-class Job:
-    release: int
-    proc: int
-    slack: int
-    label: int = 0
-
-    @property
-    def deadline(self):
-        return self.release + self.proc + self.slack
-
-    @property
-    def expiry(self):
-        # latest admissible start time
-        return self.release + self.slack
+def _table(rel, last, live):
+    """The arrival indices ``live`` in earliest-deadline (ED) order: by
+    latest start, which with one processing time is by deadline, then by
+    index.  The ED order of any subset is this order filtered."""
+    return sorted(live, key=lambda i: (last[i], i))
 
 
-def _table(jobs):
-    """A job list in earliest-deadline (ED) order, with its releases, latest
-    starts and labels as int lists in that order.
-
-    The order is by deadline, then label; the sort is stable, so jobs tied
-    on both keep their list order, and the ED order of any subset is this
-    order filtered.
-    """
-    jobs = sorted(jobs, key=lambda j: (j.deadline, j.label))
-    return (
-        jobs,
-        [j.release for j in jobs],
-        [j.release + j.slack for j in jobs],
-        [j.label for j in jobs],
-    )
-
-
-def _scan(rel, last, lab, done, lo, hi, p):
+def _scan(ed, rel, last, done, lo, hi, p):
     """One pass over the jobs pending throughout [lo, hi] (released by lo,
-    latest start at or after hi, label not in ``done``), in ED order.
+    latest start at or after hi, index not in ``done``), in the ED order
+    ``ed``.
 
-    Returns the position of the first one (None if none is pending) and
+    Returns the index of the first one (None if none is pending) and
     f = min over k of (latest start of the k-th - k*p).  Run back-to-back
     from t, the k-th job starts at t + (k-1)*p, so the set is feasible from
     t iff t <= f + p, and flexible (still feasible from t+p, taken strictly)
@@ -81,8 +59,8 @@ def _scan(rel, last, lab, done, lo, hi, p):
     """
     first = f = None
     k = 0
-    for i, r in enumerate(rel):
-        if r <= lo and last[i] >= hi and lab[i] not in done:
+    for i in ed:
+        if rel[i] <= lo and last[i] >= hi and i not in done:
             k += p
             v = last[i] - k
             if first is None:
@@ -93,22 +71,20 @@ def _scan(rel, last, lab, done, lo, hi, p):
 
 
 class Entry(NamedTuple):
-    """One start of a schedule.  A named tuple: a schedule builds one per
-    start, and a tuple is built about twice as fast as a frozen dataclass."""
+    """One start of a schedule: the arrival index of the job, its start
+    time and whether the set it was started from was flexible.  A named
+    tuple: a schedule builds one per start, and a tuple is built about
+    twice as fast as a frozen dataclass."""
 
-    job: Job
+    index: int
     start: int
     flexible: bool
 
-    @property
-    def completion(self):
-        return self.start + self.job.proc
 
-
-def run_processes(jobs, p, start_time=0, count=2):
-    """Event-driven simulation of ``count`` lock-sharing processes; returns
-    each one's entries.  A lone process always finds the lock free, so it
-    is the phase-1 greedy process.
+def run_processes(rel, last, p, live, start_time=0, count=2):
+    """Event-driven simulation of ``count`` lock-sharing processes that may
+    start the arrivals ``live``; returns each one's entries.  A lone process
+    always finds the lock free, so it is the phase-1 greedy process.
 
     Decision instants are releases, completions and per-process wake-ups (the
     instant an idle process's pending set stops being flexible); between
@@ -118,11 +94,11 @@ def run_processes(jobs, p, start_time=0, count=2):
     taking the free lock, which it holds until that job completes, and
     otherwise waits.
     """
-    jobs, rel, last, lab = _table(jobs)
-    releases = sorted(set(rel))
+    ed = _table(rel, last, live)
+    releases = sorted({rel[i] for i in ed})
     entries = tuple([] for _ in range(count))
     done = tuple(set() for _ in range(count))
-    # per process: (position, start, flexible); a flexible start holds the lock
+    # per process: (index, start, flexible); a flexible start holds the lock
     running = [None] * count
     lock = None  # the process holding it
     t = start_time
@@ -132,8 +108,8 @@ def run_processes(jobs, p, start_time=0, count=2):
             run = running[k]
             if run is not None and run[1] + p == t:
                 i, s, flex = run
-                entries[k].append(Entry(jobs[i], s, flex))
-                done[k].add(lab[i])
+                entries[k].append(Entry(i, s, flex))
+                done[k].add(i)
                 running[k] = None
                 if flex:
                     lock = None
@@ -143,7 +119,7 @@ def run_processes(jobs, p, start_time=0, count=2):
         idle = False
         for k in range(count):
             if running[k] is None:
-                i, f = _scan(rel, last, lab, done[k], t, t, p)
+                i, f = _scan(ed, rel, last, done[k], t, t, p)
                 flex = i is not None and t < f
                 if i is None or (flex and lock is not None):
                     # nothing pending, or waiting for the lock until f
@@ -172,55 +148,41 @@ class RomRun:
     chosen: list
     bit: int
     breakpoint: object
-    prefix: list      # G, the common greedy prefix
-    x_tail: list      # X', the dual continuation
-    y_tail: list
-    subinstance: list  # J'
+    prefix: list  # G, the common greedy prefix
 
 
-def rom_simulation(arrivals, p):
-    """Greedy identical phase, breakpoint, then the dual continuation on J'.
+def rom_simulation(rel, last, p):
+    """Greedy identical phase, breakpoint, then the dual continuation.
 
-    ``arrivals`` are Jobs of processing time ``p`` in arrival order with
-    non-decreasing releases from 0 on.  Phase 1 runs on the jobs released
-    before r, the distinct arrival's release, since they alone decide every
-    start before r.  B is the start of the phase-1 job running across r, or
-    r; G is the phase-1 starts before B.  The continuation runs from B on
-    the subinstance J' (unfinished jobs pseudo-identical to the first
-    arrival re-released at B, plus everything releasing later); per the
-    decomposition X = G u X', Y = G u Y'.  At most one job is ever dropped
-    mid-run: the one Y abandons at B when the breakpoint set is flexible.
+    The arrivals have releases ``rel``, non-decreasing from 0 on, latest
+    starts ``last`` and processing time ``p``.  Phase 1 runs on the jobs
+    released before r, the distinct arrival's release, since they alone
+    decide every start before r.  B is the start of the phase-1 job running
+    across r, or r; G is the phase-1 starts before B.  The continuation runs
+    both processes from B on every job not in G, so X = G u X' and
+    Y = G u Y'.  It needs no re-released subinstance: a job's deadline does
+    not move when it is re-released at B, at every instant from B on it is
+    released either way, and a job whose latest start has passed is never
+    pending.  At most one job is ever dropped mid-run: the one Y abandons
+    at B when the breakpoint set is flexible.
     """
-    bit, distinct_ix = harvest((j.proc, j.slack) for j in arrivals)
+    n = len(rel)
+    bit, distinct_ix = harvest((s - r,) for r, s in zip(rel, last))
     if distinct_ix is None:
-        (entries,) = run_processes(arrivals, p, count=1)
-        return RomRun(
-            x=entries, y=entries, chosen=entries, bit=None, breakpoint=None,
-            prefix=entries, x_tail=[], y_tail=[], subinstance=[],
-        )
-    r = arrivals[distinct_ix].release
-    (greedy,) = run_processes([j for j in arrivals if j.release < r], p, count=1)
-    bpoint = next((e.start for e in greedy if e.start < r < e.completion), r)
+        (entries,) = run_processes(rel, last, p, range(n), count=1)
+        return RomRun(x=entries, y=entries, chosen=entries, bit=None, breakpoint=None,
+                      prefix=entries)
+    r = rel[distinct_ix]
+    (greedy,) = run_processes(rel, last, p, [k for k in range(n) if rel[k] < r], count=1)
+    bpoint = next((e.start for e in greedy if e.start < r < e.start + p), r)
     prefix = [e for e in greedy if e.start < bpoint]
-    done = {e.job.label for e in prefix}
-    sub = []
-    for j in arrivals:
-        if j.label in done:
-            continue
-        new_release = max(j.release, bpoint)
-        if j.expiry < new_release:
-            continue  # already unschedulable for every continuation
-        if new_release != j.release or j.proc != p:
-            # re-released at B; a job released from B on enters as it is
-            j = Job(new_release, p, j.expiry - new_release, j.label)
-        sub.append(j)
-    x_tail, y_tail = run_processes(sub, p, bpoint, count=2)
+    done = {e.index for e in prefix}
+    x_tail, y_tail = run_processes(rel, last, p, [k for k in range(n) if k not in done],
+                                   bpoint)
     x = prefix + x_tail
     y = prefix + y_tail
-    return RomRun(
-        x=x, y=y, chosen=(x if bit == 1 else y), bit=bit, breakpoint=bpoint,
-        prefix=prefix, x_tail=x_tail, y_tail=y_tail, subinstance=sub,
-    )
+    return RomRun(x=x, y=y, chosen=(x if bit == 1 else y), bit=bit, breakpoint=bpoint,
+                  prefix=prefix)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +190,7 @@ def rom_simulation(arrivals, p):
 # ---------------------------------------------------------------------------
 
 
-def is_normal(entries, jobs, p):
+def is_normal(entries, rel, last, p):
     """Replay a schedule against its instance; returns (ok, first_violation).
 
     Normal means every start picks the earliest-deadline pending job, and the
@@ -238,32 +200,31 @@ def is_normal(entries, jobs, p):
     (its window, the ED job, the flexible flag); each idle release or
     latest-start instant from time 0 on; each idle gap from time 0 up to the
     last latest start, cut at the releases and latest starts inside it.  Every
-    pending set is a filter of the one ED order of ``jobs``, classified by
-    one ``_scan``.  An entry that starts while no job is pending (a job
-    started twice, or one not in ``jobs``) is a violation.
+    pending set is a filter of the one ED order of the instance, classified
+    by one ``_scan``.  An entry that starts while no job is pending (a job
+    started twice) is a violation.
     """
     entries = sorted(entries, key=lambda e: e.start)
     starts = [e.start for e in entries]
-    comps = [e.completion for e in entries]
-    labels = [e.job.label for e in entries]
+    comps = [s + p for s in starts]
+    labels = [e.index for e in entries]
     m = len(entries)
     for k in range(1, m):
         if comps[k - 1] > starts[k]:
             return False, f"entries overlap at {starts[k]}"
-    jobs, rel, last, lab = _table(jobs)
+    ed = _table(rel, last, range(len(rel)))
     done = set()
-    for job, s, flexible in entries:
-        if s < job.release or s > job.expiry:
-            return False, f"job {job.label} started outside its window"
-        i, f = _scan(rel, last, lab, done, s, s, p)
-        if i is None:
+    for i, s, flexible in entries:
+        if s < rel[i] or s > last[i]:
+            return False, f"job {i} started outside its window"
+        first, f = _scan(ed, rel, last, done, s, s, p)
+        if first is None:
             return False, f"no job is pending at {s}"
-        ed = jobs[i]
-        if ed is not job and (ed.deadline, ed.label) != (job.deadline, job.label):
+        if first != i:
             return False, f"start at {s} is not the ED pending job"
         if (s < f) != flexible:
             return False, f"flexible flag mismatch at {s}"
-        done.add(job.label)
+        done.add(i)
 
     # no idle instant may have a non-flexible pending set.  The entries are
     # disjoint now and processing times positive, so start order is
@@ -278,7 +239,7 @@ def is_normal(entries, jobs, p):
             k += 1
         if k < m and starts[k] <= tau:
             continue  # entry k runs at tau
-        i, f = _scan(rel, last, lab, done, tau, tau, p)
+        i, f = _scan(ed, rel, last, done, tau, tau, p)
         if i is not None and tau >= f:
             return False, f"idle at {tau} with a non-flexible pending set"
 
@@ -297,7 +258,7 @@ def is_normal(entries, jobs, p):
     for u, hi, k in gaps:
         done = set(labels[:k])
         for v in points[bisect_right(points, u):bisect_left(points, hi)] + [hi]:
-            i, f = _scan(rel, last, lab, done, u, v, p)
+            i, f = _scan(ed, rel, last, done, u, v, p)
             if i is not None and v > f:
                 return False, f"idle over [{u},{v}) with a non-flexible pending set"
             u = v
@@ -309,7 +270,7 @@ def is_normal(entries, jobs, p):
 # ---------------------------------------------------------------------------
 
 
-def offline_opt_throughput(jobs, p):
+def offline_opt_throughput(rel, last, p):
     """Exact maximum number of completable jobs.
 
     Depth-first search over which job starts next, each start shifted left
@@ -323,12 +284,12 @@ def offline_opt_throughput(jobs, p):
     latest-start order, and a state stops once every live job is counted.
     A job whose latest start precedes its release is never live.
     """
-    if len(jobs) > OPT_GUARD:
-        raise CapacityError(f"n={len(jobs)} exceeds oracle guard {OPT_GUARD}")
-    jobs = sorted(jobs, key=lambda j: j.release + j.slack)
-    n = len(jobs)
-    rel = [j.release for j in jobs]
-    last = [j.release + j.slack for j in jobs]
+    n = len(rel)
+    if n > OPT_GUARD:
+        raise CapacityError(f"n={n} exceeds oracle guard {OPT_GUARD}")
+    by_last = sorted(range(n), key=last.__getitem__)
+    rel = [rel[i] for i in by_last]
+    last = [last[i] for i in by_last]
     by_release = sorted(range(n), key=rel.__getitem__)
     memo = {}
 

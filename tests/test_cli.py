@@ -40,6 +40,15 @@ def test_bias_exact_cli(capsys):
     assert capsys.readouterr().out == "mode=combine n=10 exact prob_one=25/42 no_bit=0\n"
 
 
+@pytest.mark.parametrize("n", ["1", "-5"])
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "monte-carlo"])
+def test_bias_p2_needs_two_items(n, exact, capsys):
+    argv = ["bias", "--mode", "p2", "--n", n, "--trials", "10"]
+    assert main(argv + (["--exact"] if exact else [])) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: need at least two items\n")
+
+
 def test_guess_cli(capsys):
     rc = main(["guess", "--n", "300", "--trials", "100", "--seed", "2"])
     assert rc == 0
@@ -271,10 +280,21 @@ def test_report_rejects_malformed_line(line, word, tmp_path, capsys):
     (["knapsack", "--params", '{"n": 0}'], "'n'"),
     (["intervals", "--params", '{"n": [3, 0]}'], "'n'"),
     (["throughput", "--params", '{"n": []}'], "'n'"),
+    (["knapsack", "--params", '{"n": 5.5}'], "'n'"),
+    (["knapsack", "--params", '{"n": true}'], "'n'"),
+    (["knapsack", "--params", '{"n": "5"}'], "'n'"),
+    (["intervals", "--params", '{"n": [3, 4.0]}'], "'n'"),
+    (["knapsack", "--params", '{"den": 2.5}'], "'den'"),
+    (["knapsack", "--params", '{"support": false}'], "'support'"),
+    (["intervals", "--params", '{"support": 2.0}'], "'support'"),
+    (["throughput", "--params", '{"support": 2.9}'], "'support'"),
 ], ids=["knapsack-n", "knapsack-den", "throughput-proc", "intervals-length",
         "intervals-support", "knapsack-unknown-key", "intervals-unread-key",
         "intervals-other-variant", "knapsack-support", "throughput-support",
-        "knapsack-n-zero", "intervals-n-list-zero", "throughput-n-empty-list"])
+        "knapsack-n-zero", "intervals-n-list-zero", "throughput-n-empty-list",
+        "knapsack-n-float", "knapsack-n-bool", "knapsack-n-string",
+        "intervals-n-list-float", "knapsack-den-float", "knapsack-support-bool",
+        "intervals-support-float", "throughput-support-float"])
 def test_bad_params_values(argv, word, capsys):
     rc = main(argv + ["--count", "1", "--exact"])
     assert rc == 2

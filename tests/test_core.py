@@ -78,10 +78,14 @@ def test_realtime_rom_keeps_releases_sorted():
     inst = _throughput_instance([(0, 5), (2, 0), (2, 20), (7, 5)])
     spec = PROBLEM_TABLE["throughput"]
     view = spec.scale(inst)
+    assert view.releases == [0, 2, 2, 7]
     for order in _sampled_orders(view.column, 40, seed=0):
-        _, _, jobs, _, _ = spec.run(view, order, None)
-        assert [j.release for j in jobs] == [0, 2, 2, 7]
-        assert sorted(j.slack for j in jobs) == [0, 5, 5, 20]
+        _, _, last, _, _ = spec.run(view, order, None)
+        # each latest start is the fixed release at its position plus the
+        # slack the order places there
+        slacks = [s - r for r, s in zip([0, 2, 2, 7], last)]
+        assert slacks == list(order)
+        assert sorted(slacks) == [0, 5, 5, 20]
 
 
 def test_realtime_rom_requires_release():

@@ -294,9 +294,10 @@ def test_exact_row_matches_fraction_reference(problem, variant, params, monkeypa
         # mean of OPT/ALG meets its zero case
         real = hz.throughput.rom_simulation
 
-        def sometimes_empty(arrivals, p):
-            run = real(arrivals, p)
-            if arrivals[0].slack == min(j.slack for j in arrivals):
+        def sometimes_empty(rel, last, p):
+            run = real(rel, last, p)
+            slacks = [s - r for r, s in zip(rel, last)]
+            if slacks[0] == min(slacks):
                 return replace(run, chosen=[])
             return run
 
@@ -320,9 +321,20 @@ def test_throughput_factor_two_boundary(nx, ny, violated, monkeypatch):
 
     monkeypatch.setattr(hz.throughput, "is_normal", lambda *a: (True, ""))
     run = SimpleNamespace(x=[None] * nx, y=[None] * ny)
-    got = hz._audit_throughput(SimpleNamespace(proc=1), "o", [], run, 0)
+    got = hz._audit_throughput(SimpleNamespace(proc=1, releases=[]), "o", [], run, 0)
     assert any("factor-2" in v for v in got) == violated
     assert len(got) == violated
+
+
+def test_throughput_audit_checks_each_distinct_schedule_once(monkeypatch):
+    # an order with no bit runs one schedule (run.x is run.y), so a bad
+    # schedule is one violation; an order with a bit has two schedules
+    monkeypatch.setattr(hz.throughput, "is_normal", lambda *a: (False, "patched"))
+    view = hz.Scaled(column=[5, 5, 0], releases=[0, 2, 5], proc=10)
+    for order, want in (([5, 5, 5], 1), ([5, 0, 5], 2), ([0, 5, 5], 2)):
+        _, _, violations = hz.run_order(view, "throughput", order, audit=True)
+        assert [v for v in violations if v.startswith("not normal")] == [
+            f"not normal on {order}: patched"] * want
 
 
 def test_knapsack_opt_once_per_scaling(monkeypatch):

@@ -2,20 +2,20 @@
 
 import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
-from unittest import mock
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rombit import throughput
 from rombit.core import CapacityError, distinct_orderings
 from rombit.extraction import harvest
 from rombit.throughput import (
     OPT_GUARD,
     Entry,
-    Job,
+    RomRun,
     _scan,
     _table,
     is_normal,
@@ -24,7 +24,63 @@ from rombit.throughput import (
     run_processes,
 )
 
+
+@dataclass(frozen=True)
+class Job:
+    """One job as the references below read it."""
+
+    release: int
+    proc: int
+    slack: int
+    label: int = 0
+
+    @property
+    def deadline(self):
+        return self.release + self.proc + self.slack
+
+    @property
+    def expiry(self):
+        # latest admissible start time
+        return self.release + self.slack
+
+
 J = Job
+
+
+class Start(NamedTuple):
+    """One start of a reference schedule, naming its Job."""
+
+    job: Job
+    start: int
+    flexible: bool
+
+    @property
+    def completion(self):
+        return self.start + self.job.proc
+
+
+def columns(jobs, p):
+    """(rel, last, p), the module's view of Jobs labelled 0..n-1 with
+    processing time ``p``: arrival i is the job labelled i."""
+    assert [j.label for j in jobs] == list(range(len(jobs)))
+    assert all(j.proc == p for j in jobs)
+    return [j.release for j in jobs], [j.expiry for j in jobs], p
+
+
+def labelled(starts):
+    """A reference schedule as (label, start, flexible) triples, which
+    compare equal to the module's ``Entry(index, start, flexible)``."""
+    return [(s.job.label, s.start, s.flexible) for s in starts]
+
+
+def as_starts(entries, jobs):
+    """The module's entries as reference starts of the Jobs they index."""
+    return [Start(jobs[e.index], e.start, e.flexible) for e in entries]
+
+
+def processes(jobs, p, start_time=0, count=2):
+    """``run_processes`` on every job of a Job list."""
+    return run_processes(*columns(jobs, p), range(len(jobs)), start_time, count)
 
 
 def fused_classify(jobs, t, p):
@@ -32,8 +88,9 @@ def fused_classify(jobs, t, p):
     infeasible iff t > f + p, flexible iff t < f, otherwise urgent."""
     if not jobs:
         return "flexible"
-    _, rel, last, lab = _table(jobs)
-    _, f = _scan(rel, last, lab, set(), max(rel), min(last), p)
+    rel, last, _ = columns(jobs, p)
+    _, f = _scan(_table(rel, last, range(len(jobs))), rel, last, set(), max(rel),
+                 min(last), p)
     if t > f + p:
         return "infeasible"
     return "flexible" if t < f else "urgent"
@@ -68,21 +125,21 @@ def test_process_step_branches():
 
 def test_single_job_both_processes():
     for slack in (25, 3):
-        xs, ys = run_processes([J(0, 10, slack, 0)], 10)
+        xs, ys = processes([J(0, 10, slack, 0)], 10)
         assert len(xs) == 1 and len(ys) == 1
 
 
 def test_two_identical_zero_slack_golden():
-    xs, ys = run_processes([J(0, 10, 0, 0), J(0, 10, 0, 1)], 10)
-    assert [(e.job.label, e.start) for e in xs] == [(0, 0)]
-    assert [(e.job.label, e.start) for e in ys] == [(0, 0)]
+    xs, ys = processes([J(0, 10, 0, 0), J(0, 10, 0, 1)], 10)
+    assert [(e.index, e.start) for e in xs] == [(0, 0)]
+    assert [(e.index, e.start) for e in ys] == [(0, 0)]
 
 
 def test_lock_asymmetry_flexible_start():
     # one relaxed job: X takes it under the lock; Y gets the lock back at
     # X's completion and starts flexibly then
     jobs = [J(0, 10, 30, 0)]
-    xs, ys = run_processes(jobs, 10)
+    xs, ys = processes(jobs, 10)
     assert xs[0].start == 0 and xs[0].flexible
     assert ys[0].start == 10 and ys[0].flexible
 
@@ -91,50 +148,48 @@ def test_lock_asymmetry_wake_at_flip():
     # the lock is still held when flexibility lapses: Y wakes at the flip
     # instant and starts the ED job urgently, without the lock
     jobs = [J(0, 10, 12, 0), J(0, 10, 40, 1)]
-    xs, ys = run_processes(jobs, 10)
+    xs, ys = processes(jobs, 10)
     assert xs[0].start == 0 and xs[0].flexible
     assert ys[0].start == reference_flip_time(jobs, 10) == 2
     assert not ys[0].flexible
-    assert {e.job.label for e in xs} == {e.job.label for e in ys} == {0, 1}
+    assert {e.index for e in xs} == {e.index for e in ys} == {0, 1}
 
 
 def test_rom_simulation_two_identical_then_distinct():
-    arr = [J(0, 10, 2, 0), J(0, 10, 2, 1), J(5, 10, 20, 2)]
-    run = rom_simulation(arr, 10)
+    arr = columns([J(0, 10, 2, 0), J(0, 10, 2, 1), J(5, 10, 20, 2)], 10)
+    run = rom_simulation(*arr)
     assert run.bit == 1 and run.breakpoint == 0
     assert len(run.x) == 2 and len(run.y) == 2
-    assert offline_opt_throughput(arr, 10) == 2
-    assert is_normal(run.x, arr, 10)[0] and is_normal(run.y, arr, 10)[0]
+    assert offline_opt_throughput(*arr) == 2
+    assert is_normal(run.x, *arr)[0] and is_normal(run.y, *arr)[0]
 
 
 def test_rom_simulation_identical_jobs_optimal():
-    arr = [J(0, 10, 5, 0), J(0, 10, 5, 1), J(12, 10, 5, 2)]
-    run = rom_simulation(arr, 10)
+    arr = columns([J(0, 10, 5, 0), J(0, 10, 5, 1), J(12, 10, 5, 2)], 10)
+    run = rom_simulation(*arr)
     assert run.bit is None
-    assert len(run.chosen) == offline_opt_throughput(arr, 10)
-    assert is_normal(run.chosen, arr, 10)[0]  # phase-1-only output is normal
+    assert len(run.chosen) == offline_opt_throughput(*arr)
+    assert is_normal(run.chosen, *arr)[0]  # phase-1-only output is normal
 
 
 def test_preemption_when_breakpoint_set_is_flexible():
     # running flexible job at B: X keeps it (with the lock), Y abandons it
-    arr = [J(0, 10, 40, 0), J(0, 10, 40, 1), J(5, 10, 0, 2)]
-    run = rom_simulation(arr, 10)
-    assert run.breakpoint == 0
-    x0 = run.x_tail[0]
-    assert (x0.job.label, x0.start, x0.flexible) == (0, 0, True)
+    run = rom_simulation(*columns([J(0, 10, 40, 0), J(0, 10, 40, 1), J(5, 10, 0, 2)], 10))
+    assert run.breakpoint == 0 and run.prefix == []
+    assert run.x[0] == (0, 0, True)
     # Y never ran the abandoned job before the distinct release
-    assert run.y_tail[0].job.label == 2 and run.y_tail[0].start == 5
+    assert run.y[0].index == 2 and run.y[0].start == 5
 
 
 def test_is_normal_detects_violations():
-    jobs = [J(0, 10, 0, 0)]
+    arr = columns([J(0, 10, 0, 0)], 10)
     # idling through an urgent instant: never started the only job
-    ok, why = is_normal([], jobs, 10)
+    ok, why = is_normal([], *arr)
     assert not ok and "idle" in why
     # wrong job first
-    jobs = [J(0, 10, 0, 0), J(0, 10, 5, 1)]
-    bad = [Entry(job=jobs[1], start=0, flexible=False)]
-    ok, why = is_normal(bad, jobs, 10)
+    arr = columns([J(0, 10, 0, 0), J(0, 10, 5, 1)], 10)
+    bad = [Entry(index=1, start=0, flexible=False)]
+    ok, why = is_normal(bad, *arr)
     assert not ok and "ED" in why
 
 
@@ -144,20 +199,22 @@ def test_chrobak_dual_charging_bound():
         n = rng.randint(2, 6)
         rel = sorted(rng.randrange(0, 25) for _ in range(n))
         jobs = [J(rel[i], 10, rng.choice([0, 5, 10, 30]), i) for i in range(n)]
-        xs, ys = run_processes(jobs, 10)
-        opt = offline_opt_throughput(jobs, 10)
+        xs, ys = processes(jobs, 10)
+        opt = offline_opt_throughput(*columns(jobs, 10))
         assert 6 * opt <= 5 * (len(xs) + len(ys))
 
 
 def test_oracle_examples_and_guard():
     assert offline_opt_throughput(
-        [J(0, 10, 0, 0), J(20, 10, 0, 1), J(40, 10, 0, 2)], 10) == 3
-    assert offline_opt_throughput([J(0, 10, 0, 0), J(0, 10, 0, 1)], 10) == 1
+        *columns([J(0, 10, 0, 0), J(20, 10, 0, 1), J(40, 10, 0, 2)], 10)) == 3
+    assert offline_opt_throughput(*columns([J(0, 10, 0, 0), J(0, 10, 0, 1)], 10)) == 1
     with pytest.raises(CapacityError):
-        offline_opt_throughput([J(0, 1, 0, i) for i in range(11)], 1)
+        offline_opt_throughput(*columns([J(0, 1, 0, i) for i in range(11)], 1))
 
 
 def test_decomposition_and_prefix_extension():
+    """The continuation on the original columns is the dual run on the
+    re-released subinstance J' from B, and OPT = |G| + OPT(J')."""
     rng = random.Random(31)
     for _ in range(30):
         n = rng.randint(3, 6)
@@ -168,13 +225,23 @@ def test_decomposition_and_prefix_extension():
         slacks = [rng.choice(sup[: rng.randint(2, 3)]) for _ in range(n)]
         for order in distinct_orderings(slacks):
             jobs = [J(rel[i], 10, order[i], i) for i in range(n)]
-            run = rom_simulation(jobs, 10)
+            arr = columns(jobs, 10)
+            run = rom_simulation(*arr)
             if run.breakpoint is None:
                 continue
-            xs, ys = run_processes(run.subinstance, 10, start_time=run.breakpoint)
-            assert xs == run.x_tail and ys == run.y_tail
-            opt = offline_opt_throughput(jobs, 10)
-            assert opt == len(run.prefix) + offline_opt_throughput(run.subinstance, 10)
+            _, sub = reference_rom_simulation(jobs, 10)
+            # J' on the module's columns: a re-release keeps the latest start
+            sub_rel = list(arr[0])
+            for j in sub:
+                assert j.expiry == arr[1][j.label]
+                sub_rel[j.label] = j.release
+            xs, ys = run_processes(sub_rel, arr[1], 10, [j.label for j in sub],
+                                   start_time=run.breakpoint)
+            g = len(run.prefix)
+            assert xs == run.x[g:] and ys == run.y[g:]
+            opt = offline_opt_throughput(*arr)
+            assert opt == g + offline_opt_throughput(
+                [j.release for j in sub], [j.expiry for j in sub], 10)
 
 
 def test_inequalities_small_batch():
@@ -187,17 +254,17 @@ def test_inequalities_small_batch():
         sup = [0, 5, 10, 20, 40]
         slacks = [rng.choice(sup[: rng.randint(2, 4)]) for _ in range(n)]
         for order in distinct_orderings(slacks):
-            jobs = [J(rel[i], 10, order[i], i) for i in range(n)]
-            run = rom_simulation(jobs, 10)
-            opt = offline_opt_throughput(jobs, 10)
+            arr = columns([J(rel[i], 10, order[i], i) for i in range(n)], 10)
+            run = rom_simulation(*arr)
+            opt = offline_opt_throughput(*arr)
             nx, ny = len(run.x), len(run.y)
             assert 6 * opt <= 5 * (nx + ny)
             if nx and ny:
                 assert Fraction(1, 2) <= Fraction(nx, ny) <= 2
             else:
                 assert max(nx, ny) <= 1
-            assert is_normal(run.x, jobs, 10)[0]
-            assert is_normal(run.y, jobs, 10)[0]
+            assert is_normal(run.x, *arr)[0]
+            assert is_normal(run.y, *arr)[0]
 
 
 def reference_opt_throughput(jobs, p):
@@ -274,24 +341,26 @@ def oracle_inputs(draw, max_n):
 @given(oracle_inputs(max_n=7))
 def test_oracle_against_ordering_bruteforce(case):
     jobs, p = case
-    assert offline_opt_throughput(jobs, p) == offline_opt_orderings(jobs, p)
+    assert offline_opt_throughput(*columns(jobs, p)) == offline_opt_orderings(jobs, p)
 
 
 @settings(max_examples=200, deadline=None)
 @given(oracle_inputs(max_n=OPT_GUARD), st.randoms(use_true_random=False))
-def test_oracle_matches_reference_dfs_and_ignores_labels(case, rng):
+def test_oracle_matches_reference_dfs_and_ignores_arrival_order(case, rng):
     jobs, p = case
-    opt = offline_opt_throughput(jobs, p)
+    opt = offline_opt_throughput(*columns(jobs, p))
     assert opt == reference_opt_throughput(jobs, p)
-    shuffled = [J(j.release, j.proc, j.slack, 100 - k)
-                for k, j in enumerate(rng.sample(jobs, len(jobs)))]
-    assert offline_opt_throughput(shuffled, p) == opt
+    shuffled = rng.sample(jobs, len(jobs))
+    assert offline_opt_throughput([j.release for j in shuffled],
+                                  [j.expiry for j in shuffled], p) == opt
 
 
 # ---------------------------------------------------------------------------
 # The simulation and the normality audit as they were before they ran on int
-# lists: copied verbatim apart from the reference_ names, as references for
-# the differential tests below.
+# lists: copied verbatim apart from the reference_ names and the ``Start``
+# records they build, as references for the differential tests below.  They
+# name jobs by Job, the module by arrival index; ``columns``, ``labelled``
+# and ``as_starts`` translate.
 # ---------------------------------------------------------------------------
 
 def reference_ed_order(jobs):
@@ -389,7 +458,7 @@ def reference_dual_run(jobs, p, start_time=0):
             if proc.running is not None:
                 job, s, holds, flex = proc.running
                 if s + p == t:
-                    proc.entries.append(Entry(job=job, start=s, flexible=flex))
+                    proc.entries.append(Start(job=job, start=s, flexible=flex))
                     proc.completed.add(job.label)
                     proc.running = None
                     if holds:
@@ -430,7 +499,7 @@ def reference_single_greedy_run(jobs, p, horizon=None):
         if proc.running is not None:
             job, s, holds, flex = proc.running
             if s + p == t:
-                proc.entries.append(Entry(job=job, start=s, flexible=flex))
+                proc.entries.append(Start(job=job, start=s, flexible=flex))
                 proc.completed.add(job.label)
                 proc.running = None
         if proc.running is None:
@@ -456,7 +525,7 @@ def reference_single_greedy_run(jobs, p, horizon=None):
     if proc.running is not None:
         job, s, holds, flex = proc.running
         if horizon is not None and s + p <= horizon:
-            proc.entries.append(Entry(job=job, start=s, flexible=flex))
+            proc.entries.append(Start(job=job, start=s, flexible=flex))
             proc.completed.add(job.label)
         else:
             running = (job, s, flex)
@@ -537,34 +606,50 @@ def reference_is_normal(entries, jobs, p, start_time=0, end_time=None):
     return True, None
 
 
-def reference_processes(jobs, p, start_time=0, count=2):
-    """``run_processes`` on the references: the phase-1 process for one
-    process, the dual processes for two."""
-    if count == 1:
-        return (reference_single_greedy_run(jobs, p)[0],)
-    return reference_dual_run(jobs, p, start_time=start_time)
-
-
-def reference_rom_simulation(arrivals, p):
-    """``rom_simulation`` on the reference phase-1 and dual processes."""
-    with mock.patch.object(throughput, "run_processes", reference_processes):
-        return rom_simulation(arrivals, p)
+def reference_rom_simulation(jobs, p):
+    """``rom_simulation`` as its docstring states it, on the reference
+    processes: with no distinct slack, the phase-1 process on every job;
+    otherwise phase 1 on the jobs released before r, the distinct arrival's
+    release, stopped at r; B the start of the job running across r, or r;
+    G the starts before B; the subinstance J' of the jobs not in G, each
+    re-released at max(release, B) and dropped once its latest start is
+    before that; and the dual processes on J' from B.  Returns the run, its
+    schedules as (label, start, flexible) triples, and J'."""
+    bit, ix = harvest((j.proc, j.slack) for j in jobs)
+    if ix is None:
+        entries = labelled(reference_single_greedy_run(jobs, p)[0])
+        return RomRun(x=entries, y=entries, chosen=entries, bit=None, breakpoint=None,
+                      prefix=entries), []
+    r = jobs[ix].release
+    done, running = reference_single_greedy_run([j for j in jobs if j.release < r], p,
+                                                horizon=r)
+    bpoint = r if running is None else running[1]
+    prefix = [e for e in done if e.start < bpoint]
+    finished = {e.job.label for e in prefix}
+    sub = []
+    for j in jobs:
+        release = max(j.release, bpoint)
+        if j.label not in finished and j.expiry >= release:
+            sub.append(J(release, p, j.expiry - release, j.label))
+    xs, ys = reference_dual_run(sub, p, start_time=bpoint)
+    x, y = labelled(prefix + xs), labelled(prefix + ys)
+    return RomRun(x=x, y=y, chosen=(x if bit == 1 else y), bit=bit, breakpoint=bpoint,
+                  prefix=labelled(prefix)), sub
 
 
 @st.composite
 def schedule_inputs(draw, max_n=8):
-    """Equal-length jobs with tied releases, deadlines and labels and zero
-    slack, releases sorted or not, plus a start time and a phase-1 horizon."""
+    """Equal-length jobs labelled by position, with tied releases and
+    deadlines and zero slack, releases sorted or not, plus a start time and
+    a phase-1 horizon."""
     p = draw(st.sampled_from([1, 2, 3, 10]))
     n = draw(st.integers(0, max_n))
     release = st.one_of(st.sampled_from([0, p]), st.integers(0, 3 * p))
     slack = st.one_of(st.just(0), st.sampled_from([p, 2 * p]), st.integers(0, 4 * p))
-    jobs = [
-        J(draw(release), p, draw(slack), draw(st.one_of(st.just(i), st.integers(0, 2))))
-        for i in range(n)
-    ]
+    jobs = [J(draw(release), p, draw(slack)) for _ in range(n)]
     if draw(st.booleans()):
         jobs.sort(key=lambda j: j.release)
+    jobs = [J(j.release, p, j.slack, i) for i, j in enumerate(jobs)]
     start = draw(st.one_of(st.just(0), st.integers(0, 3 * p)))
     horizon = draw(st.one_of(st.none(), st.integers(0, 5 * p)))
     return jobs, p, start, horizon
@@ -577,27 +662,28 @@ def test_fused_classification_matches_classify(case):
     for t in range(start - p, start + 5 * p):
         assert fused_classify(jobs, t, p) == reference_classify(jobs, t, p)
     if jobs:
-        ed, rel, last, lab = _table(jobs)
-        first, _ = _scan(rel, last, lab, set(), max(rel), min(last), p)
-        assert ed[first] is reference_ed_order(jobs)[0]
+        rel, last, _ = columns(jobs, p)
+        first, _ = _scan(_table(rel, last, range(len(jobs))), rel, last, set(), max(rel),
+                         min(last), p)
+        assert first == reference_ed_order(jobs)[0].label
 
 
 @settings(max_examples=400, deadline=None)
 @given(schedule_inputs())
 def test_runs_match_reference(case):
     jobs, p, start, horizon = case
-    assert run_processes(jobs, p, start_time=start, count=2) == reference_dual_run(
-        jobs, p, start_time=start)
-    (greedy,) = run_processes(jobs, p, count=1)
-    assert greedy == reference_single_greedy_run(jobs, p)[0]
+    xs, ys = reference_dual_run(jobs, p, start_time=start)
+    assert processes(jobs, p, start_time=start, count=2) == (labelled(xs), labelled(ys))
+    (greedy,) = processes(jobs, p, count=1)
+    assert greedy == labelled(reference_single_greedy_run(jobs, p)[0])
     if horizon is not None:
         # the phase-1 run cut at the horizon: the entries done by then and
         # the one running across it
         done, running = reference_single_greedy_run(jobs, p, horizon=horizon)
-        assert [e for e in greedy if e.completion <= horizon] == done
-        across = [tuple(e) for e in greedy if e.start < horizon < e.completion]
-        assert across == ([] if running is None else [running])
-    assert rom_simulation(jobs, p) == reference_rom_simulation(jobs, p)
+        assert [e for e in greedy if e.start + p <= horizon] == labelled(done)
+        across = [e for e in greedy if e.start < horizon < e.start + p]
+        assert across == ([] if running is None else labelled([Start(*running)]))
+    assert rom_simulation(*columns(jobs, p)) == reference_rom_simulation(jobs, p)[0]
 
 
 @settings(max_examples=300, deadline=None)
@@ -606,7 +692,7 @@ def test_breakpoint_is_phase_one_cut_at_the_distinct_release(case):
     """B and G as the reference phase-1 run stopped at r gives them: B is the
     start of the job running at r, or r, and G the starts before B."""
     jobs, p, _, _ = case
-    run = rom_simulation(jobs, p)
+    run = rom_simulation(*columns(jobs, p))
     _, ix = harvest((j.proc, j.slack) for j in jobs)
     if ix is None:
         assert run.breakpoint is None
@@ -616,19 +702,21 @@ def test_breakpoint_is_phase_one_cut_at_the_distinct_release(case):
                                                 horizon=r)
     bpoint = r if running is None else running[1]
     assert run.breakpoint == bpoint
-    assert run.prefix == [e for e in done if e.start < bpoint]
+    assert run.prefix == labelled([e for e in done if e.start < bpoint])
 
 
 def normality(check, entries, jobs, p):
-    """A normality verdict, the reference's from time 0 with no end time.
+    """A normality verdict on reference starts, the reference's from time 0
+    with no end time; ``is_normal`` reads them as the module's entries.
     The reference raises IndexError at the first entry (in start order) that
     starts while no job is pending; that maps to the verdict ``is_normal``
     returns for it."""
+    if check is is_normal:
+        return is_normal([Entry(e.job.label, e.start, e.flexible) for e in entries],
+                         *columns(jobs, p))
     try:
         return check(entries, jobs, p)
     except IndexError:
-        if check is not reference_is_normal:
-            raise
         done = set()
         for e in sorted(entries, key=lambda e: e.start):
             if not any(j.release <= e.start <= j.expiry and j.label not in done for j in jobs):
@@ -668,9 +756,10 @@ def mutate(entries, jobs, p, kind, k, shift):
 
 
 def schedules(jobs, p, start):
-    run = rom_simulation(jobs, p)
-    xs, ys = run_processes(jobs, p, start_time=start, count=2)
-    return [run.x, run.y, xs, ys, run_processes(jobs, p, count=1)[0]]
+    """The module's schedules of ``jobs`` as reference starts."""
+    run = rom_simulation(*columns(jobs, p))
+    xs, ys = processes(jobs, p, start_time=start, count=2)
+    return [as_starts(s, jobs) for s in (run.x, run.y, xs, ys, processes(jobs, p, count=1)[0])]
 
 
 @settings(max_examples=400, deadline=None)

@@ -1,17 +1,19 @@
 """The benchmark tracer patches names that exist in the package, the tiny
 exact reports match the benchmark's golden digests, seeded Monte Carlo and
-``bias --exact`` lines stay byte-identical, and the README's CLI commands
-parse."""
+``bias --exact`` lines stay byte-identical, the README's CLI commands
+parse, and the package version is the one ``pyproject.toml`` declares."""
 
 import contextlib
 import importlib
 import importlib.util
 import io
 import json
+import re
 import shlex
 import sys
 from pathlib import Path
 
+import rombit
 from rombit import core, harness
 from rombit.cli import build_parser, main
 
@@ -119,3 +121,13 @@ def test_readme_cli_commands_parse():
         words = shlex.split(command)
         args = parser.parse_args(words[1:])
         assert args.command == words[1], command
+
+
+def test_version_matches_pyproject():
+    # read with a regex: tomllib is not in Python 3.10
+    text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text(
+        encoding="utf-8")
+    project = text.split("[project]", 1)[1].split("\n[", 1)[0]
+    match = re.search(r'^version\s*=\s*"([^"]+)"', project, re.MULTILINE)
+    assert match, "pyproject.toml declares no [project] version"
+    assert rombit.__version__ == match.group(1)
