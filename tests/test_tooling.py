@@ -1,9 +1,11 @@
 """The benchmark tracer patches names that exist in the package, the tiny
 exact reports match the benchmark's golden digests, seeded Monte Carlo and
-``bias --exact`` lines stay byte-identical, the README's CLI commands
-parse, and the package version is the one ``pyproject.toml`` declares."""
+``bias --exact`` lines and sampled knapsack reports stay byte-identical,
+the README's CLI commands parse, and the package version is the one
+``pyproject.toml`` declares."""
 
 import contextlib
+import hashlib
 import importlib
 import importlib.util
 import io
@@ -100,6 +102,30 @@ def test_seeded_stream_output_is_frozen(tmp_path):
     assert seen == STREAM_STDOUT
     for mode, line in EXACT_STDOUT.items():
         assert cli_stdout(["bias", "--mode", mode, "--n", "8", "--exact"]) == line
+
+
+# sha256 of the sampled knapsack reports at n = 16 and 20, where the golden
+# digests (exact runs, n <= 8) do not reach: (variant, --params) -> digest
+SAMPLED_KNAPSACK_DIGESTS = {
+    ("proportional", '{"n": 16, "support": 4}'):
+        "a52e51a5e2504dfc3fe88be57b0b729fd54de015023603ffd559602b8acf9fcb",
+    ("tworbin", '{"n": 16, "support": 4}'):
+        "f8639cf8ee154655c83829a6e7d07823c46dd72dca6621fd77ff10c5fb671692",
+    ("proportional", '{"n": 20}'):
+        "643e37a342e9aa695515c872d59205f7a497df8bd94b33547e2f3d1d9f053552",
+    ("tworbin", '{"n": 20}'):
+        "8218472f4b587f10dafdecac790e2282be9178fc6380d295ca6917ab715730d3",
+}
+
+
+def test_sampled_knapsack_reports_are_frozen(tmp_path, monkeypatch):
+    monkeypatch.setenv("ROMBIT_WORKERS", "1")
+    out = tmp_path / "report.csv"
+    for (variant, params), want in SAMPLED_KNAPSACK_DIGESTS.items():
+        argv = ["knapsack", "--variant", variant, "--count", "4", "--trials", "50",
+                "--seed", "7", "--out", str(out), "--params", params]
+        cli_stdout(argv)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == want, (variant, params)
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
