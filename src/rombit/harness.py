@@ -89,6 +89,15 @@ def _least(key, value, least):
     return value
 
 
+def _rational(params, key, default):
+    """Family parameter ``key`` (``default`` when absent) as a Fraction; a
+    bool is not a rational."""
+    value = params.get(key, default)
+    if isinstance(value, bool):
+        raise ValueError(f"{key!r} must be a rational, got {value!r}")
+    return Fraction(value)
+
+
 def _pick_n(params, rng):
     n = params.get("n", 6)
     if isinstance(n, (list, tuple)):
@@ -117,13 +126,13 @@ def _knapsack_items(rng, params, general):
             pool = [(Fraction(w, den), Fraction(rng.randint(1, 3 * den), den)) for w in pool]
             pairs = [rng.choice(pool) for _ in range(n)]
     elif family == "two_type":
-        a = Fraction(params.get("alpha", Fraction(1, 2)))
-        w0 = Fraction(params.get("w0", Fraction(1, 5)))
-        w1 = Fraction(params.get("w1", Fraction(2, 5)))
+        a = _rational(params, "alpha", Fraction(1, 2))
+        w0 = _rational(params, "w0", Fraction(1, 5))
+        w1 = _rational(params, "w1", Fraction(2, 5))
         c0 = max(1, min(n - 1, int(a * n)))
         weights = [w0] * c0 + [w1] * (n - c0)
     else:  # adversarial
-        eps = Fraction(params.get("epsilon", Fraction(1, 100)))
+        eps = _rational(params, "epsilon", Fraction(1, 100))
         weights = [eps / n] * (n - 1) + [Fraction(1)]
     if pairs is None:
         pairs = [(w, Fraction(rng.randint(1, 3 * den), den) if general else w) for w in weights]
@@ -136,7 +145,7 @@ def _interval_items(rng, params):
     variant = params.get("variant", DEFAULT_INTERVAL_VARIANT)
     meta = {"variant": variant}
     if variant == "single":
-        p = Fraction(params.get("length", 4))
+        p = _rational(params, "length", 4)
         releases = sorted(Fraction(rng.randrange(0, int(3 * n))) for _ in range(n))
         support = _least("support", params.get("support", 3), 1)
         pool = [Fraction(rng.randint(1, 9)) for _ in range(support)]
@@ -175,7 +184,7 @@ def _interval_items(rng, params):
 
 def _throughput_items(rng, params):
     n = _pick_n(params, rng)
-    p = Fraction(params.get("proc", 10))
+    p = _rational(params, "proc", 10)
     releases = [Fraction(0)]
     for _ in range(n - 1):
         releases.append(releases[-1] + rng.choice([0, 2, 3, p // 2, p, p + 3]))
@@ -195,10 +204,13 @@ def _throughput_items(rng, params):
 def _string_items(rng, params):
     n = _pick_n(params, rng)
     if params["family"] == "bernoulli":
-        p1 = float(params.get("p_one", 0.6))
+        p1 = _rational(params, "p_one", 0.6)
+        if not 0 <= p1 <= 1:
+            raise ValueError(f"'p_one' must lie in [0, 1], got {p1}")
+        p1 = float(p1)
         bits = [1 if rng.random() < p1 else 0 for _ in range(n)]
     else:  # two_type
-        a = Fraction(params.get("alpha", Fraction(1, 2)))
+        a = _rational(params, "alpha", Fraction(1, 2))
         c0 = max(0, min(n, int(a * n)))
         bits = [0] * c0 + [1] * (n - c0)
     items = [make_item(key=(b,), payload={"bit": Fraction(b)}) for b in bits]
@@ -230,7 +242,7 @@ def generate_instances(problem, family, params, count, seed):
             items, meta = spec.items(rng, params)
         except InputError:
             raise
-        except (ValueError, TypeError, IndexError, ZeroDivisionError) as e:
+        except (ValueError, TypeError, IndexError, ArithmeticError) as e:
             # a parameter of the wrong type or range, e.g. {"n": "abc"}
             raise InputError(f"bad {problem} {family} parameters: {e}") from None
         unread = sorted(set(params) - params.read)
@@ -262,7 +274,9 @@ class Scaled:
 
 def scale_knapsack(instance, proportional):
     """Weights over the capacity; values are the weights when
-    ``proportional``, else over their own common denominator."""
+    ``proportional``, else over their own common denominator.  The column
+    is the (weight, value) pairs, or the weights alone when
+    ``proportional``."""
     ws = [it.field_("weight") for it in instance.items]
     vs = [it.field_("value") for it in instance.items]
     wints, cap = knapsack.scale_weights(ws)
@@ -271,9 +285,8 @@ def scale_knapsack(instance, proportional):
     else:
         vints, vden = knapsack.scale_values(vs)
     pairs = list(zip(wints, vints))
-    return Scaled(
-        column=pairs, cap=cap, unit=vden, opt=knapsack.offline_opt_scaled(pairs, cap),
-    )
+    return Scaled(column=wints if proportional else pairs, cap=cap, unit=vden,
+                  opt=knapsack.offline_opt_scaled(pairs, cap))
 
 
 def validate_weight_table(table, lens, ws):
@@ -362,7 +375,6 @@ def _audit_proportional(s, order, ws, run, opt):
     """The proportional run against the paper's per-order inequalities, read
     off its record: neither A1's nor A2's knapsack ever exceeded capacity
     (``run.peak``), A1+A2 >= 7/5 OPT, and the run's value is A1's or A2's."""
-    order = tuple(ws)  # violations name the weight sequence
     violations = []
     if run.peak > s.cap:
         violations.append(f"capacity exceeded: peak {run.peak} > cap {s.cap} on {order}")
@@ -377,7 +389,6 @@ def _audit_tworbin(s, order, ws, run, opt):
     """The reported two-bin knapsack is a packing of this order: its value
     is its contents' weight within capacity, each content is the arrival at
     its index with no index twice, and only bit 0 revokes."""
-    order = tuple(ws)
     violations = []
     if run.value != sum(w for w, _ in run.contents) or run.value > s.cap:
         violations.append(f"two-bin value {run.value} is not a packing within cap on {order}")
@@ -450,18 +461,16 @@ def _audit_guess(s, order, bits, run, opt):
 
 
 def _run_proportional(s, order, variant):
-    arrivals = [w for w, _ in order]
     if variant == "tworbin":
-        run = knapsack.rom_proportional_tworbin(arrivals, s.cap)
-        return run.value, s.opt, arrivals, run, _audit_tworbin
-    run = knapsack.rom_proportional(arrivals, s.cap)
-    return run.value, s.opt, arrivals, run, _audit_proportional
+        run = knapsack.rom_proportional_tworbin(order, s.cap)
+        return run.value, s.opt, order, run, _audit_tworbin
+    run = knapsack.rom_proportional(order, s.cap)
+    return run.value, s.opt, order, run, _audit_proportional
 
 
 def _run_general(s, order, variant):
-    arrivals = list(order)
-    run = knapsack.rom_general(arrivals, s.cap)
-    return run.value, s.opt, arrivals, run, _audit_general
+    run = knapsack.rom_general(order, s.cap)
+    return run.value, s.opt, order, run, _audit_general
 
 
 def _run_intervals(s, order, variant):

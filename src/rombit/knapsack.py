@@ -8,6 +8,11 @@ then commit to one of two deterministic continuations.
 * proportional, two-bin variant with an early-exit guard;
 * general weights, GREEDY-by-density versus MAX-value.
 
+The proportional algorithms run on an order's weight column.  A1 and A2 are
+one subroutine loop, ``subroutine_run``, with two placement rules,
+``place_a1`` and ``place_a2``; each arrival's weight class is computed once
+per order into a class column that both read by arrival index.
+
 Unit capacity throughout.  Weights and values enter as exact rationals and
 are rescaled once per instance to integers (capacity becomes ``cap``), so
 class boundaries such as 3/10 are decided by integer cross-multiplication
@@ -67,38 +72,27 @@ def scale_values(values):
 # ---------------------------------------------------------------------------
 
 
-class _Subroutine:
-    """What A1 and A2 share: a large arrival evicts everything else and
-    completes (freezes) the packing, an M4 arrival is remembered, and any
-    other arrival goes with the current contents to the subclass's
-    ``_place``, which sets the new contents.  ``total``, the contents'
-    weight, is set with them."""
-
-    def __init__(self, cap):
-        self.cap = cap
-        self.contents = []  # (weight, arrival_index)
-        self.total = 0
-        self.seen_m4 = False
-        self.frozen = False
-
-    def _set(self, contents, total):
-        self.contents = contents
-        self.total = total
-
-    def feed(self, w, arr):
-        if self.frozen:
-            return
-        cls = weight_class(w, self.cap)
-        if cls == "L":
-            self._set([(w, arr)], w)
-            self.frozen = True
-            return
-        if cls == "M4":
-            self.seen_m4 = True
-        self._place(self.contents + [(w, arr)])
+def subroutine_run(weights, cls, cap, place):
+    """A1 or A2 on the order's weights and classes: a large arrival evicts
+    everything else and completes the packing, an M4 arrival is remembered,
+    and any other arrival goes with the contents, (weight, arrival) entries,
+    to ``place``, which returns (contents, total, complete).  Returns the
+    final contents and total, and the largest total after any step."""
+    contents, total, peak = [], 0, 0
+    seen_m4 = False
+    for i, w in enumerate(weights):
+        if cls[i] == "L":
+            return [(w, i)], w, max(peak, w)
+        if cls[i] == "M4":
+            seen_m4 = True
+        contents, total, frozen = place(contents + [(w, i)], cls, cap, seen_m4)
+        peak = max(peak, total)
+        if frozen:
+            break
+    return contents, total, peak
 
 
-class SubroutineA1(_Subroutine):
+def place_a1(q, cls, cap, seen_m4):
     """Aggressive continuation: hold at most one heavy-medium (M3/M4) item,
     the smallest of the preferred class (M4 once any M4 item has been seen,
     M3 before that), and around it retain the maximum-weight fitting subset
@@ -110,64 +104,44 @@ class SubroutineA1(_Subroutine):
     can strand it against a heavier pair), and cheaper greedy evictions lose
     the 7/5 pair bound in both directions, so the fitting subset is exact.
     """
-
-    def _place(self, q):
-        want = "M4" if self.seen_m4 else "M3"
-        candidates = [e for e in q if weight_class(e[0], self.cap) == want]
-        if not candidates:
-            candidates = [
-                e for e in q if weight_class(e[0], self.cap) in ("M3", "M4")
-            ]
-        keeper = min(candidates) if candidates else None
-        lights = [
-            e for e in q if weight_class(e[0], self.cap) not in ("M3", "M4")
-        ]
-        best_light, kept_light = max_subset_within(lights, self.cap)
-        if keeper is not None:
-            with_k, kept_k = max_subset_within(lights, self.cap - keeper[0])
-            if keeper[0] + with_k >= best_light:
-                self._set([keeper] + list(kept_k), keeper[0] + with_k)
-                return
-        self._set(list(kept_light), best_light)
+    want = "M4" if seen_m4 else "M3"
+    heavy = [e for e in q if cls[e[1]] in ("M3", "M4")]
+    lights = [e for e in q if cls[e[1]] not in ("M3", "M4")]
+    best_light, kept_light = max_subset_within(lights, cap)
+    if heavy:
+        keeper = min([e for e in heavy if cls[e[1]] == want] or heavy)
+        with_k, kept_k = max_subset_within(lights, cap - keeper[0])
+        if keeper[0] + with_k >= best_light:
+            return [keeper, *kept_k], keeper[0] + with_k, False
+    return list(kept_light), best_light, False
 
 
-class SubroutineA2(_Subroutine):
+def place_a2(q, cls, cap, seen_m4):
     """Balanced continuation: freeze as soon as some subset of the knapsack
     plus the new item carries at least 9/10 weight (8/10 once an M4 item has
     been seen); otherwise protect the smallest M2 and M1 items, evicting
     other medium items heaviest-first and then the lightest small items."""
-
-    def _place(self, q):
-        threshold = 8 if self.seen_m4 else 9
-        best_sum, best_set = max_subset_within(q, self.cap)
-        if 10 * best_sum >= threshold * self.cap:
-            self._set(list(best_set), best_sum)
-            self.frozen = True
-            return
-        keepers = set()
-        for want in ("M2", "M1"):
-            cands = [e for e in q if weight_class(e[0], self.cap) == want]
-            if cands:
-                keepers.add(min(cands))
-        total = sum(e[0] for e in q)
-        mediums = [
-            e
-            for e in q
-            if weight_class(e[0], self.cap).startswith("M") and e not in keepers
-        ]
-        # heaviest first; among equal weights the most recent arrival goes
-        for victim in sorted(mediums, key=lambda e: (-e[0], -e[1])):
-            if total <= self.cap:
-                break
-            q.remove(victim)
-            total -= victim[0]
-        smalls = [e for e in q if weight_class(e[0], self.cap) == "S"]
-        for victim in sorted(smalls, key=lambda e: (e[0], -e[1])):
-            if total <= self.cap:
-                break
-            q.remove(victim)
-            total -= victim[0]
-        self._set(q, total)
+    threshold = 8 if seen_m4 else 9
+    best_sum, best_set = max_subset_within(q, cap)
+    if 10 * best_sum >= threshold * cap:
+        return list(best_set), best_sum, True
+    keepers = set()
+    for want in ("M2", "M1"):
+        cands = [e for e in q if cls[e[1]] == want]
+        if cands:
+            keepers.add(min(cands))
+    # heaviest medium first (among equal weights the most recent arrival
+    # goes), then the lightest small; no medium eviction removes a small item
+    victims = sorted((e for e in q if cls[e[1]] != "S" and e not in keepers),
+                     key=lambda e: (-e[0], -e[1]))
+    victims += sorted((e for e in q if cls[e[1]] == "S"), key=lambda e: (e[0], -e[1]))
+    total = sum(e[0] for e in q)
+    for victim in victims:
+        if total <= cap:
+            break
+        q.remove(victim)
+        total -= victim[0]
+    return q, total, False
 
 
 def max_subset_within(entries, cap):
@@ -212,28 +186,25 @@ class ProportionalRun:
 def rom_proportional(weights, cap):
     """Greedy identical prefix, then the bit picks subroutine A1 or A2.
 
-    Both subroutines are simulated from the start of the sequence; during
-    the identical prefix their knapsacks coincide with the greedy packing,
-    so the returned knapsack always equals one full A1 or A2 run.
+    Each arrival is classified once, and both subroutines run from the
+    start of the sequence on those classes; during the identical prefix
+    their knapsacks coincide with the greedy packing, so the returned
+    knapsack always equals one full A1 or A2 run.
     """
     bit, _ = harvest((w,) for w in weights)
-    a1 = SubroutineA1(cap)
-    a2 = SubroutineA2(cap)
-    peak = 0
-    for i, w in enumerate(weights):
-        a1.feed(w, i)
-        a2.feed(w, i)
-        peak = max(peak, a1.total, a2.total)
+    cls = [weight_class(w, cap) for w in weights]
+    a1, a1_value, a1_peak = subroutine_run(weights, cls, cap, place_a1)
+    a2, a2_value, a2_peak = subroutine_run(weights, cls, cap, place_a2)
     # without a bit all items are identical and both subroutines hold the
     # same greedy packing
-    side = a2 if bit == 0 else a1
+    contents, value = (a2, a2_value) if bit == 0 else (a1, a1_value)
     return ProportionalRun(
         bit=bit,
-        contents=list(side.contents),
-        value=side.total,
-        a1_value=a1.total,
-        a2_value=a2.total,
-        peak=peak,
+        contents=contents,
+        value=value,
+        a1_value=a1_value,
+        a2_value=a2_value,
+        peak=max(a1_peak, a2_peak),
     )
 
 
@@ -252,52 +223,35 @@ class TwoBinRun:
 
 
 def rom_proportional_tworbin(weights, cap, force_bit=None):
-    """Two-bin continuation: bit 1 keeps filling the current knapsack (bin 1),
-    bit 0 revokes everything and collects the items that overflow bin 1.
+    """Two-bin continuation: bin 1 packs greedily throughout; bit 1 keeps
+    it, and bit 0 revokes its prefix and collects in bin 2 the items that
+    overflow it from the switch on.
 
     Returns the current knapsack untouched when less than one more identical
-    item would fit (the early-exit guard).
+    item would fit at the switch (the early-exit guard).
     """
     bit, switch = harvest((w,) for w in weights)
-    packed = []
-    total = 0
-    for i, w in enumerate(weights[:switch]):
-        if total + w <= cap:
-            packed.append((w, i))
-            total += w
-    if bit is None:
-        return TwoBinRun(
-            bit=None, early_exit=False, contents=packed, value=total,
-            revocations=0,
-        )
-    if force_bit is not None:
+    if bit is not None and force_bit is not None:
         bit = force_bit
-    if total > 0 and cap - total < weights[0]:
-        return TwoBinRun(
-            bit=bit, early_exit=True, contents=packed, value=total,
-            revocations=0,
-        )
-    # bin 1 keeps filling greedily; on bit 0 the overflow goes to bin 2
-    bin1, w1 = list(packed), total
-    bin2, w2 = [], 0
-    for j in range(switch, len(weights)):
-        w = weights[j]
+    bin1, w1, bin2, w2 = [], 0, [], 0
+    early_exit = False
+    for i, w in enumerate(weights):
+        if i == switch:
+            if w1 > 0 and cap - w1 < weights[0]:
+                early_exit = True
+                break
+            prefix = len(bin1)  # what bit 0 revokes
         if w1 + w <= cap:
-            bin1.append((w, j))
+            bin1.append((w, i))
             w1 += w
-        elif bit == 0 and w2 + w <= cap:
-            bin2.append((w, j))
+        elif bit == 0 and i >= switch and w2 + w <= cap:
+            bin2.append((w, i))
             w2 += w
-    if bit == 1:
-        return TwoBinRun(
-            bit=1, early_exit=False, contents=bin1, value=w1,
-            revocations=0,
-        )
-    # bit 0 revokes the greedy prefix
-    return TwoBinRun(
-        bit=0, early_exit=False, contents=bin2, value=w2,
-        revocations=len(packed),
-    )
+    if bit == 0 and not early_exit:
+        return TwoBinRun(bit=0, early_exit=False, contents=bin2, value=w2,
+                         revocations=prefix)
+    return TwoBinRun(bit=bit, early_exit=early_exit, contents=bin1, value=w1,
+                     revocations=0)
 
 
 # ---------------------------------------------------------------------------
@@ -405,16 +359,20 @@ def offline_opt_scaled(items, cap):
 # ---------------------------------------------------------------------------
 
 
+def _check_size(n):
+    """The instance is n-1 copies plus one unit item, so it needs n >= 2."""
+    if n < 2:
+        raise InputError(f"the forced-revocation instance needs n >= 2, got {n}")
+
+
 def exact_revocation_tail(n, alpha):
     """Pr(k >= ceil(alpha*n)) given that at least one copy precedes the unique
     item: the unique item is uniform over the n-1 non-leading positions."""
+    _check_size(n)
     a = Fraction(alpha)
     if not 0 < a <= 1:
         raise InputError("alpha must lie in (0, 1]")
-    m = math.ceil(a * n)
-    if m < 1:
-        return Fraction(1)
-    return Fraction(max(0, n - m), n - 1)
+    return Fraction(max(0, n - math.ceil(a * n)), n - 1)
 
 
 def revocation_experiment(n, epsilon, alpha, trials, seed):
@@ -425,6 +383,9 @@ def revocation_experiment(n, epsilon, alpha, trials, seed):
     then revoked (for epsilon <= 1 the early exit can never trigger), so k
     is the unique item's position minus one.
     """
+    _check_size(n)
+    if trials < 1:
+        raise InputError("trials must be >= 1")
     eps = Fraction(epsilon)
     if not 0 < eps <= 1:
         raise InputError("epsilon must lie in (0, 1]")
@@ -453,6 +414,6 @@ def revocation_experiment(n, epsilon, alpha, trials, seed):
 def forced_revocation_weights(n, epsilon):
     """Scaled weights for the adversarial instance: n-1 copies of eps/n plus
     one unit item (unit item last in label order)."""
+    _check_size(n)
     eps = Fraction(epsilon)
-    ws, cap = scale_weights([eps / n] * (n - 1) + [Fraction(1)])
-    return ws, cap
+    return scale_weights([eps / n] * (n - 1) + [Fraction(1)])

@@ -288,16 +288,36 @@ def test_report_rejects_malformed_line(line, word, tmp_path, capsys):
     (["knapsack", "--params", '{"support": false}'], "'support'"),
     (["intervals", "--params", '{"support": 2.0}'], "'support'"),
     (["throughput", "--params", '{"support": 2.9}'], "'support'"),
+    (["throughput", "--params", '{"proc": true}'], "'proc' must be a rational, got True"),
+    (["intervals", "--params", '{"length": true}'], "'length' must be a rational"),
+    (["knapsack", "--family", "two_type", "--params", '{"alpha": true}'], "'alpha'"),
+    (["knapsack", "--family", "two_type", "--params", '{"w0": false}'], "'w0'"),
+    (["knapsack", "--family", "two_type", "--params", '{"w1": true}'], "'w1'"),
+    (["knapsack", "--variant", "tworbin", "--family", "adversarial",
+      "--params", '{"epsilon": true}'], "'epsilon' must be a rational, got True"),
+    (["gen", "--problem", "string_guess", "--family", "bernoulli",
+      "--params", '{"p_one": true}'], "'p_one' must be a rational, got True"),
+    (["gen", "--problem", "string_guess", "--family", "bernoulli",
+      "--params", '{"p_one": 1.5}'], "'p_one' must lie in [0, 1]"),
+    (["gen", "--problem", "string_guess", "--family", "two_type",
+      "--params", '{"alpha": true}'], "'alpha'"),
+    (["knapsack", "--family", "two_type", "--params", '{"alpha": 1e999}'], "Infinity"),
 ], ids=["knapsack-n", "knapsack-den", "throughput-proc", "intervals-length",
         "intervals-support", "knapsack-unknown-key", "intervals-unread-key",
         "intervals-other-variant", "knapsack-support", "throughput-support",
         "knapsack-n-zero", "intervals-n-list-zero", "throughput-n-empty-list",
         "knapsack-n-float", "knapsack-n-bool", "knapsack-n-string",
         "intervals-n-list-float", "knapsack-den-float", "knapsack-support-bool",
-        "intervals-support-float", "throughput-support-float"])
-def test_bad_params_values(argv, word, capsys):
-    rc = main(argv + ["--count", "1", "--exact"])
-    assert rc == 2
+        "intervals-support-float", "throughput-support-float", "throughput-proc-bool",
+        "intervals-length-bool", "knapsack-alpha-bool", "knapsack-w0-bool",
+        "knapsack-w1-bool", "tworbin-epsilon-bool", "gen-p-one-bool",
+        "gen-p-one-range", "gen-string-alpha-bool", "knapsack-alpha-infinite"])
+def test_bad_params_values(argv, word, tmp_path, capsys):
+    # gen writes a file instead of running rows
+    out = tmp_path / "x.jsonl"
+    rc = main(argv + ["--count", "1"] + (["--out", str(out)] if argv[0] == "gen"
+                                         else ["--exact"]))
+    assert rc == 2 and not out.exists()
     assert word in _one_error_line(capsys)
 
 

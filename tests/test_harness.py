@@ -354,7 +354,7 @@ def test_knapsack_opt_once_per_scaling(monkeypatch):
 @pytest.mark.parametrize("module, name, problem, params", [
     ("throughput", "rom_simulation", "throughput", {"n": [4, 5]}),
     ("intervals", "rom_adaptive", "interval", {"n": [4, 5], "variant": "monotone"}),
-    ("knapsack", "SubroutineA1", "knapsack_proportional", {"n": [4, 5], "support": 3}),
+    ("knapsack", "rom_proportional", "knapsack_proportional", {"n": [4, 5], "support": 3}),
 ])
 def test_audited_exact_run_walks_each_order_once(monkeypatch, module, name, problem,
                                                   params):

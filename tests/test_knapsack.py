@@ -1,5 +1,6 @@
 """Knapsack subroutines, ROM runs, oracle, and revocation experiment."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -8,18 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rombit.core import CapacityError, distinct_orderings
+from rombit.core import CapacityError, InputError, distinct_orderings
 from rombit.knapsack import (
-    SubroutineA1,
-    SubroutineA2,
     exact_revocation_tail,
     forced_revocation_weights,
     greedy_density_run,
     offline_opt_scaled,
+    place_a1,
+    place_a2,
     revocation_experiment,
     rom_general,
     rom_proportional,
     rom_proportional_tworbin,
+    subroutine_run,
     weight_class,
 )
 
@@ -42,42 +44,49 @@ def test_weight_classes_exact_boundaries():
         assert weight_class(w) == cls, w
 
 
+def run_sub(weights, cap, place):
+    """(contents, total, peak) of A1 or A2 on these arrivals."""
+    cls = [weight_class(w, cap) for w in weights]
+    return subroutine_run(weights, cls, cap, place)
+
+
+def held(weights, cap, place):
+    """The sorted weights A1 or A2 holds after these arrivals."""
+    return sorted(w for w, _ in run_sub(weights, cap, place)[0])
+
+
 def test_a1_hand_traces():
-    s = SubroutineA1(100)
-    s.feed(55, 0)
-    assert [w for w, _ in s.contents] == [55]
-    s.feed(62, 1)  # M4 arrives: keeper switches, the M3 item is evicted
-    assert [w for w, _ in s.contents] == [62]
-    s = SubroutineA1(10)
-    s.feed(4, 0)
-    s.feed(8, 1)  # large: everything else evicted, packing complete
-    assert s.frozen and [w for w, _ in s.contents] == [8]
-    s.feed(3, 2)
-    assert [w for w, _ in s.contents] == [8]
+    assert held([55], 100, place_a1) == [55]
+    # M4 arrives: keeper switches, the M3 item is evicted
+    assert held([55, 62], 100, place_a1) == [62]
+    # large: everything else evicted, and the packing is complete, so a
+    # later small item that would fit beside it is not packed
+    assert held([4, 8], 10, place_a1) == [8]
+    assert held([4, 8, 2], 10, place_a1) == [8]
+    # the M4 keeper stays when it ties the light items alone (2+1 = 1+1+1)
+    assert held([1, 1, 1, 2], 3, place_a1) == [1, 2]
 
 
 def test_a1_keeps_small_over_duplicate_medium():
     # two M3 items cannot coexist; the duplicate goes before any small item
-    s = SubroutineA1(20)
-    for i, w in enumerate((6, 6, 11, 11, 11)):
-        s.feed(w, i)
-    assert s.total == 17
+    assert run_sub([6, 6, 11, 11, 11], 20, place_a1)[1] == 17
 
 
 def test_a2_hand_traces():
-    s = SubroutineA2(100)
-    for i, w in enumerate((45, 31, 31)):
-        s.feed(w, i)
-    assert sorted(w for w, _ in s.contents) == [31, 45]
-    assert not s.frozen
-    s = SubroutineA2(100)
-    s.feed(50, 0)
-    s.feed(45, 1)  # subset of weight 95 >= 90: freeze
-    assert s.frozen and s.total == 95
-    s = SubroutineA2(10)
-    s.feed(2, 0)
-    s.feed(8, 1)
-    assert s.frozen and [w for w, _ in s.contents] == [8]
+    assert held([45, 31, 31], 100, place_a2) == [31, 45]
+    # not complete: a later item still changes the contents (90 >= 9/10)
+    assert held([45, 31, 31, 14], 100, place_a2) == [14, 31, 45]
+    # a subset of weight 95 >= 90 completes the packing: a later 3 would
+    # make 98, and is not packed
+    assert run_sub([50, 45], 100, place_a2)[1] == 95
+    # exactly 9/10 completes it too
+    assert held([5, 4, 1], 10, place_a2) == [4, 5]
+    assert held([50, 45, 3], 100, place_a2) == [45, 50]
+    assert held([2, 8], 10, place_a2) == [8]
+    assert held([2, 8, 1], 10, place_a2) == [8]
+    # no subset reaches 9 of 10 (5+3 = 8), so a small item goes: of two
+    # equal ones, the later arrival
+    assert sorted(run_sub([5, 3, 3], 10, place_a2)[0]) == [(3, 1), (5, 0)]
 
 
 def test_rom_proportional_trivials():
@@ -94,13 +103,10 @@ def test_rom_proportional_matches_a_subroutine():
         cap = 20
         ws = [rng.randint(1, cap) for _ in range(n)]
         run = rom_proportional(ws, cap)
-        a1 = SubroutineA1(cap)
-        a2 = SubroutineA2(cap)
-        for i, w in enumerate(ws):
-            a1.feed(w, i)
-            a2.feed(w, i)
-        assert run.value in (a1.total, a2.total)
-        assert sorted(run.contents) in (sorted(a1.contents), sorted(a2.contents))
+        a1 = reference_a1(ws, cap)[-1][0]
+        a2 = reference_a2(ws, cap)[-1][0]
+        assert run.value in (sum(w for w, _ in a1), sum(w for w, _ in a2))
+        assert sorted(run.contents) in (a1, a2)
 
 
 def test_tworbin_cases():
@@ -145,13 +151,9 @@ def test_per_order_inequalities_small_batch():
         ws = [rng.choice(pool) for _ in range(n)]
         opt = offline_opt_scaled([(w, w) for w in ws], cap)
         for order in distinct_orderings(ws):
-            a1 = SubroutineA1(cap)
-            a2 = SubroutineA2(cap)
-            for i, w in enumerate(order):
-                a1.feed(w, i)
-                a2.feed(w, i)
-                assert a1.total <= cap and a2.total <= cap
-            assert 5 * (a1.total + a2.total) >= 7 * opt
+            run = rom_proportional(order, cap)
+            assert run.peak <= cap  # neither knapsack overflowed at any step
+            assert 5 * (run.a1_value + run.a2_value) >= 7 * opt
         items = [(w, rng.randint(1, 30)) for w in pool]
         seq = [rng.choice(items) for _ in range(n)]
         gopt = offline_opt_scaled(seq, cap)
@@ -233,18 +235,18 @@ def test_greedy_density_run_matches_fraction_reference(case):
 
 
 def test_freeze_monotonicity():
+    # once A2 completes its packing (a large arrival, or ``place_a2`` says
+    # so), no later arrival changes its contents
     rng = random.Random(8)
     for _ in range(30):
         ws = [rng.randint(1, 20) for _ in range(7)]
-        a2 = SubroutineA2(20)
-        snapshot = None
-        for i, w in enumerate(ws):
-            was_frozen = a2.frozen
-            if was_frozen and snapshot is None:
-                snapshot = list(a2.contents)
-            a2.feed(w, i)
-            if was_frozen:
-                assert a2.contents == (snapshot or a2.contents)
+        cls = [weight_class(w, 20) for w in ws]
+        runs = [subroutine_run(ws[:k], cls, 20, place_a2)[0] for k in range(8)]
+        for k, w in enumerate(ws, start=1):
+            q = runs[k - 1] + [(w, k - 1)]
+            if cls[k - 1] == "L" or place_a2(q, cls, 20, "M4" in cls[:k])[2]:
+                assert runs[k:] == [runs[k]] * (8 - k)
+                break
 
 
 def test_exact_revocation_tail():
@@ -253,6 +255,23 @@ def test_exact_revocation_tail():
     for alpha in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
         m = math.ceil(alpha * 10)
         assert exact_revocation_tail(10, alpha) == Fraction(10 - m, 9)
+    assert exact_revocation_tail(2, Fraction(1, 2)) == 1
+
+
+@pytest.mark.parametrize("call", [
+    lambda: exact_revocation_tail(1, Fraction(1, 2)),
+    lambda: exact_revocation_tail(0, Fraction(1, 2)),
+    lambda: forced_revocation_weights(0, Fraction(1, 2)),
+    lambda: forced_revocation_weights(1, Fraction(1, 2)),
+    lambda: revocation_experiment(0, Fraction(1, 2), Fraction(1, 2), 10, 0),
+    lambda: revocation_experiment(1, Fraction(1, 2), Fraction(1, 2), 10, 0),
+    lambda: revocation_experiment(5, Fraction(1, 2), Fraction(1, 2), 0, 0),
+], ids=["tail-n1", "tail-n0", "weights-n0", "weights-n1", "experiment-n0",
+        "experiment-n1", "experiment-trials0"])
+def test_revocation_helpers_reject_impossible_sizes(call):
+    # the instance is n-1 copies plus one unit item, so n >= 2
+    with pytest.raises(InputError):
+        call()
 
 
 def test_revocation_counts_match_algorithm():
@@ -299,16 +318,150 @@ def test_running_totals_and_peak_match_contents(case):
     """A1's and A2's running totals equal their contents' weight after every
     step, and ``peak`` is the largest of those weights."""
     cap, ws = case
-    a1 = SubroutineA1(cap)
-    a2 = SubroutineA2(cap)
     peak = 0
     sums = [0, 0]
-    for i, w in enumerate(ws):
-        a1.feed(w, i)
-        a2.feed(w, i)
-        sums = [sum(x for x, _ in s.contents) for s in (a1, a2)]
-        assert [a1.total, a2.total] == sums
+    for k in range(1, len(ws) + 1):
+        runs = [run_sub(ws[:k], cap, place) for place in (place_a1, place_a2)]
+        sums = [sum(x for x, _ in contents) for contents, _, _ in runs]
+        assert [total for _, total, _ in runs] == sums
         peak = max(peak, *sums)
+        assert max(p for _, _, p in runs) == peak
     run = rom_proportional(ws, cap)
     assert run.peak == peak
     assert [run.a1_value, run.a2_value] == sums
+
+
+# ---------------------------------------------------------------------------
+# A1 and A2 written again from their docstrings: Fraction classes, subsets
+# enumerated without pruning, and evictions picked one at a time
+# ---------------------------------------------------------------------------
+
+
+def reference_class(w, cap):
+    """The printed class of the weight w/cap, compared as a Fraction."""
+    x = Fraction(w, cap)
+    if x <= Fraction(3, 10):
+        return "S"
+    if x <= Fraction(2, 5):
+        return "M1"
+    if x <= Fraction(1, 2):
+        return "M2"
+    if x < Fraction(3, 5):
+        return "M3"
+    return "M4" if x < Fraction(7, 10) else "L"
+
+
+def reference_max_subset(entries, cap):
+    """The heaviest subset of (weight, arrival) entries within cap, over
+    every subset of the entries sorted by (-weight, arrival); among equally
+    heavy ones, the first that an include-first search meets, which is the
+    lexicographically least tuple of sorted positions."""
+    order = sorted(entries, key=lambda e: (-e[0], e[1]))
+    subsets = [c for k in range(len(order) + 1)
+               for c in itertools.combinations(range(len(order)), k)]
+    fitting = [c for c in subsets if sum(order[j][0] for j in c) <= cap]
+    best = min(fitting, key=lambda c: (-sum(order[j][0] for j in c), c))
+    return [order[j] for j in best]
+
+
+def reference_a1_place(q, cap, seen_m4):
+    """One heavy-medium keeper, the smallest of the preferred class (of the
+    other heavy-medium class if none is held; earliest on equal weights),
+    kept unless the lighter items alone fit more weight without it."""
+    preferred = "M4" if seen_m4 else "M3"
+    heavy = [e for e in q if reference_class(e[0], cap) in ("M3", "M4")]
+    lights = [e for e in q if e not in heavy]
+    alone = reference_max_subset(lights, cap)
+    if not heavy:
+        return alone, False
+    pick = [e for e in heavy if reference_class(e[0], cap) == preferred] or heavy
+    keeper = min(pick, key=lambda e: (e[0], e[1]))
+    beside = reference_max_subset(lights, cap - keeper[0])
+    if keeper[0] + sum(w for w, _ in beside) >= sum(w for w, _ in alone):
+        return [keeper] + beside, False
+    return alone, False
+
+
+def reference_a2_place(q, cap, seen_m4):
+    """Complete the packing with the heaviest fitting subset once it weighs
+    at least 9/10 (8/10 after an M4); else keep the smallest M2 and M1 and
+    evict, while over capacity, the heaviest other medium and then the
+    lightest small item, the latest arrival first among equal weights."""
+    best = reference_max_subset(q, cap)
+    if sum(w for w, _ in best) >= (Fraction(8, 10) if seen_m4 else Fraction(9, 10)) * cap:
+        return best, True
+    kept = q[:]
+    protected = []
+    for cls in ("M2", "M1"):
+        members = [e for e in kept if reference_class(e[0], cap) == cls]
+        if members:
+            protected.append(min(members, key=lambda e: (e[0], e[1])))
+    while sum(w for w, _ in kept) > cap:
+        mediums = [e for e in kept
+                   if reference_class(e[0], cap) != "S" and e not in protected]
+        if mediums:
+            kept.remove(max(mediums, key=lambda e: (e[0], e[1])))
+        else:
+            smalls = [e for e in kept if reference_class(e[0], cap) == "S"]
+            kept.remove(min(smalls, key=lambda e: (e[0], -e[1])))
+    return kept, False
+
+
+def reference_run(weights, cap, place):
+    """(sorted contents, frozen) after every prefix: a large arrival evicts
+    everything else and freezes; a frozen knapsack ignores what follows."""
+    contents, frozen, seen_m4, states = [], False, False, []
+    for i, w in enumerate(weights):
+        if not frozen:
+            cls = reference_class(w, cap)
+            if cls == "L":
+                contents, frozen = [(w, i)], True
+            else:
+                seen_m4 = seen_m4 or cls == "M4"
+                contents, frozen = place(contents + [(w, i)], cap, seen_m4)
+        states.append((sorted(contents), frozen))
+    return states
+
+
+def reference_a1(weights, cap):
+    return reference_run(weights, cap, reference_a1_place)
+
+
+def reference_a2(weights, cap):
+    return reference_run(weights, cap, reference_a2_place)
+
+
+@st.composite
+def proportional_cases(draw):
+    """(cap, weights): up to 10 weights in 1..cap, half of the time drawn
+    from a pool of at most 4, so that equal weights and ties are common.
+    Half of the caps are 10, 20 or 30, where every class boundary and
+    freeze threshold (tenths of the cap) is a weight."""
+    cap = draw(st.one_of(st.integers(1, 30), st.sampled_from([10, 20, 30])))
+    weights = st.integers(1, cap)
+    if draw(st.booleans()):
+        weights = st.sampled_from(draw(st.lists(weights, min_size=1, max_size=4)))
+    return cap, draw(st.lists(weights, max_size=10))
+
+
+@settings(max_examples=300, deadline=None)
+@given(proportional_cases())
+def test_subroutines_match_reference(case):
+    """After every prefix, A1's and A2's contents and totals, the run's
+    contents and its peak equal the references'."""
+    cap, ws = case
+    ref1, ref2 = reference_a1(ws, cap), reference_a2(ws, cap)
+    peak = 0
+    for k in range(1, len(ws) + 1):
+        prefix = ws[:k]
+        run = rom_proportional(prefix, cap)
+        for place, ref, value in ((place_a1, ref1, run.a1_value),
+                                  (place_a2, ref2, run.a2_value)):
+            contents, total, _ = run_sub(prefix, cap, place)
+            want = ref[k - 1][0]
+            assert sorted(contents) == want
+            assert total == value == sum(w for w, _ in want)
+            peak = max(peak, total)
+        assert run.peak == peak
+        side = ref2 if run.bit == 0 else ref1
+        assert sorted(run.contents) == side[k - 1][0]
