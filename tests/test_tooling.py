@@ -1,8 +1,8 @@
 """The benchmark tracer patches names that exist in the package, the tiny
 exact reports match the benchmark's golden digests, seeded Monte Carlo and
-``bias --exact`` lines and sampled knapsack reports stay byte-identical,
-the README's CLI commands parse, and the package version is the one
-``pyproject.toml`` declares."""
+``bias --exact`` lines, sampled knapsack reports and ``gen`` output stay
+byte-identical, the README's CLI commands parse, and the package version is
+the one ``pyproject.toml`` declares."""
 
 import contextlib
 import hashlib
@@ -126,6 +126,59 @@ def test_sampled_knapsack_reports_are_frozen(tmp_path, monkeypatch):
                 "--seed", "7", "--out", str(out), "--params", params]
         cli_stdout(argv)
         assert hashlib.sha256(out.read_bytes()).hexdigest() == want, (variant, params)
+
+
+# sha256 of ``rombit gen --count 3 --seed 11`` for every problem and family,
+# each interval variant, and the in-range edges of the family parameters:
+# (problem, family, --params) -> digest of the instance file
+GEN_DIGESTS = {
+    ("string_guess", "bernoulli", '{"n": [5, 8]}'):
+        "f0e25f9cfff3e2f45d3d8d2b7e44238f424f3d40d2769bf118d973911ade6328",
+    ("string_guess", "two_type", '{"n": 9}'):
+        "430923b3ea37c03ce431a5cf469e1b652df52e5a316e1e814f7a45eb78a71775",
+    ("knapsack_general", "uniform", '{"n": [4, 6]}'):
+        "4cecd07d0770be8477b30ba87007d56517f567bae9be56ca97d38766cd3d70d0",
+    ("knapsack_general", "uniform", '{"n": 6, "support": 3}'):
+        "d88dc410d88dfa997f8488c4abdd2c454856aea1f968826c91d4f251b0a61b00",
+    ("knapsack_general", "two_type", '{"n": 7}'):
+        "d618efdf6a7ab8200b7e7ac13ae81cd992d2acc3b4de8a078f290c2c8963e410",
+    ("knapsack_general", "adversarial", '{"n": 5}'):
+        "ad6b9f837fd7edadfc4fd676f030c094123b0a8234e54919f604b6d0876dc10f",
+    ("knapsack_proportional", "uniform", '{"n": [4, 6]}'):
+        "242c9e360c188f2b61f316bea22f3a2a975f2d0dda1f9083e67ae30c8cbf598c",
+    ("knapsack_proportional", "uniform", '{"n": 6, "support": 3}'):
+        "03831b200ac9c0bccd5c01ae93a11b99f30b4667beef7eccdc4b8b2d08d6f097",
+    ("knapsack_proportional", "two_type", '{"n": 7}'):
+        "88c5948d2084c7a2e141541dcdf8de97bccdcf1ea3f278977b8ed714b1d54f4e",
+    ("knapsack_proportional", "adversarial", '{"n": 5}'):
+        "1f65c415a67aba7127f29b23941681a3f6438c9f3d44fe1dbdf765586aa65530",
+    ("interval", "uniform", '{"n": [4, 6], "variant": "single"}'):
+        "c3162431b232651a80bd085c0ad74d8cafb097226339aec6c1016be2823aed06",
+    ("interval", "uniform", '{"n": [4, 6], "variant": "monotone"}'):
+        "e5c1e4b49912d19a31bca12e03833fe31984dcaefa42b89187dedc46056126ee",
+    ("interval", "uniform", '{"n": [4, 6], "variant": "c_benevolent"}'):
+        "3323b14e9934a9f25fdc67c2a42fcba5f7132407e3df44e0d50de62bba0ec3b4",
+    ("throughput", "uniform", '{"n": [4, 6]}'):
+        "f66f0b3700249adbd051c63252fc909f62edeead693ea213e45fb1896ac9ffd2",
+    ("knapsack_proportional", "two_type", '{"n": 7, "alpha": 1, "w0": 1, "w1": 0.5}'):
+        "f027134210d38c8d86ba9fe26ba824a25d9770348fe7c6ef92704a94a649ea00",
+    ("knapsack_general", "two_type", '{"n": 7, "alpha": 0}'):
+        "d6d3110dff12416087b13e40788b16ba902930a690a807e5bc22d6050d1ffa63",
+    ("knapsack_proportional", "adversarial", '{"n": 5, "epsilon": 1}'):
+        "50716828818c5c3155b1e3984ec60e584ce023e978accea777a14fbf1514f4aa",
+    ("string_guess", "two_type", '{"n": 6, "alpha": 1}'):
+        "2f468bd1afefe2d3da46d2aeca9b84a00fdca5db9d3edadac0298475f29f494a",
+    ("string_guess", "two_type", '{"n": 6, "alpha": 0}'):
+        "5c70fd73201fe9f10dcc1fd6470fc8855b7dc079b961e620b7b446a47fac65ed",
+}
+
+
+def test_gen_output_is_frozen(tmp_path):
+    out = tmp_path / "instances.jsonl"
+    for (problem, family, params), want in GEN_DIGESTS.items():
+        cli_stdout(["gen", "--problem", problem, "--family", family, "--params", params,
+                    "--count", "3", "--seed", "11", "--out", str(out)])
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == want, (problem, family, params)
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
