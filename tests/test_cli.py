@@ -1,6 +1,7 @@
 """Command-line interface smoke tests."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -224,6 +225,24 @@ def _interval_file(tmp_path, items, meta):
     path = tmp_path / "iv.jsonl"
     path.write_text(json.dumps(inst) + "\n")
     return path
+
+
+@pytest.mark.parametrize("releases, weights, ratio", [
+    ((0, 0, 4, 4), (1, 1, 1, 9), Fraction(20, 7)),
+    ((0, 0, 4, 4, 8, 8, 12, 12, 16, 16), (1,) * 9 + (100,), Fraction(1040, 137)),
+], ids=["n4-heavy9", "n10-heavy100"])
+def test_single_length_release_pairs_ratio(releases, weights, ratio, tmp_path, capsys):
+    # Release pairs with one heavy interval: the bit is the parity of the
+    # heavy arrival's index, which also fixes its slot's parity, so the bit
+    # picks the branch without it.  Every per-order check holds, yet
+    # OPT/E[ALG] is far above 1/(sqrt(2) - 1); these are the measured values.
+    path = _interval_file(tmp_path, [(r, 4, w) for r, w in zip(releases, weights)],
+                          {"variant": "single"})
+    out = tmp_path / "report.jsonl"
+    rc = main(["intervals", "--instances", str(path), "--exact", "--audit",
+               "--format", "jsonl", "--out", str(out)])
+    assert rc == 0 and "violations=0" in capsys.readouterr().out
+    assert Fraction(*json.loads(out.read_text())["empirical_ratio"]) == ratio
 
 
 def _cben_file(tmp_path, table, lengths=((2, 4), (3, 9), (2, 4))):
