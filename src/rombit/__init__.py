@@ -4,7 +4,6 @@ from .core import (
     Instance,
     lex_compare,
     make_instance,
-    make_item,
     read_instances,
     write_instances,
 )
@@ -31,7 +30,6 @@ __all__ = [
     "generate_instances",
     "lex_compare",
     "make_instance",
-    "make_item",
     "pairwise_bits",
     "read_instances",
     "run_experiment",

@@ -21,13 +21,16 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-PROBLEMS = (
-    "string_guess",
-    "knapsack_general",
-    "knapsack_proportional",
-    "interval",
-    "throughput",
-)
+# every problem's item payload fields; the first two (the one for
+# string_guess) are the item's key, the coordinates the arrival order permutes
+PAYLOAD_FIELDS = {
+    "string_guess": ("bit",),
+    "knapsack_general": ("value", "weight"),
+    "knapsack_proportional": ("value", "weight"),
+    "interval": ("weight", "length", "release"),
+    "throughput": ("proc", "slack", "release"),
+}
+PROBLEMS = tuple(PAYLOAD_FIELDS)
 
 # problems whose items carry a release coordinate that stays sorted in place
 REALTIME_PROBLEMS = ("interval", "throughput")
@@ -91,7 +94,8 @@ def lex_compare(a, b):
 
 @dataclass(frozen=True)
 class Item:
-    """One input element: ordering key plus application payload.
+    """One input element: its payload, a Fraction per field of its problem's
+    ``PAYLOAD_FIELDS``, and its ordering key, the payload's key fields.
 
     ``key`` holds only the coordinates that are random under the arrival
     model (the permuted payload columns), so extractor decisions never leak
@@ -99,65 +103,51 @@ class Item:
     """
 
     key: tuple
-    payload: tuple = ()  # sorted (name, Fraction) pairs
-
-    def field_(self, name):
-        for k, v in self.payload:
-            if k == name:
-                return v
-        raise InputError(f"item has no {name!r} payload field")
-
-    def has_field(self, name):
-        return any(k == name for k, _ in self.payload)
-
-
-def make_item(key, payload=None):
-    key = tuple(to_fraction(c) for c in key)
-    pairs = tuple(sorted((str(k), to_fraction(v)) for k, v in (payload or {}).items()))
-    return Item(key=key, payload=pairs)
+    payload: dict
 
 
 @dataclass(frozen=True)
 class Instance:
     problem: str
     items: tuple  # tuple[Item, ...]
-    meta: tuple = ()  # sorted (name, value) pairs
+    meta: dict
 
     @property
     def n(self):
         return len(self.items)
 
+    def column(self, name):
+        """Payload field ``name`` of every item, in item order."""
+        return [it.payload[name] for it in self.items]
+
     def meta_value(self, name, default=None):
-        for k, v in self.meta:
-            if k == name:
-                return v
-        return default
+        return self.meta.get(name, default)
 
 
-def make_instance(problem, items, meta=None):
-    """Validate and build an Instance; raises InputError on contract violations."""
-    if problem not in PROBLEMS:
+def make_instance(problem, payloads, meta=None):
+    """Validate and build an Instance from one payload mapping per item,
+    each item's key derived from its payload; raises InputError on contract
+    violations."""
+    if problem not in PAYLOAD_FIELDS:
         raise InputError(f"unknown problem {problem!r}")
-    items = tuple(items)
+    fields = PAYLOAD_FIELDS[problem]
+    items = []
+    for p in payloads:
+        try:
+            payload = {f: to_fraction(p[f]) for f in fields}
+        except KeyError as e:
+            raise InputError(f"item has no {e.args[0]!r} payload field") from None
+        items.append(Item(tuple(payload[f] for f in fields[:2]), payload))
     if not items:
         raise InputError("instance has no items")
-    dim = len(items[0].key)
-    for it in items:
-        if len(it.key) != dim:
-            raise InputError("key dimension varies within instance")
+    instance = Instance(problem, tuple(items), dict(meta or {}))
     if problem in REALTIME_PROBLEMS:
-        rel = []
-        for it in items:
-            if not it.has_field("release"):
-                raise InputError(f"{problem} item lacks a release coordinate")
-            r = it.field_("release")
-            if r < 0:
-                raise InputError("release must be non-negative")
-            rel.append(r)
-        if any(rel[i] > rel[i + 1] for i in range(len(rel) - 1)):
+        rel = instance.column("release")
+        if min(rel) < 0:
+            raise InputError("release must be non-negative")
+        if any(a > b for a, b in zip(rel, rel[1:])):
             raise InputError("releases must be non-decreasing in item order")
-    meta_pairs = tuple(sorted((meta or {}).items())) if not isinstance(meta, tuple) else meta
-    return Instance(problem=problem, items=items, meta=meta_pairs)
+    return instance
 
 
 # deterministic seed splitting (splitmix64 finalizer)
@@ -254,11 +244,11 @@ def _decode_weight_table(v):
 def instance_to_json(instance):
     obj = {
         "problem": instance.problem,
-        "meta": {k: _encode_value(v) for k, v in instance.meta},
+        "meta": {k: _encode_value(v) for k, v in instance.meta.items()},
         "items": [
             {
                 "key": [_encode_value(c) for c in it.key],
-                "payload": {k: _encode_value(v) for k, v in it.payload},
+                "payload": {k: _encode_value(v) for k, v in it.payload.items()},
             }
             for it in instance.items
         ],
@@ -281,15 +271,20 @@ def instance_from_json(text, line=None):
     if problem not in PROBLEMS:
         raise ParseError(f"unknown problem tag {problem!r}", line=line)
     try:
-        items = [
-            make_item(rec["key"], _json_object(rec.get("payload", {}), "payload", line))
-            for rec in obj["items"]
-        ]
+        keys = [rec["key"] for rec in obj["items"]]
+        payloads = [_json_object(rec.get("payload", {}), "payload", line)
+                    for rec in obj["items"]]
         meta = {
             k: _decode_weight_table(v) if k == "weight_table" else _decode_meta_value(v)
             for k, v in _json_object(obj.get("meta", {}), "meta", line).items()
         }
-        return make_instance(problem, items, meta)
+        instance = make_instance(problem, payloads, meta)
+        for i, (key, it) in enumerate(zip(keys, instance.items)):
+            key = tuple(to_fraction(c) for c in key)
+            if key != it.key:
+                raise InputError(f"item {i} key {_encode_value(key)} is not its "
+                                 f"payload's key {_encode_value(it.key)}")
+        return instance
     except (KeyError, TypeError, InputError) as e:
         raise ParseError(str(e), line=line) from None
 

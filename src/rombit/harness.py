@@ -47,7 +47,6 @@ from .core import (
     common_scale,
     distinct_orderings,
     make_instance,
-    make_item,
     rng_for,
     write_report,
 )
@@ -98,6 +97,14 @@ def _rational(params, key, default):
     return Fraction(value)
 
 
+def _unit(params, key, default, closed):
+    """``_rational`` that must lie in [0, 1] when ``closed``, else in (0, 1]."""
+    value = _rational(params, key, default)
+    if value > 1 or (value < 0 if closed else value <= 0):
+        raise ValueError(f"{key!r} must lie in {'[' if closed else '('}0, 1], got {value}")
+    return value
+
+
 def _pick_n(params, rng):
     n = params.get("n", 6)
     if isinstance(n, (list, tuple)):
@@ -107,7 +114,7 @@ def _pick_n(params, rng):
     return _least("n", n, 1)
 
 
-def _knapsack_items(rng, params, general):
+def _knapsack_payloads(rng, params, general):
     n = _pick_n(params, rng)
     den = _least("den", params.get("den", 20), 1)
     family = params["family"]
@@ -126,21 +133,20 @@ def _knapsack_items(rng, params, general):
             pool = [(Fraction(w, den), Fraction(rng.randint(1, 3 * den), den)) for w in pool]
             pairs = [rng.choice(pool) for _ in range(n)]
     elif family == "two_type":
-        a = _rational(params, "alpha", Fraction(1, 2))
-        w0 = _rational(params, "w0", Fraction(1, 5))
-        w1 = _rational(params, "w1", Fraction(2, 5))
+        a = _unit(params, "alpha", Fraction(1, 2), closed=True)
+        w0 = _unit(params, "w0", Fraction(1, 5), closed=False)
+        w1 = _unit(params, "w1", Fraction(2, 5), closed=False)
         c0 = max(1, min(n - 1, int(a * n)))
         weights = [w0] * c0 + [w1] * (n - c0)
     else:  # adversarial
-        eps = _rational(params, "epsilon", Fraction(1, 100))
+        eps = _unit(params, "epsilon", Fraction(1, 100), closed=False)
         weights = [eps / n] * (n - 1) + [Fraction(1)]
     if pairs is None:
         pairs = [(w, Fraction(rng.randint(1, 3 * den), den) if general else w) for w in weights]
-    items = [make_item(key=(v, w), payload={"weight": w, "value": v}) for w, v in pairs]
-    return items, {}
+    return [{"value": v, "weight": w} for w, v in pairs], {}
 
 
-def _interval_items(rng, params):
+def _interval_payloads(rng, params):
     n = _pick_n(params, rng)
     variant = params.get("variant", DEFAULT_INTERVAL_VARIANT)
     meta = {"variant": variant}
@@ -172,17 +178,11 @@ def _interval_items(rng, params):
         meta["weight_table"] = [[Fraction(L), Fraction(L * L)] for L in pool]
     else:
         raise InputError(f"unknown interval variant {variant!r}")
-    items = [
-        make_item(
-            key=(w, L),
-            payload={"release": releases[i], "length": L, "weight": w},
-        )
-        for i, (L, w) in enumerate(payload)
-    ]
-    return items, meta
+    return [{"weight": w, "length": L, "release": r}
+            for r, (L, w) in zip(releases, payload)], meta
 
 
-def _throughput_items(rng, params):
+def _throughput_payloads(rng, params):
     n = _pick_n(params, rng)
     p = _rational(params, "proc", 10)
     releases = [Fraction(0)]
@@ -191,30 +191,20 @@ def _throughput_items(rng, params):
     pool = [0, p // 2, p, 2 * p, 4 * p]
     rng.shuffle(pool)
     support = pool[: rng.randint(2, _least("support", params.get("support", 4), 2))]
-    items = [
-        make_item(
-            key=(p, s),
-            payload={"release": releases[i], "proc": p, "slack": Fraction(s)},
-        )
-        for i, s in enumerate(rng.choice(support) for _ in range(n))
-    ]
-    return items, {"proc": p}
+    slacks = [rng.choice(support) for _ in range(n)]
+    return [{"proc": p, "slack": s, "release": r} for r, s in zip(releases, slacks)], {"proc": p}
 
 
-def _string_items(rng, params):
+def _string_payloads(rng, params):
     n = _pick_n(params, rng)
     if params["family"] == "bernoulli":
-        p1 = _rational(params, "p_one", 0.6)
-        if not 0 <= p1 <= 1:
-            raise ValueError(f"'p_one' must lie in [0, 1], got {p1}")
-        p1 = float(p1)
+        p1 = float(_unit(params, "p_one", 0.6, closed=True))
         bits = [1 if rng.random() < p1 else 0 for _ in range(n)]
     else:  # two_type
-        a = _rational(params, "alpha", Fraction(1, 2))
+        a = _unit(params, "alpha", Fraction(1, 2), closed=True)
         c0 = max(0, min(n, int(a * n)))
         bits = [0] * c0 + [1] * (n - c0)
-    items = [make_item(key=(b,), payload={"bit": Fraction(b)}) for b in bits]
-    return items, {}
+    return [{"bit": b} for b in bits], {}
 
 
 class _Params(dict):
@@ -239,7 +229,7 @@ def generate_instances(problem, family, params, count, seed):
     for i in range(count):
         rng = rng_for(seed, 7000 + i)
         try:
-            items, meta = spec.items(rng, params)
+            payloads, meta = spec.payloads(rng, params)
         except InputError:
             raise
         except (ValueError, TypeError, IndexError, ArithmeticError) as e:
@@ -249,7 +239,7 @@ def generate_instances(problem, family, params, count, seed):
         if unread:
             raise InputError(f"unknown {problem} {family} parameter {unread[0]!r}")
         meta["id"] = f"{problem}-{family}-{seed}-{i:04d}"
-        out.append(make_instance(problem, items, meta))
+        out.append(make_instance(problem, payloads, meta))
     return out
 
 
@@ -277,13 +267,11 @@ def scale_knapsack(instance, proportional):
     ``proportional``, else over their own common denominator.  The column
     is the (weight, value) pairs, or the weights alone when
     ``proportional``."""
-    ws = [it.field_("weight") for it in instance.items]
-    vs = [it.field_("value") for it in instance.items]
-    wints, cap = knapsack.scale_weights(ws)
+    wints, cap = knapsack.scale_weights(instance.column("weight"))
     if proportional:
         vints, vden = wints, cap
     else:
-        vints, vden = knapsack.scale_values(vs)
+        vints, vden = knapsack.scale_values(instance.column("value"))
     pairs = list(zip(wints, vints))
     return Scaled(column=wints if proportional else pairs, cap=cap, unit=vden,
                   opt=knapsack.offline_opt_scaled(pairs, cap))
@@ -323,9 +311,7 @@ def scale_intervals(instance):
     length spread within the smallest positive release gap, so that
     deadlines keep release order; or ``validate_weight_table``."""
     variant = instance.meta_value("variant", DEFAULT_INTERVAL_VARIANT)
-    rel = [it.field_("release") for it in instance.items]
-    lens = [it.field_("length") for it in instance.items]
-    ws = [it.field_("weight") for it in instance.items]
+    rel, lens, ws = (instance.column(f) for f in ("release", "length", "weight"))
     if min(lens) <= 0:
         raise InputError(f"interval length must be positive, got {min(lens)}")
     if variant == "single":
@@ -348,9 +334,7 @@ def scale_intervals(instance):
 
 
 def scale_throughput(instance):
-    rel = [it.field_("release") for it in instance.items]
-    procs = [it.field_("proc") for it in instance.items]
-    slacks = [it.field_("slack") for it in instance.items]
+    rel, procs, slacks = (instance.column(f) for f in ("release", "proc", "slack"))
     if len(set(procs)) != 1:
         raise InputError("throughput instance requires one common processing time")
     if procs[0] <= 0:
@@ -363,7 +347,7 @@ def scale_throughput(instance):
 
 
 def scale_bits(instance):
-    return Scaled(column=[int(it.key[0]) for it in instance.items])
+    return Scaled(column=[int(b) for b in instance.column("bit")])
 
 
 # ---------------------------------------------------------------------------
@@ -503,8 +487,8 @@ class Problem:
     The functions call the application modules through their attributes at
     call time, so a patched or traced name is the one that runs."""
 
-    families: tuple  # the family names that ``items`` builds
-    items: Callable  # (rng, params) -> (items, meta) of one instance
+    families: tuple  # the family names that ``payloads`` builds
+    payloads: Callable  # (rng, params) -> (item payloads, meta) of one instance
     scale: Callable  # instance -> Scaled view
     run: Callable
     ratio: str  # "alg/opt" (at most 1), "opt/alg", or "mean opt/alg" over orders
@@ -514,17 +498,17 @@ _KNAPSACK_FAMILIES = ("uniform", "two_type", "adversarial")
 
 PROBLEM_TABLE = {
     "string_guess": Problem(
-        ("bernoulli", "two_type"), _string_items, scale_bits, _run_guess, "opt/alg"),
+        ("bernoulli", "two_type"), _string_payloads, scale_bits, _run_guess, "opt/alg"),
     "knapsack_general": Problem(
-        _KNAPSACK_FAMILIES, partial(_knapsack_items, general=True),
+        _KNAPSACK_FAMILIES, partial(_knapsack_payloads, general=True),
         partial(scale_knapsack, proportional=False), _run_general, "alg/opt"),
     "knapsack_proportional": Problem(
-        _KNAPSACK_FAMILIES, partial(_knapsack_items, general=False),
+        _KNAPSACK_FAMILIES, partial(_knapsack_payloads, general=False),
         partial(scale_knapsack, proportional=True), _run_proportional, "alg/opt"),
     "interval": Problem(
-        ("uniform",), _interval_items, scale_intervals, _run_intervals, "opt/alg"),
+        ("uniform",), _interval_payloads, scale_intervals, _run_intervals, "opt/alg"),
     "throughput": Problem(
-        ("uniform",), _throughput_items, scale_throughput, _run_throughput, "mean opt/alg"),
+        ("uniform",), _throughput_payloads, scale_throughput, _run_throughput, "mean opt/alg"),
 }
 
 

@@ -71,7 +71,10 @@ def test_parse_error_exit_code(tmp_path, capsys):
      '[{"key": [[1, 2]], "payload": [1, 2]}]}', "payload"),
     ('{"problem": "knapsack_proportional", "meta": {"x": [1, 0]}, "items": '
      '[{"key": [[1, 2]], "payload": {"weight": [1, 2], "value": [1, 2]}}]}', "rational"),
-], ids=["line", "meta", "payload", "meta-zero-denominator"])
+    ('{"problem": "knapsack_proportional", "items": '
+     '[{"key": [[1, 2], [1, 3]], "payload": {"weight": [1, 2], "value": [1, 2]}}]}',
+     "key [[1, 2], [1, 3]] is not its payload's key [[1, 2], [1, 2]]"),
+], ids=["line", "meta", "payload", "meta-zero-denominator", "key-not-payload"])
 def test_malformed_instance_line(line, word, tmp_path, capsys):
     bad = tmp_path / "bad.jsonl"
     bad.write_text(line + "\n")
@@ -321,6 +324,20 @@ def test_report_rejects_malformed_line(line, word, tmp_path, capsys):
     (["gen", "--problem", "string_guess", "--family", "two_type",
       "--params", '{"alpha": true}'], "'alpha'"),
     (["knapsack", "--family", "two_type", "--params", '{"alpha": 1e999}'], "Infinity"),
+    (["knapsack", "--family", "two_type", "--params", '{"alpha": 7}'],
+     "'alpha' must lie in [0, 1], got 7"),
+    (["knapsack", "--family", "two_type", "--params", '{"alpha": -3}'],
+     "'alpha' must lie in [0, 1], got -3"),
+    (["gen", "--problem", "string_guess", "--family", "two_type",
+      "--params", '{"alpha": 1.5}'], "'alpha' must lie in [0, 1], got 3/2"),
+    (["knapsack", "--variant", "tworbin", "--family", "adversarial",
+      "--params", '{"epsilon": -1}'], "'epsilon' must lie in (0, 1], got -1"),
+    (["knapsack", "--family", "adversarial", "--params", '{"epsilon": 0}'],
+     "'epsilon' must lie in (0, 1], got 0"),
+    (["knapsack", "--family", "two_type", "--params", '{"w0": 2}'],
+     "'w0' must lie in (0, 1], got 2"),
+    (["knapsack", "--variant", "general", "--family", "two_type", "--params", '{"w1": 0}'],
+     "'w1' must lie in (0, 1], got 0"),
 ], ids=["knapsack-n", "knapsack-den", "throughput-proc", "intervals-length",
         "intervals-support", "knapsack-unknown-key", "intervals-unread-key",
         "intervals-other-variant", "knapsack-support", "throughput-support",
@@ -330,7 +347,10 @@ def test_report_rejects_malformed_line(line, word, tmp_path, capsys):
         "intervals-support-float", "throughput-support-float", "throughput-proc-bool",
         "intervals-length-bool", "knapsack-alpha-bool", "knapsack-w0-bool",
         "knapsack-w1-bool", "tworbin-epsilon-bool", "gen-p-one-bool",
-        "gen-p-one-range", "gen-string-alpha-bool", "knapsack-alpha-infinite"])
+        "gen-p-one-range", "gen-string-alpha-bool", "knapsack-alpha-infinite",
+        "knapsack-alpha-above", "knapsack-alpha-below", "gen-string-alpha-above",
+        "tworbin-epsilon-negative", "knapsack-epsilon-zero", "knapsack-w0-above",
+        "general-w1-zero"])
 def test_bad_params_values(argv, word, tmp_path, capsys):
     # gen writes a file instead of running rows
     out = tmp_path / "x.jsonl"

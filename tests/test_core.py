@@ -15,7 +15,6 @@ from rombit.core import (
     instance_to_json,
     lex_compare,
     make_instance,
-    make_item,
     read_instances,
     write_instances,
 )
@@ -50,9 +49,7 @@ def test_lex_compare_total_order():
 
 
 def _bit_instance(bits):
-    return make_instance(
-        "string_guess", [make_item((b,), {"bit": b}) for b in bits]
-    )
+    return make_instance("string_guess", [{"bit": b} for b in bits])
 
 
 def test_rom_uniformity_n4():
@@ -67,11 +64,8 @@ def test_rom_uniformity_n4():
 
 
 def _throughput_instance(rel_slacks, p=10):
-    items = [
-        make_item((p, s), {"release": r, "proc": p, "slack": s})
-        for r, s in rel_slacks
-    ]
-    return make_instance("throughput", items, {"proc": Fraction(p)})
+    payloads = [{"release": r, "proc": p, "slack": s} for r, s in rel_slacks]
+    return make_instance("throughput", payloads, {"proc": Fraction(p)})
 
 
 def test_realtime_rom_keeps_releases_sorted():
@@ -96,7 +90,7 @@ def test_realtime_rom_requires_release():
         ("interval", {"length": 2, "weight": 1}),
     ):
         with pytest.raises(InputError):
-            make_instance(problem, [make_item((1, 0), payload)])
+            make_instance(problem, [payload])
 
 
 def test_distinct_orderings_match_labeled_enumeration():
@@ -166,8 +160,8 @@ def test_instance_validation():
         make_instance(
             "throughput",
             [
-                make_item((10, 0), {"release": 5, "proc": 10, "slack": 0}),
-                make_item((10, 0), {"release": 1, "proc": 10, "slack": 0}),
+                {"release": 5, "proc": 10, "slack": 0},
+                {"release": 1, "proc": 10, "slack": 0},
             ],
         )
 

@@ -13,7 +13,6 @@ from rombit.core import (
     _mix64,
     distinct_orderings,
     make_instance,
-    make_item,
     split_seed,
 )
 from rombit.extraction import (
@@ -137,7 +136,7 @@ def test_empirical_bias_source_forms_agree():
         counts[k] = counts.get(k, 0) + 1
     shuffled = list(counts.items())
     rng.shuffle(shuffled)
-    inst = make_instance("knapsack_general", [make_item(k) for k in keys])
+    inst = make_instance("knapsack_general", [{"value": v, "weight": w} for v, w in keys])
     sources = (counts, keys, inst, dict(shuffled))
     for mode, first_key in (("process1", None), ("combine", None),
                             ("process1", keys[0]), ("combine", keys[0])):

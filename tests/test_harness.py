@@ -14,7 +14,6 @@ from rombit.core import (
     InputError,
     distinct_orderings,
     make_instance,
-    make_item,
     read_instances,
     rng_for,
     write_instances,
@@ -35,7 +34,7 @@ def test_adversarial_family_counts():
     inst = hz.generate_instances(
         "knapsack_proportional", "adversarial",
         {"n": 100, "epsilon": Fraction(1, 100)}, 1, 0)[0]
-    ws = [it.field_("weight") for it in inst.items]
+    ws = inst.column("weight")
     assert ws.count(Fraction(1, 10000)) == 99
     assert ws.count(Fraction(1)) == 1
 
@@ -43,7 +42,7 @@ def test_adversarial_family_counts():
 def test_two_type_family_counts():
     inst = hz.generate_instances(
         "string_guess", "two_type", {"n": 10, "alpha": Fraction(3, 10)}, 1, 0)[0]
-    bits = [int(it.key[0]) for it in inst.items]
+    bits = inst.column("bit")
     assert bits.count(0) == 3 and bits.count(1) == 7
 
 
@@ -102,23 +101,17 @@ def test_audit_wiring():
 
 def test_scaled_views_reject_mixed_proc():
     items = hz.generate_instances("throughput", "uniform", {"n": 3}, 1, 1)[0]
-    from rombit.core import make_instance, make_item
     bad = make_instance("throughput", [
-        make_item((10, 0), {"release": 0, "proc": 10, "slack": 0}),
-        make_item((5, 0), {"release": 1, "proc": 5, "slack": 0}),
+        {"release": 0, "proc": 10, "slack": 0},
+        {"release": 1, "proc": 5, "slack": 0},
     ])
     with pytest.raises(InputError):
         hz.scale_throughput(bad)
 
 
 def test_weight_table_validation():
-    from rombit.core import make_instance, make_item
-
     def cben(table, items):
-        built = [
-            make_item((w, L), {"release": r, "length": L, "weight": w})
-            for r, L, w in items
-        ]
+        built = [{"release": r, "length": L, "weight": w} for r, L, w in items]
         inst = make_instance("interval", built,
                             {"variant": "c_benevolent", "weight_table": table})
         hz.scale_intervals(inst)
@@ -172,8 +165,7 @@ def test_worker_pool_matches_serial(monkeypatch):
 
 def interval_instance(variant, items):
     """An interval instance of (release, length, weight) items."""
-    built = [make_item((w, L), {"release": r, "length": L, "weight": w})
-             for r, L, w in items]
+    built = [{"release": r, "length": L, "weight": w} for r, L, w in items]
     return make_instance("interval", built, {"variant": variant})
 
 

@@ -1,5 +1,6 @@
 """The benchmark tracer patches names that exist in the package, the tiny
-exact reports match the benchmark's golden digests, seeded Monte Carlo and
+exact reports match the benchmark's golden digests, the benchmark's
+key-counted orders are the harness's column orders, seeded Monte Carlo and
 ``bias --exact`` lines, sampled knapsack reports and ``gen`` output stay
 byte-identical, the README's CLI commands parse, and the package version is
 the one ``pyproject.toml`` declares."""
@@ -10,9 +11,11 @@ import importlib
 import importlib.util
 import io
 import json
+import math
 import re
 import shlex
 import sys
+from collections import Counter
 from pathlib import Path
 
 import rombit
@@ -58,6 +61,28 @@ def test_tiny_exact_reports_match_golden_digests(tmp_path, monkeypatch):
             checked += 1
     assert checked == len(workloads.EXACT_COMMANDS) * workloads.GOLDEN_SLOTS
 
+
+
+def test_keys_count_the_permuted_column(tmp_path):
+    # the benchmark counts an instance's distinct arrival orders by its item
+    # keys and the harness walks the orders of its scaled column: the counts
+    # agree when a key holds exactly the coordinates that the order permutes
+    workloads = perfbench_module("workloads")
+    instances = []
+    for workload in ("exact_audit", "sampled_rows"):
+        for cmds in workloads.build(workload, 42, "tiny", str(tmp_path / workload), harness,
+                                    core):
+            for cmd in cmds:
+                instances += core.read_instances(cmd.argv[cmd.argv.index("--instances") + 1])
+    for family in harness.PROBLEM_TABLE["string_guess"].families:
+        instances += harness.generate_instances("string_guess", family, {"n": 7}, 3, 42)
+    assert {inst.problem for inst in instances} == set(core.PROBLEMS)
+    for inst in instances:
+        counts = Counter(harness.PROBLEM_TABLE[inst.problem].scale(inst).column)
+        multinomial = math.factorial(inst.n)
+        for c in counts.values():
+            multinomial //= math.factorial(c)
+        assert workloads.distinct_order_count(inst) == multinomial, inst.meta_value("id")
 
 # stdout of the tiny stream_mc commands and of ``bias --exact`` at n = 8,
 # captured before the Monte Carlo trials became one inlined stream loop
