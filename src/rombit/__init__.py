@@ -2,7 +2,6 @@
 
 from .core import (
     Instance,
-    lex_compare,
     make_instance,
     read_instances,
     write_instances,
@@ -28,7 +27,6 @@ __all__ = [
     "empirical_bias",
     "exact_bias",
     "generate_instances",
-    "lex_compare",
     "make_instance",
     "pairwise_bits",
     "read_instances",

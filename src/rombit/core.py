@@ -76,22 +76,6 @@ def common_scale(fracs):
     return [int(f * den) for f in fracs], den
 
 
-def lex_compare(a, b):
-    """Total lexicographic order on equal-dimension coordinate tuples.
-
-    Returns -1, 0 or +1.  Keys compare equal only when coordinate-wise
-    identical; otherwise the first differing coordinate decides.
-    """
-    if len(a) != len(b):
-        raise InputError(f"key dimension mismatch: {len(a)} vs {len(b)}")
-    for x, y in zip(a, b):
-        if x < y:
-            return -1
-        if x > y:
-            return 1
-    return 0
-
-
 @dataclass(frozen=True)
 class Item:
     """One input element: its payload, a Fraction per field of its problem's

@@ -1,12 +1,13 @@
 """One-bit extraction processes, the pairwise extractor, and bias oracles.
 
-Three processes read the arrival stream of item keys.  Let i be the first
-0-based index whose key differs from the first arrival's key:
+Three processes read the arrival stream of item keys, compared as plain
+Python values (tuples lexicographically).  Let i be the first 0-based index
+whose key differs from the first arrival's key:
 
 * ``process1`` -- emit ``i % 2`` (1 when the change is at an even 1-based
   position).
 * ``distinct_unbiased`` -- compare the first two (distinct) keys; emit 1 when
-  the first is lexicographically smaller.
+  the first is smaller.
 * ``combine`` -- at i = 1 the first two keys differ: emit 1 when the second
   is smaller than the first.  Otherwise emit ``(i + 1) % 2`` (1 when the
   change is at an odd 1-based position >= 3).
@@ -15,8 +16,9 @@ The parity inside ``combine`` is deliberately the opposite of standalone
 ``process1``: with it, Pr(b=1) stays in (1/2, 2 - sqrt(2)] for every input
 mix, so downstream algorithms can rely on min(Pr(b=1), Pr(b=0)) >= sqrt(2)-1.
 
-``harvest`` is the process1 and combine rule on an arrival stream, and the
-one place where applications take their bit.
+``harvest`` holds all three rules, and is the one place where applications,
+the pairwise extractor and the exact oracles take their bit.  Caller keys
+are checked once, where they enter: one key length per instance.
 
 Bias oracles come in two routes that never share code paths: exact
 enumeration over all labeled arrival orders (small n), and Monte Carlo
@@ -44,63 +46,58 @@ from .core import (
     _MASK64,
     _mix64,
     distinct_orderings,
-    lex_compare,
     split_seed,
 )
 
 MODES = ("process1", "distinct_unbiased", "combine")
 
 
+def _one_length(keys):
+    """``keys``, a collection of key tuples; InputError unless they all have
+    one length."""
+    if len(lengths := set(map(len, keys))) > 1:
+        raise InputError(f"key dimension mismatch: lengths {sorted(lengths)}")
+    return keys
+
+
 def distinct_unbiased(first, second):
     """Unbiased bit from the first two items of an all-distinct instance."""
-    cmp = lex_compare(tuple(first), tuple(second))
-    if cmp == 0:
-        raise InputError("distinct_unbiased requires two distinct keys")
-    return 1 if cmp < 0 else 0
+    return harvest(_one_length((tuple(first), tuple(second))), "distinct_unbiased")[0]
 
 
 def pairwise_bits(keys):
     """N unbiased bits from 2N items: bit k compares items 2k-1 and 2k."""
-    keys = [tuple(k) for k in keys]
+    keys = _one_length([tuple(k) for k in keys])
     if len(keys) % 2 != 0:
         raise InputError("pairwise extraction needs an even number of items")
-    return [distinct_unbiased(keys[i], keys[i + 1]) for i in range(0, len(keys), 2)]
+    return [harvest(keys[i:i + 2], "distinct_unbiased")[0] for i in range(0, len(keys), 2)]
 
 
 def harvest(keys, mode="combine"):
-    """The bit of ``process1`` or ``combine`` on an arrival stream.
+    """The bit of ``mode`` on an arrival stream of keys.
 
+    Keys are compared as plain Python values (tuples lexicographically).
     Let i be the first 0-based index whose key differs from the first
     arrival's.  ``process1`` emits ``i % 2``; ``combine`` emits
-    ``[second < first]`` at i = 1 and ``(i + 1) % 2`` after that.  Returns
-    ``(bit, i)``, or ``(None, None)`` when every key is identical.  Keys are
-    consumed lazily and the stream is not read past index i, so every
-    application takes its bit here and commits at ``i``.
+    ``[second < first]`` at i = 1 and ``(i + 1) % 2`` after that;
+    ``distinct_unbiased`` emits ``[first < second]`` and raises InputError
+    when the first two keys are equal.  Returns ``(bit, i)``, or ``(None,
+    None)`` when every key is identical.  Keys are consumed lazily and the
+    stream is not read past index i, so every application takes its bit
+    here and commits at ``i``.
     """
-    if mode not in ("process1", "combine"):
-        raise InputError(f"harvest has no rule for mode {mode!r}")
+    if mode not in MODES:
+        raise InputError(f"unknown mode {mode!r}")
     stream = iter(keys)
     first = next(stream, None)
-    if first is None:
-        return None, None
-    first = tuple(first)
     for i, key in enumerate(stream, start=1):
-        cmp = lex_compare(tuple(key), first)
-        if cmp:
-            if mode == "process1":
-                return i % 2, i
-            return (int(cmp < 0) if i == 1 else (i + 1) % 2), i
+        if key != first:
+            if i > 1 or mode == "process1":
+                return (i + (mode == "combine")) % 2, i
+            return int((key < first) != (mode == "distinct_unbiased")), 1
+        if mode == "distinct_unbiased":
+            raise InputError("distinct_unbiased requires two distinct keys")
     return None, None
-
-
-def bit_for_sequence(keys, mode):
-    """Bit emitted by the chosen process on a full arrival order, or None."""
-    if mode == "distinct_unbiased":
-        keys = list(keys)
-        if len(keys) < 2:
-            return None
-        return distinct_unbiased(keys[0], keys[1])
-    return harvest(keys, mode)[0]
 
 
 @dataclass
@@ -122,19 +119,19 @@ class BiasReport:
 
 
 def _key_counts(source):
-    """Unsorted key -> count dict from an Instance, key iterable, or counts dict."""
+    """Unsorted key -> count dict from an Instance, key iterable, or counts
+    dict; a counts dict is checked in place and returned as it is."""
     if isinstance(source, dict):
-        counts = {tuple(k): int(c) for k, c in source.items()}
-        if any(c <= 0 for c in counts.values()):
-            raise InputError("key counts must be positive")
-        return counts
+        if not all(type(c) is int and c > 0 for c in source.values()):
+            raise InputError("key counts must be positive ints")
+        return _one_length(source)
     if isinstance(source, Instance):
         source = (it.key for it in source.items)
     counts = {}
     for k in source:
         k = tuple(k)
         counts[k] = counts.get(k, 0) + 1
-    return counts
+    return _one_length(counts)
 
 
 def _first_key(counts, first_key):
@@ -162,14 +159,11 @@ def exact_bias(source, mode, first_key=None):
     if n > ENUMERATION_GUARD:
         raise CapacityError(f"n={n} exceeds enumeration guard {ENUMERATION_GUARD}")
     first_key = _first_key(counts, first_key)
-    head = ()
-    if first_key is not None:
-        counts[first_key] -= 1
-        head = (first_key,)
-    multiset = [k for k, c in counts.items() for _ in range(c)]
+    head = () if first_key is None else (first_key,)
+    multiset = [k for k, c in counts.items() for _ in range(c - (k == first_key))]
     ones = nobit = total = 0
     for rest in distinct_orderings(multiset):
-        b = bit_for_sequence(head + rest, mode)
+        b = harvest(head + rest, mode)[0]
         total += 1
         if b is None:
             nobit += 1
@@ -195,7 +189,7 @@ def exact_distinct_conditional(source, mode="combine"):
         if len(order) < 2 or order[0] == order[1]:
             continue
         total += 1
-        if bit_for_sequence(order, mode) == 1:
+        if harvest(order, mode)[0] == 1:
             ones += 1
     if total == 0:
         return None

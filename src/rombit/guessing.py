@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import InputError, distinct_orderings, rng_for
+from .core import (CapacityError, ENUMERATION_GUARD, InputError, distinct_orderings,
+                   rng_for)
 from .extraction import harvest
 
 
@@ -30,7 +31,7 @@ def guess_run(bits):
     if not set(bits) <= {0, 1}:
         raise InputError("string guessing items must be bits")
     bits = tuple(map(int, bits))
-    r, switch = harvest((b,) for b in bits)
+    r, switch = harvest(bits)
     if not bits:
         guesses = ()
         correct = 0
@@ -45,7 +46,9 @@ def guess_run(bits):
 
 
 def exact_expected_correct(bits):
-    """Exact E[correct] over all arrival orders of the bit multiset."""
+    """Exact E[correct] over all arrival orders of the bit multiset (n <= 10)."""
+    if len(bits) > ENUMERATION_GUARD:
+        raise CapacityError(f"n={len(bits)} exceeds enumeration guard {ENUMERATION_GUARD}")
     total = Fraction(0)
     count = 0
     for order in distinct_orderings(bits):

@@ -33,7 +33,7 @@ import math
 import os
 from collections import Counter
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
 
@@ -266,9 +266,12 @@ def scale_knapsack(instance, proportional):
     """Weights over the capacity; values are the weights when
     ``proportional``, else over their own common denominator.  The column
     is the (weight, value) pairs, or the weights alone when
-    ``proportional``."""
+    ``proportional``, where every value must equal its weight."""
     wints, cap = knapsack.scale_weights(instance.column("weight"))
     if proportional:
+        if instance.column("value") != instance.column("weight"):
+            raise InputError(f"{instance.meta_value('id', '?')}: a proportional "
+                             "knapsack item's value must equal its weight")
         vints, vden = wints, cap
     else:
         vints, vden = knapsack.scale_values(instance.column("value"))
@@ -655,7 +658,8 @@ def run_experiment(config):
         raise InputError(f"trials must be >= 1 when sampling, got {config.trials}")
     if config.audit and not config.exact:
         raise InputError("audit requires exact mode (--exact): it checks every order")
-    rows = _starmap(_row, [(inst, config) for inst in config.instances])
+    task = replace(config, instances=[])  # so no task pickles the whole list
+    rows = _starmap(_row, [(inst, task) for inst in config.instances])
     rows.sort(key=lambda r: r["instance_id"])
     ratios = [r["empirical_ratio"] for r in rows]
     worst = min(ratios) if spec.ratio == "alg/opt" else max(ratios)

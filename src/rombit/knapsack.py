@@ -191,7 +191,7 @@ def rom_proportional(weights, cap):
     their knapsacks coincide with the greedy packing, so the returned
     knapsack always equals one full A1 or A2 run.
     """
-    bit, _ = harvest((w,) for w in weights)
+    bit, _ = harvest(weights)
     cls = [weight_class(w, cap) for w in weights]
     a1, a1_value, a1_peak = subroutine_run(weights, cls, cap, place_a1)
     a2, a2_value, a2_peak = subroutine_run(weights, cls, cap, place_a2)
@@ -230,7 +230,7 @@ def rom_proportional_tworbin(weights, cap, force_bit=None):
     Returns the current knapsack untouched when less than one more identical
     item would fit at the switch (the early-exit guard).
     """
-    bit, switch = harvest((w,) for w in weights)
+    bit, switch = harvest(weights)
     if bit is not None and force_bit is not None:
         bit = force_bit
     bin1, w1, bin2, w2 = [], 0, [], 0

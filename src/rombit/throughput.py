@@ -167,7 +167,7 @@ def rom_simulation(rel, last, p):
     at B when the breakpoint set is flexible.
     """
     n = len(rel)
-    bit, distinct_ix = harvest((s - r,) for r, s in zip(rel, last))
+    bit, distinct_ix = harvest(s - r for r, s in zip(rel, last))
     if distinct_ix is None:
         (entries,) = run_processes(rel, last, p, range(n), count=1)
         return RomRun(x=entries, y=entries, chosen=entries, bit=None, breakpoint=None,

@@ -403,6 +403,20 @@ def test_intervals_reject_nonpositive_length_in_file(tmp_path, capsys):
     assert "length" in _one_error_line(capsys)
 
 
+def test_proportional_rejects_value_other_than_weight(tmp_path, capsys):
+    # weights 1/2, 1/2, 1/4 with values 1, 1/3, 1: a proportional item's
+    # value is its weight, so the file is bad input before any order runs
+    items = [{"key": [v, w], "payload": {"value": v, "weight": w}}
+             for w, v in (([1, 2], [1, 1]), ([1, 2], [1, 3]), ([1, 4], [1, 1]))]
+    path = tmp_path / "prop.jsonl"
+    path.write_text(json.dumps({"items": items, "meta": {"id": "p-0"},
+                                "problem": "knapsack_proportional"}) + "\n")
+    rc = main(["knapsack", "--variant", "proportional", "--instances", str(path),
+               "--exact", "--audit"])
+    assert rc == 2
+    assert "value must equal its weight" in _one_error_line(capsys)
+
+
 @pytest.mark.parametrize("command, problem, field", [
     ("knapsack", "knapsack_proportional", "weight"),
     ("intervals", "interval", "length"),

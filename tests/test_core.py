@@ -1,7 +1,6 @@
 """Instance model, the harness arrival model, ordering enumeration, serialization."""
 
 import itertools
-import random
 from collections import Counter
 from fractions import Fraction
 
@@ -13,39 +12,12 @@ from rombit.core import (
     distinct_orderings,
     instance_from_json,
     instance_to_json,
-    lex_compare,
     make_instance,
     read_instances,
     write_instances,
 )
 from rombit.harness import PROBLEM_TABLE, _sampled_orders
 from stream_reference import CounterStream
-
-
-def test_lex_compare_examples():
-    assert lex_compare((1, 2), (1, 3)) == -1
-    assert lex_compare((2,), (2,)) == 0
-    assert lex_compare((Fraction(1, 2), 9), (Fraction(3, 5), 0)) == -1
-    with pytest.raises(InputError):
-        lex_compare((1, 2), (1,))
-
-
-def test_lex_compare_total_order():
-    rng = random.Random(0)
-    keys = [
-        tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(3))
-        for _ in range(60)
-    ]
-    for a in keys:
-        for b in keys:
-            cab, cba = lex_compare(a, b), lex_compare(b, a)
-            assert cab == -cba
-            assert (cab == 0) == (a == b)
-    for a in keys[:20]:
-        for b in keys[:20]:
-            for c in keys[:20]:
-                if lex_compare(a, b) <= 0 and lex_compare(b, c) <= 0:
-                    assert lex_compare(a, c) <= 0
 
 
 def _bit_instance(bits):

@@ -20,7 +20,6 @@ from rombit.extraction import (
     all_distinct_counts,
     bias_curve,
     bias_family,
-    bit_for_sequence,
     combine_predicted,
     distinct_unbiased,
     empirical_bias,
@@ -273,7 +272,7 @@ def _readme_rule(keys, mode):
     if mode == "process1":
         return int(i % 2 == 1), i
     if i == 1:
-        return int(keys[1] < keys[0]), i
+        return int((keys[1] < keys[0]) == (mode == "combine")), i
     return int(i % 2 == 0), i
 
 
@@ -282,12 +281,14 @@ def _readme_rule(keys, mode):
     st.integers(1, 2).flatmap(
         lambda dim: st.lists(st.tuples(*[st.integers(0, 2)] * dim), max_size=9)
     ),
-    st.sampled_from(["process1", "combine"]),
+    st.sampled_from(MODES),
 )
 def test_harvest_matches_readme_rule(keys, mode):
-    expected = _readme_rule(keys, mode)
-    assert harvest(keys, mode) == expected
-    assert bit_for_sequence(keys, mode) == expected[0]
+    if mode == "distinct_unbiased" and len(keys) > 1 and keys[0] == keys[1]:
+        with pytest.raises(InputError):  # the first two keys must differ
+            harvest(keys, mode)
+        return
+    assert harvest(keys, mode) == _readme_rule(keys, mode)
 
 
 def test_harvest_no_emission_and_laziness():
@@ -299,7 +300,17 @@ def test_harvest_no_emission_and_laziness():
 
 
 def test_harvest_rejects_bad_input():
-    with pytest.raises(InputError):  # dimension mismatch
-        harvest([A, (Fraction(0), Fraction(1))], "combine")
-    with pytest.raises(InputError):  # no streaming rule
-        harvest([A, B], "distinct_unbiased")
+    mixed = [A, (Fraction(0), Fraction(1))]
+    with pytest.raises(InputError):  # dimension mismatch, checked where keys enter
+        exact_bias(mixed, "combine")
+    with pytest.raises(InputError):
+        empirical_bias(mixed, "combine", 10, 1)
+    with pytest.raises(InputError):
+        empirical_bias(dict.fromkeys(mixed, 1), "combine", 10, 1)
+    with pytest.raises(InputError):
+        distinct_unbiased(*mixed)
+    with pytest.raises(InputError):  # the streaming rule needs two distinct keys
+        harvest([A, A, B], "distinct_unbiased")
+    assert harvest([A, B], "distinct_unbiased") == (1, 1)
+    with pytest.raises(InputError):
+        harvest([A, B], "process2")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from rombit.core import InputError
+from rombit.core import CapacityError, InputError
 from rombit.guessing import (
     empirical_ratio,
     exact_expected_correct,
@@ -62,6 +62,14 @@ def test_exact_ratio_values():
     assert exact_expected_correct([0, 0, 1, 1]) == Fraction(5, 3)
     assert exact_ratio([0, 0, 1, 1]) == Fraction(12, 5)
     assert exact_ratio([0, 0, 0, 0]) == 1
+
+
+def test_exact_ratio_enumeration_guard():
+    # above the guard nothing is enumerated: n = 30 would be C(30, 15) orders
+    assert exact_ratio([0, 1] * 5) > 1
+    for n in (11, 30):
+        with pytest.raises(CapacityError):
+            exact_ratio([0, 1] * (n // 2) + [1] * (n % 2))
 
 
 def test_empirical_ratio_long_strings():

@@ -157,10 +157,20 @@ def test_worker_pool_matches_serial(monkeypatch):
     cfg = hz.ExperimentConfig(problem="string_guess", instances=insts, exact=True)
     serial = hz.run_experiment(cfg)
     monkeypatch.setenv("ROMBIT_WORKERS", "2")
+    tasks, starmap = [], hz._starmap
+
+    def recording_starmap(fn, args):
+        tasks.extend(args)
+        return starmap(fn, args)
+
+    monkeypatch.setattr(hz, "_starmap", recording_starmap)
     parallel = hz.run_experiment(cfg)
     assert [r["empirical_ratio"] for r in serial.rows] == [
         r["empirical_ratio"] for r in parallel.rows
     ]
+    # each task carries its own instance, and no task pickles the whole list
+    assert [inst for inst, _ in tasks] == insts
+    assert not any(task.instances for _, task in tasks)
 
 
 def interval_instance(variant, items):

@@ -2,8 +2,9 @@
 exact reports match the benchmark's golden digests, the benchmark's
 key-counted orders are the harness's column orders, seeded Monte Carlo and
 ``bias --exact`` lines, sampled knapsack reports and ``gen`` output stay
-byte-identical, the README's CLI commands parse, and the package version is
-the one ``pyproject.toml`` declares."""
+byte-identical, the README's CLI commands parse and its ``module.name``
+references resolve, and the package version is the one ``pyproject.toml``
+declares."""
 
 import contextlib
 import hashlib
@@ -12,6 +13,7 @@ import importlib.util
 import io
 import json
 import math
+import pkgutil
 import re
 import shlex
 import sys
@@ -225,6 +227,18 @@ def test_readme_cli_commands_parse():
         words = shlex.split(command)
         args = parser.parse_args(words[1:])
         assert args.command == words[1], command
+
+
+def test_readme_module_references_resolve():
+    # a backticked `module.name` of a package module names something in it,
+    # so a name deleted from the package cannot linger in the README
+    modules = {m.name for m in pkgutil.iter_modules(rombit.__path__)}
+    refs = [(module, name) for module, name in
+            re.findall(r"`(\w+)\.(\w+)", README.read_text(encoding="utf-8"))
+            if module in modules]
+    assert len(refs) >= 5
+    for module, name in refs:
+        assert hasattr(importlib.import_module(f"rombit.{module}"), name), f"{module}.{name}"
 
 
 def test_version_matches_pyproject():
