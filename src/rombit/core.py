@@ -47,13 +47,12 @@ class CapacityError(ValueError):
 
 
 class ParseError(ValueError):
-    """Instance/report file could not be parsed; carries the offending line."""
+    """Instance/report file could not be parsed; the message names the line."""
 
     def __init__(self, message, line=None):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-        self.line = line
 
 
 def to_fraction(x):

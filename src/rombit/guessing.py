@@ -5,15 +5,17 @@ until the first miss.  The miss happens exactly when the first bit value
 different from the leading one arrives, which is also the moment COMBINE
 emits its bit r; guess r from then on.  On a constant string there is never
 a switch and at most the very first guess is wrong.
+
+Exact E[correct] over a string's arrival orders is the ``string_guess`` row
+of ``harness.PROBLEM_TABLE``: ``mean_alg`` is E[correct] and
+``empirical_ratio`` is n / E[correct].
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .core import (CapacityError, ENUMERATION_GUARD, InputError, distinct_orderings,
-                   rng_for)
+from .core import InputError, rng_for
 from .extraction import harvest
 
 
@@ -43,26 +45,6 @@ def guess_run(bits):
             (bits[0] == 0) + bits[1 : head + 1].count(bits[0]) + bits[head + 1 :].count(r)
         )
     return GuessTrace(guesses=guesses, truth=bits, correct=correct, switch_index=switch)
-
-
-def exact_expected_correct(bits):
-    """Exact E[correct] over all arrival orders of the bit multiset (n <= 10)."""
-    if len(bits) > ENUMERATION_GUARD:
-        raise CapacityError(f"n={len(bits)} exceeds enumeration guard {ENUMERATION_GUARD}")
-    total = Fraction(0)
-    count = 0
-    for order in distinct_orderings(bits):
-        total += guess_run(order).correct
-        count += 1
-    return total / count
-
-
-def exact_ratio(bits):
-    """n / E[correct]; the offline optimum always guesses every bit."""
-    e = exact_expected_correct(bits)
-    if e == 0:
-        raise InputError("expected correct count is zero")
-    return Fraction(len(tuple(bits))) / e
 
 
 def empirical_ratio(n, p_one, trials, seed):

@@ -110,7 +110,7 @@ def _pick_n(params, rng):
     if isinstance(n, (list, tuple)):
         if not n:
             raise ValueError("'n' must not be an empty list")
-        n = rng.choice(list(n))
+        return rng.choice([_least("n", m, 1) for m in n])
     return _least("n", n, 1)
 
 
@@ -331,9 +331,10 @@ def scale_intervals(instance):
     else:
         raise InputError(f"unknown interval variant {variant!r}")
     times, _ = common_scale(rel + lens)
-    wints, _ = common_scale(ws)
+    wints, unit = common_scale(ws)
     n = instance.n
-    return Scaled(column=list(zip(times[n:], wints)), releases=times[:n], variant=variant)
+    return Scaled(column=list(zip(times[n:], wints)), unit=unit, releases=times[:n],
+                  variant=variant)
 
 
 def scale_throughput(instance):
@@ -558,9 +559,6 @@ class ExperimentReport:
     worst_ratio: Fraction
     mean_ratio: float
     violation_count: int
-
-    def ok(self):
-        return self.violation_count == 0
 
 
 def _sampled_orders(domain, trials, seed):

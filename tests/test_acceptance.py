@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from rombit import extraction as ex
 from rombit import harness as hz
-from rombit.guessing import exact_ratio
+from rombit.core import make_instance
 from rombit.knapsack import (
     exact_revocation_tail,
     forced_revocation_weights,
@@ -199,11 +199,14 @@ def test_c4_throughput_ratio():
 
 
 def test_c4_guessing_ratio():
-    worst = 0.0
-    for n in range(4, 9):
-        for k in range(n + 1):
-            r = float(exact_ratio([1] * k + [0] * (n - k)))
-            worst = max(worst, r)
+    instances = [
+        make_instance("string_guess", [{"bit": 1}] * k + [{"bit": 0}] * (n - k),
+                      {"id": f"guess-{n}-{k}"})
+        for n in range(4, 9) for k in range(n + 1)
+    ]
+    report = hz.run_experiment(hz.ExperimentConfig(
+        problem="string_guess", instances=instances, exact=True))
+    worst = float(report.worst_ratio)
     ok = worst <= 2.41 + 0.05
     _report("4d exact guessing ratio over all strings 4<=n<=8", ok,
             f"worst={worst:.4f}")

@@ -219,10 +219,15 @@ def test_bad_rombit_workers(workers, monkeypatch, capsys):
     assert "ROMBIT_WORKERS" in _one_error_line(capsys)
 
 
+def _pair(x):
+    x = Fraction(x)
+    return [x.numerator, x.denominator]
+
+
 def _interval_file(tmp_path, items, meta):
     """An interval instance file of (release, length, weight) items."""
-    inst = {"items": [{"key": [[w, 1], [L, 1]],
-                       "payload": {"length": [L, 1], "release": [r, 1], "weight": [w, 1]}}
+    inst = {"items": [{"key": [_pair(w), _pair(L)],
+                       "payload": {"length": _pair(L), "release": _pair(r), "weight": _pair(w)}}
                       for r, L, w in items],
             "meta": {"id": "iv-0", **meta}, "problem": "interval"}
     path = tmp_path / "iv.jsonl"
@@ -246,6 +251,21 @@ def test_single_length_release_pairs_ratio(releases, weights, ratio, tmp_path, c
                "--format", "jsonl", "--out", str(out)])
     assert rc == 0 and "violations=0" in capsys.readouterr().out
     assert Fraction(*json.loads(out.read_text())["empirical_ratio"]) == ratio
+
+
+def test_interval_report_is_in_the_instance_units(tmp_path, capsys):
+    # rational weights are scaled to ints over their common denominator;
+    # the report divides it back out of mean_alg and opt
+    path = _interval_file(tmp_path, [(0, 4, Fraction(1, 2)), (1, 4, Fraction(1, 3)),
+                                     (5, 4, Fraction(1, 3))], {"variant": "single"})
+    out = tmp_path / "report.jsonl"
+    rc = main(["intervals", "--variant", "single", "--instances", str(path), "--exact",
+               "--audit", "--format", "jsonl", "--out", str(out)])
+    assert rc == 0 and "violations=0" in capsys.readouterr().out
+    row = json.loads(out.read_text())
+    assert Fraction(*row["opt"]) == Fraction(5, 6)
+    assert Fraction(*row["mean_alg"]) == Fraction(1, 2)
+    assert Fraction(*row["empirical_ratio"]) == Fraction(5, 3)
 
 
 def _cben_file(tmp_path, table, lengths=((2, 4), (3, 9), (2, 4))):
@@ -306,6 +326,8 @@ def test_report_rejects_malformed_line(line, word, tmp_path, capsys):
     (["knapsack", "--params", '{"n": true}'], "'n'"),
     (["knapsack", "--params", '{"n": "5"}'], "'n'"),
     (["intervals", "--params", '{"n": [3, 4.0]}'], "'n'"),
+    (["knapsack", "--seed", "2", "--params", '{"n": [4, "x"]}'], "'n'"),
+    (["intervals", "--seed", "2", "--params", '{"n": [3, 0]}'], "'n'"),
     (["knapsack", "--params", '{"den": 2.5}'], "'den'"),
     (["knapsack", "--params", '{"support": false}'], "'support'"),
     (["intervals", "--params", '{"support": 2.0}'], "'support'"),
@@ -343,7 +365,8 @@ def test_report_rejects_malformed_line(line, word, tmp_path, capsys):
         "intervals-other-variant", "knapsack-support", "throughput-support",
         "knapsack-n-zero", "intervals-n-list-zero", "throughput-n-empty-list",
         "knapsack-n-float", "knapsack-n-bool", "knapsack-n-string",
-        "intervals-n-list-float", "knapsack-den-float", "knapsack-support-bool",
+        "intervals-n-list-float", "knapsack-n-list-undrawn-string",
+        "intervals-n-list-undrawn-zero", "knapsack-den-float", "knapsack-support-bool",
         "intervals-support-float", "throughput-support-float", "throughput-proc-bool",
         "intervals-length-bool", "knapsack-alpha-bool", "knapsack-w0-bool",
         "knapsack-w1-bool", "tworbin-epsilon-bool", "gen-p-one-bool",

@@ -7,13 +7,18 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from rombit.core import CapacityError, InputError
-from rombit.guessing import (
-    empirical_ratio,
-    exact_expected_correct,
-    exact_ratio,
-    guess_run,
-)
+from rombit.core import CapacityError, InputError, make_instance
+from rombit.guessing import empirical_ratio, guess_run
+from rombit.harness import ExperimentConfig, run_experiment
+
+
+def exact_rows(strings):
+    """The exact ``string_guess`` row of each bit string, by string: its
+    ``mean_alg`` is E[correct] and its ``empirical_ratio`` n / E[correct]."""
+    instances = [make_instance("string_guess", [{"bit": b} for b in bits], {"id": str(i)})
+                 for i, bits in enumerate(strings)]
+    report = run_experiment(ExperimentConfig("string_guess", instances, exact=True))
+    return {strings[int(row["instance_id"])]: row for row in report.rows}
 
 
 def test_hand_trace():
@@ -50,26 +55,30 @@ def test_guess_run_rejects_non_bits(bits):
 def test_majority_lower_bound_all_small_strings():
     # E[correct] >= (sqrt(2)-1) * majority - 1 over exact enumeration
     c = math.sqrt(2) - 1
-    for n in range(1, 9):
-        for k in range(n + 1):
-            bits = [1] * k + [0] * (n - k)
-            e = exact_expected_correct(bits)
-            assert float(e) >= c * max(k, n - k) - 1 - 1e-12
+    strings = [(1,) * k + (0,) * (n - k) for n in range(1, 9) for k in range(n + 1)]
+    rows = exact_rows(strings)
+    assert len(rows) == len(strings) == 44
+    for bits, row in rows.items():
+        k = sum(bits)
+        assert float(row["mean_alg"]) >= c * max(k, len(bits) - k) - 1 - 1e-12
 
 
 def test_exact_ratio_values():
-    # frozen enumeration values: {0,0,1,1} averages 5/3 correct
-    assert exact_expected_correct([0, 0, 1, 1]) == Fraction(5, 3)
-    assert exact_ratio([0, 0, 1, 1]) == Fraction(12, 5)
-    assert exact_ratio([0, 0, 0, 0]) == 1
+    # frozen enumeration values: {0,0,1,1} averages 5/3 correct; the
+    # README's 2-bit string with one bit of each value has ratio 4
+    rows = exact_rows([(0, 0, 1, 1), (0, 0, 0, 0), (0, 1)])
+    assert rows[0, 0, 1, 1]["mean_alg"] == Fraction(5, 3)
+    assert rows[0, 0, 1, 1]["empirical_ratio"] == Fraction(12, 5)
+    assert rows[0, 0, 0, 0]["empirical_ratio"] == 1
+    assert rows[0, 1]["empirical_ratio"] == 4
 
 
 def test_exact_ratio_enumeration_guard():
     # above the guard nothing is enumerated: n = 30 would be C(30, 15) orders
-    assert exact_ratio([0, 1] * 5) > 1
+    assert exact_rows([(0, 1) * 5])[(0, 1) * 5]["empirical_ratio"] > 1
     for n in (11, 30):
         with pytest.raises(CapacityError):
-            exact_ratio([0, 1] * (n // 2) + [1] * (n % 2))
+            exact_rows([(0, 1) * (n // 2) + (1,) * (n % 2)])
 
 
 def test_empirical_ratio_long_strings():

@@ -27,7 +27,7 @@ def test_problem_table_covers_every_problem():
             insts = hz.generate_instances(problem, family, {"n": 4}, 2, 1)
             rep = hz.run_experiment(hz.ExperimentConfig(
                 problem=problem, instances=insts, exact=True, audit=True))
-            assert rep.ok() and len(rep.rows) == 2
+            assert rep.violation_count == 0 and len(rep.rows) == 2
 
 
 def test_adversarial_family_counts():
@@ -96,7 +96,7 @@ def test_audit_wiring():
         "knapsack_proportional", "uniform", {"n": [4, 5], "support": 3}, 5, 4)
     rep = hz.run_experiment(hz.ExperimentConfig(
         problem="knapsack_proportional", instances=insts, exact=True, audit=True))
-    assert rep.violation_count == 0 and rep.ok()
+    assert rep.violation_count == 0
 
 
 def test_scaled_views_reject_mixed_proc():
@@ -371,7 +371,7 @@ def test_audited_exact_run_walks_each_order_once(monkeypatch, module, name, prob
         problem=problem, instances=insts, exact=True, audit=True))
     orders = sum(len(list(distinct_orderings(hz.PROBLEM_TABLE[problem].scale(i).column)))
                  for i in insts)
-    assert rep.ok()
+    assert rep.violation_count == 0
     assert len(calls) == orders == sum(r["orders"] for r in rep.rows)
 
 
@@ -398,7 +398,7 @@ def test_audited_interval_run_calls_the_oracle_at_most_twice(monkeypatch, varian
     rep = hz.run_experiment(hz.ExperimentConfig(
         problem="interval", instances=insts, exact=True, audit=True))
     orders = sum(r["orders"] for r in rep.rows)
-    assert rep.ok()
+    assert rep.violation_count == 0
     assert len(bits) == orders
     assert 0 < sum(bits) < orders  # both kinds of order occur
     assert len(calls) == orders + sum(bits)

@@ -1,4 +1,5 @@
-"""The benchmark tracer patches names that exist in the package, the tiny
+"""The benchmark tracer patches names that exist in the package, every
+module-level definition in the package is reached by more than tests, the tiny
 exact reports match the benchmark's golden digests, the benchmark's
 key-counted orders are the harness's column orders, seeded Monte Carlo and
 ``bias --exact`` lines, sampled knapsack reports and ``gen`` output stay
@@ -6,6 +7,7 @@ byte-identical, the README's CLI commands parse and its ``module.name``
 references resolve, and the package version is the one ``pyproject.toml``
 declares."""
 
+import ast
 import contextlib
 import hashlib
 import importlib
@@ -44,6 +46,40 @@ def test_traced_names_exist():
     for _, home, fn, _ in patches:
         module = importlib.import_module(f"rombit.{home}")
         assert callable(getattr(module, fn, None)), f"rombit.{home}.{fn}"
+
+
+# module-level names that only tests reach, each kept for the acceptance
+# criterion it serves
+TEST_ONLY_NAMES = {
+    "exact_distinct_conditional": "C2",
+    "exact_revocation_tail": "C5",
+    "revocation_experiment": "C5",
+    "forced_revocation_weights": "C5",
+}
+
+
+def test_no_test_only_code_in_src():
+    # every module-level function and class is used by the package's own
+    # code, exported, traced by the benchmark or an allowlisted criterion
+    # helper; a docstring mention is no use
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(Path(rombit.__file__).parent.glob("*.py"))]
+    used = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    tracing = perfbench_module("tracing")
+    used |= {fn for _, _, fn, _ in tracing.PATCHES + tracing.GENERATOR_PATCHES}
+    used |= set(rombit.__all__) | set(TEST_ONLY_NAMES)
+    defined = [node.name for tree in trees for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+    assert len(defined) > 50 and set(TEST_ONLY_NAMES) <= set(defined)
+    assert sorted(set(defined) - used) == []
 
 
 def test_tiny_exact_reports_match_golden_digests(tmp_path, monkeypatch):
