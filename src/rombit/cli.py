@@ -9,6 +9,7 @@ commands knapsack, intervals and throughput are one handler over ``RUNS``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -19,6 +20,7 @@ from .core import (
     InputError,
     ParseError,
     format_number,
+    is_int_pair,
     read_instances,
     to_fraction,
     write_instances,
@@ -169,13 +171,9 @@ def _report_row(text, line):
     if not isinstance(row, dict):
         raise ParseError("a report line must be a JSON object", line=line)
     try:
-        return {k: to_fraction(v) if _is_pair(v) else v for k, v in row.items()}
+        return {k: to_fraction(v) if is_int_pair(v) else v for k, v in row.items()}
     except InputError as e:
         raise ParseError(str(e), line=line) from None
-
-
-def _is_pair(v):
-    return isinstance(v, list) and len(v) == 2 and all(type(x) is int for x in v)
 
 
 def _cmd_report(args):
@@ -190,7 +188,10 @@ def _cmd_report(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The ``rombit`` argument parser, built once per process; parsing keeps
+    no state between calls."""
     ap = argparse.ArgumentParser(prog="rombit")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out")

@@ -55,24 +55,30 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
+def is_int_pair(x):
+    """Whether ``x`` is a JSON ``[num, den]`` list of two ints (no bools)."""
+    return type(x) is list and len(x) == 2 and type(x[0]) is int and type(x[1]) is int
+
+
 def to_fraction(x):
-    """Coerce ints, Fractions and [num, den] pairs to Fraction."""
+    """Coerce ints (not bools), Fractions and [num, den] int pairs to
+    Fraction.  Exact type checks come first, so an int pair or an int never
+    reaches the ABC ``isinstance`` hook."""
+    if is_int_pair(x) and x[1]:
+        return Fraction(x[0], x[1])
+    if type(x) is int:
+        return Fraction(x)
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, bool):
-        raise InputError(f"not a rational: {x!r}")
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, (list, tuple)) and len(x) == 2 and all(type(v) is int for v in x) and x[1]:
-        return Fraction(x[0], x[1])
     raise InputError(f"not a rational: {x!r}")
 
 
 def common_scale(fracs):
     """Integers in the ratio of the given Fractions, and their common
     denominator (the lcm of theirs), so ``ints[i] == fracs[i] * den``."""
-    den = math.lcm(*(f.denominator for f in fracs))
-    return [int(f * den) for f in fracs], den
+    dens = [f.denominator for f in fracs]
+    den = math.lcm(*dens)
+    return [f.numerator * (den // d) for f, d in zip(fracs, dens)], den
 
 
 @dataclass(frozen=True)
@@ -114,18 +120,19 @@ def make_instance(problem, payloads, meta=None):
     if problem not in PAYLOAD_FIELDS:
         raise InputError(f"unknown problem {problem!r}")
     fields = PAYLOAD_FIELDS[problem]
+    key_fields = fields[:2]
     items = []
     for p in payloads:
         try:
             payload = {f: to_fraction(p[f]) for f in fields}
         except KeyError as e:
             raise InputError(f"item has no {e.args[0]!r} payload field") from None
-        items.append(Item(tuple(payload[f] for f in fields[:2]), payload))
+        items.append(Item(tuple([payload[f] for f in key_fields]), payload))
     if not items:
         raise InputError("instance has no items")
     instance = Instance(problem, tuple(items), dict(meta or {}))
     if problem in REALTIME_PROBLEMS:
-        rel = instance.column("release")
+        rel, _ = common_scale(instance.column("release"))
         if min(rel) < 0:
             raise InputError("release must be non-negative")
         if any(a > b for a, b in zip(rel, rel[1:])):
@@ -225,13 +232,14 @@ def _decode_weight_table(v):
 
 
 def instance_to_json(instance):
+    # every key and payload value is a Fraction (``make_instance``)
     obj = {
         "problem": instance.problem,
         "meta": {k: _encode_value(v) for k, v in instance.meta.items()},
         "items": [
             {
-                "key": [_encode_value(c) for c in it.key],
-                "payload": {k: _encode_value(v) for k, v in it.payload.items()},
+                "key": [[c.numerator, c.denominator] for c in it.key],
+                "payload": {k: [v.numerator, v.denominator] for k, v in it.payload.items()},
             }
             for it in instance.items
         ],
@@ -262,7 +270,15 @@ def instance_from_json(text, line=None):
             for k, v in _json_object(obj.get("meta", {}), "meta", line).items()
         }
         instance = make_instance(problem, payloads, meta)
-        for i, (key, it) in enumerate(zip(keys, instance.items)):
+        key_fields = PAYLOAD_FIELDS[problem][:2]
+        for i, (key, payload, it) in enumerate(zip(keys, payloads, instance.items)):
+            # each payload value parsed as an int or an int pair, so a key
+            # equal to the payload's key fields with no bool or float in it
+            # is the same JSON and parses to the same key
+            if key == [payload[f] for f in key_fields] and all(
+                type(c) is int or is_int_pair(c) for c in key
+            ):
+                continue
             key = tuple(to_fraction(c) for c in key)
             if key != it.key:
                 raise InputError(f"item {i} key {_encode_value(key)} is not its "

@@ -152,7 +152,7 @@ def _interval_payloads(rng, params):
     meta = {"variant": variant}
     if variant == "single":
         p = _rational(params, "length", 4)
-        releases = sorted(Fraction(rng.randrange(0, int(3 * n))) for _ in range(n))
+        releases = [Fraction(r) for r in sorted(rng.randrange(0, int(3 * n)) for _ in range(n))]
         support = _least("support", params.get("support", 3), 1)
         pool = [Fraction(rng.randint(1, 9)) for _ in range(support)]
         payload = [(p, rng.choice(pool)) for _ in range(n)]
@@ -170,7 +170,7 @@ def _interval_payloads(rng, params):
         ]
         payload = [rng.choice(pool) for _ in range(n)]
     elif variant == "c_benevolent":
-        releases = sorted(Fraction(rng.randrange(0, int(4 * n))) for _ in range(n))
+        releases = [Fraction(r) for r in sorted(rng.randrange(0, int(4 * n)) for _ in range(n))]
         support = _least("support", params.get("support", 3), 1)
         pool = sorted({rng.choice([2, 3, 4, 5, 6]) for _ in range(support)})
         lengths = [Fraction(rng.choice(pool)) for _ in range(n)]
@@ -269,7 +269,8 @@ def scale_knapsack(instance, proportional):
     ``proportional``, where every value must equal its weight."""
     wints, cap = knapsack.scale_weights(instance.column("weight"))
     if proportional:
-        if instance.column("value") != instance.column("weight"):
+        # equal lists of Fractions are exactly those with equal common scalings
+        if common_scale(instance.column("value")) != (wints, cap):
             raise InputError(f"{instance.meta_value('id', '?')}: a proportional "
                              "knapsack item's value must equal its weight")
         vints, vden = wints, cap
@@ -302,10 +303,15 @@ def validate_weight_table(table, lens, ws):
     for s0, s1 in zip(slopes, slopes[1:]):
         if s1 < s0:
             raise InputError("weight table must be convex in length")
-    lookup = dict(pairs)
-    for L, w in zip(lens, ws):
-        if lookup.get(L) != w:
-            raise InputError(f"item weight {w} does not match the table at length {L}")
+    # items and table are scaled together, so the lookup compares ints
+    n = len(lens)
+    lints, _ = common_scale(lens + [L for L, _ in pairs])
+    wints, _ = common_scale(ws + [w for _, w in pairs])
+    lookup = dict(zip(lints[n:], wints[n:]))
+    for i in range(n):
+        if lookup.get(lints[i]) != wints[i]:
+            raise InputError(f"item weight {ws[i]} does not match the table at "
+                             f"length {lens[i]}")
 
 
 def scale_intervals(instance):
@@ -315,39 +321,43 @@ def scale_intervals(instance):
     deadlines keep release order; or ``validate_weight_table``."""
     variant = instance.meta_value("variant", DEFAULT_INTERVAL_VARIANT)
     rel, lens, ws = (instance.column(f) for f in ("release", "length", "weight"))
-    if min(lens) <= 0:
-        raise InputError(f"interval length must be positive, got {min(lens)}")
+    n = instance.n
+    times, den = common_scale(rel + lens)
+    rints, lints = times[:n], times[n:]
+    if min(lints) <= 0:
+        raise InputError(f"interval length must be positive, got {Fraction(min(lints), den)}")
     if variant == "single":
-        if len(set(lens)) > 1:
+        if len(set(lints)) > 1:
             raise InputError("single-length instance has mixed lengths")
     elif variant == "monotone":
-        gaps = [b - a for a, b in zip(rel, rel[1:]) if b > a]  # releases are sorted
-        spread = max(lens) - min(lens)
+        gaps = [b - a for a, b in zip(rints, rints[1:]) if b > a]  # releases are sorted
+        spread = max(lints) - min(lints)
         if gaps and spread > min(gaps):
-            raise InputError(f"monotone constraint violated: length spread {spread} "
-                             f"exceeds the smallest release gap {min(gaps)}")
+            raise InputError(f"monotone constraint violated: length spread "
+                             f"{Fraction(spread, den)} exceeds the smallest release gap "
+                             f"{Fraction(min(gaps), den)}")
     elif variant == "c_benevolent":
         validate_weight_table(instance.meta_value("weight_table"), lens, ws)
     else:
         raise InputError(f"unknown interval variant {variant!r}")
-    times, _ = common_scale(rel + lens)
     wints, unit = common_scale(ws)
-    n = instance.n
-    return Scaled(column=list(zip(times[n:], wints)), unit=unit, releases=times[:n],
+    return Scaled(column=list(zip(lints, wints)), unit=unit, releases=rints,
                   variant=variant)
 
 
 def scale_throughput(instance):
     rel, procs, slacks = (instance.column(f) for f in ("release", "proc", "slack"))
-    if len(set(procs)) != 1:
-        raise InputError("throughput instance requires one common processing time")
-    if procs[0] <= 0:
-        raise InputError(f"throughput proc must be positive, got {procs[0]}")
-    if min(slacks) < 0:
-        raise InputError(f"throughput slack must be non-negative, got {min(slacks)}")
-    times, _ = common_scale(rel + slacks + [procs[0]])
     n = instance.n
-    return Scaled(column=times[n:-1], releases=times[:n], proc=times[-1])
+    times, den = common_scale(rel + slacks + procs)
+    sints, pints = times[n:2 * n], times[2 * n:]
+    if len(set(pints)) != 1:
+        raise InputError("throughput instance requires one common processing time")
+    if pints[0] <= 0:
+        raise InputError(f"throughput proc must be positive, got {procs[0]}")
+    if min(sints) < 0:
+        raise InputError(f"throughput slack must be non-negative, got "
+                         f"{Fraction(min(sints), den)}")
+    return Scaled(column=sints, releases=times[:n], proc=pints[0])
 
 
 def scale_bits(instance):
@@ -616,8 +626,11 @@ def _row(instance, config):
         # an order with ALG = 0 adds 0, as OPT/ALG is taken to be there
         ratio = sum((Fraction(k * opt, alg) for (opt, alg), k in pair_counts.items() if alg),
                     Fraction(0)) / count
+    elif mean_alg:
+        ratio = mean_opt / mean_alg
     else:
-        ratio = mean_opt / mean_alg if mean_alg else Fraction(0)
+        raise InputError(f"{instance.meta_value('id', '?')}: E[ALG] is 0, so "
+                         "OPT/E[ALG] is unbounded")
     if config.exact:
         stderr = None
     else:

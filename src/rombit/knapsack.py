@@ -53,18 +53,19 @@ def weight_class(w, cap=1):
 
 
 def scale_weights(weights):
-    """Rescale rational weights in (0,1] to integers with a common capacity."""
-    fracs = [Fraction(w) for w in weights]
-    if any(not 0 < w <= 1 for w in fracs):
+    """Rescale rational weights in (0,1] to integers with a common capacity;
+    the range is checked on the integers."""
+    ints, cap = common_scale(weights)
+    if any(not 0 < w <= cap for w in ints):
         raise InputError("weights must lie in (0, 1]")
-    return common_scale(fracs)
+    return ints, cap
 
 
 def scale_values(values):
-    fracs = [Fraction(v) for v in values]
-    if any(v <= 0 for v in fracs):
+    ints, den = common_scale(values)
+    if any(v <= 0 for v in ints):
         raise InputError("values must be positive")
-    return common_scale(fracs)
+    return ints, den
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,15 @@
 """Command-line interface smoke tests."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from rombit.cli import main
+import rombit
+from rombit.cli import build_parser, main
 
 
 def test_gen_and_run_with_audit(tmp_path, capsys):
@@ -483,3 +487,104 @@ def test_intervals_check_the_variant_rule_once(items, meta, argv, word, tmp_path
     rc = main(["intervals", "--instances", str(path)] + argv)
     assert rc == 2
     assert word in _one_error_line(capsys)
+
+
+def _run_fresh(argv, out):
+    """``argv`` as the first call of a new process: (exit code, stdout,
+    stderr, the --out file or None)."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rombit.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-m", "rombit.cli", *argv], env=env,
+                          capture_output=True, text=True, check=False)
+    return proc.returncode, proc.stdout, proc.stderr, _take(out)
+
+
+def _run_in_process(argv, out, capsys):
+    try:
+        rc = main(argv)
+    except SystemExit as e:
+        rc = e.code
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err, _take(out)
+
+
+def _take(path):
+    if not path.exists():
+        return None
+    text = path.read_text()
+    path.unlink()
+    return text
+
+
+def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    out = tmp_path / "report.csv"
+    rows = ["--count", "2", "--params", '{"n": 3}', "--exact", "--out", str(out)]
+    calls = [
+        ["knapsack", "--variant", "general", "--seed", "4", *rows],  # --seed after
+        ["knapsack", *rows],  # --variant and --seed defaulted
+        ["--seed", "3", "intervals", "--variant", "monotone", *rows],
+        ["intervals", "--variant", "bogus", *rows],  # exit 2 from argparse
+        ["intervals", *rows],
+        ["gen", "--problem", "throughput", "--family", "uniform"],  # exit 2: no --out
+        ["throughput", "--format", "jsonl", *rows],
+        ["throughput", *rows],
+    ]
+    assert build_parser() is build_parser()
+    codes = []
+    for argv in calls:
+        fresh = _run_fresh(argv, out)
+        assert _run_in_process(argv, out, capsys) == fresh, argv
+        codes.append(fresh[0])
+    assert codes == [0, 0, 0, 2, 0, 2, 0, 0]
+
+
+def _knapsack_file(tmp_path, pairs, problem="knapsack_general"):
+    """A knapsack instance file of (value, weight) items."""
+    inst = {"items": [{"key": [_pair(v), _pair(w)],
+                       "payload": {"value": _pair(v), "weight": _pair(w)}}
+                      for v, w in pairs],
+            "meta": {"id": "k-0"}, "problem": problem}
+    path = tmp_path / "k.jsonl"
+    path.write_text(json.dumps(inst) + "\n")
+    return path
+
+
+def _throughput_file(tmp_path, items):
+    """A throughput instance file of (release, slack) items with proc 10."""
+    inst = {"items": [{"key": [[10, 1], _pair(s)],
+                       "payload": {"proc": [10, 1], "release": _pair(r), "slack": _pair(s)}}
+                      for r, s in items],
+            "meta": {"id": "t-0"}, "problem": "throughput"}
+    path = tmp_path / "t.jsonl"
+    path.write_text(json.dumps(inst) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("make, argv, message", [
+    (lambda p: _interval_file(p, [(0, Fraction(-1, 2), 1), (1, 3, 1)], {}),
+     ["intervals", "--exact"], "interval length must be positive, got -1/2"),
+    (lambda p: _interval_file(p, [(0, 3, 1), (Fraction(1, 2), 4, 2)], {"variant": "monotone"}),
+     ["intervals", "--variant", "monotone", "--exact"],
+     "monotone constraint violated: length spread 1 exceeds the smallest release gap 1/2"),
+    (lambda p: _knapsack_file(p, [(1, Fraction(1, 2)), (1, Fraction(3, 2))]),
+     ["knapsack", "--variant", "general", "--exact"], "weights must lie in (0, 1]"),
+    (lambda p: _knapsack_file(p, [(1, Fraction(1, 2)), (0, Fraction(1, 2))]),
+     ["knapsack", "--variant", "general", "--exact"], "values must be positive"),
+    (lambda p: _interval_file(p, [(Fraction(-1, 3), 4, 1), (1, 4, 1)], {}),
+     ["intervals", "--exact"], "line 1: release must be non-negative"),
+    (lambda p: _interval_file(p, [(2, 4, 1), (Fraction(3, 2), 4, 1)], {}),
+     ["intervals", "--exact"], "line 1: releases must be non-decreasing in item order"),
+    (lambda p: _interval_file(p, [(0, 2, 4), (1, 3, 10)],
+                              {"variant": "c_benevolent",
+                               "weight_table": [[2, 4], [3, 9]]}),
+     ["intervals", "--variant", "cben", "--exact"],
+     "item weight 10 does not match the table at length 3"),
+    (lambda p: _throughput_file(p, [(0, 0), (3, Fraction(-1, 2))]),
+     ["throughput", "--exact"], "throughput slack must be non-negative, got -1/2"),
+], ids=["length", "monotone", "weights", "values", "release", "releases", "cben-lookup",
+        "slack"])
+def test_instance_check_messages(make, argv, message, tmp_path, capsys):
+    rc = main(argv + ["--instances", str(make(tmp_path))])
+    assert rc == 2
+    assert _one_error_line(capsys) == f"error: {message}"
+

@@ -1,14 +1,19 @@
 """Instance model, the harness arrival model, ordering enumeration, serialization."""
 
 import itertools
+import json
+import math
 from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rombit.core import (
     InputError,
     ParseError,
+    common_scale,
     distinct_orderings,
     instance_from_json,
     instance_to_json,
@@ -16,7 +21,7 @@ from rombit.core import (
     read_instances,
     write_instances,
 )
-from rombit.harness import PROBLEM_TABLE, _sampled_orders
+from rombit.harness import PROBLEM_TABLE, _sampled_orders, generate_instances
 from stream_reference import CounterStream
 
 
@@ -123,6 +128,92 @@ def test_json_rationals_roundtrip():
     inst = _bit_instance([0, 1])
     again = instance_from_json(instance_to_json(inst))
     assert again == inst
+
+
+@given(st.lists(st.fractions(), max_size=12))
+def test_common_scale_matches_the_fraction_reference(fracs):
+    ints, den = common_scale(fracs)
+    assert den == math.lcm(*(f.denominator for f in fracs))
+    assert ints == [int(f * den) for f in fracs]
+
+
+# (problem, family, extra parameters): every family, and each interval variant
+GENERATED = [
+    (problem, family, extra)
+    for problem, spec in PROBLEM_TABLE.items()
+    for family in spec.families
+    for extra in ([{"variant": v} for v in ("single", "monotone", "c_benevolent")]
+                  if problem == "interval" else [{}])
+]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(GENERATED), st.integers(1, 9), st.integers(0, 2**40))
+def test_generated_instances_roundtrip_through_json(case, n, seed):
+    problem, family, extra = case
+    inst = generate_instances(problem, family, {"n": n, **extra}, 1, seed)[0]
+    text = instance_to_json(inst)
+    assert instance_from_json(text) == inst
+    assert instance_to_json(instance_from_json(text)) == text
+
+
+def _knapsack_line(key, value, weight):
+    return json.dumps({"problem": "knapsack_general", "items": [
+        {"key": key, "payload": {"value": value, "weight": weight}}]})
+
+
+def _reference_rational(c):
+    """A key coordinate parsed without the fast path: an int or an int pair
+    with a nonzero denominator, never a bool or a float; None otherwise."""
+    if type(c) is int:
+        return Fraction(c)
+    if isinstance(c, list) and len(c) == 2 and all(type(x) is int for x in c) and c[1]:
+        return Fraction(c[0], c[1])
+    return None
+
+
+_PAYLOAD_RATIONAL = st.one_of(
+    st.integers(-3, 3),
+    st.tuples(st.integers(-4, 4), st.integers(-4, 4).filter(bool)).map(list))
+_KEY_RATIONAL = st.one_of(
+    _PAYLOAD_RATIONAL,
+    st.lists(st.one_of(st.integers(-4, 4), st.booleans(), st.just(1.0)),
+             min_size=1, max_size=3),
+    st.booleans(), st.just(1.0), st.just(-2.0))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_PAYLOAD_RATIONAL, _PAYLOAD_RATIONAL, st.data())
+def test_key_check_matches_the_parsing_reference(value, weight, data):
+    # keys that copy the payload, the payload with a coordinate swapped for
+    # an equal bool or float, and unrelated keys
+    copies = st.just([value, weight])
+    key = data.draw(st.one_of(copies, st.lists(_KEY_RATIONAL, min_size=2, max_size=2),
+                              st.tuples(copies, st.integers(0, 1), _KEY_RATIONAL).map(
+                                  lambda t: [t[2] if i == t[1] else c
+                                             for i, c in enumerate(t[0])])))
+    parsed = [_reference_rational(c) for c in key]
+    line = _knapsack_line(key, value, weight)
+    if parsed == [_reference_rational(value), _reference_rational(weight)]:
+        assert instance_from_json(line).items[0].key == tuple(parsed)
+    else:
+        with pytest.raises(ParseError):
+            instance_from_json(line)
+
+
+def test_key_check_cases():
+    # an unnormalized key is the same rational as its payload's
+    inst = instance_from_json(_knapsack_line([[2, 4], [1, 3]], [1, 2], [1, 3]))
+    assert inst.items[0].key == (Fraction(1, 2), Fraction(1, 3))
+    with pytest.raises(ParseError) as ei:
+        instance_from_json(_knapsack_line([[1, 2], [1, 3]], [1, 2], [1, 2]), line=1)
+    assert str(ei.value) == ("line 1: item 0 key [[1, 2], [1, 3]] is not its "
+                             "payload's key [[1, 2], [1, 2]]")
+    # a bool is no int, even where the payload holds the equal int
+    for key, value in (([[True, 1], [1, 2]], [1, 1]), ([[1, True], [1, 2]], [1, 1]),
+                       ([True, [1, 2]], 1), ([1.0, [1, 2]], 1)):
+        with pytest.raises(ParseError, match="not a rational"):
+            instance_from_json(_knapsack_line(key, value, [1, 2]))
 
 
 def test_instance_validation():

@@ -53,14 +53,28 @@ def test_guess_run_rejects_non_bits(bits):
 
 
 def test_majority_lower_bound_all_small_strings():
-    # E[correct] >= (sqrt(2)-1) * majority - 1 over exact enumeration
+    # E[correct] >= (sqrt(2)-1) * majority - 1 over exact enumeration; the
+    # string (1,) has no row (E[correct] = 0, see below), so its one order
+    # is checked on its own
     c = math.sqrt(2) - 1
     strings = [(1,) * k + (0,) * (n - k) for n in range(1, 9) for k in range(n + 1)]
+    strings.remove((1,))
     rows = exact_rows(strings)
-    assert len(rows) == len(strings) == 44
+    assert len(rows) == len(strings) == 43
     for bits, row in rows.items():
         k = sum(bits)
         assert float(row["mean_alg"]) >= c * max(k, len(bits) - k) - 1 - 1e-12
+    assert guess_run((1,)).correct == 0 >= c - 1
+
+
+def test_zero_expected_correct_is_unbounded():
+    # the string [1] is guessed wrong in its only order, so OPT/E[ALG] = 1/0;
+    # a ratio of 0 there would let worst_ratio read 4, from [0, 1]
+    instances = [make_instance("string_guess", [{"bit": b} for b in bits], {"id": name})
+                 for name, bits in (("one", [1]), ("pair", [0, 1]))]
+    with pytest.raises(InputError) as ei:
+        run_experiment(ExperimentConfig("string_guess", instances, exact=True))
+    assert str(ei.value) == "one: E[ALG] is 0, so OPT/E[ALG] is unbounded"
 
 
 def test_exact_ratio_values():
