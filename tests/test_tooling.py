@@ -2,7 +2,7 @@
 module-level definition in the package is reached by more than tests, the tiny
 exact reports match the benchmark's golden digests, the benchmark's
 key-counted orders are the harness's column orders, seeded Monte Carlo and
-``bias --exact`` lines, sampled knapsack reports and ``gen`` output stay
+``bias --exact`` lines, sampled row reports and ``gen`` output stay
 byte-identical, the README's CLI commands parse and its ``module.name``
 references resolve, and the package version is the one ``pyproject.toml``
 declares."""
@@ -189,6 +189,39 @@ def test_sampled_knapsack_reports_are_frozen(tmp_path, monkeypatch):
                 "--seed", "7", "--out", str(out), "--params", params]
         cli_stdout(argv)
         assert hashlib.sha256(out.read_bytes()).hexdigest() == want, (variant, params)
+
+
+# sha256 of the sampled reports of the other row commands at the same seed:
+# general knapsack, each interval variant (one with a rational length) and
+# throughput (one with a rational proc); (command, --variant, --params) -> digest
+SAMPLED_ROW_DIGESTS = {
+    ("knapsack", "general", '{"n": 16, "support": 4}'):
+        "2a4ccb7fddf92a64ab0a205633bdf693d8ba5d4bda05e8524ce46e15255ce20c",
+    ("knapsack", "general", '{"n": 20}'):
+        "dbf92941e662a54ec00febba044bbebbd66c46cc75d0a61707edb56756eea0ba",
+    ("intervals", "single", '{"n": 14}'):
+        "6870290c5bbe813bd62413477f32e98034f351291bf60f517cdd1ac3999690a3",
+    ("intervals", "single", '{"n": 12, "length": "7/2"}'):
+        "919fad3c3e2e3b826d589dbc107f0e8a41ec99fd50177e7352cbe990009d2930",
+    ("intervals", "monotone", '{"n": 14}'):
+        "ac87e770e88f858add9e7a36e18f602eaed226262c737f5defbdec8744192e88",
+    ("intervals", "cben", '{"n": 14}'):
+        "3d6d1a8f2e46f32c70f8af3a0cb946fd34b7f5f8cefbbbcc7462203e5a19d977",
+    ("throughput", None, '{"n": 10}'):
+        "762f93582188602494da8cc16f7d76534ce5da2c8e620017d27135454a6e09bc",
+    ("throughput", None, '{"n": [6, 9], "proc": "15/2"}'):
+        "9228d1572d07b379e4794b4c026b493b65c6c33e7d0feacaa2ea0f4433c13673",
+}
+
+
+def test_sampled_row_reports_are_frozen(tmp_path, monkeypatch):
+    monkeypatch.setenv("ROMBIT_WORKERS", "1")
+    out = tmp_path / "report.csv"
+    for (command, variant, params), want in SAMPLED_ROW_DIGESTS.items():
+        argv = [command, *(["--variant", variant] if variant else []), "--count", "4",
+                "--trials", "50", "--seed", "7", "--out", str(out), "--params", params]
+        cli_stdout(argv)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == want, (command, variant, params)
 
 
 # sha256 of ``rombit gen --count 3 --seed 11`` for every problem and family,
