@@ -6,11 +6,12 @@ Arrival orders are built in ``harness``: a problem's record in
 orders ``distinct_orderings`` enumerates or ``rng_for`` samples; the audit
 checks each order inside that one walk.
 
-Every quantity that enters a comparison or an eviction rule is an exact
-rational (``fractions.Fraction``), or its rescaling to integers over one
-common denominator (``common_scale``), so class boundaries and ties are
-unambiguous.  All stochastic operations take an explicit seed and are pure
-functions of their inputs; values are safe to share across workers.
+Every payload value is an exact rational that ``make_instance`` scales once
+(``common_scale``) to an int over the instance's one common denominator,
+``Instance.den``, so class boundaries such as 3/10 and ties are decided
+exactly on ints; meta values stay as read.  All stochastic operations take
+an explicit seed and are pure functions of their inputs; values are safe to
+share across workers.
 """
 
 from __future__ import annotations
@@ -83,8 +84,9 @@ def common_scale(fracs):
 
 @dataclass(frozen=True)
 class Item:
-    """One input element: its payload, a Fraction per field of its problem's
-    ``PAYLOAD_FIELDS``, and its ordering key, the payload's key fields.
+    """One input element: its payload, an int over its instance's ``den``
+    per field of its problem's ``PAYLOAD_FIELDS``, and its ordering key, the
+    payload's key fields.
 
     ``key`` holds only the coordinates that are random under the arrival
     model (the permuted payload columns), so extractor decisions never leak
@@ -100,13 +102,15 @@ class Instance:
     problem: str
     items: tuple  # tuple[Item, ...]
     meta: dict
+    den: int  # every payload and key value is an int over den
 
     @property
     def n(self):
         return len(self.items)
 
     def column(self, name):
-        """Payload field ``name`` of every item, in item order."""
+        """Payload field ``name`` of every item, in item order, as ints
+        over ``den``."""
         return [it.payload[name] for it in self.items]
 
     def meta_value(self, name, default=None):
@@ -114,25 +118,26 @@ class Instance:
 
 
 def make_instance(problem, payloads, meta=None):
-    """Validate and build an Instance from one payload mapping per item,
-    each item's key derived from its payload; raises InputError on contract
+    """Validate and build an Instance from one payload mapping per item, each
+    value an int, Fraction or [num, den] pair, stored as an int over ``den``
+    and each key derived from its payload; raises InputError on contract
     violations."""
     if problem not in PAYLOAD_FIELDS:
         raise InputError(f"unknown problem {problem!r}")
     fields = PAYLOAD_FIELDS[problem]
-    key_fields = fields[:2]
-    items = []
-    for p in payloads:
-        try:
-            payload = {f: to_fraction(p[f]) for f in fields}
-        except KeyError as e:
-            raise InputError(f"item has no {e.args[0]!r} payload field") from None
-        items.append(Item(tuple([payload[f] for f in key_fields]), payload))
-    if not items:
+    try:
+        values = [to_fraction(p[f]) for p in payloads for f in fields]
+    except KeyError as e:
+        raise InputError(f"item has no {e.args[0]!r} payload field") from None
+    if not values:
         raise InputError("instance has no items")
-    instance = Instance(problem, tuple(items), dict(meta or {}))
+    ints, den = common_scale(values)
+    k, keys = len(fields), len(fields[:2])
+    items = tuple(Item(tuple(ints[i:i + keys]), dict(zip(fields, ints[i:i + k])))
+                  for i in range(0, len(ints), k))
+    instance = Instance(problem, items, dict(meta or {}), den)
     if problem in REALTIME_PROBLEMS:
-        rel, _ = common_scale(instance.column("release"))
+        rel = instance.column("release")
         if min(rel) < 0:
             raise InputError("release must be non-negative")
         if any(a > b for a, b in zip(rel, rel[1:])):
@@ -232,17 +237,18 @@ def _decode_weight_table(v):
 
 
 def instance_to_json(instance):
-    # every key and payload value is a Fraction (``make_instance``)
+    """One JSON line; each key and payload value, an int over ``den``, is
+    written as its reduced [num, den] pair."""
+    den = instance.den
+    key_fields = PAYLOAD_FIELDS[instance.problem][:2]
+    items = []
+    for it in instance.items:
+        payload = {f: [x // (g := math.gcd(x, den)), den // g] for f, x in it.payload.items()}
+        items.append({"key": [payload[f] for f in key_fields], "payload": payload})
     obj = {
         "problem": instance.problem,
         "meta": {k: _encode_value(v) for k, v in instance.meta.items()},
-        "items": [
-            {
-                "key": [[c.numerator, c.denominator] for c in it.key],
-                "payload": {k: [v.numerator, v.denominator] for k, v in it.payload.items()},
-            }
-            for it in instance.items
-        ],
+        "items": items,
     }
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
@@ -280,9 +286,10 @@ def instance_from_json(text, line=None):
             ):
                 continue
             key = tuple(to_fraction(c) for c in key)
-            if key != it.key:
+            want = tuple(Fraction(c, instance.den) for c in it.key)
+            if key != want:
                 raise InputError(f"item {i} key {_encode_value(key)} is not its "
-                                 f"payload's key {_encode_value(it.key)}")
+                                 f"payload's key {_encode_value(want)}")
         return instance
     except (KeyError, TypeError, InputError) as e:
         raise ParseError(str(e), line=line) from None

@@ -15,11 +15,12 @@ seeded permutations of the same pipeline.  Both modes feed one reducer,
 only) rides that walk, checking each order's run record and OPT against the
 problem's per-order inequalities without rerunning any algorithm.
 
-The walk is integer-only: the scaling turns an instance's rationals into
-ints over one ``unit`` per instance, every run and check compares those
-ints, and ``_row`` keeps integer running sums that become Fractions once
-per row.  Scaling also checks, once, each instance rule that holds for
-every arrival order or for none (one common proc; each interval variant's
+The walk is integer-only: an instance already holds ints over one
+denominator, ``Instance.den`` (``core.make_instance``), so a scaling only
+picks the problem's columns, every run and check compares those ints, and
+``_row`` keeps integer running sums that become Fractions once per row.
+Scaling also checks, once, each instance rule that holds for every arrival
+order or for none (value ranges; one common proc; each interval variant's
 rule), so no algorithm checks it per order.
 
 Ratio conventions follow the per-problem literature: knapsack reports
@@ -44,7 +45,6 @@ from .core import (
     InputError,
     REALTIME_PROBLEMS,
     REPORT_COLUMNS,
-    common_scale,
     distinct_orderings,
     make_instance,
     rng_for,
@@ -251,7 +251,7 @@ def generate_instances(problem, family, params, count, seed):
 @dataclass
 class Scaled:
     """An instance in integer units: its arrival orders are the orders of
-    ``column``, and every value is an int over ``unit``."""
+    ``column``, and every reported value is an int over ``unit``."""
 
     column: list  # the permuted payload, one entry per item label
     unit: int = 1
@@ -263,32 +263,34 @@ class Scaled:
 
 
 def scale_knapsack(instance, proportional):
-    """Weights over the capacity; values are the weights when
-    ``proportional``, else over their own common denominator.  The column
-    is the (weight, value) pairs, or the weights alone when
-    ``proportional``, where every value must equal its weight."""
-    wints, cap = knapsack.scale_weights(instance.column("weight"))
+    """Weights and values over the instance's ``den``, which is the unit
+    capacity.  The column is the (weight, value) pairs, or the weights alone
+    when ``proportional``, where every value must equal its weight."""
+    ws, vs, cap = instance.column("weight"), instance.column("value"), instance.den
+    if any(not 0 < w <= cap for w in ws):
+        raise InputError("weights must lie in (0, 1]")
     if proportional:
-        # equal lists of Fractions are exactly those with equal common scalings
-        if common_scale(instance.column("value")) != (wints, cap):
+        if vs != ws:
             raise InputError(f"{instance.meta_value('id', '?')}: a proportional "
                              "knapsack item's value must equal its weight")
-        vints, vden = wints, cap
-    else:
-        vints, vden = knapsack.scale_values(instance.column("value"))
-    pairs = list(zip(wints, vints))
-    return Scaled(column=wints if proportional else pairs, cap=cap, unit=vden,
+    elif any(v <= 0 for v in vs):
+        raise InputError("values must be positive")
+    pairs = list(zip(ws, vs))
+    return Scaled(column=ws if proportional else pairs, cap=cap, unit=cap,
                   opt=knapsack.offline_opt_scaled(pairs, cap))
 
 
-def validate_weight_table(table, lens, ws):
-    """C-benevolent weights: the weight ``ws[i]`` of each length ``lens[i]``
-    is its entry in a table that increases strictly with length and is
-    convex.  The table is the meta ``weight_table`` or, with none, the
-    instance's own (length, weight) pairs, so two weights at one length
-    fail as a table that does not increase."""
+def validate_weight_table(table, lens, ws, den):
+    """C-benevolent weights: the weight ``ws[i]`` of each length ``lens[i]``,
+    both ints over ``den``, is its entry in a table that increases strictly
+    with length and is convex.  The table is the meta ``weight_table`` of
+    rationals, taken over ``den`` too, or, with none, the instance's own
+    (length, weight) pairs, so two weights at one length fail as a table
+    that does not increase."""
     if table is None:
         table = sorted(set(zip(lens, ws)))
+    else:
+        table = [(L * den, w * den) for L, w in table]
     pairs = [(Fraction(L), Fraction(w)) for L, w in table]
     for (l0, w0), (l1, w1) in zip(pairs, pairs[1:]):
         if l1 <= l0 or w1 <= w0:
@@ -303,15 +305,12 @@ def validate_weight_table(table, lens, ws):
     for s0, s1 in zip(slopes, slopes[1:]):
         if s1 < s0:
             raise InputError("weight table must be convex in length")
-    # items and table are scaled together, so the lookup compares ints
-    n = len(lens)
-    lints, _ = common_scale(lens + [L for L, _ in pairs])
-    wints, _ = common_scale(ws + [w for _, w in pairs])
-    lookup = dict(zip(lints[n:], wints[n:]))
-    for i in range(n):
-        if lookup.get(lints[i]) != wints[i]:
-            raise InputError(f"item weight {ws[i]} does not match the table at "
-                             f"length {lens[i]}")
+    # an integral Fraction hashes and compares as its int
+    lookup = dict(pairs)
+    for L, w in zip(lens, ws):
+        if lookup.get(L) != w:
+            raise InputError(f"item weight {Fraction(w, den)} does not match the "
+                             f"table at length {Fraction(L, den)}")
 
 
 def scale_intervals(instance):
@@ -320,12 +319,12 @@ def scale_intervals(instance):
     length spread within the smallest positive release gap, so that
     deadlines keep release order; or ``validate_weight_table``."""
     variant = instance.meta_value("variant", DEFAULT_INTERVAL_VARIANT)
-    rel, lens, ws = (instance.column(f) for f in ("release", "length", "weight"))
-    n = instance.n
-    times, den = common_scale(rel + lens)
-    rints, lints = times[:n], times[n:]
+    rints, lints, wints = (instance.column(f) for f in ("release", "length", "weight"))
+    den = instance.den
     if min(lints) <= 0:
         raise InputError(f"interval length must be positive, got {Fraction(min(lints), den)}")
+    if min(wints) <= 0:
+        raise InputError(f"interval weight must be positive, got {Fraction(min(wints), den)}")
     if variant == "single":
         if len(set(lints)) > 1:
             raise InputError("single-length instance has mixed lengths")
@@ -337,31 +336,32 @@ def scale_intervals(instance):
                              f"{Fraction(spread, den)} exceeds the smallest release gap "
                              f"{Fraction(min(gaps), den)}")
     elif variant == "c_benevolent":
-        validate_weight_table(instance.meta_value("weight_table"), lens, ws)
+        validate_weight_table(instance.meta_value("weight_table"), lints, wints, den)
     else:
         raise InputError(f"unknown interval variant {variant!r}")
-    wints, unit = common_scale(ws)
-    return Scaled(column=list(zip(lints, wints)), unit=unit, releases=rints,
+    return Scaled(column=list(zip(lints, wints)), unit=den, releases=rints,
                   variant=variant)
 
 
 def scale_throughput(instance):
     rel, procs, slacks = (instance.column(f) for f in ("release", "proc", "slack"))
-    n = instance.n
-    times, den = common_scale(rel + slacks + procs)
-    sints, pints = times[n:2 * n], times[2 * n:]
-    if len(set(pints)) != 1:
+    den = instance.den
+    if len(set(procs)) != 1:
         raise InputError("throughput instance requires one common processing time")
-    if pints[0] <= 0:
-        raise InputError(f"throughput proc must be positive, got {procs[0]}")
-    if min(sints) < 0:
+    if procs[0] <= 0:
+        raise InputError(f"throughput proc must be positive, got {Fraction(procs[0], den)}")
+    if min(slacks) < 0:
         raise InputError(f"throughput slack must be non-negative, got "
-                         f"{Fraction(min(sints), den)}")
-    return Scaled(column=sints, releases=times[:n], proc=pints[0])
+                         f"{Fraction(min(slacks), den)}")
+    return Scaled(column=slacks, releases=rel, proc=procs[0])
 
 
 def scale_bits(instance):
-    return Scaled(column=[int(b) for b in instance.column("bit")])
+    """The bit column; every item must be exactly 0 or 1, so ``den`` is 1."""
+    bits = instance.column("bit")
+    if instance.den != 1 or not set(bits) <= {0, 1}:
+        raise InputError("string guessing items must be bits")
+    return Scaled(column=bits)
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,11 @@ one subroutine loop, ``subroutine_run``, with two placement rules,
 ``place_a1`` and ``place_a2``; each arrival's weight class is computed once
 per order into a class column that both read by arrival index.
 
-Unit capacity throughout.  Weights and values enter as exact rationals and
-are rescaled once per instance to integers (capacity becomes ``cap``), so
-class boundaries such as 3/10 are decided by integer cross-multiplication
-and the exhaustive permutation audits run on plain ints.
+Unit capacity throughout.  Weights and values arrive as ints over their
+instance's common denominator (``core.make_instance``), which is the
+capacity ``cap``, so class boundaries such as 3/10 are decided by integer
+cross-multiplication and the exhaustive permutation audits run on plain
+ints.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import CapacityError, InputError, common_scale, rng_for
+from .core import CapacityError, InputError, rng_for
 from .extraction import harvest
 
 OPT_GUARD = 24
@@ -50,22 +51,6 @@ def weight_class(w, cap=1):
     if t < 7 * cap:
         return "M4"
     return "L"
-
-
-def scale_weights(weights):
-    """Rescale rational weights in (0,1] to integers with a common capacity;
-    the range is checked on the integers."""
-    ints, cap = common_scale(weights)
-    if any(not 0 < w <= cap for w in ints):
-        raise InputError("weights must lie in (0, 1]")
-    return ints, cap
-
-
-def scale_values(values):
-    ints, den = common_scale(values)
-    if any(v <= 0 for v in ints):
-        raise InputError("values must be positive")
-    return ints, den
 
 
 # ---------------------------------------------------------------------------
@@ -413,8 +398,10 @@ def revocation_experiment(n, epsilon, alpha, trials, seed):
 
 
 def forced_revocation_weights(n, epsilon):
-    """Scaled weights for the adversarial instance: n-1 copies of eps/n plus
-    one unit item (unit item last in label order)."""
+    """Scaled weights and capacity of the adversarial instance: n-1 copies of
+    eps/n plus one unit item (unit item last in label order)."""
     _check_size(n)
-    eps = Fraction(epsilon)
-    return scale_weights([eps / n] * (n - 1) + [Fraction(1)])
+    w = Fraction(epsilon) / n
+    if not 0 < w <= 1:
+        raise InputError("weights must lie in (0, 1]")
+    return [w.numerator] * (n - 1) + [w.denominator], w.denominator

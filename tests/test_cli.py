@@ -581,8 +581,14 @@ def _throughput_file(tmp_path, items):
      "item weight 10 does not match the table at length 3"),
     (lambda p: _throughput_file(p, [(0, 0), (3, Fraction(-1, 2))]),
      ["throughput", "--exact"], "throughput slack must be non-negative, got -1/2"),
+    # a negative weight once ran to two "cover < OPT(suffix)" violations and a
+    # ratio of -2, and all-zero weights to an "E[ALG] is 0" line
+    (lambda p: _interval_file(p, [(0, 4, 1), (4, 4, -3)], {}),
+     ["intervals", "--exact"], "interval weight must be positive, got -3"),
+    (lambda p: _interval_file(p, [(0, 4, 0), (1, 4, 0)], {}),
+     ["intervals", "--exact"], "interval weight must be positive, got 0"),
 ], ids=["length", "monotone", "weights", "values", "release", "releases", "cben-lookup",
-        "slack"])
+        "slack", "interval-weight-negative", "interval-weights-zero"])
 def test_instance_check_messages(make, argv, message, tmp_path, capsys):
     rc = main(argv + ["--instances", str(make(tmp_path))])
     assert rc == 2

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rombit.core import (
+    PAYLOAD_FIELDS,
     InputError,
     ParseError,
     common_scale,
@@ -195,7 +196,8 @@ def test_key_check_matches_the_parsing_reference(value, weight, data):
     parsed = [_reference_rational(c) for c in key]
     line = _knapsack_line(key, value, weight)
     if parsed == [_reference_rational(value), _reference_rational(weight)]:
-        assert instance_from_json(line).items[0].key == tuple(parsed)
+        inst = instance_from_json(line)
+        assert tuple(Fraction(c, inst.den) for c in inst.items[0].key) == tuple(parsed)
     else:
         with pytest.raises(ParseError):
             instance_from_json(line)
@@ -204,7 +206,8 @@ def test_key_check_matches_the_parsing_reference(value, weight, data):
 def test_key_check_cases():
     # an unnormalized key is the same rational as its payload's
     inst = instance_from_json(_knapsack_line([[2, 4], [1, 3]], [1, 2], [1, 3]))
-    assert inst.items[0].key == (Fraction(1, 2), Fraction(1, 3))
+    assert tuple(Fraction(c, inst.den) for c in inst.items[0].key) == (
+        Fraction(1, 2), Fraction(1, 3))
     with pytest.raises(ParseError) as ei:
         instance_from_json(_knapsack_line([[1, 2], [1, 3]], [1, 2], [1, 2]), line=1)
     assert str(ei.value) == ("line 1: item 0 key [[1, 2], [1, 3]] is not its "
@@ -214,6 +217,68 @@ def test_key_check_cases():
                        ([True, [1, 2]], 1), ([1.0, [1, 2]], 1)):
         with pytest.raises(ParseError, match="not a rational"):
             instance_from_json(_knapsack_line(key, value, [1, 2]))
+
+
+def _as_fraction(x):
+    return Fraction(*x) if isinstance(x, list) else Fraction(x)
+
+
+def _signed_pairs(num, den):
+    """[num, den] pairs, unnormalized, and with the signs of both flipped."""
+    return st.tuples(num, den, st.integers(1, 3), st.booleans()).map(
+        lambda t: [t[0] * t[2], t[1] * t[2]] if t[3] else [-t[0] * t[2], -t[1] * t[2]])
+
+
+# payload values in every accepted form: ints, Fractions and [num, den] pairs
+_ANY_VALUE = st.one_of(
+    st.integers(-30, 30), st.fractions(max_denominator=12),
+    _signed_pairs(st.integers(-30, 30), st.integers(1, 12)))
+# releases must be non-negative, so both sides of a pair share one sign
+_RELEASE = st.one_of(
+    st.integers(0, 30), st.fractions(min_value=0, max_denominator=12),
+    _signed_pairs(st.integers(0, 30), st.integers(1, 12)))
+
+
+def _reference_to_json(problem, payloads, meta):
+    """The instance line as a Fraction encoder writes it: every key and
+    payload value is its reduced [num, den] pair."""
+    key_fields = PAYLOAD_FIELDS[problem][:2]
+    items = []
+    for p in payloads:
+        enc = {f: [v.numerator, v.denominator] for f, v in
+               ((f, _as_fraction(x)) for f, x in p.items())}
+        items.append({"key": [enc[f] for f in key_fields], "payload": enc})
+    return json.dumps({"problem": problem, "meta": meta, "items": items},
+                      sort_keys=True, separators=(",", ":"))
+
+
+@st.composite
+def _payloads(draw):
+    problem = draw(st.sampled_from(sorted(PAYLOAD_FIELDS)))
+    fields = PAYLOAD_FIELDS[problem]
+    n = draw(st.integers(1, 6))
+    payloads = [{f: draw(_ANY_VALUE) for f in fields if f != "release"} for _ in range(n)]
+    if "release" in fields:
+        releases = sorted((draw(_RELEASE) for _ in range(n)), key=_as_fraction)
+        for p, r in zip(payloads, releases):
+            p["release"] = r
+    return problem, payloads
+
+
+@settings(max_examples=200, deadline=None)
+@given(_payloads())
+def test_stored_values_are_ints_over_the_instance_denominator(case):
+    problem, payloads = case
+    meta = {"id": "h-0"}
+    inst = make_instance(problem, payloads, meta)
+    key_fields = PAYLOAD_FIELDS[problem][:2]
+    for p, it in zip(payloads, inst.items):
+        assert all(type(x) is int for x in it.payload.values())
+        assert {f: Fraction(x, inst.den) for f, x in it.payload.items()} == {
+            f: _as_fraction(x) for f, x in p.items()}
+        assert tuple(Fraction(x, inst.den) for x in it.key) == tuple(
+            _as_fraction(p[f]) for f in key_fields)
+    assert instance_to_json(inst) == _reference_to_json(problem, payloads, meta)
 
 
 def test_instance_validation():

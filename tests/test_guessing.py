@@ -77,6 +77,17 @@ def test_zero_expected_correct_is_unbounded():
     assert str(ei.value) == "one: E[ALG] is 0, so OPT/E[ALG] is unbounded"
 
 
+@pytest.mark.parametrize("bits", [
+    [Fraction(1, 2), 1, 0], [Fraction(-1, 2), 1], [3, 0], [-1, 1], [[2, 4], 1]],
+    ids=["half", "minus-half", "three", "minus-one", "half-pair"])
+def test_non_bits_are_rejected(bits):
+    # [1/2, 1, 0] once ran as [0, 1, 0]: mean_alg 4/3, opt 3, ratio 9/4
+    instances = [make_instance("string_guess", [{"bit": b} for b in bits], {"id": "s"})]
+    with pytest.raises(InputError) as ei:
+        run_experiment(ExperimentConfig("string_guess", instances, exact=True))
+    assert str(ei.value) == "string guessing items must be bits"
+
+
 def test_exact_ratio_values():
     # frozen enumeration values: {0,0,1,1} averages 5/3 correct; the
     # README's 2-bit string with one bit of each value has ratio 4

@@ -258,19 +258,27 @@ def test_exact_revocation_tail():
     assert exact_revocation_tail(2, Fraction(1, 2)) == 1
 
 
-@pytest.mark.parametrize("call", [
-    lambda: exact_revocation_tail(1, Fraction(1, 2)),
-    lambda: exact_revocation_tail(0, Fraction(1, 2)),
-    lambda: forced_revocation_weights(0, Fraction(1, 2)),
-    lambda: forced_revocation_weights(1, Fraction(1, 2)),
-    lambda: revocation_experiment(0, Fraction(1, 2), Fraction(1, 2), 10, 0),
-    lambda: revocation_experiment(1, Fraction(1, 2), Fraction(1, 2), 10, 0),
-    lambda: revocation_experiment(5, Fraction(1, 2), Fraction(1, 2), 0, 0),
+_WEIGHT_RANGE = r"^weights must lie in \(0, 1\]$"
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: exact_revocation_tail(1, Fraction(1, 2)), None),
+    (lambda: exact_revocation_tail(0, Fraction(1, 2)), None),
+    (lambda: forced_revocation_weights(0, Fraction(1, 2)), None),
+    (lambda: forced_revocation_weights(1, Fraction(1, 2)), None),
+    (lambda: revocation_experiment(0, Fraction(1, 2), Fraction(1, 2), 10, 0), None),
+    (lambda: revocation_experiment(1, Fraction(1, 2), Fraction(1, 2), 10, 0), None),
+    (lambda: revocation_experiment(5, Fraction(1, 2), Fraction(1, 2), 0, 0), None),
+    (lambda: forced_revocation_weights(4, 0), _WEIGHT_RANGE),
+    (lambda: forced_revocation_weights(4, Fraction(-1, 2)), _WEIGHT_RANGE),
+    (lambda: forced_revocation_weights(2, 3), _WEIGHT_RANGE),
 ], ids=["tail-n1", "tail-n0", "weights-n0", "weights-n1", "experiment-n0",
-        "experiment-n1", "experiment-trials0"])
-def test_revocation_helpers_reject_impossible_sizes(call):
-    # the instance is n-1 copies plus one unit item, so n >= 2
-    with pytest.raises(InputError):
+        "experiment-n1", "experiment-trials0", "weights-eps0", "weights-eps-negative",
+        "weights-eps-over-n"])
+def test_revocation_helpers_reject_impossible_sizes(call, match):
+    # the instance is n-1 copies of eps/n plus one unit item, so n >= 2 and
+    # eps/n must lie in (0, 1]
+    with pytest.raises(InputError, match=match):
         call()
 
 
