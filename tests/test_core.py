@@ -245,8 +245,8 @@ def _reference_to_json(problem, payloads, meta):
     key_fields = PAYLOAD_FIELDS[problem][:2]
     items = []
     for p in payloads:
-        enc = {f: [v.numerator, v.denominator] for f, v in
-               ((f, _as_fraction(x)) for f, x in p.items())}
+        enc = {f: [_as_fraction(x).numerator, _as_fraction(x).denominator]
+               for f, x in p.items()}
         items.append({"key": [enc[f] for f in key_fields], "payload": enc})
     return json.dumps({"problem": problem, "meta": meta, "items": items},
                       sort_keys=True, separators=(",", ":"))
