@@ -6,12 +6,14 @@ Arrival orders are built in ``harness``: a problem's record in
 orders ``distinct_orderings`` enumerates or ``rng_for`` samples; the audit
 checks each order inside that one walk.
 
-Every payload value is an exact rational that ``make_instance`` scales once
+Every payload value is an exact rational, an int, Fraction or [num, den]
+pair, that ``make_instance`` takes as an int pair and scales once
 (``common_scale``) to an int over the instance's one common denominator,
-``Instance.den``, so class boundaries such as 3/10 and ties are decided
-exactly on ints; meta values stay as read.  All stochastic operations take
-an explicit seed and are pure functions of their inputs; values are safe to
-share across workers.
+``Instance.den``, building no Fraction per value, so class boundaries such
+as 3/10 and ties are decided exactly on ints; meta values stay as read.
+Files hold each int as its reduced [num, den] pair.  All stochastic
+operations take an explicit seed and are pure functions of their inputs;
+values are safe to share across workers.
 """
 
 from __future__ import annotations
@@ -61,25 +63,32 @@ def is_int_pair(x):
     return type(x) is list and len(x) == 2 and type(x[0]) is int and type(x[1]) is int
 
 
-def to_fraction(x):
-    """Coerce ints (not bools), Fractions and [num, den] int pairs to
-    Fraction.  Exact type checks come first, so an int pair or an int never
-    reaches the ABC ``isinstance`` hook."""
-    if is_int_pair(x) and x[1]:
-        return Fraction(x[0], x[1])
+def int_pair(x):
+    """An int (not a bool), Fraction or [num, den] int pair as ``(num, den >
+    0)``, unreduced, with no Fraction built.  Exact type checks come first,
+    so an int pair or an int never reaches the ABC ``isinstance`` hook."""
     if type(x) is int:
-        return Fraction(x)
+        return x, 1
+    if is_int_pair(x) and x[1]:
+        return (x[0], x[1]) if x[1] > 0 else (-x[0], -x[1])
     if isinstance(x, Fraction):
-        return x
+        return x.numerator, x.denominator
     raise InputError(f"not a rational: {x!r}")
 
 
-def common_scale(fracs):
-    """Integers in the ratio of the given Fractions, and their common
-    denominator (the lcm of theirs), so ``ints[i] == fracs[i] * den``."""
-    dens = [f.denominator for f in fracs]
-    den = math.lcm(*dens)
-    return [f.numerator * (den // d) for f, d in zip(fracs, dens)], den
+def to_fraction(x):
+    """``int_pair`` as a Fraction."""
+    return Fraction(*int_pair(x))
+
+
+def common_scale(pairs):
+    """Integers over the least common denominator of ``(num, den > 0)``
+    pairs, so ``ints[i] / den == num_i / den_i``: scaled over the lcm of the
+    dens, then reduced once by the gcd of it and every scaled value."""
+    den = math.lcm(*(d for _, d in pairs))
+    ints = [x * (den // d) for x, d in pairs]
+    g = math.gcd(den, *ints)
+    return ([x // g for x in ints], den // g) if g > 1 else (ints, den)
 
 
 @dataclass(frozen=True)
@@ -119,22 +128,22 @@ class Instance:
 
 def make_instance(problem, payloads, meta=None):
     """Validate and build an Instance from one payload mapping per item, each
-    value an int, Fraction or [num, den] pair, stored as an int over ``den``
-    and each key derived from its payload; raises InputError on contract
-    violations."""
+    value an int, Fraction or [num, den] pair, taken as an ``int_pair`` and
+    stored as an int over ``den`` (``common_scale``), each key derived from
+    its payload; raises InputError on contract violations."""
     if problem not in PAYLOAD_FIELDS:
         raise InputError(f"unknown problem {problem!r}")
     fields = PAYLOAD_FIELDS[problem]
     try:
-        values = [to_fraction(p[f]) for p in payloads for f in fields]
+        pairs = [int_pair(p[f]) for p in payloads for f in fields]
     except KeyError as e:
         raise InputError(f"item has no {e.args[0]!r} payload field") from None
-    if not values:
+    if not pairs:
         raise InputError("instance has no items")
-    ints, den = common_scale(values)
+    ints, den = common_scale(pairs)
     k, keys = len(fields), len(fields[:2])
-    items = tuple(Item(tuple(ints[i:i + keys]), dict(zip(fields, ints[i:i + k])))
-                  for i in range(0, len(ints), k))
+    items = tuple(Item(row[:keys], dict(zip(fields, row)))
+                  for row in zip(*(ints[j::k] for j in range(k))))
     instance = Instance(problem, items, dict(meta or {}), den)
     if problem in REALTIME_PROBLEMS:
         rel = instance.column("release")
@@ -201,9 +210,7 @@ def distinct_orderings(values):
 def _encode_value(v):
     if isinstance(v, Fraction):
         return [v.numerator, v.denominator]
-    if isinstance(v, int):
-        return v
-    if isinstance(v, str):
+    if isinstance(v, (int, str)):
         return v
     if isinstance(v, (list, tuple)):
         return [_encode_value(x) for x in v]
@@ -211,9 +218,7 @@ def _encode_value(v):
 
 
 def _decode_meta_value(v):
-    if isinstance(v, str):
-        return v
-    if isinstance(v, int):
+    if isinstance(v, (str, int)):
         return v
     if isinstance(v, list):
         if len(v) == 2 and all(isinstance(x, int) for x in v):
@@ -237,20 +242,20 @@ def _decode_weight_table(v):
 
 
 def instance_to_json(instance):
-    """One JSON line; each key and payload value, an int over ``den``, is
-    written as its reduced [num, den] pair."""
-    den = instance.den
-    key_fields = PAYLOAD_FIELDS[instance.problem][:2]
-    items = []
-    for it in instance.items:
-        payload = {f: [x // (g := math.gcd(x, den)), den // g] for f, x in it.payload.items()}
-        items.append({"key": [payload[f] for f in key_fields], "payload": payload})
-    obj = {
-        "problem": instance.problem,
-        "meta": {k: _encode_value(v) for k, v in instance.meta.items()},
-        "items": items,
-    }
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    """One JSON line, the bytes of ``json.dumps(..., sort_keys=True,
+    separators=(",", ":"))`` over nested item dicts, formatted without them:
+    each key and payload value, an int over ``den``, is written as its
+    reduced [num, den] pair, formatted once per distinct value."""
+    den, fields = instance.den, PAYLOAD_FIELDS[instance.problem]
+    # the key fields, then the payload fields in sorted order
+    cols = [instance.column(f) for f in fields[:2] + tuple(sorted(fields))]
+    text = {x: f"[{x // (g := math.gcd(x, den))},{den // g}]" for x in set().union(*cols)}
+    item = ('{"key":[' + ",".join(["%s"] * len(fields[:2])) + '],"payload":{'
+            + ",".join(f'"{f}":%s' for f in sorted(fields)) + "}}")
+    items = ",".join(map(item.__mod__, zip(*(map(text.__getitem__, c) for c in cols))))
+    meta = json.dumps({k: _encode_value(v) for k, v in instance.meta.items()},
+                      sort_keys=True, separators=(",", ":"))
+    return f'{{"items":[{items}],"meta":{meta},"problem":"{instance.problem}"}}'
 
 
 def _json_object(value, what, line):
@@ -297,14 +302,9 @@ def instance_from_json(text, line=None):
 
 def read_instances(path):
     """Read a JSON-lines instance file; empty file yields an empty list."""
-    out = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            out.append(instance_from_json(raw, line=lineno))
-    return out
+        return [instance_from_json(raw.strip(), line=lineno)
+                for lineno, raw in enumerate(fh, start=1) if raw.strip()]
 
 
 def write_instances(instances, path):
@@ -346,12 +346,8 @@ def write_report(rows, path, fmt="csv"):
     elif fmt == "jsonl":
         lines = []
         for row in rows:
-            enc = {}
-            for k, v in row.items():
-                if isinstance(v, Fraction):
-                    enc[k] = [v.numerator, v.denominator]
-                else:
-                    enc[k] = v
+            enc = {k: [v.numerator, v.denominator] if isinstance(v, Fraction) else v
+                   for k, v in row.items()}
             lines.append(json.dumps(enc, sort_keys=True))
         text = "\n".join(lines) + "\n" if lines else ""
     else:

@@ -126,11 +126,11 @@ def _knapsack_payloads(rng, params, general):
             ws = [rng.choice(pool) for _ in range(n)]
         else:
             ws = [rng.randint(1, den) for _ in range(n)]
-        weights = [Fraction(w, den) for w in ws]
+        weights = [[w, den] for w in ws]
         if general and support_size:
             # draw (weight, value) pairs from a small pool so arrival orders
             # repeat items, the same way the proportional family does
-            pool = [(Fraction(w, den), Fraction(rng.randint(1, 3 * den), den)) for w in pool]
+            pool = [([w, den], [rng.randint(1, 3 * den), den]) for w in pool]
             pairs = [rng.choice(pool) for _ in range(n)]
     elif family == "two_type":
         a = _unit(params, "alpha", Fraction(1, 2), closed=True)
@@ -140,9 +140,9 @@ def _knapsack_payloads(rng, params, general):
         weights = [w0] * c0 + [w1] * (n - c0)
     else:  # adversarial
         eps = _unit(params, "epsilon", Fraction(1, 100), closed=False)
-        weights = [eps / n] * (n - 1) + [Fraction(1)]
+        weights = [eps / n] * (n - 1) + [1]
     if pairs is None:
-        pairs = [(w, Fraction(rng.randint(1, 3 * den), den) if general else w) for w in weights]
+        pairs = [(w, [rng.randint(1, 3 * den), den] if general else w) for w in weights]
     return [{"value": v, "weight": w} for w, v in pairs], {}
 
 
@@ -152,28 +152,25 @@ def _interval_payloads(rng, params):
     meta = {"variant": variant}
     if variant == "single":
         p = _rational(params, "length", 4)
-        releases = [Fraction(r) for r in sorted(rng.randrange(0, int(3 * n)) for _ in range(n))]
+        releases = sorted(rng.randrange(0, 3 * n) for _ in range(n))
         support = _least("support", params.get("support", 3), 1)
-        pool = [Fraction(rng.randint(1, 9)) for _ in range(support)]
+        pool = [rng.randint(1, 9) for _ in range(support)]
         payload = [(p, rng.choice(pool)) for _ in range(n)]
     elif variant == "monotone":
         # spread of lengths bounded by the minimum positive release gap, so
         # deadlines stay monotone under every payload permutation
         gaps = [rng.choice([0, 3, 4, 5]) for _ in range(n - 1)]
-        releases = [Fraction(0)]
+        releases = [0]
         for g in gaps:
             releases.append(releases[-1] + g)
         support = _least("support", params.get("support", 4), 1)
-        pool = [
-            (Fraction(rng.choice([3, 4, 5, 6])), Fraction(rng.randint(1, 9)))
-            for _ in range(support)
-        ]
+        pool = [(rng.choice([3, 4, 5, 6]), rng.randint(1, 9)) for _ in range(support)]
         payload = [rng.choice(pool) for _ in range(n)]
     elif variant == "c_benevolent":
-        releases = [Fraction(r) for r in sorted(rng.randrange(0, int(4 * n)) for _ in range(n))]
+        releases = sorted(rng.randrange(0, 4 * n) for _ in range(n))
         support = _least("support", params.get("support", 3), 1)
         pool = sorted({rng.choice([2, 3, 4, 5, 6]) for _ in range(support)})
-        lengths = [Fraction(rng.choice(pool)) for _ in range(n)]
+        lengths = [rng.choice(pool) for _ in range(n)]
         payload = [(L, L * L) for L in lengths]
         meta["weight_table"] = [[Fraction(L), Fraction(L * L)] for L in pool]
     else:
@@ -185,14 +182,19 @@ def _interval_payloads(rng, params):
 def _throughput_payloads(rng, params):
     n = _pick_n(params, rng)
     p = _rational(params, "proc", 10)
-    releases = [Fraction(0)]
+    # releases and slacks as ints over proc's denominator d; p // 2 is the
+    # floor of the rational, num // (2 d), so it is (num // (2 d)) * d over d
+    num, d = p.numerator, p.denominator
+    half = num // (2 * d) * d
+    releases = [0]
     for _ in range(n - 1):
-        releases.append(releases[-1] + rng.choice([0, 2, 3, p // 2, p, p + 3]))
-    pool = [0, p // 2, p, 2 * p, 4 * p]
+        releases.append(releases[-1] + rng.choice([0, 2 * d, 3 * d, half, num, num + 3 * d]))
+    pool = [0, half, num, 2 * num, 4 * num]
     rng.shuffle(pool)
     support = pool[: rng.randint(2, _least("support", params.get("support", 4), 2))]
     slacks = [rng.choice(support) for _ in range(n)]
-    return [{"proc": p, "slack": s, "release": r} for r, s in zip(releases, slacks)], {"proc": p}
+    return [{"proc": [num, d], "slack": [s, d], "release": [r, d]}
+            for r, s in zip(releases, slacks)], {"proc": p}
 
 
 def _string_payloads(rng, params):

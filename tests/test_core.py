@@ -3,11 +3,12 @@
 import itertools
 import json
 import math
+import sys
 from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rombit.core import (
@@ -18,8 +19,10 @@ from rombit.core import (
     distinct_orderings,
     instance_from_json,
     instance_to_json,
+    int_pair,
     make_instance,
     read_instances,
+    to_fraction,
     write_instances,
 )
 from rombit.harness import PROBLEM_TABLE, _sampled_orders, generate_instances
@@ -131,11 +134,31 @@ def test_json_rationals_roundtrip():
     assert again == inst
 
 
-@given(st.lists(st.fractions(), max_size=12))
-def test_common_scale_matches_the_fraction_reference(fracs):
-    ints, den = common_scale(fracs)
+# [num, den] pairs, negative, unreduced and with a zero numerator, and with
+# a denominator of either sign, which ``int_pair`` makes positive
+@given(st.lists(st.tuples(st.integers(-40, 40), st.integers(-24, 24).filter(bool)).map(list),
+                max_size=12))
+@example([])
+@example([[0, 5]])
+@example([[-2, 4], [6, -8], [0, 3], [9, 6]])
+def test_common_scale_matches_the_fraction_reference(pairs):
+    fracs = [Fraction(x, d) for x, d in pairs]
+    coerced = [int_pair(p) for p in pairs]
+    assert all(d > 0 and Fraction(x, d) == f for (x, d), f in zip(coerced, fracs))
+    ints, den = common_scale(coerced)
     assert den == math.lcm(*(f.denominator for f in fracs))
     assert ints == [int(f * den) for f in fracs]
+
+
+@pytest.mark.parametrize("bad", [[1, 0], True, 1.5, [1, 2, 3], (1, 2)])
+def test_not_a_rational_is_one_message(bad):
+    # a zero denominator, a bool, a float, a 3-list and a tuple, coerced
+    # directly, as a Fraction and as a payload value
+    for coerce in (int_pair, to_fraction,
+                   lambda x: make_instance("knapsack_general", [{"value": x, "weight": 1}])):
+        with pytest.raises(InputError) as ei:
+            coerce(bad)
+        assert str(ei.value) == f"not a rational: {bad!r}"
 
 
 # (problem, family, extra parameters): every family, and each interval variant
@@ -156,6 +179,89 @@ def test_generated_instances_roundtrip_through_json(case, n, seed):
     text = instance_to_json(inst)
     assert instance_from_json(text) == inst
     assert instance_to_json(instance_from_json(text)) == text
+
+
+def _encode_meta(v):
+    return ([v.numerator, v.denominator] if isinstance(v, Fraction)
+            else [_encode_meta(x) for x in v] if isinstance(v, (list, tuple)) else v)
+
+
+def _nested_dict_json(inst):
+    """``instance_to_json`` as the nested-dict encoder: ``json.dumps`` over
+    one dict per item of Fraction values (``_reference_to_json``)."""
+    payloads = [{f: Fraction(x, inst.den) for f, x in it.payload.items()} for it in inst.items]
+    return _reference_to_json(inst.problem, payloads,
+                              {k: _encode_meta(v) for k, v in inst.meta.items()})
+
+
+@pytest.mark.parametrize("n", [1, 9, 24, 32])
+@pytest.mark.parametrize("case", GENERATED)
+def test_writer_matches_the_nested_dict_encoder(case, n):
+    problem, family, extra = case
+    for inst in generate_instances(problem, family, {"n": n, **extra}, 3, 11):
+        assert instance_to_json(inst) == _nested_dict_json(inst)
+
+
+def test_writer_matches_the_nested_dict_encoder_on_meta():
+    name = 'a "quoted" \\ back\\slash, caf\u00e9 \u2713 \U0001d400'
+    table = [[Fraction(2), Fraction(4)], [Fraction(5, 2), Fraction(25, 4)]]
+    cben = make_instance("interval", [
+        {"weight": Fraction(25, 4), "length": Fraction(5, 2), "release": 0},
+        {"weight": 4, "length": 2, "release": Fraction(7, 3)}],
+        {"variant": "c_benevolent", "weight_table": table, "id": name})
+    jobs = make_instance("throughput", [
+        {"proc": Fraction(15, 2), "slack": s, "release": r}
+        for r, s in ((0, 0), (Fraction(15, 4), Fraction(15, 2)), (11, 30))],
+        {"proc": Fraction(15, 2), "id": name, "note": ["x", -3, Fraction(-1, 6)]})
+    for inst in (cben, jobs):
+        text = instance_to_json(inst)
+        assert text == _nested_dict_json(inst)
+        assert instance_from_json(text) == inst
+
+
+@pytest.mark.parametrize("case", GENERATED)
+def test_generated_denominator_is_reduced(case):
+    # the least common denominator: a family whose values skipped the gcd
+    # reduction would write the same file but scale knapsack's cap and unit
+    problem, family, extra = case
+    for n in (1, 5, 24):
+        for inst in generate_instances(problem, family, {"n": n, **extra}, 4, 3):
+            assert inst.den == math.lcm(*(Fraction(x, inst.den).denominator
+                                          for it in inst.items for x in it.payload.values()))
+
+
+def _fraction_constructions(fn):
+    """How many times ``Fraction.__new__`` runs while ``fn()`` runs."""
+    code, count, outer = Fraction.__new__.__code__, 0, sys.getprofile()
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_code is code:
+            count += 1
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(outer)
+    return count
+
+
+@pytest.mark.parametrize("case", GENERATED)
+def test_generation_builds_no_fraction_per_item(case):
+    # family parameters are Fractions (``_rational``, ``_unit``), and a
+    # C-benevolent weight table holds two per pooled length; nothing else is
+    # a Fraction, so the count is the same at every n
+    problem, family, extra = case
+
+    def count(n, seed):
+        out = []
+        made = _fraction_constructions(lambda: out.extend(
+            generate_instances(problem, family, {"n": n, **extra}, 1, seed)))
+        return made - 2 * len(out[0].meta_value("weight_table", []))
+
+    for seed in range(3):
+        assert count(32, seed) == count(8, seed)
 
 
 def _knapsack_line(key, value, weight):
