@@ -85,7 +85,8 @@ def common_scale(pairs):
     """Integers over the least common denominator of ``(num, den > 0)``
     pairs, so ``ints[i] / den == num_i / den_i``: scaled over the lcm of the
     dens, then reduced once by the gcd of it and every scaled value."""
-    den = math.lcm(*(d for _, d in pairs))
+    # unpack a list, not a generator, whose grown tuple would sit in a free list
+    den = math.lcm(*[d for _, d in pairs])
     ints = [x * (den // d) for x, d in pairs]
     g = math.gcd(den, *ints)
     return ([x // g for x in ints], den // g) if g > 1 else (ints, den)
@@ -143,7 +144,7 @@ def make_instance(problem, payloads, meta=None):
     ints, den = common_scale(pairs)
     k, keys = len(fields), len(fields[:2])
     items = tuple(Item(row[:keys], dict(zip(fields, row)))
-                  for row in zip(*(ints[j::k] for j in range(k))))
+                  for row in zip(*[ints[j::k] for j in range(k)]))
     instance = Instance(problem, items, dict(meta or {}), den)
     if problem in REALTIME_PROBLEMS:
         rel = instance.column("release")
@@ -252,7 +253,7 @@ def instance_to_json(instance):
     text = {x: f"[{x // (g := math.gcd(x, den))},{den // g}]" for x in set().union(*cols)}
     item = ('{"key":[' + ",".join(["%s"] * len(fields[:2])) + '],"payload":{'
             + ",".join(f'"{f}":%s' for f in sorted(fields)) + "}}")
-    items = ",".join(map(item.__mod__, zip(*(map(text.__getitem__, c) for c in cols))))
+    items = ",".join(map(item.__mod__, zip(*[map(text.__getitem__, c) for c in cols])))
     meta = json.dumps({k: _encode_value(v) for k, v in instance.meta.items()},
                       sort_keys=True, separators=(",", ":"))
     return f'{{"items":[{items}],"meta":{meta},"problem":"{instance.problem}"}}'
