@@ -224,8 +224,8 @@ def test_generated_denominator_is_reduced(case):
     # the least common denominator: a family whose values skipped the gcd
     # reduction would write the same file but scale knapsack's cap and unit
     problem, family, extra = case
-    for n in (1, 5, 24):
-        for inst in generate_instances(problem, family, {"n": n, **extra}, 4, 3):
+    for n, seed in itertools.product((1, 5, 24), (3, 17, 40)):
+        for inst in generate_instances(problem, family, {"n": n, **extra}, 4, seed):
             assert inst.den == math.lcm(*(Fraction(x, inst.den).denominator
                                           for it in inst.items for x in it.payload.values()))
 
