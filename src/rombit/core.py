@@ -143,8 +143,10 @@ def make_instance(problem, payloads, meta=None):
         raise InputError("instance has no items")
     ints, den = common_scale(pairs)
     k, keys = len(fields), len(fields[:2])
-    items = tuple(Item(row[:keys], dict(zip(fields, row)))
-                  for row in zip(*[ints[j::k] for j in range(k)]))
+    # a tuple of a list, not of a generator, whose grown tuple would sit in
+    # a free list
+    items = tuple([Item(row[:keys], dict(zip(fields, row)))
+                   for row in zip(*[ints[j::k] for j in range(k)])])
     instance = Instance(problem, items, dict(meta or {}), den)
     if problem in REALTIME_PROBLEMS:
         rel = instance.column("release")

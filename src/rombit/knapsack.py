@@ -301,15 +301,31 @@ def rom_general(items, cap):
 
 
 def offline_opt_scaled(items, cap):
-    """Exact optimum by depth-first subset search with a fractional bound."""
+    """Exact optimum by branch and bound, choosing how many copies of each
+    item to take rather than which copies.
+
+    Items go by density, then by value, densest first.  The key
+    v*cap*cap // w is exact with no rational built: every kept weight is at
+    most ``cap``, so two distinct densities v/w differ by at least 1/cap**2
+    and their keys differ.  Equal keys mean equal (weight, value) pairs, so
+    the copies of one item form a run of the order.  The search takes a
+    run's copies one by one, and leaving a copy out leaves out the rest of
+    its run, so it branches on how many copies to take, most first.  The
+    bound is the fractional (LP) one: whole items while they fit, then a
+    fraction of the next.
+    """
     if len(items) > OPT_GUARD:
         raise CapacityError(f"n={len(items)} exceeds oracle guard {OPT_GUARD}")
+    sq = cap * cap
     order = sorted(
         (it for it in items if it[0] <= cap),
-        key=lambda it: (Fraction(it[1], it[0]), it[1]),
+        key=lambda it: (it[1] * sq // it[0], it[1]),
         reverse=True,
     )
     n = len(order)
+    skip = [n] * n  # the end of item i's run of copies
+    for i in range(n - 2, -1, -1):
+        skip[i] = skip[i + 1] if order[i] == order[i + 1] else i + 1
     best = 0
 
     def hopeless(i, room, value):
@@ -334,7 +350,7 @@ def offline_opt_scaled(items, cap):
         w, v = order[i]
         if w <= room:
             rec(i + 1, room - w, value + v)
-        rec(i + 1, room, value)
+        rec(skip[i], room, value)
 
     rec(0, cap, 0)
     return best

@@ -96,8 +96,8 @@ def run_processes(rel, last, p, live, start_time=0, count=2):
     """
     ed = _table(rel, last, live)
     releases = sorted({rel[i] for i in ed})
-    entries = tuple([] for _ in range(count))
-    done = tuple(set() for _ in range(count))
+    entries = tuple([[] for _ in range(count)])
+    done = tuple([set() for _ in range(count)])
     # per process: (index, start, flexible); a flexible start holds the lock
     running = [None] * count
     lock = None  # the process holding it
@@ -281,8 +281,22 @@ def offline_opt_throughput(rel, last, p):
     start again, and no live job can start before that release, so each
     start is the same from either time.  States that differ only by dead
     jobs or an idle gap thus share one memo entry.  Jobs are tried in
-    latest-start order, and a state stops once every live job is counted.
-    A job whose latest start precedes its release is never live.
+    earliest-deadline (ED) order, by latest start and then index, and a
+    state stops once every live job is counted.  A job whose latest start
+    precedes its release is never live.
+
+    A job e is tried at s = max(t, rel[e]) only if every live job before it
+    in ED order is released after s.  This loses no optimum, because all
+    jobs have the same length p.  Take a best schedule from the state whose
+    first start is e at s while a more urgent live job j is released by s.
+    If last[j] < s, the schedule cannot run j after e, so run j instead of
+    e.  Otherwise j is available at s: if the schedule never runs j, run j
+    in e's slot, and if it runs j later, at s', swap the two, so that e
+    starts at s', inside its window since rel[e] <= s < s' <= last[j] <=
+    last[e].  Each exchange keeps the count and every later start, and the
+    new first job can start at max(t, its release), which is no later than
+    s.  Each moves the first job strictly earlier in ED order, so the
+    exchanges end at a first job that the rule tries.
     """
     n = len(rel)
     if n > OPT_GUARD:
@@ -310,16 +324,21 @@ def offline_opt_throughput(rel, last, p):
             return best
         best = 0
         cap = live.bit_count()
+        soonest = last[-1] + 1  # the earliest release of the live jobs before i
         for i in range(k, n):
             if not live >> i & 1:
                 continue
             # t <= last[i] and rel[i] <= last[i], so every live job can start
-            s = t if t > rel[i] else rel[i]
-            v = 1 + rec(s + p, live ^ (1 << i))
-            if v > best:
-                best = v
-                if best == cap:
-                    break
+            r = rel[i]
+            s = t if t > r else r
+            if s < soonest:  # no more urgent live job is released by s
+                v = 1 + rec(s + p, live ^ (1 << i))
+                if v > best:
+                    best = v
+                    if best == cap:
+                        break
+            if r < soonest:
+                soonest = r
         memo[key] = best
         return best
 

@@ -1,6 +1,7 @@
 """Instance families, exact/Monte Carlo drivers, audits, reports."""
 
 import math
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rombit import harness as hz
+from rombit import knapsack, throughput
 from rombit.core import (
     PROBLEMS,
     InputError,
@@ -351,6 +353,43 @@ def test_knapsack_opt_once_per_scaling(monkeypatch):
     hz.run_experiment(hz.ExperimentConfig(
         problem="knapsack_general", instances=insts, exact=True, audit=True))
     assert len(calls) == 1  # the audit rides the row's walk and its scaling
+
+
+def _search_calls(module, fn):
+    """How many times a function named ``rec`` in ``module`` (an oracle's
+    inner search) runs while ``fn()`` runs."""
+    count, outer = 0, sys.getprofile()
+
+    def profile(frame, event, arg):
+        nonlocal count
+        code = frame.f_code
+        if event == "call" and code.co_name == "rec" and code.co_filename == module.__file__:
+            count += 1
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(outer)
+    return count
+
+
+def test_oracle_searches_do_not_grow_with_copies():
+    # copies of one knapsack item, or identical throughput jobs, are
+    # interchangeable, so the exact searches do the same work at every count
+    # (searching over which copies made 2,639 and 615,295 knapsack calls at
+    # 12 and 24 copies, and 400 and 2,561 throughput calls at 7 and 10 jobs)
+    def copies(k):
+        return _search_calls(knapsack, lambda: knapsack.offline_opt_scaled([(3, 1)] * k, 20))
+
+    def jobs(k):
+        return _search_calls(
+            throughput, lambda: throughput.offline_opt_throughput([0] * k, [40] * k, 10))
+
+    assert copies(12) == copies(24) > 0
+    assert jobs(7) == jobs(10) > 0
+    assert knapsack.offline_opt_scaled([(3, 1)] * 24, 20) == 6
+    assert throughput.offline_opt_throughput([0] * 10, [40] * 10, 10) == 5
 
 
 @pytest.mark.parametrize("module, name, problem, params", [

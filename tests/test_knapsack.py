@@ -191,7 +191,16 @@ def greedy_density_reference(items, cap):
 def knapsack_cases(draw, max_n=12):
     """Scaled (items, cap): items are multiples of a few base pairs, so
     densities tie often; the cap is either a subset's exact weight or small
-    enough that some items outweigh it."""
+    enough that some items outweigh it.  A third of the draws instead take
+    up to 14 copies of 1-3 base pairs, with caps and values up to 10**6 and
+    weights up to the cap or to a quarter or a tenth of it, so that many
+    copies of one item fit."""
+    if draw(st.integers(0, 2)) == 0:
+        cap = draw(st.integers(1, 10**6))
+        top = max(1, cap // draw(st.sampled_from([1, 4, 10])))
+        base = draw(st.lists(st.tuples(st.integers(1, top), st.integers(1, 10**6)),
+                             min_size=1, max_size=3))
+        return draw(st.lists(st.sampled_from(base), min_size=1, max_size=14)), cap
     base = draw(st.lists(st.tuples(st.integers(1, 12), st.integers(1, 12)),
                          min_size=1, max_size=4))
     n = draw(st.integers(1, max_n))

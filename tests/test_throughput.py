@@ -328,12 +328,16 @@ def offline_opt_orderings(jobs, p):
 def oracle_inputs(draw, max_n):
     """Jobs in no particular release order, with equal releases, idle gaps,
     zero slack, slack up to 4p and negative slack (latest start before
-    release)."""
+    release).  In half the draws every job takes one of 1-3 (release,
+    slack) pairs, so several jobs share one."""
     p = draw(st.sampled_from([1, 2, 10]))
     n = draw(st.integers(0, max_n))
     release = st.one_of(st.sampled_from([0, p, 8 * p]), st.integers(0, 3 * p))
     slack = st.one_of(st.sampled_from([0, p, 4 * p, -1]), st.integers(-p, 4 * p))
-    jobs = [J(draw(release), p, draw(slack), i) for i in range(n)]
+    pairs = st.tuples(release, slack)
+    if draw(st.booleans()):
+        pairs = st.sampled_from(draw(st.lists(pairs, min_size=1, max_size=3)))
+    jobs = [J(r, p, s, i) for i, (r, s) in enumerate(draw(pairs) for _ in range(n))]
     return jobs, p
 
 
