@@ -376,9 +376,8 @@ def _search_calls(module, fn):
 
 def test_oracle_searches_do_not_grow_with_copies():
     # copies of one knapsack item, or identical throughput jobs, are
-    # interchangeable, so the exact searches do the same work at every count
-    # (searching over which copies made 2,639 and 615,295 knapsack calls at
-    # 12 and 24 copies, and 400 and 2,561 throughput calls at 7 and 10 jobs)
+    # interchangeable, so the exact searches do the same work at every count;
+    # a search over which copies makes 615,295 knapsack calls at 24 copies
     def copies(k):
         return _search_calls(knapsack, lambda: knapsack.offline_opt_scaled([(3, 1)] * k, 20))
 
