@@ -167,6 +167,58 @@ def test_seeded_stream_output_is_frozen(tmp_path):
         assert cli_stdout(["bias", "--mode", mode, "--n", "8", "--exact"]) == line
 
 
+# stdout of Monte Carlo commands at the edges the benchmark does not reach:
+# guessing at p_one 0, 1/2 and 1 on short strings, bias at n = 2, and
+# negative seeds; argv -> stdout
+EDGE_STREAM_STDOUT = {
+    "guess --n 2 --p-one 0 --trials 40 --seed 7":
+        "n=2 trials=40 mean_correct=2.000 ratio=1.0000\n",
+    "guess --n 3 --p-one 0 --trials 40 --seed 7":
+        "n=3 trials=40 mean_correct=3.000 ratio=1.0000\n",
+    "guess --n 37 --p-one 0 --trials 40 --seed 7":
+        "n=37 trials=40 mean_correct=37.000 ratio=1.0000\n",
+    "guess --n 2 --p-one 0.5 --trials 40 --seed 7":
+        "n=2 trials=40 mean_correct=1.000 ratio=2.0000\n",
+    "guess --n 3 --p-one 0.5 --trials 40 --seed 7":
+        "n=3 trials=40 mean_correct=1.500 ratio=2.0000\n",
+    "guess --n 37 --p-one 0.5 --trials 40 --seed 7":
+        "n=37 trials=40 mean_correct=18.425 ratio=2.0081\n",
+    "guess --n 2 --p-one 1 --trials 40 --seed 7":
+        "n=2 trials=40 mean_correct=1.000 ratio=2.0000\n",
+    "guess --n 3 --p-one 1 --trials 40 --seed 7":
+        "n=3 trials=40 mean_correct=2.000 ratio=1.5000\n",
+    "guess --n 37 --p-one 1 --trials 40 --seed 7":
+        "n=37 trials=40 mean_correct=36.000 ratio=1.0278\n",
+    "guess --n 37 --p-one 0.5 --trials 40 --seed -5":
+        "n=37 trials=40 mean_correct=18.600 ratio=1.9892\n",
+    "guess --n 37 --p-one 0.5 --trials 40 --seed -1180591620717411303424":
+        "n=37 trials=40 mean_correct=18.375 ratio=2.0136\n",
+    "bias --mode p1 --n 2 --trials 3000 --seed 7":
+        "mode=process1 parameter=1/2 predicted=0.666667 empirical=1.000000 "
+        "stderr=0.000000\n",
+    "bias --mode p2 --n 2 --trials 3000 --seed 7":
+        "mode=distinct_unbiased parameter=1/2 predicted=0.500000 empirical=0.507667 "
+        "stderr=0.009128\n",
+    "bias --mode combine --r 1/2 --n 2 --trials 3000 --seed 7":
+        "mode=combine parameter=1/2 predicted=0.583333 empirical=0.000000 "
+        "stderr=0.000000\n",
+    "bias --mode p1 --n 50 --trials 3000 --seed -5":
+        "mode=process1 parameter=1/2 predicted=0.666667 empirical=0.680333 "
+        "stderr=0.008514\n",
+    "bias --mode p2 --n 50 --trials 3000 --seed -5":
+        "mode=distinct_unbiased parameter=1/2 predicted=0.500000 empirical=0.519667 "
+        "stderr=0.009122\n",
+    "bias --mode combine --n 50 --trials 3000 --seed -5":
+        "mode=combine parameter=2/5 predicted=0.585714 empirical=0.603000 "
+        "stderr=0.008933\n",
+}
+
+
+def test_edge_stream_output_is_frozen():
+    seen = {command: cli_stdout(command.split()) for command in EDGE_STREAM_STDOUT}
+    assert seen == EDGE_STREAM_STDOUT
+
+
 # sha256 of the sampled knapsack reports at n = 16 and 20, where the golden
 # digests (exact runs, n <= 8) do not reach: (variant, --params) -> digest
 SAMPLED_KNAPSACK_DIGESTS = {
