@@ -23,10 +23,11 @@ are checked once, where they enter: one key length per instance.
 Bias oracles come in two routes that never share code paths: exact
 enumeration over all labeled arrival orders (small n), and Monte Carlo
 sampling without replacement from a key multiset (large n).  Every Monte
-Carlo trial runs in one loop in ``empirical_bias`` that inlines the
-splitmix64 counter stream keyed by ``split_seed(seed, t)``; the tests keep
-the object form, a ``CounterStream`` per trial, as the reference it must
-match draw for draw.  All other randomness in the package uses ``rng_for``.
+Carlo trial runs in one loop in ``empirical_bias`` that inlines both the
+key ``split_seed(seed, t)`` and the splitmix64 counter stream it keys; the
+tests keep the object form, a ``CounterStream`` per trial, as the reference
+it must match draw for draw.  All other randomness in the package uses
+``rng_for``.
 """
 
 from __future__ import annotations
@@ -239,17 +240,25 @@ def empirical_bias(source, mode, trials, seed, first_key=None):
     # first arrival's key, ``lo`` items below it, the rest above (eq = -1
     # until the first arrival is drawn)
     start = (1, n, 0, -1) if first_key is None else (2, n - 1, c_below, c_eq)
-    z0 = _mix64(seed & _MASK64)
+    mask, gamma = _MASK64, _GAMMA
+    z0 = _mix64(seed & mask)
     ones = nobit = 0
     for t in range(trials):
-        state = _mix64(z0 ^ _mix64(t))  # split_seed(seed, t)
+        # state = split_seed(seed, t), that is _mix64(z0 ^ _mix64(t)), written out
+        z = (t + gamma) & mask
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        z = ((z ^ (z >> 31) ^ z0) + gamma) & mask
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        state = z ^ (z >> 31)
         i, bound, lo, eq = start
         while eq < bound:
-            state = (state + _GAMMA) & _MASK64
-            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+            state = (state + gamma) & mask
+            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
             m = (z ^ (z >> 31)) * bound
-            if m & _MASK64 < bound and m & _MASK64 < (_MASK64 + 1 - bound) % bound:
+            if m & mask < bound and m & mask < (mask + 1 - bound) % bound:
                 continue  # Lemire's rejection: redraw on the same bound
             r = m >> 64
             if i == 1:

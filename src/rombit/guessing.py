@@ -13,7 +13,9 @@ of ``harness.PROBLEM_TABLE``: ``mean_alg`` is E[correct] and
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from itertools import repeat, starmap
 
 from .core import InputError, rng_for
 from .extraction import harvest
@@ -27,6 +29,16 @@ class GuessTrace:
     switch_index: int  # position of the first miss / bit emission, or None
 
 
+def _correct(bits, r, switch):
+    """Correct guesses on a string of 0/1 ints (a tuple or bytes), given
+    ``harvest``'s (r, switch) for it: the first guess, 0, is right when
+    bits[0] is 0; the guesses of bits[0] before the switch are all right and
+    the one at the switch is wrong; every later guess of r is counted."""
+    if switch is None:  # a constant string: only the first guess can miss
+        return len(bits) - sum(bits[:1])
+    return (bits[0] == 0) + switch - 1 + bits[switch + 1:].count(r)
+
+
 def guess_run(bits):
     """Play one arrival order of the truth string; returns the full trace."""
     bits = tuple(bits)
@@ -34,17 +46,11 @@ def guess_run(bits):
         raise InputError("string guessing items must be bits")
     bits = tuple(map(int, bits))
     r, switch = harvest(bits)
-    if not bits:
-        guesses = ()
-        correct = 0
-    else:
-        # guess 0 first, persist with the first bit up to the switch, then r
-        head = len(bits) - 1 if switch is None else switch
-        guesses = (0,) + (bits[0],) * head + (r,) * (len(bits) - 1 - head)
-        correct = (
-            (bits[0] == 0) + bits[1 : head + 1].count(bits[0]) + bits[head + 1 :].count(r)
-        )
-    return GuessTrace(guesses=guesses, truth=bits, correct=correct, switch_index=switch)
+    # guess 0 first, persist with the first bit up to the switch, then r
+    head = len(bits) - 1 if switch is None else switch
+    guesses = bits and (0,) + (bits[0],) * head + (r,) * (len(bits) - 1 - head)
+    return GuessTrace(guesses=guesses, truth=bits, correct=_correct(bits, r, switch),
+                      switch_index=switch)
 
 
 def empirical_ratio(n, p_one, trials, seed):
@@ -52,7 +58,9 @@ def empirical_ratio(n, p_one, trials, seed):
 
     Each trial draws a Bernoulli(p_one) string and one arrival order; the
     arrival order of an exchangeable random string is itself the string, so
-    a single shuffle-free draw suffices.
+    a single shuffle-free draw suffices.  A trial costs its n draws: bit k
+    is ``rng.random() < p_one`` on the trial's ``rng_for(seed, t)``, taken
+    into bytes and counted by ``_correct`` in C.
     """
     if trials < 1:
         raise InputError("trials must be >= 1")
@@ -64,13 +72,15 @@ def empirical_ratio(n, p_one, trials, seed):
     total_correct = 0
     for t in range(trials):
         rng = rng_for(seed, t)
-        bits = [1 if rng.random() < p else 0 for _ in range(n)]
-        total_correct += guess_run(bits).correct
+        bits = bytes(map(operator.lt, starmap(rng.random, repeat((), n)), repeat(p, n)))
+        total_correct += _correct(bits, *harvest(bits))
+    if not total_correct:
+        raise InputError("E[correct] is 0, so n/E[correct] is unbounded")
     mean = total_correct / trials
     return {
         "n": n,
         "mean_correct": mean,
-        "ratio": n / mean if mean else float("inf"),
+        "ratio": n / mean,
         "trials": trials,
         "seed": seed,
     }

@@ -214,6 +214,15 @@ def test_guess_rejects_bad_input(flag, name, value, capsys):
     assert f"{name} must" in line and value in line
 
 
+def test_guess_with_no_correct_guess_is_unbounded(capsys):
+    # every string is [1], guessed wrong in its one order: n/E[correct] is
+    # 1/0, as for the exact string_guess row, not ratio=inf with exit 0
+    rc = main(["guess", "--n", "1", "--p-one", "1", "--trials", "3"])
+    assert rc == 2
+    assert capsys.readouterr() == (
+        "", "error: E[correct] is 0, so n/E[correct] is unbounded\n")
+
+
 @pytest.mark.parametrize("workers", ["abc", "0", "-2"])
 def test_bad_rombit_workers(workers, monkeypatch, capsys):
     monkeypatch.setenv("ROMBIT_WORKERS", workers)

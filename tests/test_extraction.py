@@ -188,7 +188,7 @@ def test_monte_carlo_distinct_unbiased_honours_first_key():
     st.dictionaries(st.tuples(st.integers(-3, 3)), st.integers(1, 6), min_size=1,
                     max_size=5),
     st.sampled_from(MODES),
-    st.integers(0, 2**70),
+    st.integers(-2**70, 2**70),
     st.data(),
 )
 def test_empirical_bias_matches_counter_stream_reference(counts, mode, seed, data):

@@ -4,11 +4,12 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rombit.core import CapacityError, InputError, make_instance
-from rombit.guessing import empirical_ratio, guess_run
+from rombit.core import CapacityError, InputError, make_instance, rng_for
+from rombit.extraction import harvest
+from rombit.guessing import _correct, empirical_ratio, guess_run
 from rombit.harness import ExperimentConfig, run_experiment
 
 
@@ -44,6 +45,7 @@ def test_guess_run_correct_matches_zip_count(bits):
     assert tr.truth == tuple(int(b) for b in bits)
     assert len(tr.guesses) == len(bits)
     assert tr.correct == sum(g == b for g, b in zip(tr.guesses, tr.truth))
+    assert _correct(bytes(tr.truth), *harvest(bytes(tr.truth))) == tr.correct
 
 
 @pytest.mark.parametrize("bits", [[0, 2], [1.5, 0], ["1", 0], [-1]])
@@ -111,3 +113,37 @@ def test_empirical_ratio_long_strings():
     assert res["ratio"] <= 2.42
     again = empirical_ratio(10000, 0.6, 300, 1)
     assert res["mean_correct"] == again["mean_correct"]
+
+
+def reference_mean_correct(n, p, trials, seed):
+    """Mean correct guesses as a list of bits per trial, each scored by
+    ``guess_run``: the form the byte-counting loop replaced."""
+    total = 0
+    for t in range(trials):
+        rng = rng_for(seed, t)
+        total += guess_run([1 if rng.random() < p else 0 for _ in range(n)]).correct
+    return total / trials
+
+
+@st.composite
+def guess_inputs(draw):
+    """(n, p_one, trials, seed), with p_one 0, 1, any float in [0, 1], or the
+    first draw of one of the trials, where ``x < p`` and ``x <= p`` part."""
+    seed, trials = draw(st.integers(-2**70, 2**70)), draw(st.integers(1, 4))
+    ties = [rng_for(seed, t).random() for t in range(trials)]
+    p = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1), st.sampled_from(ties)))
+    return draw(st.integers(1, 64)), p, trials, seed
+
+
+@settings(max_examples=200, deadline=None)
+@given(guess_inputs())
+@example((1, 1.0, 3, 0))
+@example((2, 0.5, 1, 0))
+def test_empirical_ratio_matches_guess_run_reference(args):
+    want = reference_mean_correct(*args)
+    if want == 0:
+        with pytest.raises(InputError, match="unbounded"):
+            empirical_ratio(*args)
+    else:
+        res = empirical_ratio(*args)
+        assert (res["mean_correct"], res["ratio"]) == (want, args[0] / want)
