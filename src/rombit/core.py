@@ -171,8 +171,8 @@ def _mix64(z):
 
 def split_seed(seed, *indices):
     """Derive an independent child seed; stable across runs and platforms.
-    ``extraction.empirical_bias`` writes ``split_seed(seed, t)`` out in its
-    trial loop: change both; its CounterStream reference test catches a mismatch."""
+    ``extraction._split_lanes`` computes ``split_seed(seed, t)`` on packed
+    lanes: change both; the lane and CounterStream tests catch a mismatch."""
     z = _mix64(seed & _MASK64)
     for ix in indices:
         z = _mix64(z ^ _mix64(ix & _MASK64))

@@ -13,8 +13,13 @@ whose key differs from the first arrival's key:
   change is at an odd 1-based position >= 3).
 
 The parity inside ``combine`` is deliberately the opposite of standalone
-``process1``: with it, Pr(b=1) stays in (1/2, 2 - sqrt(2)] for every input
-mix, so downstream algorithms can rely on min(Pr(b=1), Pr(b=0)) >= sqrt(2)-1.
+``process1``.  On the first-frequency family (``first_frequency_counts``:
+a share r of copies of a median key, which arrives first, the rest
+distinct) combine's Pr(b=1) tends to (1-r)/2 + r/(1+r) as n grows, at most
+2 - sqrt(2), reached at r = sqrt(2) - 1.  That limit bounds no finite input:
+enumeration gives exactly 1/2 on three distinct keys and 2/3 on key counts
+{A: 1, B: 2}.  ``process1`` tends to 2/3 on two equal halves
+(``two_type_counts`` at alpha 1/2), and gives exactly 1 on distinct keys.
 
 ``harvest`` holds all three rules, and is the one place where applications,
 the pairwise extractor and the exact oracles take their bit.  Caller keys
@@ -22,12 +27,14 @@ are checked once, where they enter: one key length per instance.
 
 Bias oracles come in two routes that never share code paths: exact
 enumeration over all labeled arrival orders (small n), and Monte Carlo
-sampling without replacement from a key multiset (large n).  Every Monte
-Carlo trial runs in one loop in ``empirical_bias`` that inlines both the
-key ``split_seed(seed, t)`` and the splitmix64 counter stream it keys; the
-tests keep the object form, a ``CounterStream`` per trial, as the reference
-it must match draw for draw.  All other randomness in the package uses
-``rng_for``.
+sampling without replacement from a key multiset (large n).  Monte Carlo
+trials run ``_CHUNK`` at a time as the 128-bit lanes of one Python int: the
+lanes compute the key ``split_seed(seed, t)`` and draw from the splitmix64
+counter stream it keys, so one big-int op advances every trial of a chunk.
+A lane whose draw Lemire's method rejects finishes alone in ``_finish``.
+The tests keep the object form, a ``CounterStream`` per trial, as the
+reference the lanes must match draw for draw.  All other randomness in the
+package uses ``rng_for``.
 """
 
 from __future__ import annotations
@@ -35,6 +42,8 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -211,7 +220,10 @@ def empirical_bias(source, mode, trials, seed, first_key=None):
     x*bound, redrawn while the low word falls under 2**64 mod bound.  Only
     the category of each arrival relative to the first (below / equal /
     above) matters, so a trial reads the counts of the first arrival's key
-    and costs O(#draws), whatever the keys.
+    and costs O(#draws), whatever the keys.  Trials run in chunks of
+    ``_CHUNK``, each chunk as the lanes of ``_chunk_counts``; every trial
+    takes the draws it would take alone, so the result does not depend on
+    the chunk size.
     """
     if trials < 1:
         raise InputError("trials must be >= 1")
@@ -220,67 +232,32 @@ def empirical_bias(source, mode, trials, seed, first_key=None):
     counts = _key_counts(source)
     n = sum(counts.values())
     first_key = _first_key(counts, first_key)
-    process1, distinct = mode == "process1", mode == "distinct_unbiased"
-    if distinct:
+    if mode == "distinct_unbiased":
         if n != len(counts):
             raise InputError("distinct_unbiased requires all-distinct items")
         if n < 2:
             raise InputError("need at least two items")
+    # (arrival i, bound, lo, eq) before the first draw: arrival i is drawn
+    # from ``bound`` remaining items, ``eq`` copies of the first arrival's
+    # key, ``lo`` items below it and the rest above
+    ranges = None
     if first_key is not None:
         c_below = sum(c for k, c in counts.items() if k < first_key)
-        c_eq = counts[first_key] - 1
-    elif not distinct:
-        # the first arrival's rank selects the key whose count range holds it
-        prefix = list(itertools.accumulate((counts[k] for k in sorted(counts)), initial=0))
-    top = n - (first_key is not None)  # no trial draws on a larger bound
-    if n == 0 or top > _MASK64 + 1:
-        raise InputError(f"bound must lie in [1, 2**64], got {top}")
+        start = (2, n - 1, c_below, counts[first_key] - 1)
+    else:
+        start = (1, n, 0, 0)
+        if mode != "distinct_unbiased":
+            # the first arrival's rank selects the key whose count range holds it
+            prefix = list(itertools.accumulate((counts[k] for k in sorted(counts)), initial=0))
+            ranges = (prefix[:-1], [e - 1 for e in prefix[1:]])  # each key's first and last rank
+    if n == 0 or start[1] > _MASK64 + 1:  # no trial draws on a larger bound
+        raise InputError(f"bound must lie in [1, 2**64], got {start[1]}")
 
-    # arrival i is drawn from ``bound`` remaining items: ``eq`` copies of the
-    # first arrival's key, ``lo`` items below it, the rest above (eq = -1
-    # until the first arrival is drawn)
-    start = (1, n, 0, -1) if first_key is None else (2, n - 1, c_below, c_eq)
-    mask, gamma = _MASK64, _GAMMA
-    z0 = _mix64(seed & mask)
     ones = nobit = 0
-    for t in range(trials):
-        # state = split_seed(seed, t), that is _mix64(z0 ^ _mix64(t)), written out
-        z = (t + gamma) & mask
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-        z = ((z ^ (z >> 31) ^ z0) + gamma) & mask
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-        state = z ^ (z >> 31)
-        i, bound, lo, eq = start
-        while eq < bound:
-            state = (state + gamma) & mask
-            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-            m = (z ^ (z >> 31)) * bound
-            if m & mask < bound and m & mask < (mask + 1 - bound) % bound:
-                continue  # Lemire's rejection: redraw on the same bound
-            r = m >> 64
-            if i == 1:
-                if distinct:  # r is the first arrival's rank
-                    lo, eq = r, 0
-                else:
-                    ix = bisect.bisect_right(prefix, r)
-                    lo, eq = prefix[ix - 1], prefix[ix] - prefix[ix - 1] - 1
-            elif r >= eq:  # arrival i differs from the first
-                if i == 2 and not process1:
-                    # combine emits [second < first], distinct_unbiased the opposite
-                    ones += (r - eq < lo) != distinct
-                else:  # process1 emits 1 at an even i, combine at an odd one
-                    ones += (i + process1) % 2
-                break
-            else:
-                eq -= 1
-            i += 1
-            bound -= 1
-        else:
-            nobit += 1
-
+    for t0 in range(0, trials, _CHUNK):
+        o, b = _chunk_counts(seed, t0, min(_CHUNK, trials - t0), start, ranges, mode)
+        ones += o
+        nobit += b
     p = ones / trials
     return BiasReport(
         mode=mode,
@@ -291,6 +268,153 @@ def empirical_bias(source, mode, trials, seed, first_key=None):
         seed=seed,
         stderr=math.sqrt(p * (1 - p) / trials),
     )
+
+
+# Trials packed into one int.  Its ints stay near 64 KB; 50,000 lanes at
+# once raised the bias command's peak RSS by about 7 MB.
+_CHUNK = 4096
+
+
+def _lane_consts(k):
+    """(one, mask, gamma, top) for k 128-bit lanes: 1, 2**64 - 1, the
+    splitmix64 gamma and 2**64 in every lane.  A lane holds a value below
+    2**64; its upper half takes the carries and products that stay in it."""
+    one = int.from_bytes(b"\1".ljust(16, b"\0") * k, "little")
+    return one, one * _MASK64, one * _GAMMA, one << 64
+
+
+def _pack(values):
+    """The int whose 128-bit lane j holds ``values[j]`` (each below 2**64)."""
+    values = array("Q", values)
+    words = array("Q", bytes(16 * len(values)))
+    words[::2] = values
+    if sys.byteorder == "big":
+        words.byteswap()
+    return int.from_bytes(words, "little")
+
+
+def _unpack(x, k):
+    """The values in the k lanes of ``x``, lane 0 first."""
+    words = array("Q", x.to_bytes(16 * k, "little"))
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words[::2]
+
+
+def _finalize_lanes(z, mask):
+    """The splitmix64 finalizer on every lane of z.  ``mask`` clears the bits
+    a shift moved across a lane boundary before each multiply, and the
+    product's high word after it."""
+    z = ((z ^ (z >> 30)) & mask) * 0xBF58476D1CE4E5B9 & mask
+    z = ((z ^ (z >> 27)) & mask) * 0x94D049BB133111EB & mask
+    return (z ^ (z >> 31)) & mask
+
+
+def _split_lanes(seed, t0, k):
+    """``split_seed(seed, t)`` for t = t0 .. t0 + k - 1, one per lane."""
+    one, mask, gamma, _ = _lane_consts(k)
+    z = _finalize_lanes((_pack(range(t0, t0 + k)) + gamma) & mask, mask)
+    return _finalize_lanes(((z ^ _mix64(seed & _MASK64) * one) + gamma) & mask, mask)
+
+
+def _finish(state, lo, eq, i, bound, ranges, mode):
+    """(ones, no_bit) of one trial whose draw for arrival i was rejected,
+    leaving its stream at ``state``: it redraws and runs on alone."""
+    while eq < bound:
+        m = _mix64(state) * bound
+        state = (state + _GAMMA) & _MASK64
+        if m & _MASK64 < (_MASK64 + 1 - bound) % bound:
+            continue  # Lemire's rejection: redraw on the same bound
+        r = m >> 64
+        if i == 1:
+            if ranges is None:  # every key is distinct
+                lo, eq = r, 0
+            else:
+                firsts, lasts = ranges
+                j = bisect.bisect_left(lasts, r)
+                lo, eq = firsts[j], lasts[j] - firsts[j]
+        elif r >= eq:  # arrival i differs from the first
+            if i == 2 and mode != "process1":
+                # combine emits [second < first], distinct_unbiased the opposite
+                return int((r - eq < lo) != (mode == "distinct_unbiased")), 0
+            # process1 emits 1 at an even i, combine at an odd one
+            return (i + (mode == "process1")) % 2, 0
+        else:
+            eq -= 1
+        i += 1
+        bound -= 1
+    return 0, 1
+
+
+def _chunk_counts(seed, t0, k, start, ranges, mode):
+    """(ones, no_bit) of trials t0 .. t0 + k - 1, run as 128-bit lanes.
+
+    Lane j of ``state``, ``lo`` and ``eq`` holds trial t0 + j's stream and
+    counts, and every lane draws on the same bound, so each op on these ints
+    advances every trial at once.  A flag is bit 0 of a lane; ``live`` flags
+    the undecided trials.  A lane whose draw is rejected leaves for
+    ``_finish``, since its next draw is on the same bound; once at most half
+    the lanes are live, the live ones are repacked.
+    """
+
+    def ge(x, y):  # [x >= y] per lane, for x < 2**64 and y <= 2**64
+        return ((x + top - y) >> 64) & one
+
+    i, bound, lo, eq = start
+    one, mask, gamma, top = _lane_consts(k)
+    state, lo, eq, live = _split_lanes(seed, t0, k), lo * one, eq * one, one
+    ones = nobit = 0
+    while live:
+        if i == 2:
+            # eq - bound stays fixed from here: a lane whose key holds every
+            # remaining item never emits
+            stuck = live & ge(eq, bound * one)
+            nobit += stuck.bit_count()
+            live ^= stuck
+            if not live:  # no lane draws again; the bound may be 0
+                break
+        state = (state + gamma) & mask
+        m = _finalize_lanes(state, mask) * bound
+        r = (m >> 64) & mask
+        threshold = (_MASK64 + 1 - bound) % bound
+        # Lemire rejects a draw whose low word is below the threshold
+        if threshold and (redraw := live & ge((threshold - 1) * one, m & mask)):
+            lanes = zip(_unpack(state, k), _unpack(lo, k), _unpack(eq, k))
+            for lane in itertools.compress(lanes, _unpack(redraw, k)):
+                o, b = _finish(*lane, i, bound, ranges, mode)
+                ones += o
+                nobit += b
+            live ^= redraw
+        if i == 1:
+            if ranges is None:  # every key is distinct
+                lo, eq = r, 0
+            else:
+                firsts, lasts = ranges
+                js = list(map(bisect.bisect_left, itertools.repeat(lasts), _unpack(r, k)))
+                lo = _pack(map(firsts.__getitem__, js))
+                eq = _pack(map(lasts.__getitem__, js)) - lo
+        else:
+            hit = ge(r, eq)  # arrival i differs from the first
+            done = live & hit
+            if i == 2 and mode != "process1":
+                # combine emits [second < first], distinct_unbiased the opposite
+                above = (done & ge(r, lo + eq)).bit_count()
+                ones += above if mode == "distinct_unbiased" else done.bit_count() - above
+            elif (i + (mode == "process1")) % 2:
+                ones += done.bit_count()
+            live ^= done
+            eq -= one ^ hit
+            lo = 0  # read at arrival 2 only
+        i += 1
+        bound -= 1
+        if 0 < 2 * (alive := live.bit_count()) <= k:
+            keep = _unpack(live, k)
+            state, lo, eq = (x and _pack(itertools.compress(_unpack(x, k), keep))
+                             for x in (state, lo, eq))
+            k = alive
+            one, mask, gamma, top = _lane_consts(k)
+            live = one
+    return ones, nobit
 
 
 # ---------------------------------------------------------------------------

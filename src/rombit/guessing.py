@@ -60,7 +60,8 @@ def empirical_ratio(n, p_one, trials, seed):
     arrival order of an exchangeable random string is itself the string, so
     a single shuffle-free draw suffices.  A trial costs its n draws: bit k
     is ``rng.random() < p_one`` on the trial's ``rng_for(seed, t)``, taken
-    into bytes and counted by ``_correct`` in C.
+    into bytes; the switch is found and the guesses counted in C, by
+    ``bytes.find`` and ``_correct``.
     """
     if trials < 1:
         raise InputError("trials must be >= 1")
@@ -73,7 +74,10 @@ def empirical_ratio(n, p_one, trials, seed):
     for t in range(trials):
         rng = rng_for(seed, t)
         bits = bytes(map(operator.lt, starmap(rng.random, repeat((), n)), repeat(p, n)))
-        total_correct += _correct(bits, *harvest(bits))
+        # combine's rule, read in C: the switch is the first bit unlike bits[0]
+        switch = bits.find(1 - bits[0], 1)  # -1 on a constant string
+        r = int(bits[1] < bits[0]) if switch == 1 else (switch + 1) % 2
+        total_correct += _correct(bits, r, switch if switch > 0 else None)
     if not total_correct:
         raise InputError("E[correct] is 0, so n/E[correct] is unbounded")
     mean = total_correct / trials

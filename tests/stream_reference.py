@@ -1,9 +1,10 @@
 """Reference Monte Carlo trial: one splitmix64 stream object per trial.
 
-``extraction.empirical_bias`` runs every trial in one inlined loop.  This
-module keeps the object form it replaced, a ``CounterStream`` per trial and
-``_sample_bit`` after the first arrival, so tests can check that the loop
-reads the same draws and returns the same bits.
+``extraction.empirical_bias`` runs its trials as the 128-bit lanes of one
+Python int, a chunk at a time.  This module keeps the object form, a
+``CounterStream`` per trial and ``_sample_bit`` after the first arrival, so
+tests can check that every lane reads the same draws and returns the same
+bits.
 """
 
 import bisect

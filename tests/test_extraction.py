@@ -16,7 +16,10 @@ from rombit.core import (
     split_seed,
 )
 from rombit.extraction import (
+    _CHUNK,
     MODES,
+    _split_lanes,
+    _unpack,
     all_distinct_counts,
     bias_curve,
     bias_family,
@@ -65,6 +68,25 @@ def test_combine_rule():
     assert exact_bias([A, A, B], "combine", first_key=B).prob_one == 1
     with pytest.raises(InputError):
         exact_bias([A, A, B], "combine", first_key=(Fraction(2),))
+
+
+def test_finite_n_bias_extremes():
+    # 2 - sqrt(2) and 2/3 are limits of families, not finite-n bounds: over
+    # every key multiplicity, combine's Pr(b=1) runs from 1/2 (distinct keys)
+    # up to 2/3 at n = 3, 4 and 3/5 at n = 5..8, and process1 reaches 1
+    def partitions(n, top):
+        if n == 0:
+            yield ()
+        for c in range(min(n, top), 0, -1):
+            for rest in partitions(n - c, c):
+                yield (c, *rest)
+
+    for n, hi in ((3, Fraction(2, 3)), (4, Fraction(2, 3)),
+                  *((n, Fraction(3, 5)) for n in range(5, 9))):
+        probs = [exact_bias({(k,): c for k, c in enumerate(p)}, "combine").prob_one
+                 for p in partitions(n, n) if len(p) > 1]
+        assert (min(probs), max(probs)) == (Fraction(1, 2), hi), n
+    assert exact_bias(all_distinct_counts(5), "process1").prob_one == 1
 
 
 def test_exact_bias_no_bit_mass():
@@ -219,6 +241,36 @@ def test_empirical_bias_matches_reference_under_rejection():
         rep = empirical_bias(counts, mode, trials, seed, first_key=first_key)
         ones, nobit = reference_counts(counts, mode, trials, seed, first_key=first_key)
         assert (rep.prob_one, rep.no_bit) == (ones / trials, nobit / trials), mode
+
+
+@pytest.mark.parametrize("mode, counts", [
+    ("process1", {(0,): 3, (1,): 1, (2,): 5}),
+    ("combine", {(0,): 3, (1,): 1, (2,): 5}),
+    ("distinct_unbiased", {(i,): 1 for i in range(5)}),
+    ("process1", {(0,): 2**62 + 5, (1,): 2**61 + 3}),
+    ("combine", {(0,): 2**62 + 5, (1,): 2**61 + 3}),
+    ("combine", {(5,): 1}),
+], ids=["process1", "combine", "distinct_unbiased", "process1-rejection", "combine-rejection",
+        "combine-one-item"])
+def test_empirical_bias_matches_reference_across_chunks(mode, counts):
+    # two full chunks and 17 lanes of a third; at bounds near 2**62 the
+    # first draw is rejected in every chunk, so _finish runs in each
+    n, trials, seed = sum(counts.values()), 2 * _CHUNK + 17, 23
+    if n > 2**62:
+        threshold = (2**64 - n) % n
+        assert {t // _CHUNK for t in range(trials)
+                if (_mix64(split_seed(seed, t)) * n) & (2**64 - 1) < threshold} == {0, 1, 2}
+    for first_key in (None, *counts):
+        rep = empirical_bias(counts, mode, trials, seed, first_key=first_key)
+        ones, nobit = reference_counts(counts, mode, trials, seed, first_key=first_key)
+        assert (rep.prob_one, rep.no_bit) == (ones / trials, nobit / trials), first_key
+
+
+def test_split_lanes_match_split_seed_across_chunks():
+    for seed in (-1, 0, 2**70 + 3):
+        for t0, k in ((0, _CHUNK), (_CHUNK, 17)):
+            assert list(_unpack(_split_lanes(seed, t0, k), k)) == \
+                [split_seed(seed, t) for t in range(t0, t0 + k)], (seed, t0)
 
 
 def test_integer_key_families_keep_exact_results():
