@@ -277,10 +277,15 @@ def instance_from_json(text, line=None):
     problem = _json_object(obj, "an instance line", line).get("problem")
     if problem not in PROBLEMS:
         raise ParseError(f"unknown problem tag {problem!r}", line=line)
+    items = obj.get("items")
+    if not isinstance(items, list):
+        raise ParseError("items must be a JSON array", line=line)
+    for i, rec in enumerate(items):
+        if not isinstance(_json_object(rec, f"item {i}", line).get("key"), list):
+            raise ParseError(f"item {i} key must be a JSON array", line=line)
     try:
-        keys = [rec["key"] for rec in obj["items"]]
-        payloads = [_json_object(rec.get("payload", {}), "payload", line)
-                    for rec in obj["items"]]
+        keys = [rec["key"] for rec in items]
+        payloads = [_json_object(rec.get("payload", {}), "payload", line) for rec in items]
         meta = {
             k: _decode_weight_table(v) if k == "weight_table" else _decode_meta_value(v)
             for k, v in _json_object(obj.get("meta", {}), "meta", line).items()

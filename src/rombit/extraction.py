@@ -31,10 +31,10 @@ sampling without replacement from a key multiset (large n).  Monte Carlo
 trials run ``_CHUNK`` at a time as the 128-bit lanes of one Python int: the
 lanes compute the key ``split_seed(seed, t)`` and draw from the splitmix64
 counter stream it keys, so one big-int op advances every trial of a chunk.
-A lane whose draw Lemire's method rejects finishes alone in ``_finish``.
-The tests keep the object form, a ``CounterStream`` per trial, as the
-reference the lanes must match draw for draw.  All other randomness in the
-package uses ``rng_for``.
+Lanes whose draw Lemire's method rejects go back on a work list, packed as
+lanes of their own, and redraw in the same kernel.  The tests keep the
+object form, a ``CounterStream`` per trial, as the reference the lanes must
+match draw for draw.  All other randomness in the package uses ``rng_for``.
 """
 
 from __future__ import annotations
@@ -221,7 +221,8 @@ def empirical_bias(source, mode, trials, seed, first_key=None):
     the category of each arrival relative to the first (below / equal /
     above) matters, so a trial reads the counts of the first arrival's key
     and costs O(#draws), whatever the keys.  Trials run in chunks of
-    ``_CHUNK``, each chunk as the lanes of ``_chunk_counts``; every trial
+    ``_CHUNK``, each chunk as the lanes of ``_chunk_counts``, which takes a
+    rejected draw's lanes back as a work item of their own; every trial
     takes the draws it would take alone, so the result does not depend on
     the chunk size.
     """
@@ -317,103 +318,81 @@ def _split_lanes(seed, t0, k):
     return _finalize_lanes(((z ^ _mix64(seed & _MASK64) * one) + gamma) & mask, mask)
 
 
-def _finish(state, lo, eq, i, bound, ranges, mode):
-    """(ones, no_bit) of one trial whose draw for arrival i was rejected,
-    leaving its stream at ``state``: it redraws and runs on alone."""
-    while eq < bound:
-        m = _mix64(state) * bound
-        state = (state + _GAMMA) & _MASK64
-        if m & _MASK64 < (_MASK64 + 1 - bound) % bound:
-            continue  # Lemire's rejection: redraw on the same bound
-        r = m >> 64
-        if i == 1:
-            if ranges is None:  # every key is distinct
-                lo, eq = r, 0
-            else:
-                firsts, lasts = ranges
-                j = bisect.bisect_left(lasts, r)
-                lo, eq = firsts[j], lasts[j] - firsts[j]
-        elif r >= eq:  # arrival i differs from the first
-            if i == 2 and mode != "process1":
-                # combine emits [second < first], distinct_unbiased the opposite
-                return int((r - eq < lo) != (mode == "distinct_unbiased")), 0
-            # process1 emits 1 at an even i, combine at an odd one
-            return (i + (mode == "process1")) % 2, 0
-        else:
-            eq -= 1
-        i += 1
-        bound -= 1
-    return 0, 1
+def _repack(flags, k, *xs):
+    """(j, _lane_consts(j), *packed): the j lanes of ``flags`` that are set,
+    taken in order from each k-lane int in ``xs`` and packed anew."""
+    keep = _unpack(flags, k)
+    j = flags.bit_count()
+    return j, _lane_consts(j), *(x and _pack(itertools.compress(_unpack(x, k), keep))
+                                 for x in xs)
 
 
 def _chunk_counts(seed, t0, k, start, ranges, mode):
     """(ones, no_bit) of trials t0 .. t0 + k - 1, run as 128-bit lanes.
 
-    Lane j of ``state``, ``lo`` and ``eq`` holds trial t0 + j's stream and
-    counts, and every lane draws on the same bound, so each op on these ints
-    advances every trial at once.  A flag is bit 0 of a lane; ``live`` flags
-    the undecided trials.  A lane whose draw is rejected leaves for
-    ``_finish``, since its next draw is on the same bound; once at most half
-    the lanes are live, the live ones are repacked.
+    Lane j of ``state``, ``lo`` and ``eq`` holds a trial's stream and counts,
+    and every lane of a work item draws on the same bound, so each op on
+    these ints advances all its trials at once.  A flag is bit 0 of a lane;
+    ``live`` flags the undecided trials.  The first item holds the whole
+    chunk.  Lanes whose draw Lemire's method rejects leave as a new item at
+    the same arrival and bound, since their streams have already advanced
+    to the redraw; a work list, not recursion, takes them, as one trial may
+    be rejected thousands of times.  Once at most half of an item's lanes
+    are live, the live ones are repacked.
     """
 
     def ge(x, y):  # [x >= y] per lane, for x < 2**64 and y <= 2**64
         return ((x + top - y) >> 64) & one
 
     i, bound, lo, eq = start
-    one, mask, gamma, top = _lane_consts(k)
-    state, lo, eq, live = _split_lanes(seed, t0, k), lo * one, eq * one, one
+    consts = _lane_consts(k)
+    work = [(i, bound, k, consts, _split_lanes(seed, t0, k), lo * consts[0], eq * consts[0])]
     ones = nobit = 0
-    while live:
-        if i == 2:
-            # eq - bound stays fixed from here: a lane whose key holds every
-            # remaining item never emits
-            stuck = live & ge(eq, bound * one)
-            nobit += stuck.bit_count()
-            live ^= stuck
-            if not live:  # no lane draws again; the bound may be 0
-                break
-        state = (state + gamma) & mask
-        m = _finalize_lanes(state, mask) * bound
-        r = (m >> 64) & mask
-        threshold = (_MASK64 + 1 - bound) % bound
-        # Lemire rejects a draw whose low word is below the threshold
-        if threshold and (redraw := live & ge((threshold - 1) * one, m & mask)):
-            lanes = zip(_unpack(state, k), _unpack(lo, k), _unpack(eq, k))
-            for lane in itertools.compress(lanes, _unpack(redraw, k)):
-                o, b = _finish(*lane, i, bound, ranges, mode)
-                ones += o
-                nobit += b
-            live ^= redraw
-        if i == 1:
-            if ranges is None:  # every key is distinct
-                lo, eq = r, 0
+    while work:
+        i, bound, k, (one, mask, gamma, top), state, lo, eq = work.pop()
+        live = one
+        while live:
+            if i == 2:
+                # eq - bound stays fixed from here: a lane whose key holds
+                # every remaining item never emits
+                stuck = live & ge(eq, bound * one)
+                nobit += stuck.bit_count()
+                live ^= stuck
+                if not live:  # no lane draws again; the bound may be 0
+                    break
+            state = (state + gamma) & mask
+            m = _finalize_lanes(state, mask) * bound
+            r = (m >> 64) & mask
+            threshold = (_MASK64 + 1 - bound) % bound
+            # Lemire rejects a draw whose low word is below the threshold
+            if threshold and (redraw := live & ge((threshold - 1) * one, m & mask)):
+                work.append((i, bound, *_repack(redraw, k, state, lo, eq)))
+                live ^= redraw
+            if i == 1:
+                if ranges is None:  # every key is distinct
+                    lo, eq = r, 0
+                else:
+                    firsts, lasts = ranges
+                    js = list(map(bisect.bisect_left, itertools.repeat(lasts), _unpack(r, k)))
+                    lo = _pack(map(firsts.__getitem__, js))
+                    eq = _pack(map(lasts.__getitem__, js)) - lo
             else:
-                firsts, lasts = ranges
-                js = list(map(bisect.bisect_left, itertools.repeat(lasts), _unpack(r, k)))
-                lo = _pack(map(firsts.__getitem__, js))
-                eq = _pack(map(lasts.__getitem__, js)) - lo
-        else:
-            hit = ge(r, eq)  # arrival i differs from the first
-            done = live & hit
-            if i == 2 and mode != "process1":
-                # combine emits [second < first], distinct_unbiased the opposite
-                above = (done & ge(r, lo + eq)).bit_count()
-                ones += above if mode == "distinct_unbiased" else done.bit_count() - above
-            elif (i + (mode == "process1")) % 2:
-                ones += done.bit_count()
-            live ^= done
-            eq -= one ^ hit
-            lo = 0  # read at arrival 2 only
-        i += 1
-        bound -= 1
-        if 0 < 2 * (alive := live.bit_count()) <= k:
-            keep = _unpack(live, k)
-            state, lo, eq = (x and _pack(itertools.compress(_unpack(x, k), keep))
-                             for x in (state, lo, eq))
-            k = alive
-            one, mask, gamma, top = _lane_consts(k)
-            live = one
+                hit = ge(r, eq)  # arrival i differs from the first
+                done = live & hit
+                if i == 2 and mode != "process1":
+                    # combine emits [second < first], distinct_unbiased the opposite
+                    above = (done & ge(r, lo + eq)).bit_count()
+                    ones += above if mode == "distinct_unbiased" else done.bit_count() - above
+                elif (i + (mode == "process1")) % 2:
+                    ones += done.bit_count()
+                live ^= done
+                eq -= one ^ hit
+                lo = 0  # read at arrival 2 only
+            i += 1
+            bound -= 1
+            if live and 2 * live.bit_count() <= k:
+                k, (one, mask, gamma, top), state, lo, eq = _repack(live, k, state, lo, eq)
+                live = one
     return ones, nobit
 
 

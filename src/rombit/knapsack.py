@@ -378,12 +378,18 @@ def exact_revocation_tail(n, alpha):
 
 
 def revocation_experiment(n, epsilon, alpha, trials, seed):
-    """Empirical Pr(k >= ceil(alpha*n)) for the forced-revocation instance.
+    """Empirical Pr(k >= ceil(alpha*n)) for the forced-revocation instance,
+    estimated without running the algorithm.
 
     The instance is n-1 copies of weight epsilon/n plus one unit item.  On
     the bit-0 branch every copy that precedes the unique item is packed and
-    then revoked (for epsilon <= 1 the early exit can never trigger), so k
-    is the unique item's position minus one.
+    then revoked (for epsilon <= 1 the early exit can never trigger), so the
+    revocation count k is the unique item's 1-based position minus one;
+    ``test_revocation_counts_match_algorithm`` checks this against
+    ``rom_proportional_tworbin`` at n = 10.  Each trial draws only that
+    position, uniform over the n slots, so ``epsilon`` is validated but
+    does not enter the estimate.  Running the algorithm on seeded orders is
+    ROADMAP item 8.
     """
     _check_size(n)
     if trials < 1:

@@ -78,7 +78,17 @@ def test_parse_error_exit_code(tmp_path, capsys):
     ('{"problem": "knapsack_proportional", "items": '
      '[{"key": [[1, 2], [1, 3]], "payload": {"weight": [1, 2], "value": [1, 2]}}]}',
      "key [[1, 2], [1, 3]] is not its payload's key [[1, 2], [1, 2]]"),
-], ids=["line", "meta", "payload", "meta-zero-denominator", "key-not-payload"])
+    ('{"problem": "knapsack_proportional"}', "items must be a JSON array"),
+    ('{"problem": "knapsack_proportional", "items": "ab"}', "items must be a JSON array"),
+    ('{"problem": "knapsack_proportional", "items": {"a": 1}}', "items must be a JSON array"),
+    ('{"problem": "knapsack_proportional", "items": [1, 2]}', "item 0 must be a JSON object"),
+    ('{"problem": "knapsack_proportional", "items": '
+     '[{"payload": {"weight": [1, 2], "value": [1, 2]}}]}', "item 0 key must be a JSON array"),
+    ('{"problem": "knapsack_proportional", "items": '
+     '[{"key": 5, "payload": {"weight": [1, 2], "value": [1, 2]}}]}',
+     "item 0 key must be a JSON array"),
+], ids=["line", "meta", "payload", "meta-zero-denominator", "key-not-payload", "no-items",
+        "items-string", "items-object", "item-not-object", "no-key", "key-not-array"])
 def test_malformed_instance_line(line, word, tmp_path, capsys):
     bad = tmp_path / "bad.jsonl"
     bad.write_text(line + "\n")

@@ -207,14 +207,18 @@ def test_monte_carlo_distinct_unbiased_honours_first_key():
 
 @settings(max_examples=150, deadline=None)
 @given(
-    st.dictionaries(st.tuples(st.integers(-3, 3)), st.integers(1, 6), min_size=1,
-                    max_size=5),
+    # counts all in 1..6, or all in [2**61, 2**62], where Lemire's method
+    # rejects up to half the draws; four keys keep n <= 2**64, and one range
+    # per dict keeps a trial short
+    st.sampled_from([(1, 6, 5), (2**61, 2**62, 4)]).flatmap(
+        lambda r: st.dictionaries(st.tuples(st.integers(-3, 3)), st.integers(r[0], r[1]),
+                                  min_size=1, max_size=r[2])),
     st.sampled_from(MODES),
     st.integers(-2**70, 2**70),
     st.data(),
 )
 def test_empirical_bias_matches_counter_stream_reference(counts, mode, seed, data):
-    # the inlined trial loop reads the draws CounterStream(seed, t) gives
+    # every lane reads the draws CounterStream(seed, t) gives, redraws too
     if mode == "distinct_unbiased":
         counts = dict.fromkeys(counts, 1)
         if len(counts) < 2:
@@ -241,6 +245,13 @@ def test_empirical_bias_matches_reference_under_rejection():
         rep = empirical_bias(counts, mode, trials, seed, first_key=first_key)
         ones, nobit = reference_counts(counts, mode, trials, seed, first_key=first_key)
         assert (rep.prob_one, rep.no_bit) == (ones / trials, nobit / trials), mode
+    # conditioned on (0,), a trial draws about 3,000 times before key (1,)
+    # and a quarter of the draws are rejected; one of these 20 trials is
+    # rejected 6,243 times, each time going back as a new work-list item
+    counts = {(0,): 3 * 2**62 - 2**52, (1,): 2**52}
+    rep = empirical_bias(counts, "process1", 20, 5, first_key=(0,))
+    ones, nobit = reference_counts(counts, "process1", 20, 5, first_key=(0,))
+    assert (rep.prob_one, rep.no_bit) == (ones / 20, nobit / 20)
 
 
 @pytest.mark.parametrize("mode, counts", [
@@ -254,7 +265,8 @@ def test_empirical_bias_matches_reference_under_rejection():
         "combine-one-item"])
 def test_empirical_bias_matches_reference_across_chunks(mode, counts):
     # two full chunks and 17 lanes of a third; at bounds near 2**62 the
-    # first draw is rejected in every chunk, so _finish runs in each
+    # first draw is rejected in every chunk, so each chunk's work list
+    # takes rejected lanes
     n, trials, seed = sum(counts.values()), 2 * _CHUNK + 17, 23
     if n > 2**62:
         threshold = (2**64 - n) % n
