@@ -23,7 +23,8 @@ enumeration gives exactly 1/2 on three distinct keys and 2/3 on key counts
 
 ``harvest`` holds all three rules, and is the one place where applications,
 the pairwise extractor and the exact oracles take their bit.  Caller keys
-are checked once, where they enter: one key length per instance.
+are checked once, where they enter: one key length per instance.  Every
+application's run is a ``Run``, whose bit ``commit``s it to one branch.
 
 Bias oracles come in two routes that never share code paths: exact
 enumeration over all labeled arrival orders (small n), and Monte Carlo
@@ -108,6 +109,26 @@ def harvest(keys, mode="combine"):
         if mode == "distinct_unbiased":
             raise InputError("distinct_unbiased requires two distinct keys")
     return None, None
+
+
+def commit(bit, one, zero):
+    """The commit rule: bit 0 takes ``zero``; bit 1, or no bit, takes ``one``."""
+    return zero if bit == 0 else one
+
+
+@dataclass
+class Run:
+    """One order's run: the bit ``harvest`` took (None when every key is
+    identical) and the branch values under bit 1 and under bit 0.  Records
+    that subclass it add only the fields their audit reads."""
+
+    bit: int
+    one: int
+    zero: int
+
+    @property
+    def value(self):
+        return commit(self.bit, self.one, self.zero)
 
 
 @dataclass
@@ -337,7 +358,8 @@ def _chunk_counts(seed, t0, k, start, ranges, mode):
     chunk.  Lanes whose draw Lemire's method rejects leave as a new item at
     the same arrival and bound, since their streams have already advanced
     to the redraw; a work list, not recursion, takes them, as one trial may
-    be rejected thousands of times.  Once at most half of an item's lanes
+    be rejected thousands of times.  When every live lane is rejected, the
+    item itself redraws at that arrival.  Once at most half of an item's lanes
     are live, the live ones are repacked.
     """
 
@@ -366,6 +388,8 @@ def _chunk_counts(seed, t0, k, start, ranges, mode):
             threshold = (_MASK64 + 1 - bound) % bound
             # Lemire rejects a draw whose low word is below the threshold
             if threshold and (redraw := live & ge((threshold - 1) * one, m & mask)):
+                if redraw == live:  # every live lane redraws here, in place
+                    continue
                 work.append((i, bound, *_repack(redraw, k, state, lo, eq)))
                 live ^= redraw
             if i == 1:

@@ -4,7 +4,9 @@ Guess 0 for the first bit, then persist with the first bit's true value
 until the first miss.  The miss happens exactly when the first bit value
 different from the leading one arrives, which is also the moment COMBINE
 emits its bit r; guess r from then on.  On a constant string there is never
-a switch and at most the very first guess is wrong.
+a switch and at most the very first guess is wrong.  A run is a
+``GuessTrace``, an ``extraction.Run`` whose ``one`` and ``zero`` count the
+correct guesses with r = 1 and r = 0, equal on a constant string.
 
 Exact E[correct] over a string's arrival orders is the ``string_guess`` row
 of ``harness.PROBLEM_TABLE``: ``mean_alg`` is E[correct] and
@@ -18,14 +20,12 @@ from dataclasses import dataclass
 from itertools import repeat, starmap
 
 from .core import InputError, rng_for
-from .extraction import harvest
+from .extraction import Run, harvest
 
 
 @dataclass
-class GuessTrace:
+class GuessTrace(Run):
     guesses: tuple
-    truth: tuple
-    correct: int
     switch_index: int  # position of the first miss / bit emission, or None
 
 
@@ -49,8 +49,8 @@ def guess_run(bits):
     # guess 0 first, persist with the first bit up to the switch, then r
     head = len(bits) - 1 if switch is None else switch
     guesses = bits and (0,) + (bits[0],) * head + (r,) * (len(bits) - 1 - head)
-    return GuessTrace(guesses=guesses, truth=bits, correct=_correct(bits, r, switch),
-                      switch_index=switch)
+    return GuessTrace(r, _correct(bits, 1, switch), _correct(bits, 0, switch),
+                      guesses=guesses, switch_index=switch)
 
 
 def empirical_ratio(n, p_one, trials, seed):

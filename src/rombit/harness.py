@@ -374,21 +374,24 @@ def scale_bits(instance):
 def _audit_proportional(s, order, ws, run, opt):
     """The proportional run against the paper's per-order inequalities, read
     off its record: neither A1's nor A2's knapsack ever exceeded capacity
-    (``run.peak``), A1+A2 >= 7/5 OPT, and the run's value is A1's or A2's."""
+    (``run.peak``), A1+A2 (``one + zero``) >= 7/5 OPT, and the reported
+    contents weigh the run's value."""
     violations = []
     if run.peak > s.cap:
         violations.append(f"capacity exceeded: peak {run.peak} > cap {s.cap} on {order}")
-    if 5 * (run.a1_value + run.a2_value) < 7 * opt:
+    if 5 * (run.one + run.zero) < 7 * opt:
         violations.append(f"A1+A2 < 1.4*OPT on {order}")
-    if run.value not in (run.a1_value, run.a2_value):
-        violations.append(f"run differs from both subroutines on {order}")
+    weight = sum(w for w, _ in run.contents)
+    if weight != run.value:
+        violations.append(f"run differs from its contents' weight {weight} on {order}")
     return violations
 
 
 def _audit_tworbin(s, order, ws, run, opt):
     """The reported two-bin knapsack is a packing of this order: its value
     is its contents' weight within capacity, each content is the arrival at
-    its index with no index twice, and only bit 0 revokes."""
+    its index with no index twice, and the ``revoked`` items are the order's
+    first arrivals, all copies of the first, and together within capacity."""
     violations = []
     if run.value != sum(w for w, _ in run.contents) or run.value > s.cap:
         violations.append(f"two-bin value {run.value} is not a packing within cap on {order}")
@@ -397,14 +400,15 @@ def _audit_tworbin(s, order, ws, run, opt):
         not 0 <= i < len(ws) or ws[i] != w for w, i in run.contents
     ):
         violations.append(f"two-bin contents differ from the arrivals on {order}")
-    if run.revocations and run.bit != 0:
-        violations.append(f"revocation without bit 0 on {order}")
+    head = ws[:run.revoked]
+    if head != ws[:1] * run.revoked or sum(head) > s.cap:
+        violations.append(f"revoked {run.revoked} are not first copies within cap on {order}")
     return violations
 
 
 def _audit_general(s, order, items, run, opt):
-    """GREEDY+MAX >= OPT, with the full-order GREEDY value of the run."""
-    if run.greedy_value + run.max_value < opt:
+    """GREEDY+MAX (``one + zero``) >= OPT, with GREEDY on the full order."""
+    if run.one + run.zero < opt:
         return [f"GREEDY+MAX < OPT on {order}"]
     return []
 
@@ -462,15 +466,12 @@ def _audit_guess(s, order, bits, run, opt):
 
 def _run_proportional(s, order, variant):
     if variant == "tworbin":
-        run = knapsack.rom_proportional_tworbin(order, s.cap)
-        return run.value, s.opt, order, run, _audit_tworbin
-    run = knapsack.rom_proportional(order, s.cap)
-    return run.value, s.opt, order, run, _audit_proportional
+        return knapsack.rom_proportional_tworbin(order, s.cap), s.opt, order, _audit_tworbin
+    return knapsack.rom_proportional(order, s.cap), s.opt, order, _audit_proportional
 
 
 def _run_general(s, order, variant):
-    run = knapsack.rom_general(order, s.cap)
-    return run.value, s.opt, order, run, _audit_general
+    return knapsack.rom_general(order, s.cap), s.opt, order, _audit_general
 
 
 def _run_intervals(s, order, variant):
@@ -479,27 +480,26 @@ def _run_intervals(s, order, variant):
     else:
         run = intervals.rom_adaptive(s.releases, order, s.variant)
     suffix_opt = intervals.offline_opt_intervals(s.releases, order)
-    return run.value, suffix_opt[0], suffix_opt, run, _audit_intervals
+    return run, suffix_opt[0], suffix_opt, _audit_intervals
 
 
 def _run_throughput(s, order, variant):
     last = [r + x for r, x in zip(s.releases, order)]
     run = throughput.rom_simulation(s.releases, last, s.proc)
     opt = throughput.offline_opt_throughput(s.releases, last, s.proc)
-    return len(run.chosen), opt, last, run, _audit_throughput
+    return run, opt, last, _audit_throughput
 
 
 def _run_guess(s, order, variant):
-    run = guessing.guess_run(order)
-    return run.correct, len(order), order, run, _audit_guess
+    return guessing.guess_run(order), len(order), order, _audit_guess
 
 
 @dataclass(frozen=True)
 class Problem:
     """Every per-problem decision of the harness.  ``run(view, order,
     variant)`` places one arrival order on the fixed release positions, if
-    any, runs it and returns (alg, opt, what the check reads besides the
-    view, order and run, run record, audit check).
+    any, runs it and returns (run, opt, what the check reads besides the
+    view, order and run, audit check); the run is an ``extraction.Run``.
     The functions call the application modules through their attributes at
     call time, so a patched or traced name is the one that runs."""
 
@@ -537,16 +537,17 @@ def _spec(problem):
 def run_order(instance_view, problem, order, variant=None, audit=False):
     """Run one arrival order; returns (alg, opt, violations).
 
-    ``alg`` and ``opt`` are ints in the instance's scaled units, so the
-    values are ``alg/unit`` and ``opt/unit`` with the view's ``unit``; no
-    Fraction is built per order.  With ``audit`` set, ``violations`` lists
+    ``alg`` is the run's committed ``value``, for every problem.  ``alg``
+    and ``opt`` are ints in the instance's scaled units, so the values are
+    ``alg/unit`` and ``opt/unit`` with the view's ``unit``; no Fraction is
+    built per order.  With ``audit`` set, ``violations`` lists
     the failures of the problem's per-order inequality checks on this run;
     otherwise it is empty.
     """
     s = instance_view
-    alg, opt, reads, run, check = PROBLEM_TABLE[problem].run(s, order, variant)
+    run, opt, reads, check = PROBLEM_TABLE[problem].run(s, order, variant)
     violations = check(s, order, reads, run, opt) if audit else []
-    return alg, opt, violations
+    return run.value, opt, violations
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,13 @@ Every variant runs one skeleton, ``_rom``: greedy over the pseudo-identical
 prefix, the COMBINE bit that ``extraction.harvest`` takes at the first
 distinct (weight, length) key, then two branches A and B from the anchor,
 the last greedily accepted arrival, that pick winners in alternating slots;
-bit 1 selects A.  Single-length instances use fixed slots of width p;
-monotone and C-benevolent instances use the adaptive slot chain where each
-new slot is bounded by the end of the arrival accepted in the previous one.
-A variant's instance rule holds for every arrival order or for none, so
-``harness.scale_intervals`` checks it once per instance.
+bit 1 selects A.  The run is an ``extraction.Run`` whose ``one`` and
+``zero`` weigh the prefix plus A and the prefix plus B.  Single-length
+instances use fixed slots of width p; monotone and C-benevolent instances
+use the adaptive slot chain where each new slot is bounded by the end of
+the arrival accepted in the previous one.  A variant's instance rule holds
+for every arrival order or for none, so ``harness.scale_intervals`` checks
+it once per instance.
 
 The offline oracle is one backward pass over the release column: as
 ``rel`` is sorted and lengths are positive, arrival k conflicts exactly
@@ -28,7 +30,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 
-from .extraction import harvest
+from .extraction import Run, harvest
 
 
 def feasible_selection(rel, order, chosen):
@@ -68,21 +70,19 @@ def offline_opt_intervals(rel, order):
 
 
 @dataclass
-class IntervalRun:
+class IntervalRun(Run):
     """One arrival order's run, in arrival indices: the greedy prefix before
     the anchor, both branches from the anchor on (bit 1 takes ``a``, bit 0
-    takes ``b``), ``cover``, a bound on OPT from the anchor on, and the
-    weight ``value`` of the prefix plus the chosen branch.  With no bit, the
-    prefix is the greedy run over all arrivals and the branches are
-    empty."""
+    takes ``b``), and ``cover``, a bound on OPT from the anchor on.  ``one``
+    weighs the prefix plus ``a`` and ``zero`` the prefix plus ``b``.  With
+    no bit, the prefix is the greedy run over all arrivals and the branches
+    are empty."""
 
-    bit: int
     anchor_index: int  # the last greedily accepted arrival
     prefix: list
     a: list
     b: list
     cover: int
-    value: int
 
 
 def _rom(rel, order, branches):
@@ -98,12 +98,13 @@ def _rom(rel, order, branches):
         if not kept or rel[ix] >= free:
             kept.append(ix)
             free = rel[ix] + order[ix][0]
-    if switch is None:
-        return IntervalRun(None, None, kept, [], [], 0, sum(order[ix][1] for ix in kept))
-    anchor = kept.pop()
-    a, b, cover = branches(anchor)
-    chosen = kept + (a if bit == 1 else b)
-    return IntervalRun(bit, anchor, kept, a, b, cover, sum(order[ix][1] for ix in chosen))
+    anchor, a, b, cover = None, [], [], 0
+    if switch is not None:
+        anchor = kept.pop()
+        a, b, cover = branches(anchor)
+    prefix = sum(order[ix][1] for ix in kept)
+    return IntervalRun(bit, prefix + sum(order[ix][1] for ix in a),
+                       prefix + sum(order[ix][1] for ix in b), anchor, kept, a, b, cover)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 Three ROM algorithms share the same skeleton: pack identical items greedily,
 take the COMBINE bit at the first distinct item from ``extraction.harvest``,
-then commit to one of two deterministic continuations.
+then commit to one of two deterministic continuations.  Each run is an
+``extraction.Run``: both continuations run on every order, and ``one`` and
+``zero`` hold their values.
 
 * proportional, two subroutines (aggressive / balanced) chosen by the bit;
 * proportional, two-bin variant with an early-exit guard;
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import CapacityError, InputError, rng_for
-from .extraction import harvest
+from .extraction import Run, commit, harvest
 
 OPT_GUARD = 24
 
@@ -160,12 +162,10 @@ def max_subset_within(entries, cap):
 
 
 @dataclass
-class ProportionalRun:
-    bit: int
-    contents: list
-    value: int
-    a1_value: int
-    a2_value: int
+class ProportionalRun(Run):
+    """``one`` is A1's value and ``zero`` A2's."""
+
+    contents: list  # the reported knapsack
     peak: int  # largest A1 or A2 knapsack total after any step
 
 
@@ -175,23 +175,15 @@ def rom_proportional(weights, cap):
     Each arrival is classified once, and both subroutines run from the
     start of the sequence on those classes; during the identical prefix
     their knapsacks coincide with the greedy packing, so the returned
-    knapsack always equals one full A1 or A2 run.
+    knapsack always equals one full A1 or A2 run.  Without a bit all items
+    are identical and both hold the same greedy packing.
     """
     bit, _ = harvest(weights)
     cls = [weight_class(w, cap) for w in weights]
-    a1, a1_value, a1_peak = subroutine_run(weights, cls, cap, place_a1)
-    a2, a2_value, a2_peak = subroutine_run(weights, cls, cap, place_a2)
-    # without a bit all items are identical and both subroutines hold the
-    # same greedy packing
-    contents, value = (a2, a2_value) if bit == 0 else (a1, a1_value)
-    return ProportionalRun(
-        bit=bit,
-        contents=contents,
-        value=value,
-        a1_value=a1_value,
-        a2_value=a2_value,
-        peak=max(a1_peak, a2_peak),
-    )
+    a1, one, peak1 = subroutine_run(weights, cls, cap, place_a1)
+    a2, zero, peak2 = subroutine_run(weights, cls, cap, place_a2)
+    return ProportionalRun(bit, one, zero, contents=commit(bit, a1, a2),
+                           peak=max(peak1, peak2))
 
 
 # ---------------------------------------------------------------------------
@@ -200,44 +192,40 @@ def rom_proportional(weights, cap):
 
 
 @dataclass
-class TwoBinRun:
-    bit: int
+class TwoBinRun(Run):
+    """``one`` is bin 1's weight and ``zero`` bit 0's: bin 2's, or bin 1's on
+    early exit; ``revoked`` counts what bit 0 revokes, whatever the bit."""
+
     early_exit: bool
-    contents: list
-    value: int
-    revocations: int
+    contents: list  # the reported bin
+    revoked: int  # 0 on early exit or with no bit
 
 
-def rom_proportional_tworbin(weights, cap, force_bit=None):
+def rom_proportional_tworbin(weights, cap):
     """Two-bin continuation: bin 1 packs greedily throughout; bit 1 keeps
     it, and bit 0 revokes its prefix and collects in bin 2 the items that
-    overflow it from the switch on.
+    overflow it from the switch on.  Bin 1 does not depend on the bit, so
+    both bins are filled whatever the bit.
 
     Returns the current knapsack untouched when less than one more identical
     item would fit at the switch (the early-exit guard).
     """
     bit, switch = harvest(weights)
-    if bit is not None and force_bit is not None:
-        bit = force_bit
     bin1, w1, bin2, w2 = [], 0, [], 0
-    early_exit = False
+    revoked = 0
     for i, w in enumerate(weights):
         if i == switch:
             if w1 > 0 and cap - w1 < weights[0]:
-                early_exit = True
-                break
-            prefix = len(bin1)  # what bit 0 revokes
+                return TwoBinRun(bit, w1, w1, early_exit=True, contents=bin1, revoked=0)
+            revoked = len(bin1)
         if w1 + w <= cap:
             bin1.append((w, i))
             w1 += w
-        elif bit == 0 and i >= switch and w2 + w <= cap:
+        elif switch is not None and i >= switch and w2 + w <= cap:
             bin2.append((w, i))
             w2 += w
-    if bit == 0 and not early_exit:
-        return TwoBinRun(bit=0, early_exit=False, contents=bin2, value=w2,
-                         revocations=prefix)
-    return TwoBinRun(bit=bit, early_exit=early_exit, contents=bin1, value=w1,
-                     revocations=0)
+    return TwoBinRun(bit, w1, w2, early_exit=False, contents=commit(bit, bin1, bin2),
+                     revoked=revoked)
 
 
 # ---------------------------------------------------------------------------
@@ -268,31 +256,17 @@ def greedy_density_run(items, cap):
     return sum(e[1] for e in contents), contents
 
 
-@dataclass
-class GeneralRun:
-    bit: int
-    greedy_value: int  # GREEDY on the full order, whatever the bit
-    max_value: int
-    value: int
-
-
 def rom_general(items, cap):
     """GREEDY on the identical prefix; the bit keeps GREEDY or switches to MAX.
 
     ``items`` are scaled (weight, value) integer pairs; COMBINE compares
     items by value first, then weight.  GREEDY runs once, on the full
-    order, and ``greedy_value`` records its value whatever the bit, so the
-    audit checks GREEDY+MAX >= OPT on this run without rerunning it.
+    order, so the run is ``Run(bit, GREEDY, MAX)`` whatever the bit, and
+    the audit checks GREEDY+MAX >= OPT on it without rerunning either.
     """
     bit, _ = harvest((v, w) for w, v in items)
-    greedy_value, _ = greedy_density_run(items, cap)
-    max_value = max((v for _, v in items), default=0)
-    return GeneralRun(
-        bit=bit,
-        greedy_value=greedy_value,
-        max_value=max_value,
-        value=max_value if bit == 0 else greedy_value,
-    )
+    greedy, _ = greedy_density_run(items, cap)
+    return Run(bit, greedy, max((v for _, v in items), default=0))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ the two schedules drift apart.  The ROM algorithm first packs jobs
 pseudo-identical to the first arrival with one such process, alone and so
 greedy, then at the first distinct slack takes the COMBINE bit from
 ``extraction.harvest`` and continues with two from the breakpoint B; the
-bit selects which schedule is real.  One simulator, ``run_processes``,
+bit selects which schedule is real: the run is an ``extraction.Run`` whose
+``one`` is |X| and ``zero`` is |Y|.  One simulator, ``run_processes``,
 runs both phases.
 
 An instance is two int columns and one int: ``rel[i]`` and ``last[i]``,
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .core import CapacityError
-from .extraction import harvest
+from .extraction import Run, harvest
 
 OPT_GUARD = 10
 
@@ -142,11 +143,9 @@ def run_processes(rel, last, p, live, start_time=0, count=2):
 
 
 @dataclass
-class RomRun:
-    x: list
+class RomRun(Run):
+    x: list  # bit 1's schedule; with no bit, X and Y are one schedule
     y: list
-    chosen: list
-    bit: int
     breakpoint: object
     prefix: list  # G, the common greedy prefix
 
@@ -170,8 +169,8 @@ def rom_simulation(rel, last, p):
     bit, distinct_ix = harvest(s - r for r, s in zip(rel, last))
     if distinct_ix is None:
         (entries,) = run_processes(rel, last, p, range(n), count=1)
-        return RomRun(x=entries, y=entries, chosen=entries, bit=None, breakpoint=None,
-                      prefix=entries)
+        return RomRun(None, len(entries), len(entries), x=entries, y=entries,
+                      breakpoint=None, prefix=entries)
     r = rel[distinct_ix]
     (greedy,) = run_processes(rel, last, p, [k for k in range(n) if rel[k] < r], count=1)
     bpoint = next((e.start for e in greedy if e.start < r < e.start + p), r)
@@ -181,8 +180,7 @@ def rom_simulation(rel, last, p):
                                    bpoint)
     x = prefix + x_tail
     y = prefix + y_tail
-    return RomRun(x=x, y=y, chosen=(x if bit == 1 else y), bit=bit, breakpoint=bpoint,
-                  prefix=prefix)
+    return RomRun(bit, len(x), len(y), x=x, y=y, breakpoint=bpoint, prefix=prefix)
 
 
 # ---------------------------------------------------------------------------

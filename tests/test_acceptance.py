@@ -230,8 +230,8 @@ def test_c5_revocation():
     copy_w, unit_w = ws[0], ws[-1]
     for pos in range(1, 10):
         order = [copy_w] * pos + [unit_w] + [copy_w] * (9 - pos)
-        run = rom_proportional_tworbin(order, cap, force_bit=0)
-        ok = ok and run.revocations == pos
+        run = rom_proportional_tworbin(order, cap)
+        ok = ok and run.revoked == pos
     _report("5 revocation tail bound and exact n=10 formula", ok, "; ".join(details))
 
 

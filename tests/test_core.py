@@ -55,7 +55,7 @@ def test_realtime_rom_keeps_releases_sorted():
     view = spec.scale(inst)
     assert view.releases == [0, 2, 2, 7]
     for order in _sampled_orders(view.column, 40, seed=0):
-        _, _, last, _, _ = spec.run(view, order, None)
+        _, _, last, _ = spec.run(view, order, None)
         # each latest start is the fixed release at its position plus the
         # slack the order places there
         slacks = [s - r for r, s in zip([0, 2, 2, 7], last)]

@@ -1,5 +1,6 @@
 """Binary string guessing under random-order arrivals."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -25,13 +26,13 @@ def exact_rows(strings):
 def test_hand_trace():
     tr = guess_run([0, 0, 0, 0, 1, 1])
     assert tr.guesses == (0, 0, 0, 0, 0, 1)
-    assert tr.correct == 5
+    assert tr.value == 5
     assert tr.switch_index == 4  # first distinct at position 5, odd, so r = 1
 
 
 def test_constant_strings():
-    assert guess_run([0] * 6).correct == 6
-    assert guess_run([1] * 6).correct == 5  # only the forced first guess misses
+    assert guess_run([0] * 6).value == 6
+    assert guess_run([1] * 6).value == 5  # only the forced first guess misses
 
 
 @given(st.lists(st.sampled_from([0, 1, False, True, Fraction(0), Fraction(1)]),
@@ -42,10 +43,10 @@ def test_constant_strings():
 @example([True, False, True])
 def test_guess_run_correct_matches_zip_count(bits):
     tr = guess_run(bits)
-    assert tr.truth == tuple(int(b) for b in bits)
+    truth = tuple(int(b) for b in bits)
     assert len(tr.guesses) == len(bits)
-    assert tr.correct == sum(g == b for g, b in zip(tr.guesses, tr.truth))
-    assert _correct(bytes(tr.truth), *harvest(bytes(tr.truth))) == tr.correct
+    assert tr.value == sum(g == b for g, b in zip(tr.guesses, truth))
+    assert _correct(bytes(truth), *harvest(bytes(truth))) == tr.value
 
 
 @pytest.mark.parametrize("bits", [[0, 2], [1.5, 0], ["1", 0], [-1]])
@@ -66,7 +67,7 @@ def test_majority_lower_bound_all_small_strings():
     for bits, row in rows.items():
         k = sum(bits)
         assert float(row["mean_alg"]) >= c * max(k, len(bits) - k) - 1 - 1e-12
-    assert guess_run((1,)).correct == 0 >= c - 1
+    assert guess_run((1,)).value == 0 >= c - 1
 
 
 def test_zero_expected_correct_is_unbounded():
@@ -121,7 +122,7 @@ def reference_mean_correct(n, p, trials, seed):
     total = 0
     for t in range(trials):
         rng = rng_for(seed, t)
-        total += guess_run([1 if rng.random() < p else 0 for _ in range(n)]).correct
+        total += guess_run([1 if rng.random() < p else 0 for _ in range(n)]).value
     return total / trials
 
 
@@ -147,3 +148,29 @@ def test_empirical_ratio_matches_guess_run_reference(args):
     else:
         res = empirical_ratio(*args)
         assert (res["mean_correct"], res["ratio"]) == (want, args[0] / want)
+
+
+def reference_correct(bits, r):
+    """Correct guesses when the player guesses 0, then the first bit, and r
+    from the first miss after the first guess on."""
+    correct, guess, switched = 0, 0, False
+    for k, b in enumerate(bits):
+        correct += guess == b
+        if k == 0:
+            guess = b
+        elif guess != b and not switched:
+            guess, switched = r, True
+    return correct
+
+
+def test_branch_values_are_forced_r_counts():
+    # every 0/1 string up to length 8: ``one`` and ``zero`` are the correct
+    # guesses with r forced to 1 and to 0, and the value is the run's own r's
+    for n in range(9):
+        for bits in itertools.product((0, 1), repeat=n):
+            run = guess_run(bits)
+            assert (run.one, run.zero) == (reference_correct(bits, 1),
+                                           reference_correct(bits, 0))
+            r = harvest(bits)[0]
+            assert run.bit == r
+            assert run.value == reference_correct(bits, 1 if r is None else r)

@@ -302,7 +302,7 @@ def test_exact_row_matches_fraction_reference(problem, variant, params, monkeypa
             run = real(rel, last, p)
             slacks = [s - r for r, s in zip(rel, last)]
             if slacks[0] == min(slacks):
-                return replace(run, chosen=[])
+                return replace(run, one=0, zero=0)
             return run
 
         monkeypatch.setattr(hz.throughput, "rom_simulation", sometimes_empty)
@@ -453,19 +453,52 @@ def test_tworbin_audit_checks_the_two_bin_run(monkeypatch):
 
     def over_capacity(weights, cap):
         contents = [(w, i) for i, w in enumerate(weights)]
-        return knapsack.TwoBinRun(bit=1, early_exit=False, contents=contents,
-                                  value=sum(weights), revocations=0)
+        return knapsack.TwoBinRun(bit=1, one=sum(weights), zero=0, early_exit=False,
+                                  contents=contents, revoked=0)
 
+    real = knapsack.rom_proportional_tworbin
     monkeypatch.setattr(knapsack, "rom_proportional_tworbin", over_capacity)
     rep = hz.run_experiment(cfg)
     assert rep.violation_count > 0
     assert all("two-bin value" in v for r in rep.rows for v in r["violations"])
 
+    flagged = []
+
+    def one_more_revoked(weights, cap):
+        # with a bit and no early exit, bit 0 revokes the whole prefix, so
+        # one more item is the distinct arrival
+        run = real(weights, cap)
+        flagged.append(run.bit is not None and not run.early_exit)
+        return replace(run, revoked=run.revoked + 1)
+
+    monkeypatch.setattr(knapsack, "rom_proportional_tworbin", one_more_revoked)
+    rep = hz.run_experiment(cfg)
+    violations = [v for r in rep.rows for v in r["violations"]]
+    assert len(flagged) == sum(r["orders"] for r in rep.rows)
+    assert 0 < len(violations) == sum(flagged)  # one per flagged order
+    assert all("revoked" in v for v in violations)
+
+
+@pytest.mark.parametrize("weights, revoked, violated", [
+    ([3, 3, 4], 0, False), ([3, 3, 4], 2, False), ([3, 3, 4], 3, True),
+    ([3, 3, 4], 4, True), ([3, 3, 3, 3], 3, False), ([3, 3, 3, 3], 4, True),
+])
+def test_tworbin_revoked_boundary(weights, revoked, violated):
+    # the revoked items are the first arrivals, copies of the first, within
+    # the capacity 10: two 3s and the 4 are not all copies, four 3s weigh 12
+    from types import SimpleNamespace
+
+    run = knapsack.TwoBinRun(bit=0, one=0, zero=0, early_exit=False, contents=[],
+                             revoked=revoked)
+    got = hz._audit_tworbin(SimpleNamespace(cap=10), "o", weights, run, 0)
+    assert len(got) == violated
+    assert all("revoked" in v for v in got)
+
 
 @pytest.mark.parametrize("check, doctor", [
     ("capacity exceeded", lambda run, cap: replace(run, peak=cap + 1)),
-    ("A1+A2 < 1.4*OPT", lambda run, cap: replace(run, value=0, a1_value=0, a2_value=0)),
-    ("run differs", lambda run, cap: replace(run, value=run.a1_value + run.a2_value + 1)),
+    ("A1+A2 < 1.4*OPT", lambda run, cap: replace(run, one=0, zero=0, contents=[])),
+    ("run differs", lambda run, cap: replace(run, contents=run.contents[1:])),
 ])
 def test_proportional_audit_checks_the_run_record(monkeypatch, check, doctor):
     # the undoctored runs of these instances pass: test_audit_wiring

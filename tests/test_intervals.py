@@ -8,10 +8,12 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rombit.core import InputError, distinct_orderings
+from rombit.harness import generate_instances, scale_intervals
 from rombit.intervals import (
     adaptive_slots_run,
     feasible_selection,
@@ -237,3 +239,27 @@ def test_single_length_observations_random():
             assert weight(order, run.prefix) == pre
             assert suffix_opt[0] <= pre + suf
             assert suf <= run.cover
+
+
+@pytest.mark.parametrize("variant", ["single", "monotone", "c_benevolent"])
+def test_branch_values_weigh_prefix_plus_branch(variant):
+    """``one`` weighs the prefix plus A and ``zero`` the prefix plus B, on
+    every order of generated instances and of one with no bit; the reported
+    value weighs the accepted arrivals."""
+    insts = generate_instances("interval", "uniform",
+                               {"n": [3, 4, 5], "variant": variant, "support": 2}, 8, 21)
+    insts.append(generate_instances("interval", "uniform",
+                                    {"n": 3, "variant": variant, "support": 1}, 1, 1)[0])
+    bits = set()
+    for inst in insts:
+        view = scale_intervals(inst)
+        for order in distinct_orderings(view.column):
+            if variant == "single":
+                run = rom_single_length(view.releases, order)
+            else:
+                run = rom_adaptive(view.releases, order, variant)
+            bits.add(run.bit)
+            assert run.one == weight(order, run.prefix + run.a)
+            assert run.zero == weight(order, run.prefix + run.b)
+            assert run.value == weight(order, accepted(run))
+    assert bits == {None, 0, 1}

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rombit.core import CapacityError, InputError, distinct_orderings
+from rombit.extraction import harvest
 from rombit.knapsack import (
     exact_revocation_tail,
     forced_revocation_weights,
@@ -93,7 +94,7 @@ def test_rom_proportional_trivials():
     run = rom_proportional([2] * 6, 10)
     assert run.value == 10 and run.bit is None
     run = rom_proportional([75, 20], 100)
-    assert run.value == 75 and run.a1_value == 75 and run.a2_value == 75
+    assert run.value == 75 and run.one == 75 and run.zero == 75
 
 
 def test_rom_proportional_matches_a_subroutine():
@@ -113,24 +114,24 @@ def test_tworbin_cases():
     run = rom_proportional_tworbin([3, 3, 4], 10)  # room for one more copy
     assert not run.early_exit and run.bit == 1 and run.value == 10
     run = rom_proportional_tworbin([3, 3, 3, 4], 10)  # 1 - W < w
-    assert run.early_exit and run.value == 9 and run.revocations == 0
-    run = rom_proportional_tworbin([3, 3, 4], 10, force_bit=0)
-    assert run.revocations == 2  # all prefix copies revoked
-    assert run.value == 0  # the 4 still fits the simulated bin 1
-    run = rom_proportional_tworbin([3, 3, 8], 10, force_bit=0)
-    assert run.value == 8  # overflows bin 1, lands in bin 2
+    assert run.early_exit and run.value == 9 and run.revoked == 0
+    run = rom_proportional_tworbin([3, 3, 4], 10)
+    assert run.revoked == 2  # all prefix copies revoked
+    assert run.zero == 0  # the 4 still fits the simulated bin 1
+    run = rom_proportional_tworbin([3, 3, 8], 10)
+    assert run.zero == 8  # overflows bin 1, lands in bin 2
 
 
 def test_rom_general_example():
     run = rom_general([(3, 3), (3, 3), (5, 9)], 10)
-    assert run.greedy_value == 12 and run.max_value == 9
+    assert run.one == 12 and run.zero == 9
     assert run.bit == 1 and run.value == 12
     run = rom_general([(5, 9)], 10)
     assert run.value == 9  # single item: both branches keep it
     # bit 0 takes MAX, and the record still holds GREEDY on the full order
     run = rom_general([(4, 1), (4, 2), (6, 12)], 10)
     assert run.bit == 0 and run.value == 12
-    assert run.greedy_value == 14  # the prefix alone would give 1
+    assert run.one == 14  # the prefix alone would give 1
 
 
 def test_offline_opt():
@@ -153,7 +154,7 @@ def test_per_order_inequalities_small_batch():
         for order in distinct_orderings(ws):
             run = rom_proportional(order, cap)
             assert run.peak <= cap  # neither knapsack overflowed at any step
-            assert 5 * (run.a1_value + run.a2_value) >= 7 * opt
+            assert 5 * (run.one + run.zero) >= 7 * opt
         items = [(w, rng.randint(1, 30)) for w in pool]
         seq = [rng.choice(items) for _ in range(n)]
         gopt = offline_opt_scaled(seq, cap)
@@ -243,6 +244,18 @@ def test_greedy_density_run_matches_fraction_reference(case):
     assert greedy_density_run(items, cap) == greedy_density_reference(items, cap)
 
 
+@settings(max_examples=300, deadline=None)
+@given(knapsack_cases(max_n=10))
+def test_general_branches_are_greedy_and_max(case):
+    """``one`` is GREEDY on the full order and ``zero`` is MAX, whatever the
+    bit; the bit is COMBINE's on (value, weight) keys."""
+    items, cap = case
+    run = rom_general(items, cap)
+    assert run.bit == harvest((v, w) for w, v in items)[0]
+    assert run.one == greedy_density_reference(items, cap)[0]
+    assert run.zero == max(v for _, v in items)
+
+
 def test_freeze_monotonicity():
     # once A2 completes its packing (a large arrival, or ``place_a2`` says
     # so), no later arrival changes its contents
@@ -298,9 +311,9 @@ def test_revocation_counts_match_algorithm():
     copy_w, unit_w = ws[0], ws[-1]
     for pos in range(1, n):
         order = [copy_w] * pos + [unit_w] + [copy_w] * (n - 1 - pos)
-        run = rom_proportional_tworbin(order, cap, force_bit=0)
+        run = rom_proportional_tworbin(order, cap)
         assert not run.early_exit
-        assert run.revocations == pos
+        assert run.revoked == pos
 
 
 def test_revocation_experiment_bound():
@@ -345,7 +358,7 @@ def test_running_totals_and_peak_match_contents(case):
         assert max(p for _, _, p in runs) == peak
     run = rom_proportional(ws, cap)
     assert run.peak == peak
-    assert [run.a1_value, run.a2_value] == sums
+    assert [run.one, run.zero] == sums
 
 
 # ---------------------------------------------------------------------------
@@ -472,8 +485,8 @@ def test_subroutines_match_reference(case):
     for k in range(1, len(ws) + 1):
         prefix = ws[:k]
         run = rom_proportional(prefix, cap)
-        for place, ref, value in ((place_a1, ref1, run.a1_value),
-                                  (place_a2, ref2, run.a2_value)):
+        for place, ref, value in ((place_a1, ref1, run.one),
+                                  (place_a2, ref2, run.zero)):
             contents, total, _ = run_sub(prefix, cap, place)
             want = ref[k - 1][0]
             assert sorted(contents) == want
@@ -482,3 +495,47 @@ def test_subroutines_match_reference(case):
         assert run.peak == peak
         side = ref2 if run.bit == 0 else ref1
         assert sorted(run.contents) == side[k - 1][0]
+
+
+def reference_tworbin(weights, cap, bit):
+    """The two-bin run with its bit forced to ``bit`` when the order has
+    one: bin 2 is filled only on bit 0.  Returns (contents, value, the
+    bin-1 items bit 0 revokes, early exit)."""
+    real, switch = harvest(weights)
+    if real is None:
+        bit = None
+    bin1, w1, bin2, w2 = [], 0, [], 0
+    early_exit = False
+    for i, w in enumerate(weights):
+        if i == switch:
+            if w1 > 0 and cap - w1 < weights[0]:
+                early_exit = True
+                break
+            prefix = len(bin1)
+        if w1 + w <= cap:
+            bin1.append((w, i))
+            w1 += w
+        elif bit == 0 and i >= switch and w2 + w <= cap:
+            bin2.append((w, i))
+            w2 += w
+    if bit == 0 and not early_exit:
+        return bin2, w2, prefix, False
+    return bin1, w1, 0, early_exit
+
+
+@settings(max_examples=300, deadline=None)
+@given(proportional_cases())
+def test_tworbin_branches_match_forced_bit_reference(case):
+    """``one`` and ``zero`` are the values of the reference run forced to
+    bit 1 and to bit 0, ``revoked`` is bit 0's count whatever the bit, and
+    the reported bin is the reference's at the order's own bit."""
+    cap, ws = case
+    run = rom_proportional_tworbin(ws, cap)
+    assert run.one == reference_tworbin(ws, cap, 1)[1]
+    if run.bit is None:
+        assert (run.revoked, run.early_exit) == (0, False)
+    else:
+        _, zero, revoked, early_exit = reference_tworbin(ws, cap, 0)
+        assert (run.zero, run.revoked, run.early_exit) == (zero, revoked, early_exit)
+    contents, value, _, _ = reference_tworbin(ws, cap, run.bit)
+    assert (run.contents, run.value) == (contents, value)

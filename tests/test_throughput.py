@@ -168,8 +168,8 @@ def test_rom_simulation_identical_jobs_optimal():
     arr = columns([J(0, 10, 5, 0), J(0, 10, 5, 1), J(12, 10, 5, 2)], 10)
     run = rom_simulation(*arr)
     assert run.bit is None
-    assert len(run.chosen) == offline_opt_throughput(*arr)
-    assert is_normal(run.chosen, *arr)[0]  # phase-1-only output is normal
+    assert run.value == offline_opt_throughput(*arr)
+    assert is_normal(run.x, *arr)[0]  # phase-1-only output is normal
 
 
 def test_preemption_when_breakpoint_set_is_flexible():
@@ -622,8 +622,8 @@ def reference_rom_simulation(jobs, p):
     bit, ix = harvest((j.proc, j.slack) for j in jobs)
     if ix is None:
         entries = labelled(reference_single_greedy_run(jobs, p)[0])
-        return RomRun(x=entries, y=entries, chosen=entries, bit=None, breakpoint=None,
-                      prefix=entries), []
+        return RomRun(None, len(entries), len(entries), x=entries, y=entries,
+                      breakpoint=None, prefix=entries), []
     r = jobs[ix].release
     done, running = reference_single_greedy_run([j for j in jobs if j.release < r], p,
                                                 horizon=r)
@@ -637,7 +637,7 @@ def reference_rom_simulation(jobs, p):
             sub.append(J(release, p, j.expiry - release, j.label))
     xs, ys = reference_dual_run(sub, p, start_time=bpoint)
     x, y = labelled(prefix + xs), labelled(prefix + ys)
-    return RomRun(x=x, y=y, chosen=(x if bit == 1 else y), bit=bit, breakpoint=bpoint,
+    return RomRun(bit, len(x), len(y), x=x, y=y, breakpoint=bpoint,
                   prefix=labelled(prefix)), sub
 
 

@@ -4,8 +4,8 @@ exact reports match the benchmark's golden digests, the benchmark's
 key-counted orders are the harness's column orders, seeded Monte Carlo and
 ``bias --exact`` lines, sampled row reports and ``gen`` output stay
 byte-identical, the README's CLI commands parse and its ``module.name``
-references resolve, and the package version is the one ``pyproject.toml``
-declares."""
+references resolve, the package version is the one ``pyproject.toml``
+declares, and ``extraction.Run`` alone declares the commit rule."""
 
 import ast
 import contextlib
@@ -80,6 +80,42 @@ def test_no_test_only_code_in_src():
                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
     assert len(defined) > 50 and set(TEST_ONLY_NAMES) <= set(defined)
     assert sorted(set(defined) - used) == []
+
+
+def test_the_commit_rule_is_written_once():
+    # ``extraction.Run`` alone declares a run's bit, its branch values and
+    # the committed value; every other run record subclasses it
+    declared = []
+    for path in sorted(Path(rombit.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for stmt in node.body:
+                names = ([stmt.target] if isinstance(stmt, ast.AnnAssign)
+                         else stmt.targets if isinstance(stmt, ast.Assign) else [])
+                names = [n.id for n in names if isinstance(n, ast.Name)]
+                if isinstance(stmt, ast.FunctionDef):
+                    names.append(stmt.name)
+                declared += [(path.stem, node.name, n) for n in names
+                             if n in ("bit", "one", "zero", "value")]
+    assert sorted(declared) == [("extraction", "Run", n) for n in ("bit", "one", "value",
+                                                                   "zero")]
+    # one generated order of every problem, of tworbin and of each interval
+    # variant: the run is a Run, and run_order reports its value
+    from rombit.extraction import Run
+
+    cases = [(problem, None, {}) for problem in harness.PROBLEM_TABLE]
+    cases.append(("knapsack_proportional", "tworbin", {}))
+    cases += [("interval", None, {"variant": v}) for v in ("monotone", "c_benevolent")]
+    for problem, variant, params in cases:
+        spec = harness.PROBLEM_TABLE[problem]
+        (inst,) = harness.generate_instances(problem, spec.families[0],
+                                             {"n": 5, **params}, 1, 3)
+        view = spec.scale(inst)
+        run, opt, _, _ = spec.run(view, view.column, variant)
+        assert isinstance(run, Run), problem
+        assert harness.run_order(view, problem, view.column, variant, audit=True) == (
+            run.value, opt, [])
 
 
 def test_tiny_exact_reports_match_golden_digests(tmp_path, monkeypatch):
