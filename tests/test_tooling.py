@@ -203,6 +203,41 @@ def test_seeded_stream_output_is_frozen(tmp_path):
         assert cli_stdout(["bias", "--mode", mode, "--n", "8", "--exact"]) == line
 
 
+# stdout of the full-scale stream_mc commands, bias at n = 1e5 with its
+# trials cut to FULL_BIAS_TRIALS (two chunks) and guess at n = 10,000, more
+# than one draw block; (seed, command) -> stdout
+FULL_BIAS_TRIALS = 5000
+FULL_STREAM_STDOUT = {
+    (42, "bias_combine"): "mode=combine parameter=2071/5000 predicted=0.585786 "
+                          "empirical=0.591600 stderr=0.006951\n",
+    (42, "bias_p1"): "mode=process1 parameter=1/2 predicted=0.666667 empirical=0.666400 "
+                     "stderr=0.006668\n",
+    (42, "bias_p2"): "mode=distinct_unbiased parameter=1/2 predicted=0.500000 "
+                     "empirical=0.494800 stderr=0.007071\n",
+    (42, "guess"): "n=10000 trials=100 mean_correct=5205.000 ratio=1.9212\n",
+    (611, "bias_combine"): "mode=combine parameter=2071/5000 predicted=0.585786 "
+                           "empirical=0.588200 stderr=0.006960\n",
+    (611, "bias_p1"): "mode=process1 parameter=1/2 predicted=0.666667 empirical=0.663600 "
+                      "stderr=0.006682\n",
+    (611, "bias_p2"): "mode=distinct_unbiased parameter=1/2 predicted=0.500000 "
+                      "empirical=0.492800 stderr=0.007070\n",
+    (611, "guess"): "n=10000 trials=100 mean_correct=5196.110 ratio=1.9245\n",
+}
+
+
+def test_full_scale_stream_output_is_frozen(tmp_path):
+    workloads = perfbench_module("workloads")
+    seen = {}
+    for seed in (42, 611):
+        for cmd in workloads.build("stream_mc", seed, "full", str(tmp_path), harness,
+                                   core)[0]:
+            argv = list(cmd.argv)
+            if cmd.kind == "bias":
+                argv[argv.index("--trials") + 1] = str(FULL_BIAS_TRIALS)
+            seen[seed, cmd.name] = cli_stdout(argv)
+    assert seen == FULL_STREAM_STDOUT
+
+
 # stdout of Monte Carlo commands at the edges the benchmark does not reach:
 # guessing at p_one 0, 1/2 and 1 on short strings, bias at n = 2, and
 # negative seeds; argv -> stdout
