@@ -50,8 +50,7 @@ def _cmd_bias(args):
     mode = {"p1": "process1", "p2": "distinct_unbiased", "combine": "combine"}[args.mode]
     param = {"process1": args.alpha, "combine": args.r}.get(mode, Fraction(1, 2))
     if args.exact:
-        _, counts, first_key = extraction.bias_family(mode, param, args.n)
-        rep = extraction.exact_bias(counts, mode, first_key=first_key)
+        rep = extraction.exact_bias(extraction.bias_family(mode, param, args.n)[1], mode)
         lines = [
             f"mode={mode} n={rep.n_items} exact prob_one={rep.prob_one} no_bit={rep.no_bit}"
         ]

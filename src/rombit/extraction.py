@@ -13,13 +13,13 @@ whose key differs from the first arrival's key:
   change is at an odd 1-based position >= 3).
 
 The parity inside ``combine`` is deliberately the opposite of standalone
-``process1``.  On the first-frequency family (``first_frequency_counts``:
-a share r of copies of a median key, which arrives first, the rest
+``process1``.  On the first-frequency family (``bias_family``'s combine
+family: a share r of copies of a median key, which arrives first, the rest
 distinct) combine's Pr(b=1) tends to (1-r)/2 + r/(1+r) as n grows, at most
 2 - sqrt(2), reached at r = sqrt(2) - 1.  That limit bounds no finite input:
 enumeration gives exactly 1/2 on three distinct keys and 2/3 on key counts
-{A: 1, B: 2}.  ``process1`` tends to 2/3 on two equal halves
-(``two_type_counts`` at alpha 1/2), and gives exactly 1 on distinct keys.
+{A: 1, B: 2}.  ``process1`` tends to 2/3 on two equal halves (its family
+at alpha 1/2), and gives exactly 1 on distinct keys.
 
 ``harvest`` holds all three rules, and is the one place where applications,
 the pairwise extractor and the exact oracles take their bit.  Caller keys
@@ -28,7 +28,13 @@ application's run is a ``Run``, whose bit ``commit``s it to one branch.
 
 Bias oracles come in two routes that never share code paths: exact
 enumeration over all labeled arrival orders (small n), and Monte Carlo
-sampling without replacement from a key multiset (large n).  Monte Carlo
+sampling without replacement from a key multiset (large n).  Both read a
+``Profile``, the class counts in key order run-length encoded as (count,
+classes) groups with an optional first class: ``_key_counts`` reduces a
+counts dict, an ``Instance`` or a key stream to it once, and the bias
+families build it in O(groups) at any n.  Enumeration expands it only at
+n <= 10; Monte Carlo maps a first arrival's rank to its class by
+bisection over the groups and arithmetic within one.  Monte Carlo
 trials run ``_CHUNK`` at a time as the 128-bit lanes of one Python int: the
 lanes compute the key ``split_seed(seed, t)`` and draw from the splitmix64
 counter stream it keys, so one big-int op advances every trial of a chunk.
@@ -43,6 +49,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import operator
 import sys
 from array import array
 from dataclasses import dataclass
@@ -149,30 +156,75 @@ class BiasReport:
     stderr: float = None
 
 
-def _key_counts(source):
-    """Unsorted key -> count dict from an Instance, key iterable, or counts
-    dict; a counts dict is checked in place and returned as it is."""
+@dataclass(frozen=True)
+class Profile:
+    """A key multiset as its class counts in key order, run-length encoded:
+    ``groups`` holds (count, classes) pairs, none empty and no two
+    neighbours of one count.  ``first`` is the class index the first arrival
+    is conditioned on, or None.  Every bias route reads only this."""
+
+    groups: tuple
+    first: int = None
+
+
+def _profile(groups, first=None):
+    """The Profile of (count, classes) groups in key order: empty groups are
+    dropped and neighbours of one count merged."""
+    runs = itertools.groupby((g for g in groups if g[1]), key=lambda g: g[0])
+    return Profile(tuple((c, sum(m for _, m in run)) for c, run in runs), first)
+
+
+def _key_counts(source, first_key=None):
+    """The Profile of an Instance, a key iterable or a key -> count dict,
+    with the first arrival conditioned on ``first_key`` when given; a
+    Profile, which names its own first class, is returned as it is."""
+    if isinstance(source, Profile):
+        classes = range(sum(m for _, m in source.groups))
+        if first_key is not None or not (source.first is None or source.first in classes):
+            raise InputError("a profile names its own first class, one of its classes")
+        return source
     if isinstance(source, dict):
         if not all(type(c) is int and c > 0 for c in source.values()):
             raise InputError("key counts must be positive ints")
-        return _one_length(source)
-    if isinstance(source, Instance):
-        source = (it.key for it in source.items)
-    counts = {}
-    for k in source:
-        k = tuple(k)
-        counts[k] = counts.get(k, 0) + 1
-    return _one_length(counts)
+        counts = source
+    else:
+        if isinstance(source, Instance):
+            source = (it.key for it in source.items)
+        counts = {}
+        for k in source:
+            k = tuple(k)
+            counts[k] = counts.get(k, 0) + 1
+    keys = sorted(_one_length(counts))
+    first = None
+    if first_key is not None:
+        first_key = tuple(first_key)
+        if first_key not in counts:
+            raise InputError(f"first_key {first_key!r} not present in the instance")
+        first = bisect.bisect_left(keys, first_key)
+    runs = itertools.groupby(map(counts.__getitem__, keys))
+    return _profile(((c, len(list(g))) for c, g in runs), first)
 
 
-def _first_key(counts, first_key):
-    """``first_key`` as a key tuple of ``counts``, or None when not given."""
-    if first_key is None:
-        return None
-    first_key = tuple(first_key)
-    if first_key not in counts:
-        raise InputError(f"first_key {first_key!r} not present in the instance")
-    return first_key
+def _first_class(prof):
+    """(items below, count) of the profile's first class."""
+    below, f = 0, prof.first
+    for c, m in prof.groups:
+        if f < m:
+            return below + f * c, c
+        below += c * m
+        f -= m
+
+
+def _expand(source, first_key):
+    """(n, head, multiset) of a source of at most ENUMERATION_GUARD items:
+    class indices stand for keys, and ``head`` holds the first class."""
+    prof = _key_counts(source, first_key)
+    n = sum(c * m for c, m in prof.groups)
+    if n > ENUMERATION_GUARD:
+        raise CapacityError(f"n={n} exceeds enumeration guard {ENUMERATION_GUARD}")
+    head = () if prof.first is None else (prof.first,)
+    counts = [c for c, m in prof.groups for _ in range(m)]
+    return n, head, [j for j, c in enumerate(counts) for _ in range(c - (j == prof.first))]
 
 
 def exact_bias(source, mode, first_key=None):
@@ -185,13 +237,7 @@ def exact_bias(source, mode, first_key=None):
     not an error: on an all-identical instance the arrival order carries no
     randomness at all.
     """
-    counts = _key_counts(source)
-    n = sum(counts.values())
-    if n > ENUMERATION_GUARD:
-        raise CapacityError(f"n={n} exceeds enumeration guard {ENUMERATION_GUARD}")
-    first_key = _first_key(counts, first_key)
-    head = () if first_key is None else (first_key,)
-    multiset = [k for k, c in counts.items() for _ in range(c - (k == first_key))]
+    n, head, multiset = _expand(source, first_key)
     ones = nobit = total = 0
     for rest in distinct_orderings(multiset):
         b = harvest(head + rest, mode)[0]
@@ -210,13 +256,10 @@ def exact_bias(source, mode, first_key=None):
 
 def exact_distinct_conditional(source, mode="combine"):
     """Exact Pr(b=1 | first two arrivals distinct), or None if undefined."""
-    counts = _key_counts(source)
-    n = sum(counts.values())
-    if n > ENUMERATION_GUARD:
-        raise CapacityError(f"n={n} exceeds enumeration guard {ENUMERATION_GUARD}")
-    multiset = [k for k, c in counts.items() for _ in range(c)]
+    _, head, multiset = _expand(source, None)
     ones = total = 0
-    for order in distinct_orderings(multiset):
+    for rest in distinct_orderings(multiset):
+        order = head + rest
         if len(order) < 2 or order[0] == order[1]:
             continue
         total += 1
@@ -251,11 +294,10 @@ def empirical_bias(source, mode, trials, seed, first_key=None):
         raise InputError("trials must be >= 1")
     if mode not in MODES:
         raise InputError(f"unknown mode {mode!r}")
-    counts = _key_counts(source)
-    n = sum(counts.values())
-    first_key = _first_key(counts, first_key)
+    prof = _key_counts(source, first_key)
+    n = sum(c * m for c, m in prof.groups)
     if mode == "distinct_unbiased":
-        if n != len(counts):
+        if any(c > 1 for c, _ in prof.groups):
             raise InputError("distinct_unbiased requires all-distinct items")
         if n < 2:
             raise InputError("need at least two items")
@@ -263,21 +305,23 @@ def empirical_bias(source, mode, trials, seed, first_key=None):
     # from ``bound`` remaining items, ``eq`` copies of the first arrival's
     # key, ``lo`` items below it and the rest above
     ranges = None
-    if first_key is not None:
-        c_below = sum(c for k, c in counts.items() if k < first_key)
-        start = (2, n - 1, c_below, counts[first_key] - 1)
+    if prof.first is not None:
+        below, c = _first_class(prof)
+        start = (2, n - 1, below, c - 1)
     else:
         start = (1, n, 0, 0)
-        if mode != "distinct_unbiased":
-            # the first arrival's rank selects the key whose count range holds it
-            prefix = list(itertools.accumulate((counts[k] for k in sorted(counts)), initial=0))
-            ranges = (prefix[:-1], [e - 1 for e in prefix[1:]])  # each key's first and last rank
+        if any(c > 1 for c, _ in prof.groups):
+            # each group's end rank (bar the last), first rank, count and eq
+            ends = list(itertools.accumulate(c * m for c, m in prof.groups))
+            sizes = [c for c, _ in prof.groups]
+            ranges = (ends[:-1], [0, *ends[:-1]], sizes, [c - 1 for c in sizes])
     if n == 0 or start[1] > _MASK64 + 1:  # no trial draws on a larger bound
         raise InputError(f"bound must lie in [1, 2**64], got {start[1]}")
 
+    consts = _lane_consts(min(_CHUNK, trials))
     ones = nobit = 0
     for t0 in range(0, trials, _CHUNK):
-        o, b = _chunk_counts(seed, t0, min(_CHUNK, trials - t0), start, ranges, mode)
+        o, b = _chunk_counts(seed, t0, min(_CHUNK, trials - t0), consts, start, ranges, mode)
         ones += o
         nobit += b
     p = ones / trials
@@ -332,24 +376,33 @@ def _finalize_lanes(z, mask):
     return (z ^ (z >> 31)) & mask
 
 
-def _split_lanes(seed, t0, k):
-    """``split_seed(seed, t)`` for t = t0 .. t0 + k - 1, one per lane."""
-    one, mask, gamma, _ = _lane_consts(k)
+def _split_lanes(seed, t0, k, consts):
+    """``split_seed(seed, t)`` for t = t0 .. t0 + k - 1, one per lane;
+    ``consts`` are ``_lane_consts(k)``."""
+    one, mask, gamma, _ = consts
     z = _finalize_lanes((_pack(range(t0, t0 + k)) + gamma) & mask, mask)
     return _finalize_lanes(((z ^ _mix64(seed & _MASK64) * one) + gamma) & mask, mask)
 
 
-def _repack(flags, k, *xs):
+def _low_lanes(consts, j):
+    """``_lane_consts(j)``, masked from the constants of more lanes."""
+    low = (1 << 128 * j) - 1
+    return tuple(c & low for c in consts)
+
+
+def _repack(flags, k, consts, *xs):
     """(j, _lane_consts(j), *packed): the j lanes of ``flags`` that are set,
-    taken in order from each k-lane int in ``xs`` and packed anew."""
+    taken in order from each k-lane int in ``xs`` and packed anew;
+    ``consts`` are ``_lane_consts(k)``."""
     keep = _unpack(flags, k)
     j = flags.bit_count()
-    return j, _lane_consts(j), *(x and _pack(itertools.compress(_unpack(x, k), keep))
-                                 for x in xs)
+    return j, _low_lanes(consts, j), *(x and _pack(itertools.compress(_unpack(x, k), keep))
+                                       for x in xs)
 
 
-def _chunk_counts(seed, t0, k, start, ranges, mode):
-    """(ones, no_bit) of trials t0 .. t0 + k - 1, run as 128-bit lanes.
+def _chunk_counts(seed, t0, k, consts, start, ranges, mode):
+    """(ones, no_bit) of trials t0 .. t0 + k - 1, run as 128-bit lanes;
+    ``consts`` are the lane constants of at least k lanes.
 
     Lane j of ``state``, ``lo`` and ``eq`` holds a trial's stream and counts,
     and every lane of a work item draws on the same bound, so each op on
@@ -367,11 +420,13 @@ def _chunk_counts(seed, t0, k, start, ranges, mode):
         return ((x + top - y) >> 64) & one
 
     i, bound, lo, eq = start
-    consts = _lane_consts(k)
-    work = [(i, bound, k, consts, _split_lanes(seed, t0, k), lo * consts[0], eq * consts[0])]
+    consts = _low_lanes(consts, k)
+    work = [(i, bound, k, consts, _split_lanes(seed, t0, k, consts), lo * consts[0],
+             eq * consts[0])]
     ones = nobit = 0
     while work:
-        i, bound, k, (one, mask, gamma, top), state, lo, eq = work.pop()
+        i, bound, k, consts, state, lo, eq = work.pop()
+        one, mask, gamma, top = consts
         live = one
         while live:
             if i == 2:
@@ -390,16 +445,21 @@ def _chunk_counts(seed, t0, k, start, ranges, mode):
             if threshold and (redraw := live & ge((threshold - 1) * one, m & mask)):
                 if redraw == live:  # every live lane redraws here, in place
                     continue
-                work.append((i, bound, *_repack(redraw, k, state, lo, eq)))
+                work.append((i, bound, *_repack(redraw, k, consts, state, lo, eq)))
                 live ^= redraw
             if i == 1:
                 if ranges is None:  # every key is distinct
                     lo, eq = r, 0
                 else:
-                    firsts, lasts = ranges
-                    js = list(map(bisect.bisect_left, itertools.repeat(lasts), _unpack(r, k)))
-                    lo = _pack(map(firsts.__getitem__, js))
-                    eq = _pack(map(lasts.__getitem__, js)) - lo
+                    # a rank's group by bisection, its class by arithmetic in it
+                    ends, firsts, sizes, eqs = ranges
+                    ranks = _unpack(r, k)
+                    js = list(map(bisect.bisect_right, itertools.repeat(ends), ranks))
+                    eq = _pack(map(eqs.__getitem__, js))
+                    if mode != "process1":  # lo is read at arrival 2 only
+                        lo = _pack(map(operator.sub, ranks, map(operator.mod, map(
+                            operator.sub, ranks, map(firsts.__getitem__, js)),
+                            map(sizes.__getitem__, js))))
             else:
                 hit = ge(r, eq)  # arrival i differs from the first
                 done = live & hit
@@ -415,7 +475,8 @@ def _chunk_counts(seed, t0, k, start, ranges, mode):
             i += 1
             bound -= 1
             if live and 2 * live.bit_count() <= k:
-                k, (one, mask, gamma, top), state, lo, eq = _repack(live, k, state, lo, eq)
+                k, consts, state, lo, eq = _repack(live, k, consts, state, lo, eq)
+                one, mask, gamma, top = consts
                 live = one
     return ones, nobit
 
@@ -441,53 +502,34 @@ def combine_predicted(r):
     return (1 - r) / 2 + r / (1 + r)
 
 
-def two_type_counts(alpha, n):
-    """Two keys 0 < 1 with floor(alpha*n) copies of the first."""
-    c0 = int(Fraction(alpha) * n)
-    if c0 < 1 or c0 >= n:
-        raise InputError("alpha*n must leave at least one item of each type")
-    return {(0,): c0, (1,): n - c0}
-
-
-def first_frequency_counts(r, n):
-    """Worst-case family for ``combine``: copies of a median key, rest distinct.
-
-    floor(r*n) copies of key 0 plus n - floor(r*n) pairwise distinct keys
-    split as evenly as possible below and above 0.  Conditioning the first
-    arrival on key 0 reproduces the closed form (1-r)/2 + r/(1+r): distinct
-    seconds fall below or above the median with near-equal probability, and
-    the identical branch sees the remaining copies with share ~r.
-    """
-    copies = int(Fraction(r) * n)
-    if copies < 1 or copies >= n:
-        raise InputError("r*n must leave at least one distinct item")
-    rest = n - copies
-    below = rest // 2
-    above = rest - below
-    counts = {(0,): copies}
-    counts.update(((-i,), 1) for i in range(1, below + 1))
-    counts.update(((i,), 1) for i in range(1, above + 1))
-    return counts
-
-
-def all_distinct_counts(n):
-    if n < 2:
-        raise InputError("need at least two items")
-    return {(i,): 1 for i in range(n)}
-
-
 def bias_family(mode, param, n):
     """The instance family behind a mode's bias curve, as (predicted,
-    counts, first_key): process1 uses the two-type family, combine the
-    first-frequency worst-case family with the first arrival conditioned on
-    the copied key, and distinct_unbiased all-distinct keys (``param`` is
-    not read)."""
+    profile), built in O(1) at any n.
+
+    process1 uses two keys with floor(alpha*n) copies of the first.
+    combine uses its worst-case family, conditioned on the first arrival
+    being the copied key: floor(r*n) copies of a median key plus pairwise
+    distinct keys split as evenly as possible below and above it.  Distinct
+    seconds fall below or above the median with near-equal probability, and
+    the identical branch sees the remaining copies with share ~r, which
+    gives the closed form (1-r)/2 + r/(1+r).  distinct_unbiased uses n
+    distinct keys (``param`` is not read).
+    """
     if mode == "process1":
-        return process1_predicted(param), two_type_counts(param, n), None
+        predicted, c0 = process1_predicted(param), int(Fraction(param) * n)
+        if c0 < 1 or c0 >= n:
+            raise InputError("alpha*n must leave at least one item of each type")
+        return predicted, _profile([(c0, 1), (n - c0, 1)])
     if mode == "combine":
-        return combine_predicted(param), first_frequency_counts(param, n), (0,)
+        predicted, copies = combine_predicted(param), int(Fraction(param) * n)
+        if copies < 1 or copies >= n:
+            raise InputError("r*n must leave at least one distinct item")
+        below = (n - copies) // 2
+        return predicted, _profile([(1, below), (copies, 1), (1, n - copies - below)], below)
     if mode == "distinct_unbiased":
-        return Fraction(1, 2), all_distinct_counts(n), None
+        if n < 2:
+            raise InputError("need at least two items")
+        return Fraction(1, 2), _profile([(1, n)])
     raise InputError(f"unknown mode {mode!r}")
 
 
@@ -496,9 +538,8 @@ def bias_curve(mode, params, n_items, trials, seed):
     sampled on ``bias_family``."""
     rows = []
     for ix, param in enumerate(params):
-        predicted, counts, first_key = bias_family(mode, param, n_items)
-        rep = empirical_bias(counts, mode, trials, split_seed(seed, 1000 + ix),
-                             first_key=first_key)
+        predicted, profile = bias_family(mode, param, n_items)
+        rep = empirical_bias(profile, mode, trials, split_seed(seed, 1000 + ix))
         rows.append(
             {
                 "parameter": param,

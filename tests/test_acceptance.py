@@ -35,7 +35,7 @@ def _report(name, ok, detail=""):
 
 def test_c1_process1_alpha_half():
     rep = ex.empirical_bias(
-        ex.two_type_counts(Fraction(1, 2), BIAS_N), "process1", BIAS_TRIALS, 101
+        ex.bias_family("process1", Fraction(1, 2), BIAS_N)[1], "process1", BIAS_TRIALS, 101
     )
     err = abs(rep.prob_one - 2 / 3)
     _report("1a process1 alpha=1/2 -> 2/3 +-0.01", err <= 0.01, f"err={err:.5f}")
@@ -43,12 +43,14 @@ def test_c1_process1_alpha_half():
 
 def test_c1_process2_unbiased():
     rep = ex.empirical_bias(
-        ex.all_distinct_counts(BIAS_N), "distinct_unbiased", BIAS_TRIALS, 102
+        ex.bias_family("distinct_unbiased", None, BIAS_N)[1], "distinct_unbiased", BIAS_TRIALS,
+        102
     )
     err = abs(rep.prob_one -  0.5)
     ok = err <= 0.005
     for n in range(2, 9):
-        exact = ex.exact_bias(ex.all_distinct_counts(n), "distinct_unbiased")
+        exact = ex.exact_bias(ex.bias_family("distinct_unbiased", None, n)[1],
+                              "distinct_unbiased")
         ok = ok and exact.prob_one == Fraction(1, 2)
     _report("1b process2 -> 0.5 +-0.005 and exact 1/2 for n<=8", ok, f"err={err:.5f}")
 
@@ -56,8 +58,7 @@ def test_c1_process2_unbiased():
 def test_c1_combine_worst_case_and_grid():
     r = Fraction(4142, 10000)
     rep = ex.empirical_bias(
-        ex.first_frequency_counts(r, BIAS_N), "combine", BIAS_TRIALS, 103,
-        first_key=(Fraction(0),),
+        ex.bias_family("combine", r, BIAS_N)[1], "combine", BIAS_TRIALS, 103,
     )
     err = abs(rep.prob_one - (2 - math.sqrt(2)))
     ok = err <= 0.01

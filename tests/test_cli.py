@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -52,6 +53,24 @@ def test_bias_p2_needs_two_items(n, exact, capsys):
     assert main(argv + (["--exact"] if exact else [])) == 2
     out, err = capsys.readouterr()
     assert (out, err) == ("", "error: need at least two items\n")
+
+
+@pytest.mark.parametrize("mode", ["p2", "combine"])
+def test_bias_at_two_to_the_forty_items(mode, capsys):
+    # a family is a profile of at most three groups, whatever n
+    start = time.perf_counter()
+    assert main(["bias", "--mode", mode, "--n", str(2**40), "--trials", "2000"]) == 0
+    assert time.perf_counter() - start < 1
+    row = dict(field.split("=") for field in capsys.readouterr().out.split())
+    assert abs(float(row["empirical"]) - float(row["predicted"])) <= 4.5 * float(row["stderr"])
+
+
+@pytest.mark.parametrize("mode, bound", [("p1", 2**64 + 2), ("p2", 2**64 + 2),
+                                         ("combine", 2**64 + 1)])
+def test_bias_bound_above_two_to_the_64(mode, bound, capsys):
+    # combine draws its first arrival's successor from n - 1 items
+    assert main(["bias", "--mode", mode, "--n", str(2**64 + 2), "--trials", "10"]) == 2
+    assert capsys.readouterr() == ("", f"error: bound must lie in [1, 2**64], got {bound}\n")
 
 
 def test_guess_cli(capsys):

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rombit.core import (
@@ -18,9 +18,10 @@ from rombit.core import (
 from rombit.extraction import (
     _CHUNK,
     MODES,
+    Profile,
+    _lane_consts,
     _split_lanes,
     _unpack,
-    all_distinct_counts,
     bias_curve,
     bias_family,
     combine_predicted,
@@ -28,15 +29,45 @@ from rombit.extraction import (
     empirical_bias,
     exact_bias,
     exact_distinct_conditional,
-    first_frequency_counts,
     harvest,
     pairwise_bits,
     process1_predicted,
-    two_type_counts,
 )
 from stream_reference import reference_counts
 
 A, B = (Fraction(0),), (Fraction(1),)
+
+
+def family_counts(mode, param, n):
+    """``bias_family``'s instance as a key -> count dict and its first key,
+    for parameters the family accepts: process1 has floor(param*n) copies
+    of key 0 and the rest of key 1; combine floor(param*n) copies of the
+    first key 0 and distinct keys split as evenly as possible below and
+    above it; distinct_unbiased n distinct keys."""
+    if mode == "process1":
+        c0 = int(Fraction(param) * n)
+        return {(0,): c0, (1,): n - c0}, None
+    if mode == "combine":
+        copies = int(Fraction(param) * n)
+        below = (n - copies) // 2
+        counts = {(0,): copies}
+        counts.update(((-i,), 1) for i in range(1, below + 1))
+        counts.update(((i,), 1) for i in range(1, n - copies - below + 1))
+        return counts, (0,)
+    return {(i,): 1 for i in range(n)}, None
+
+
+def run_lengths(counts, first_key=None):
+    """The Profile of a counts dict, written apart from the package: its
+    counts in key order as (count, classes) runs, and ``first_key``'s class."""
+    keys, runs = sorted(counts), []
+    for k in keys:
+        if runs and runs[-1][0] == counts[k]:
+            runs[-1][1] += 1
+        else:
+            runs.append([counts[k], 1])
+    first = None if first_key is None else keys.index(tuple(first_key))
+    return Profile(tuple(map(tuple, runs)), first)
 
 
 def test_process1_rule():
@@ -86,7 +117,7 @@ def test_finite_n_bias_extremes():
         probs = [exact_bias({(k,): c for k, c in enumerate(p)}, "combine").prob_one
                  for p in partitions(n, n) if len(p) > 1]
         assert (min(probs), max(probs)) == (Fraction(1, 2), hi), n
-    assert exact_bias(all_distinct_counts(5), "process1").prob_one == 1
+    assert exact_bias(family_counts("distinct_unbiased", None, 5)[0], "process1").prob_one == 1
 
 
 def test_exact_bias_no_bit_mass():
@@ -124,26 +155,28 @@ def test_conditional_symmetry_random_multisets():
 
 
 def test_empirical_bias_two_type():
-    rep = empirical_bias(two_type_counts(Fraction(1, 2), 10**4), "process1", 20000, 5)
+    rep = empirical_bias(family_counts("process1", Fraction(1, 2), 10**4)[0], "process1", 20000,
+                         5)
     assert abs(rep.prob_one - 2 / 3) <= 0.02
     assert rep.stderr < 0.005
 
 
 def test_empirical_bias_combine_worst_case():
-    counts = first_frequency_counts(Fraction(4142, 10000), 10**4)
+    counts = family_counts("combine", Fraction(4142, 10000), 10**4)[0]
     rep = empirical_bias(counts, "combine", 20000, 7, first_key=(Fraction(0),))
     assert abs(rep.prob_one - (2 - math.sqrt(2))) <= 0.02
 
 
 def test_empirical_bias_distinct():
-    rep = empirical_bias(all_distinct_counts(10**4), "distinct_unbiased", 20000, 9)
+    rep = empirical_bias(family_counts("distinct_unbiased", None, 10**4)[0], "distinct_unbiased",
+                         20000, 9)
     assert abs(rep.prob_one - 0.5) <= 0.015
     with pytest.raises(InputError):
         empirical_bias({(0,): 2, (1,): 1}, "distinct_unbiased", 10, 0)
 
 
 def test_empirical_bias_determinism():
-    counts = two_type_counts(Fraction(1, 3), 1000)
+    counts = family_counts("process1", Fraction(1, 3), 1000)[0]
     a = empirical_bias(counts, "combine", 500, 11)
     b = empirical_bias(counts, "combine", 500, 11)
     assert a.prob_one == b.prob_one and a.no_bit == b.no_bit
@@ -165,7 +198,8 @@ def test_empirical_bias_source_forms_agree():
         assert all(rep == reps[0] for rep in reps), (mode, first_key)
     distinct = [(Fraction(i),) for i in range(30)]
     rng.shuffle(distinct)
-    sources = (all_distinct_counts(30), distinct, dict.fromkeys(distinct, 1))
+    sources = (family_counts("distinct_unbiased", None, 30)[0], distinct,
+               dict.fromkeys(distinct, 1))
     reps = [empirical_bias(src, "distinct_unbiased", 400, 13) for src in sources]
     assert all(rep == reps[0] for rep in reps)
 
@@ -281,8 +315,65 @@ def test_empirical_bias_matches_reference_across_chunks(mode, counts):
 def test_split_lanes_match_split_seed_across_chunks():
     for seed in (-1, 0, 2**70 + 3):
         for t0, k in ((0, _CHUNK), (_CHUNK, 17)):
-            assert list(_unpack(_split_lanes(seed, t0, k), k)) == \
+            assert list(_unpack(_split_lanes(seed, t0, k, _lane_consts(k)), k)) == \
                 [split_seed(seed, t) for t in range(t0, t0 + k)], (seed, t0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.tuples(st.integers(-3, 3)), st.integers(1, 6), min_size=1, max_size=5),
+       st.sampled_from(MODES), st.integers(-2**70, 2**70), st.integers(-1, 4))
+@example({(0,): 2, (1,): 2, (2,): 2}, "combine", 5, 1)  # the first key inside a run
+@example({(0,): 3, (1,): 1, (2,): 3, (3,): 3}, "combine", 6, -1)
+def test_profile_matches_counts_dict(counts, mode, seed, first):
+    # a Profile and the counts dict it encodes give equal reports, with and
+    # without a first key (none when ``first`` is -1), across two chunks and
+    # 17 lanes of a third; the first 200 trials read the reference draws
+    if mode == "distinct_unbiased":
+        counts = dict.fromkeys(counts, 1)
+        if len(counts) < 2:
+            counts[(9,)] = 1
+    first_key = None if first < 0 else sorted(counts)[first % len(counts)]
+    profile = run_lengths(counts, first_key)
+    trials = 2 * _CHUNK + 17
+    assert empirical_bias(profile, mode, trials, seed) == empirical_bias(
+        counts, mode, trials, seed, first_key=first_key)
+    rep = empirical_bias(profile, mode, 200, seed)
+    ones, nobit = reference_counts(counts, mode, 200, seed, first_key=first_key)
+    assert (rep.prob_one, rep.no_bit) == (ones / 200, nobit / 200)
+    if sum(counts.values()) <= 10:
+        assert exact_bias(profile, mode) == exact_bias(counts, mode, first_key=first_key)
+
+
+def test_family_profiles_encode_their_counts_dicts():
+    # each family's profile is its dict's run-length encoding, and the two
+    # give equal Monte Carlo reports, and equal exact ones at n <= 8
+    grid = [Fraction(1, 10), Fraction(1, 3), Fraction(1, 2), Fraction(4142, 10000),
+            Fraction(9, 10)]
+    checked = 0
+    for n in (2, 3, 4, 7, 8, 101, 1000):
+        for mode in MODES:
+            for param in grid if mode != "distinct_unbiased" else grid[:1]:
+                try:
+                    _, profile = bias_family(mode, param, n)
+                except InputError:
+                    continue
+                counts, first_key = family_counts(mode, param, n)
+                assert profile == run_lengths(counts, first_key), (mode, param, n)
+                assert empirical_bias(profile, mode, 300, n) == empirical_bias(
+                    counts, mode, 300, n, first_key=first_key), (mode, param, n)
+                if n <= 8:
+                    assert exact_bias(profile, mode) == exact_bias(
+                        counts, mode, first_key=first_key), (mode, param, n)
+                checked += 1
+    assert checked > 60
+    # a profile names its first class itself, and only one of its classes
+    with pytest.raises(InputError):
+        empirical_bias(profile, "combine", 10, 1, first_key=(0,))
+    for bad in (-1, 3):
+        for route in (lambda p: exact_bias(p, "combine"),
+                      lambda p: empirical_bias(p, "combine", 10, 1)):
+            with pytest.raises(InputError, match="one of its classes"):
+                route(Profile(((1, 3),), bad))
 
 
 def test_integer_key_families_keep_exact_results():
@@ -293,16 +384,17 @@ def test_integer_key_families_keep_exact_results():
         for mode in MODES:
             for param in grid if mode != "distinct_unbiased" else grid[:1]:
                 try:
-                    _, counts, first_key = bias_family(mode, param, n)
+                    bias_family(mode, param, n)
                 except InputError:
                     continue
+                counts, first_key = family_counts(mode, param, n)
                 as_fractions = {tuple(map(Fraction, k)): c for k, c in counts.items()}
                 fraction_first = None if first_key is None else tuple(map(Fraction, first_key))
                 assert exact_bias(counts, mode, first_key=first_key) == exact_bias(
                     as_fractions, mode, first_key=fraction_first), (mode, param, n)
                 checked += 1
     assert checked > 100
-    counts = first_frequency_counts(Fraction(4142, 10000), 1000)
+    counts = family_counts("combine", Fraction(4142, 10000), 1000)[0]
     assert empirical_bias(counts, "combine", 2000, 3, first_key=(Fraction(0),)) == \
         empirical_bias(counts, "combine", 2000, 3, first_key=(0,))
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from rombit.core import CapacityError, InputError, make_instance, rng_for
 from rombit.extraction import harvest
-from rombit.guessing import _correct, empirical_ratio, guess_run
+from rombit.guessing import _BLOCK, _correct, _draw_bits, empirical_ratio, guess_run
 from rombit.harness import ExperimentConfig, run_experiment
 
 
@@ -148,6 +148,35 @@ def test_empirical_ratio_matches_guess_run_reference(args):
     else:
         res = empirical_ratio(*args)
         assert (res["mean_correct"], res["ratio"]) == (want, args[0] / want)
+
+
+@st.composite
+def draw_inputs(draw):
+    """(seed, n, p) for ``_draw_bits``: n about the block boundaries, and p 0,
+    1, the least float, the greatest below 1, any float, the value of one of
+    the n draws, or a float sharing that draw's top byte but not its rest."""
+    seed = draw(st.integers(-2**70, 2**70))
+    n = draw(st.sampled_from([1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5]))
+    rng = rng_for(seed, 0)
+    for _ in range(draw(st.integers(0, n - 1))):
+        rng.random()
+    x = int(rng.random() * 2**53)
+    low = draw(st.integers(0, 2**45 - 1).filter(lambda v: v != x % 2**45))
+    return seed, n, draw(st.one_of(
+        st.sampled_from([0.0, 1.0, 5e-324, 1 - 2**-53, x / 2**53,
+                         (x >> 45 << 45 | low) / 2**53]),
+        st.floats(0, 1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(draw_inputs())
+def test_draw_bits_match_per_call_random(args):
+    # the bytes are the per-call ``random() < p`` bits, and the generator
+    # goes on from where those n calls leave it
+    seed, n, p = args
+    want, got = rng_for(seed, 0), rng_for(seed, 0)
+    assert _draw_bits(got, n, p) == bytes(want.random() < p for _ in range(n))
+    assert got.random() == want.random()
 
 
 def reference_correct(bits, r):
