@@ -54,6 +54,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .core import (
     CapacityError,
@@ -156,8 +157,7 @@ class BiasReport:
     stderr: float = None
 
 
-@dataclass(frozen=True)
-class Profile:
+class Profile(NamedTuple):
     """A key multiset as its class counts in key order, run-length encoded:
     ``groups`` holds (count, classes) pairs, none empty and no two
     neighbours of one count.  ``first`` is the class index the first arrival
@@ -275,7 +275,8 @@ def empirical_bias(source, mode, trials, seed, first_key=None):
 
     ``first_key`` conditions every trial on the first arrival being an item
     with that key; this realizes the worst-case analyses that fix the
-    frequency of the first-arriving type.
+    frequency of the first-arriving type.  A ``Profile`` source names its
+    first class itself.
 
     Trial t reads the splitmix64 counter stream keyed by ``split_seed(seed,
     t)``, so its outcome depends only on (seed, t).  Draw k is the splitmix64
