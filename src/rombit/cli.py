@@ -51,9 +51,8 @@ def _cmd_bias(args):
     param = {"process1": args.alpha, "combine": args.r}.get(mode, Fraction(1, 2))
     if args.exact:
         rep = extraction.exact_bias(extraction.bias_family(mode, param, args.n)[1], mode)
-        lines = [
-            f"mode={mode} n={rep.n_items} exact prob_one={rep.prob_one} no_bit={rep.no_bit}"
-        ]
+        lines = [f"mode={mode} n={rep.n_items} exact prob_one={format_number(rep.prob_one)} "
+                 f"no_bit={rep.no_bit}"]
     else:
         rows = extraction.bias_curve(mode, [param], args.n, args.trials, args.seed)
         lines = [_curve_line(mode, row) for row in rows]

@@ -22,6 +22,7 @@ import json
 import math
 import random
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 # every problem's item payload fields; the first two (the one for
@@ -37,8 +38,6 @@ PROBLEMS = tuple(PAYLOAD_FIELDS)
 
 # problems whose items carry a release coordinate that stays sorted in place
 REALTIME_PROBLEMS = ("interval", "throughput")
-
-ENUMERATION_GUARD = 10
 
 
 class InputError(ValueError):
@@ -184,27 +183,27 @@ def rng_for(seed, *indices):
 
 
 def distinct_orderings(values):
-    """Distinct orderings of a value multiset, each yielded once.
+    """Distinct orderings of a value multiset, each yielded once, in
+    lexicographic order: next-permutation steps over the sorted values.
 
     Every distinct ordering corresponds to the same number of label
     permutations (the product of the multiplicity factorials), so a uniform
     average over these orderings equals the average over all n! labeled
     permutations.
     """
-    pool = sorted(values)
-
-    def rec(prefix, remaining):
-        if not remaining:
-            yield tuple(prefix)
+    a = sorted(values)
+    while True:
+        yield tuple(a)
+        i = len(a) - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
             return
-        last = object()
-        for i, v in enumerate(remaining):
-            if v == last:
-                continue
-            last = v
-            yield from rec(prefix + [v], remaining[:i] + remaining[i + 1 :])
-
-    return rec([], pool)
+        j = len(a) - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1:] = a[:i:-1]
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +339,8 @@ def format_number(v):
     if v is None:
         return ""
     if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}" if v.denominator != 1 else str(v.numerator)
+        # Decimal prints ints past str's 4,300-digit cap (n = 1e5 exact bias)
+        return f"{Decimal(v.numerator)}/{Decimal(v.denominator)}".removesuffix("/1")
     if isinstance(v, float):
         return repr(v)
     return str(v)

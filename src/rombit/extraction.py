@@ -17,23 +17,24 @@ The parity inside ``combine`` is deliberately the opposite of standalone
 family: a share r of copies of a median key, which arrives first, the rest
 distinct) combine's Pr(b=1) tends to (1-r)/2 + r/(1+r) as n grows, at most
 2 - sqrt(2), reached at r = sqrt(2) - 1.  That limit bounds no finite input:
-enumeration gives exactly 1/2 on three distinct keys and 2/3 on key counts
+the exact bias is 1/2 on three distinct keys and 2/3 on key counts
 {A: 1, B: 2}.  ``process1`` tends to 2/3 on two equal halves (its family
 at alpha 1/2), and gives exactly 1 on distinct keys.
 
 ``harvest`` holds all three rules, and is the one place where applications,
-the pairwise extractor and the exact oracles take their bit.  Caller keys
+the pairwise extractor and the exact conditional take their bit.  Caller keys
 are checked once, where they enter: one key length per instance.  Every
 application's run is a ``Run``, whose bit ``commit``s it to one branch.
 
-Bias oracles come in two routes that never share code paths: exact
-enumeration over all labeled arrival orders (small n), and Monte Carlo
-sampling without replacement from a key multiset (large n).  Both read a
+Bias oracles come in two routes that never share code paths: the exact law
+of the first unlike arrival (n <= ``EXACT_GUARD``), whose reference in the
+tests is enumeration of every order through ``harvest``, and Monte Carlo
+sampling without replacement from a key multiset (any n).  Both read a
 ``Profile``, the class counts in key order run-length encoded as (count,
 classes) groups with an optional first class: ``_key_counts`` reduces a
 counts dict, an ``Instance`` or a key stream to it once, and the bias
-families build it in O(groups) at any n.  Enumeration expands it only at
-n <= 10; Monte Carlo maps a first arrival's rank to its class by
+families build it in O(groups) at any n.  The law costs O(count) per
+group; Monte Carlo maps a first arrival's rank to its class by
 bisection over the groups and arithmetic within one.  Monte Carlo
 trials run ``_CHUNK`` at a time as the 128-bit lanes of one Python int: the
 lanes compute the key ``split_seed(seed, t)`` and draw from the splitmix64
@@ -58,17 +59,17 @@ from typing import NamedTuple
 
 from .core import (
     CapacityError,
-    ENUMERATION_GUARD,
     InputError,
     Instance,
     _GAMMA,
     _MASK64,
     _mix64,
-    distinct_orderings,
     split_seed,
 )
 
 MODES = ("process1", "distinct_unbiased", "combine")
+
+EXACT_GUARD = 10**5  # the largest n of the exact law, whose sums cost O(n) big-int steps
 
 
 def _one_length(keys):
@@ -215,59 +216,58 @@ def _first_class(prof):
         f -= m
 
 
-def _expand(source, first_key):
-    """(n, head, multiset) of a source of at most ENUMERATION_GUARD items:
-    class indices stand for keys, and ``head`` holds the first class."""
-    prof = _key_counts(source, first_key)
-    n = sum(c * m for c, m in prof.groups)
-    if n > ENUMERATION_GUARD:
-        raise CapacityError(f"n={n} exceeds enumeration guard {ENUMERATION_GUARD}")
-    head = () if prof.first is None else (prof.first,)
-    counts = [c for c, m in prof.groups for _ in range(m)]
-    return n, head, [j for j, c in enumerate(counts) for _ in range(c - (j == prof.first))]
-
-
 def exact_bias(source, mode, first_key=None):
-    """Exact Pr(b=1) over all labeled arrival orders (n <= 10).
-
-    ``first_key`` conditions on the first arrival being an item with that
-    key, as in ``empirical_bias``: only the distinct orders that start with
-    it are enumerated, and each stands for the same number of labeled
-    orders.  Orders where no bit is emitted are reported as ``no_bit`` mass,
-    not an error: on an all-identical instance the arrival order carries no
-    randomness at all.
-    """
-    n, head, multiset = _expand(source, first_key)
-    ones = nobit = total = 0
-    for rest in distinct_orderings(multiset):
-        b = harvest(head + rest, mode)[0]
-        total += 1
-        if b is None:
-            nobit += 1
-        elif b == 1:
-            ones += 1
-    return BiasReport(
-        mode=mode,
-        prob_one=Fraction(ones, total),
-        no_bit=Fraction(nobit, total),
-        n_items=n,
-    )
+    """Exact Pr(b=1) over all arrival orders (n <= EXACT_GUARD) by the law of
+    the first unlike arrival.  The first arrival's class K has c items,
+    ``below`` under it, and J copies of K follow it straight away: Pr(J >= j)
+    = C(n-1-j, n-c) / C(n-1, n-c).  process1 emits 1 when J is even, combine
+    when J is odd or, at J = 0, the second is smaller (Pr below/(n-1)), and
+    distinct_unbiased (c = 1) when it is larger.  Each class weighs c/n, or
+    ``first_key``'s alone; no bit (K holds every item) is ``no_bit`` mass."""
+    if mode not in MODES:
+        raise InputError(f"unknown mode {mode!r}")
+    prof = _key_counts(source, first_key)
+    if (n := sum(c * m for c, m in prof.groups)) > EXACT_GUARD:
+        raise CapacityError(f"n={n} exceeds the exact bias guard {EXACT_GUARD}")
+    if prof.first is None:  # (c, classes, their below values summed, weight)
+        bases = itertools.accumulate((c * m for c, m in prof.groups), initial=0)
+        terms = [(c, m, m * b + c * m * (m - 1) // 2, Fraction(c, n))
+                 for (c, m), b in zip(prof.groups, bases)]
+    else:
+        below, c = _first_class(prof)
+        terms = [(c, 1, below, 1)]
+    ones, nobit = Fraction(0), Fraction(n == 0)  # an empty stream emits nothing
+    for c, m, below, w in terms:
+        if mode == "distinct_unbiased" and c > 1:
+            raise InputError("distinct_unbiased requires two distinct keys")
+        if c == n:
+            nobit += w * m
+        elif mode == "distinct_unbiased":
+            ones += w * (m - Fraction(below, n - 1))
+        else:  # Pr(J even) as the alternating sum of Pr(J >= j), j < c
+            t = total = math.comb(n - 1, n - c)  # C(n-1-j, n-c) at step j
+            even = 0
+            for j in range(c):
+                even += -t if j % 2 else t
+                t = t * (c - 1 - j) // (n - 1 - j)
+            even = Fraction(even, total)
+            ones += w * (m * even if mode == "process1" else
+                         m * (1 - even) + Fraction(below, n - 1))
+    return BiasReport(mode, ones, nobit, n)
 
 
 def exact_distinct_conditional(source, mode="combine"):
-    """Exact Pr(b=1 | first two arrivals distinct), or None if undefined."""
-    _, head, multiset = _expand(source, None)
+    """Exact Pr(b=1 | first two arrivals distinct), or None if undefined:
+    ``harvest``'s bit on each ordered pair of distinct classes (a profile's
+    named first class first), weighted by the product of their counts."""
+    prof = _key_counts(source)
+    counts = [c for c, m in prof.groups for _ in range(m)]
     ones = total = 0
-    for rest in distinct_orderings(multiset):
-        order = head + rest
-        if len(order) < 2 or order[0] == order[1]:
-            continue
-        total += 1
-        if harvest(order, mode)[0] == 1:
-            ones += 1
-    if total == 0:
-        return None
-    return Fraction(ones, total)
+    for (a, ca), (b, cb) in itertools.permutations(enumerate(counts), 2):
+        if prof.first in (None, a):
+            total += ca * cb
+            ones += ca * cb * harvest((a, b), mode)[0]
+    return Fraction(ones, total) if total else None
 
 
 def empirical_bias(source, mode, trials, seed, first_key=None):

@@ -41,7 +41,6 @@ from functools import partial
 from . import guessing, intervals, knapsack, throughput
 from .core import (
     CapacityError,
-    ENUMERATION_GUARD,
     InputError,
     REALTIME_PROBLEMS,
     REPORT_COLUMNS,
@@ -53,6 +52,8 @@ from .core import (
 
 # the variant of an interval instance whose meta names none
 DEFAULT_INTERVAL_VARIANT = "single"
+# the most items whose orders an exact row enumerates
+ENUMERATION_GUARD = 10
 
 
 def worker_count():

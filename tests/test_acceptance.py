@@ -23,6 +23,7 @@ SQRT2M1 = math.sqrt(2) - 1
 SIZES = [3, 4, 4, 5, 5, 5, 6, 6, 6, 7, 7, 8]
 BIAS_N = 10**5
 BIAS_TRIALS = 10**5
+EXACT_N = 10**4
 
 
 def _report(name, ok, detail=""):
@@ -38,7 +39,10 @@ def test_c1_process1_alpha_half():
         ex.bias_family("process1", Fraction(1, 2), BIAS_N)[1], "process1", BIAS_TRIALS, 101
     )
     err = abs(rep.prob_one - 2 / 3)
-    _report("1a process1 alpha=1/2 -> 2/3 +-0.01", err <= 0.01, f"err={err:.5f}")
+    exact = ex.exact_bias(ex.bias_family("process1", Fraction(1, 2), EXACT_N)[1], "process1")
+    exact_err = abs(exact.prob_one - Fraction(2, 3))
+    _report("1a process1 alpha=1/2 -> 2/3 +-0.01, exact at n=1e4 +-1e-4",
+            err <= 0.01 and exact_err <= 1e-4, f"err={err:.5f} exact_err={float(exact_err):.1e}")
 
 
 def test_c1_process2_unbiased():
@@ -71,9 +75,14 @@ def test_c1_combine_worst_case_and_grid():
         lo = 0.5 - 3 * row["stderr"]
         hi = (2 - math.sqrt(2)) + 3 * row["stderr"] + 0.01
         ok = ok and lo <= row["empirical"] <= hi
+    exact_worst = 0
+    for param in (r, *(Fraction(k, 10) for k in range(1, 10))):
+        predicted, profile = ex.bias_family("combine", param, EXACT_N)
+        exact_worst = max(exact_worst, abs(ex.exact_bias(profile, "combine").prob_one - predicted))
+    ok = ok and exact_worst <= 1e-4
     _report(
-        "1c combine r=sqrt(2)-1 -> 2-sqrt(2) +-0.01; grid within 0.01",
-        ok, f"err={err:.5f} grid_worst={worst:.5f}",
+        "1c combine r=sqrt(2)-1 -> 2-sqrt(2) +-0.01; grid within 0.01; exact at n=1e4 +-1e-4",
+        ok, f"err={err:.5f} grid_worst={worst:.5f} exact_worst={float(exact_worst):.1e}",
     )
 
 

@@ -55,6 +55,19 @@ def test_bias_p2_needs_two_items(n, exact, capsys):
     assert (out, err) == ("", "error: need at least two items\n")
 
 
+@pytest.mark.parametrize("mode, want", [("p1", 2 / 3), ("p2", 1 / 2), ("combine", 41 / 70)],
+                         ids=["p1", "p2", "combine"])
+def test_bias_exact_at_ten_thousand_items(mode, want, capsys):
+    # exact at n = 1e4 in every mode, near the family's limit; one item past
+    # the guard of 1e5 is a one-line error
+    assert main(["bias", "--mode", mode, "--n", "10000", "--exact"]) == 0
+    fields = capsys.readouterr().out.split()
+    assert fields[1:3] == ["n=10000", "exact"] and fields[4] == "no_bit=0"
+    assert abs(float(Fraction(fields[3].removeprefix("prob_one="))) - want) <= 1e-4
+    assert main(["bias", "--mode", mode, "--n", "100001", "--exact"]) == 2
+    assert capsys.readouterr() == ("", "error: n=100001 exceeds the exact bias guard 100000\n")
+
+
 @pytest.mark.parametrize("mode", ["p2", "combine"])
 def test_bias_at_two_to_the_forty_items(mode, capsys):
     # a family is a profile of at most three groups, whatever n

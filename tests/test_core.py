@@ -88,6 +88,17 @@ def test_distinct_orderings_match_labeled_enumeration():
         assert len(set(labeled.values())) == 1
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.lists(st.integers(0, 3), max_size=7),
+                 st.lists(st.tuples(st.integers(0, 2), st.integers(0, 1)), max_size=7)))
+@example([])
+@example([5])
+@example([2, 2, 2])
+def test_distinct_orderings_are_the_sorted_distinct_permutations(vals):
+    # next-permutation steps yield each distinct order once, in lexicographic order
+    assert list(distinct_orderings(vals)) == sorted(set(itertools.permutations(vals)))
+
+
 def test_public_api_resolves():
     import rombit
 

@@ -70,6 +70,21 @@ def run_lengths(counts, first_key=None):
     return Profile(tuple(map(tuple, runs)), first)
 
 
+def enumerated_outcomes(counts, mode):
+    """(first key, second key, bit) of every distinct order of a counts dict,
+    the bit from ``harvest`` or InputError where it raises, and None for a
+    missing key: the enumeration the exact oracles must equal."""
+    out = []
+    for order in distinct_orderings(k for k, c in counts.items() for _ in range(c)):
+        try:
+            bit = harvest(order, mode)[0]
+        except InputError:
+            bit = InputError
+        first, second = (*order, None, None)[:2]
+        out.append((first, second, bit))
+    return out
+
+
 def test_process1_rule():
     assert harvest([A, B], "process1") == (1, 1)  # change at even index
     assert harvest([A, A, B], "process1") == (0, 2)  # change at index 3
@@ -104,7 +119,8 @@ def test_combine_rule():
 def test_finite_n_bias_extremes():
     # 2 - sqrt(2) and 2/3 are limits of families, not finite-n bounds: over
     # every key multiplicity, combine's Pr(b=1) runs from 1/2 (distinct keys)
-    # up to 2/3 at n = 3, 4 and 3/5 at n = 5..8, and process1 reaches 1
+    # up to 2/3 at n = 3, 4, 3/5 at n = 5..8 and 25/42 at n = 9, 10, and
+    # process1 reaches 1
     def partitions(n, top):
         if n == 0:
             yield ()
@@ -113,7 +129,8 @@ def test_finite_n_bias_extremes():
                 yield (c, *rest)
 
     for n, hi in ((3, Fraction(2, 3)), (4, Fraction(2, 3)),
-                  *((n, Fraction(3, 5)) for n in range(5, 9))):
+                  *((n, Fraction(3, 5)) for n in range(5, 9)),
+                  (9, Fraction(25, 42)), (10, Fraction(25, 42))):
         probs = [exact_bias({(k,): c for k, c in enumerate(p)}, "combine").prob_one
                  for p in partitions(n, n) if len(p) > 1]
         assert (min(probs), max(probs)) == (Fraction(1, 2), hi), n
@@ -204,7 +221,7 @@ def test_empirical_bias_source_forms_agree():
     assert all(rep == reps[0] for rep in reps)
 
 
-def test_monte_carlo_matches_enumeration():
+def test_monte_carlo_matches_exact_bias():
     # two routes that share no sampling code: 4.5 sigma plus a 1e-3 floor
     rng = random.Random(2024)
     trials = 20000
@@ -228,7 +245,7 @@ def test_monte_carlo_matches_enumeration():
 
 def test_monte_carlo_distinct_unbiased_honours_first_key():
     # the first arrival's rank is fixed; the bit is 1 when the second ranks
-    # above it, so Pr(b=1) = (n-1-rank)/(n-1) by enumeration
+    # above it, so Pr(b=1) = (n-1-rank)/(n-1) exactly
     keys = [(Fraction(v),) for v in (0, 1, 2)]
     trials = 4000
     for first, want in zip(keys, (Fraction(1), Fraction(1, 2), Fraction(0))):
@@ -237,6 +254,36 @@ def test_monte_carlo_distinct_unbiased_honours_first_key():
         tol = 4.5 * math.sqrt(want * (1 - want) / trials) + 1e-3
         assert abs(rep.prob_one - want) <= tol, (first, rep)
         assert rep.no_bit == 0
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.lists(st.integers(1, 4), max_size=8).filter(lambda cs: sum(cs) <= 8),
+       st.sampled_from(MODES))
+@example([2, 1, 1], "combine")  # below != above for the first class
+def test_exact_oracles_match_enumeration(sizes, mode):
+    # the law of the first unlike arrival equals enumeration through harvest
+    # on every multiset of n <= 8, unconditioned and from each first key,
+    # from a counts dict and from its Profile: equal Fractions, or the
+    # InputError enumeration raises; the distinct conditional likewise
+    counts = {(k,): c for k, c in enumerate(sizes)}  # class counts in key order
+    outcomes = enumerated_outcomes(counts, mode)
+    for first_key in (None, *counts):
+        bits = [b for k, _, b in outcomes if first_key is None or k == first_key]
+        for source, key in ((counts, first_key), (run_lengths(counts, first_key), None)):
+            if InputError in bits:
+                with pytest.raises(InputError):
+                    exact_bias(source, mode, first_key=key)
+                continue
+            rep = exact_bias(source, mode, first_key=key)
+            assert (rep.prob_one, rep.no_bit, rep.n_items) == (
+                Fraction(bits.count(1), len(bits)), Fraction(bits.count(None), len(bits)),
+                sum(sizes)), (counts, mode, first_key)
+        pairs = [b for k, s, b in outcomes
+                 if s not in (None, k) and first_key in (None, k)]
+        want = Fraction(pairs.count(1), len(pairs)) if pairs else None
+        assert exact_distinct_conditional(run_lengths(counts, first_key), mode) == want
+        if first_key is None:
+            assert exact_distinct_conditional(counts, mode) == want
 
 
 @settings(max_examples=150, deadline=None)

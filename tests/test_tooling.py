@@ -82,6 +82,21 @@ def test_no_test_only_code_in_src():
     assert sorted(set(defined) - used) == []
 
 
+def test_harness_is_the_one_enumerator_of_arrival_orders():
+    # ``core`` defines ``distinct_orderings`` and ``harness`` alone walks it;
+    # the exact bias oracles sum the law of the first unlike arrival instead
+    naming = set()
+    for path in sorted(Path(rombit.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([node.id] if isinstance(node, ast.Name)
+                     else [node.name] if isinstance(node, ast.FunctionDef)
+                     else [a.name for a in node.names] if isinstance(node, ast.ImportFrom)
+                     else [node.attr] if isinstance(node, ast.Attribute) else [])
+            if "distinct_orderings" in names:
+                naming.add(path.stem)
+    assert naming == {"core", "harness"}
+
+
 def test_the_commit_rule_is_written_once():
     # ``extraction.Run`` alone declares a run's bit, its branch values and
     # the committed value; every other run record subclasses it
