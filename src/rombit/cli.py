@@ -105,6 +105,7 @@ def _load_or_generate(args, problem, variant):
     params = _params(args.params)
     if variant and params.setdefault("variant", variant) != variant:
         raise InputError(f"--params variant {params['variant']!r} does not match {variant!r}")
+    harness.check_size(problem, args.family, params, args.exact)
     return harness.generate_instances(
         problem, args.family, params, args.count, args.seed
     )

@@ -6,24 +6,32 @@ Arrival orders are built in ``harness``: a problem's record in
 orders ``distinct_orderings`` enumerates or ``rng_for`` samples; the audit
 checks each order inside that one walk.
 
-Every payload value is an exact rational, an int, Fraction or [num, den]
-pair, that ``make_instance`` takes as an int pair and scales once
-(``common_scale``) to an int over the instance's one common denominator,
-``Instance.den``, building no Fraction per value, so class boundaries such
-as 3/10 and ties are decided exactly on ints; meta values stay as read.
-Files hold each int as its reduced [num, den] pair.  All stochastic
-operations take an explicit seed and are pure functions of their inputs;
-values are safe to share across workers.
+An ``Instance`` is columnar: one int list per payload field, all over the
+instance's one common denominator, ``Instance.den``, so class boundaries
+such as 3/10 and ties are decided exactly on ints; an item's key is its
+key fields' entries.  Every payload value is an exact rational, an int,
+Fraction or [num, den] pair.  ``make_instance`` scales a column of ints or
+of [num, den > 0] int pairs, as files hold, in bulk; any other input goes
+value by value through ``int_pair`` and ``common_scale``, which raise on a
+bad value.  Both build no Fraction per value.  ``Instance.items`` is a view
+of ``Item`` records built on first read; the package reads only columns.
+Meta values stay as read.  Files hold each int as its reduced [num, den]
+pair.  All stochastic operations take an explicit seed and are pure
+functions of their inputs; values are safe to share across workers.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import operator
 import random
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from functools import cached_property
+from typing import NamedTuple
 
 # every problem's item payload fields; the first two (the one for
 # string_guess) are the item's key, the coordinates the arrival order permutes
@@ -76,26 +84,28 @@ def int_pair(x):
 
 
 def to_fraction(x):
-    """``int_pair`` as a Fraction."""
+    """``int_pair`` as a Fraction; an int pair goes straight to Fraction."""
+    if is_int_pair(x) and x[1]:
+        return Fraction(x[0], x[1])
     return Fraction(*int_pair(x))
 
 
-def common_scale(pairs):
-    """Integers over the least common denominator of ``(num, den > 0)``
-    pairs, so ``ints[i] / den == num_i / den_i``: scaled over the lcm of the
-    dens, then reduced once by the gcd of it and every scaled value."""
-    # unpack a list, not a generator, whose grown tuple would sit in a free list
-    den = math.lcm(*[d for _, d in pairs])
-    ints = [x * (den // d) for x, d in pairs]
+def common_scale(nums, dens):
+    """Integers over the least common denominator of the rationals
+    ``nums[i] / dens[i]`` (each den > 0), so ``ints[i] / den`` equals each:
+    scaled over the lcm of the dens, then reduced once by the gcd of it and
+    every scaled value.  Each distinct den is divided once."""
+    den = math.lcm(*(distinct := set(dens)))
+    factor = {d: den // d for d in distinct}
+    ints = list(map(operator.mul, nums, map(factor.__getitem__, dens)))
     g = math.gcd(den, *ints)
-    return ([x // g for x in ints], den // g) if g > 1 else (ints, den)
+    return (list(map(g.__rfloordiv__, ints)), den // g) if g > 1 else (ints, den)
 
 
-@dataclass(frozen=True)
-class Item:
-    """One input element: its payload, an int over its instance's ``den``
-    per field of its problem's ``PAYLOAD_FIELDS``, and its ordering key, the
-    payload's key fields.
+class Item(NamedTuple):
+    """One input element of ``Instance.items``: its ordering key, the
+    payload's key fields, and its payload, an int over its instance's
+    ``den`` per field of its problem's ``PAYLOAD_FIELDS``.
 
     ``key`` holds only the coordinates that are random under the arrival
     model (the permuted payload columns), so extractor decisions never leak
@@ -109,49 +119,84 @@ class Item:
 @dataclass(frozen=True)
 class Instance:
     problem: str
-    items: tuple  # tuple[Item, ...]
+    columns: dict  # each payload field -> its int over den per item, in item order
     meta: dict
-    den: int  # every payload and key value is an int over den
+    den: int
 
     @property
     def n(self):
-        return len(self.items)
+        return len(next(iter(self.columns.values())))
 
     def column(self, name):
-        """Payload field ``name`` of every item, in item order, as ints
-        over ``den``."""
-        return [it.payload[name] for it in self.items]
+        """Payload field ``name`` of every item, in item order, as ints over
+        ``den``: the instance's own list, which callers must not change."""
+        return self.columns[name]
+
+    @cached_property
+    def items(self):
+        """The items as ``Item`` records, built from the columns on first
+        read; nothing in the package reads them."""
+        fields = PAYLOAD_FIELDS[self.problem]
+        cols = [self.columns[f] for f in fields]
+        payloads = map(dict, map(zip, itertools.repeat(fields), zip(*cols)))
+        return tuple(map(Item, zip(*cols[:2]), payloads))
 
     def meta_value(self, name, default=None):
         return self.meta.get(name, default)
 
 
-def make_instance(problem, payloads, meta=None):
-    """Validate and build an Instance from one payload mapping per item, each
-    value an int, Fraction or [num, den] pair, taken as an ``int_pair`` and
-    stored as an int over ``den`` (``common_scale``), each key derived from
-    its payload; raises InputError on contract violations."""
-    if problem not in PAYLOAD_FIELDS:
-        raise InputError(f"unknown problem {problem!r}")
-    fields = PAYLOAD_FIELDS[problem]
+def _scale_each(payloads, fields):
+    """The payload columns of ``make_instance`` by ``int_pair`` on each
+    value in item order, so the first bad value or missing field raises."""
     try:
         pairs = [int_pair(p[f]) for p in payloads for f in fields]
     except KeyError as e:
         raise InputError(f"item has no {e.args[0]!r} payload field") from None
     if not pairs:
         raise InputError("instance has no items")
-    ints, den = common_scale(pairs)
-    k, keys = len(fields), len(fields[:2])
-    # a tuple of a list, not of a generator, whose grown tuple would sit in
-    # a free list
-    items = tuple([Item(row[:keys], dict(zip(fields, row)))
-                   for row in zip(*[ints[j::k] for j in range(k)])])
-    instance = Instance(problem, items, dict(meta or {}), den)
+    ints, den = common_scale(*zip(*pairs))
+    return [ints[j::len(fields)] for j in range(len(fields))], den
+
+
+def _scale_bulk(payloads, fields):
+    """``_scale_each``'s columns and ``den``, checked and scaled for all
+    values at once, when they are all ints or all [num, den > 0] int pairs,
+    as files hold; None for any other input, which ``_scale_each`` takes or
+    rejects."""
+    try:
+        values = list(itertools.chain.from_iterable(
+            [map(operator.itemgetter(f), payloads) for f in fields]))
+    except (LookupError, TypeError):
+        return None
+    n, kinds = len(payloads), set(map(type, values))
+    if kinds == {int}:
+        return [values[i:i + n] for i in range(0, len(values), n)], 1
+    if kinds != {list} or set(map(len, values)) != {2}:
+        return None  # also no items
+    flat = list(itertools.chain.from_iterable(values))
+    dens = flat[1::2]
+    if set(map(type, flat)) != {int} or min(dens) <= 0:
+        return None
+    ints, den = common_scale(flat[::2], dens)
+    return [ints[i:i + n] for i in range(0, len(ints), n)], den
+
+
+def make_instance(problem, payloads, meta=None):
+    """Validate and build an Instance from one payload mapping per item, each
+    value an int, Fraction or [num, den] pair, stored by field as ints over
+    the least common denominator ``den`` (``common_scale``); keys are the
+    key fields' columns.  Raises InputError on contract violations."""
+    if problem not in PAYLOAD_FIELDS:
+        raise InputError(f"unknown problem {problem!r}")
+    fields = PAYLOAD_FIELDS[problem]
+    payloads = list(payloads)
+    cols, den = _scale_bulk(payloads, fields) or _scale_each(payloads, fields)
+    instance = Instance(problem, dict(zip(fields, cols)), dict(meta or {}), den)
     if problem in REALTIME_PROBLEMS:
         rel = instance.column("release")
         if min(rel) < 0:
             raise InputError("release must be non-negative")
-        if any(a > b for a, b in zip(rel, rel[1:])):
+        if not all(map(operator.le, rel, rel[1:])):
             raise InputError("releases must be non-decreasing in item order")
     return instance
 
@@ -268,6 +313,20 @@ def _json_object(value, what, line):
     return value
 
 
+def _keys_copy_payloads(keys, payloads, key_fields):
+    """Whether every key is its payload's key fields with no bool or float
+    in it, checked for all keys at once; False also when the coordinates
+    mix ints and pairs, which the per-item check then decides."""
+    if set(map(len, keys)) != {len(key_fields)}:
+        return False
+    coords = list(itertools.chain.from_iterable(keys))
+    kinds = set(map(type, coords))
+    if kinds == {list}:
+        kinds = set(map(type, itertools.chain.from_iterable(coords)))
+    copies = zip(*[map(operator.itemgetter(f), payloads) for f in key_fields])
+    return kinds == {int} and coords == list(itertools.chain.from_iterable(copies))
+
+
 def instance_from_json(text, line=None):
     try:
         obj = json.loads(text)
@@ -279,19 +338,28 @@ def instance_from_json(text, line=None):
     items = obj.get("items")
     if not isinstance(items, list):
         raise ParseError("items must be a JSON array", line=line)
-    for i, rec in enumerate(items):
-        if not isinstance(_json_object(rec, f"item {i}", line).get("key"), list):
-            raise ParseError(f"item {i} key must be a JSON array", line=line)
+    keys = None  # checked for all items at once; the loop names the first bad one
+    if set(map(type, items)) <= {dict}:
+        keys = list(map(dict.get, items, itertools.repeat("key")))
+    if keys is None or not set(map(type, keys)) <= {list}:
+        for i, rec in enumerate(items):
+            if not isinstance(_json_object(rec, f"item {i}", line).get("key"), list):
+                raise ParseError(f"item {i} key must be a JSON array", line=line)
     try:
-        keys = [rec["key"] for rec in items]
-        payloads = [_json_object(rec.get("payload", {}), "payload", line) for rec in items]
+        payloads = list(map(dict.get, items, itertools.repeat("payload")))
+        if not set(map(type, payloads)) <= {dict}:
+            payloads = [_json_object(rec.get("payload", {}), "payload", line)
+                        for rec in items]
         meta = {
             k: _decode_weight_table(v) if k == "weight_table" else _decode_meta_value(v)
             for k, v in _json_object(obj.get("meta", {}), "meta", line).items()
         }
         instance = make_instance(problem, payloads, meta)
         key_fields = PAYLOAD_FIELDS[problem][:2]
-        for i, (key, payload, it) in enumerate(zip(keys, payloads, instance.items)):
+        if _keys_copy_payloads(keys, payloads, key_fields):
+            return instance
+        columns = zip(*map(instance.column, key_fields))
+        for i, (key, payload, ints) in enumerate(zip(keys, payloads, columns)):
             # each payload value parsed as an int or an int pair, so a key
             # equal to the payload's key fields with no bool or float in it
             # is the same JSON and parses to the same key
@@ -300,7 +368,7 @@ def instance_from_json(text, line=None):
             ):
                 continue
             key = tuple(to_fraction(c) for c in key)
-            want = tuple(Fraction(c, instance.den) for c in it.key)
+            want = tuple(Fraction(c, instance.den) for c in ints)
             if key != want:
                 raise InputError(f"item {i} key {_encode_value(key)} is not its "
                                  f"payload's key {_encode_value(want)}")

@@ -21,10 +21,12 @@ the exact bias is 1/2 on three distinct keys and 2/3 on key counts
 {A: 1, B: 2}.  ``process1`` tends to 2/3 on two equal halves (its family
 at alpha 1/2), and gives exactly 1 on distinct keys.
 
-``harvest`` holds all three rules, and is the one place where applications,
-the pairwise extractor and the exact conditional take their bit.  Caller keys
-are checked once, where they enter: one key length per instance.  Every
-application's run is a ``Run``, whose bit ``commit``s it to one branch.
+``harvest`` holds all three rules, and is the one place where applications
+and the pairwise extractor take their bit; the exact distinct conditional
+sums its rule over class counts, with ``harvest`` on each pair as its test
+reference.  Caller keys are checked once, where they enter: one key length
+per instance.  Every application's run is a ``Run``, whose bit ``commit``s
+it to one branch.
 
 Bias oracles come in two routes that never share code paths: the exact law
 of the first unlike arrival (n <= ``EXACT_GUARD``), whose reference in the
@@ -58,6 +60,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .core import (
+    PAYLOAD_FIELDS,
     CapacityError,
     InputError,
     Instance,
@@ -190,7 +193,7 @@ def _key_counts(source, first_key=None):
         counts = source
     else:
         if isinstance(source, Instance):
-            source = (it.key for it in source.items)
+            source = zip(*map(source.column, PAYLOAD_FIELDS[source.problem][:2]))
         counts = {}
         for k in source:
             k = tuple(k)
@@ -257,16 +260,25 @@ def exact_bias(source, mode, first_key=None):
 
 
 def exact_distinct_conditional(source, mode="combine"):
-    """Exact Pr(b=1 | first two arrivals distinct), or None if undefined:
-    ``harvest``'s bit on each ordered pair of distinct classes (a profile's
-    named first class first), weighted by the product of their counts."""
+    """Exact Pr(b=1 | first two arrivals distinct), or None if undefined.
+    The bit of two distinct first arrivals depends only on which is smaller:
+    process1 emits 1, combine 1 when the second is smaller, and
+    distinct_unbiased 1 when it is larger.  With n items in classes of c_k,
+    the ordered pairs of distinct classes weigh n^2 - sum c_k^2, half of it
+    with the second smaller; a profile's named first class, c items with
+    ``below`` under it, weighs c (n - c), c below of it with the second
+    smaller.  O(groups) for any n."""
+    if mode not in MODES:
+        raise InputError(f"unknown mode {mode!r}")
     prof = _key_counts(source)
-    counts = [c for c, m in prof.groups for _ in range(m)]
-    ones = total = 0
-    for (a, ca), (b, cb) in itertools.permutations(enumerate(counts), 2):
-        if prof.first in (None, a):
-            total += ca * cb
-            ones += ca * cb * harvest((a, b), mode)[0]
+    n = sum(c * m for c, m in prof.groups)
+    if prof.first is None:
+        total = n * n - sum(c * c * m for c, m in prof.groups)
+        smaller = total // 2
+    else:
+        below, c = _first_class(prof)
+        total, smaller = c * (n - c), c * below
+    ones = {"process1": total, "combine": smaller}.get(mode, total - smaller)
     return Fraction(ones, total) if total else None
 
 

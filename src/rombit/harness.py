@@ -210,6 +210,32 @@ def _string_payloads(rng, params):
     return [{"bit": b} for b in bits], {}
 
 
+def _family_spec(problem, family):
+    """The problem's record, once ``family`` is known to be one of its own."""
+    spec = _spec(problem)
+    if family not in spec.families:
+        raise InputError(f"unknown {problem} family {family!r}; "
+                         f"expected one of {', '.join(spec.families)}")
+    return spec
+
+
+def check_size(problem, family, params, exact):
+    """Reject a family whose ``n`` (the largest, for a list) exceeds the
+    guard that would reject its rows, before any instance is drawn: the
+    enumeration guard when ``exact``, else the problem's oracle guard.  An
+    ``n`` that is no positive int is left to generation to report."""
+    guard = _family_spec(problem, family).guard
+    n = params.get("n", 6)
+    ns = n if isinstance(n, (list, tuple)) else [n]
+    if not ns or not all(type(m) is int and m >= 1 for m in ns):
+        return
+    if exact and max(ns) > ENUMERATION_GUARD:
+        raise CapacityError(f"n={max(ns)} exceeds the exact-mode enumeration guard "
+                            f"{ENUMERATION_GUARD}")
+    if not exact and guard is not None and max(ns) > guard:
+        raise CapacityError(f"n={max(ns)} exceeds oracle guard {guard}")
+
+
 class _Params(dict):
     """Family parameters that record in ``read`` the keys the family reads."""
 
@@ -222,10 +248,7 @@ def generate_instances(problem, family, params, count, seed):
     """Deterministic instance family; meta carries an id per instance.  A
     family the problem does not have, or a parameter that the family does
     not read, is bad input."""
-    spec = _spec(problem)
-    if family not in spec.families:
-        raise InputError(f"unknown {problem} family {family!r}; "
-                         f"expected one of {', '.join(spec.families)}")
+    spec = _family_spec(problem, family)
     out = []
     params = _Params(params or {}, family=family)
     params.read = {"family"}
@@ -509,6 +532,7 @@ class Problem:
     scale: Callable  # instance -> Scaled view
     run: Callable
     ratio: str  # "alg/opt" (at most 1), "opt/alg", or "mean opt/alg" over orders
+    guard: int = None  # the most items the offline oracle takes, if bounded
 
 
 _KNAPSACK_FAMILIES = ("uniform", "two_type", "adversarial")
@@ -518,14 +542,17 @@ PROBLEM_TABLE = {
         ("bernoulli", "two_type"), _string_payloads, scale_bits, _run_guess, "opt/alg"),
     "knapsack_general": Problem(
         _KNAPSACK_FAMILIES, partial(_knapsack_payloads, general=True),
-        partial(scale_knapsack, proportional=False), _run_general, "alg/opt"),
+        partial(scale_knapsack, proportional=False), _run_general, "alg/opt",
+        knapsack.OPT_GUARD),
     "knapsack_proportional": Problem(
         _KNAPSACK_FAMILIES, partial(_knapsack_payloads, general=False),
-        partial(scale_knapsack, proportional=True), _run_proportional, "alg/opt"),
+        partial(scale_knapsack, proportional=True), _run_proportional, "alg/opt",
+        knapsack.OPT_GUARD),
     "interval": Problem(
         ("uniform",), _interval_payloads, scale_intervals, _run_intervals, "opt/alg"),
     "throughput": Problem(
-        ("uniform",), _throughput_payloads, scale_throughput, _run_throughput, "mean opt/alg"),
+        ("uniform",), _throughput_payloads, scale_throughput, _run_throughput, "mean opt/alg",
+        throughput.OPT_GUARD),
 }
 
 

@@ -438,6 +438,40 @@ def test_bad_params_values(argv, word, tmp_path, capsys):
     assert word in _one_error_line(capsys)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["knapsack", "--params", '{"n": 1000000}', "--count", "1", "--trials", "1"],
+     "n=1000000 exceeds oracle guard 24"),
+    (["throughput", "--params", '{"n": 10000000}', "--count", "1", "--trials", "1"],
+     "n=10000000 exceeds oracle guard 10"),
+    (["intervals", "--params", '{"n": 3000000}', "--count", "1", "--exact"],
+     "n=3000000 exceeds the exact-mode enumeration guard 10"),
+    (["knapsack", "--variant", "general", "--params", '{"n": [4, 25]}', "--count", "1"],
+     "n=25 exceeds oracle guard 24"),
+    (["throughput", "--params", '{"n": 11}', "--count", "1", "--exact"],
+     "n=11 exceeds the exact-mode enumeration guard 10"),
+    (["knapsack", "--params", '{"n": 2e21}', "--count", "1", "--exact"],
+     "bad knapsack_proportional uniform parameters: 'n' must be an integer, got 2e+21"),
+    (["knapsack", "--params", '{"n": [1000000, "x"]}', "--count", "1"],
+     "bad knapsack_proportional uniform parameters: 'n' must be an integer, got 'x'"),
+], ids=["knapsack", "throughput", "intervals-exact", "knapsack-list", "throughput-exact",
+        "bad-n", "bad-n-in-list"])
+def test_oversize_n_is_rejected_before_any_draw(argv, message, capsys):
+    # the guard that would reject the rows rejects the family's largest n
+    # before generation draws anything; a bad n keeps generation's error
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_gen_writes_any_n(tmp_path, capsys):
+    # no oracle runs on a written file, so gen is not held to its guard
+    out = tmp_path / "big.jsonl"
+    assert main(["gen", "--problem", "knapsack_general", "--family", "uniform",
+                 "--params", '{"n": 30}', "--count", "1", "--out", str(out)]) == 0
+    assert rombit.read_instances(out)[0].n == 30
+
+
 @pytest.mark.parametrize("argv", [
     ["intervals", "--family", "bogus", "--count", "1", "--exact"],
     ["throughput", "--family", "bogus", "--count", "1", "--exact"],

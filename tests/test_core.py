@@ -3,7 +3,6 @@
 import itertools
 import json
 import math
-import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -26,6 +25,7 @@ from rombit.core import (
     write_instances,
 )
 from rombit.harness import PROBLEM_TABLE, _sampled_orders, generate_instances
+from call_counts import calls_while
 from stream_reference import CounterStream
 
 
@@ -156,7 +156,7 @@ def test_common_scale_matches_the_fraction_reference(pairs):
     fracs = [Fraction(x, d) for x, d in pairs]
     coerced = [int_pair(p) for p in pairs]
     assert all(d > 0 and Fraction(x, d) == f for (x, d), f in zip(coerced, fracs))
-    ints, den = common_scale(coerced)
+    ints, den = common_scale([x for x, _ in coerced], [d for _, d in coerced])
     assert den == math.lcm(*(f.denominator for f in fracs))
     assert ints == [int(f * den) for f in fracs]
 
@@ -243,19 +243,7 @@ def test_generated_denominator_is_reduced(case):
 
 def _fraction_constructions(fn):
     """How many times ``Fraction.__new__`` runs while ``fn()`` runs."""
-    code, count, outer = Fraction.__new__.__code__, 0, sys.getprofile()
-
-    def profile(frame, event, arg):
-        nonlocal count
-        if event == "call" and frame.f_code is code:
-            count += 1
-
-    sys.setprofile(profile)
-    try:
-        fn()
-    finally:
-        sys.setprofile(outer)
-    return count
+    return calls_while(fn, lambda code: code is Fraction.__new__.__code__)
 
 
 @pytest.mark.parametrize("case", GENERATED)
@@ -321,10 +309,13 @@ def test_key_check_matches_the_parsing_reference(value, weight, data):
 
 
 def test_key_check_cases():
-    # an unnormalized key is the same rational as its payload's
+    # an unnormalized key, or an int for an integral pair, is the same
+    # rational as its payload's
     inst = instance_from_json(_knapsack_line([[2, 4], [1, 3]], [1, 2], [1, 3]))
     assert tuple(Fraction(c, inst.den) for c in inst.items[0].key) == (
         Fraction(1, 2), Fraction(1, 3))
+    assert instance_from_json(_knapsack_line([1, [1, 3]], [1, 1], [1, 3])) == make_instance(
+        "knapsack_general", [{"value": 1, "weight": Fraction(1, 3)}])
     with pytest.raises(ParseError) as ei:
         instance_from_json(_knapsack_line([[1, 2], [1, 3]], [1, 2], [1, 2]), line=1)
     assert str(ei.value) == ("line 1: item 0 key [[1, 2], [1, 3]] is not its "
@@ -409,6 +400,197 @@ def test_instance_validation():
                 {"release": 1, "proc": 10, "slack": 0},
             ],
         )
+
+
+def _reference_columns(problem, payloads):
+    """``make_instance``'s columns and ``den``, one value at a time in item
+    order with Fractions: (columns, den), or the text of the InputError it
+    raises first.  A value is an int (no bool), a Fraction, or a list of two
+    ints (no bools) with a nonzero denominator."""
+    fields = PAYLOAD_FIELDS[problem]
+    values = []
+    for p in payloads:
+        for f in fields:
+            if f not in p:
+                return f"item has no {f!r} payload field"
+            x = p[f]
+            if type(x) is int or isinstance(x, Fraction):
+                values.append(Fraction(x))
+            elif type(x) is list and len(x) == 2 and all(type(c) is int for c in x) and x[1]:
+                values.append(Fraction(x[0], x[1]))
+            else:
+                return f"not a rational: {x!r}"
+    if not values:
+        return "instance has no items"
+    den = math.lcm(*(v.denominator for v in values))
+    columns = {f: [int(v * den) for v in values[j::len(fields)]]
+               for j, f in enumerate(fields)}
+    rel = columns.get("release", [0])
+    if min(rel) < 0:
+        return "release must be non-negative"
+    if rel != sorted(rel):
+        return "releases must be non-decreasing in item order"
+    return columns, den
+
+
+_PAIR = st.tuples(st.integers(-20, 20), st.integers(1, 12)).map(list)
+_ODD_LIST = st.one_of(
+    st.tuples(st.integers(-5, 5), st.integers(-4, 0)).map(list),  # zero or negative den
+    st.lists(st.integers(-3, 3), max_size=3),
+    st.lists(st.one_of(st.booleans(), st.integers(1, 3), st.just(2.0)), min_size=2,
+             max_size=2))
+_ODD_VALUE = st.one_of(_ODD_LIST, st.booleans(), st.floats(-2, 2),
+                       st.fractions(max_denominator=12))
+
+
+@st.composite
+def _mixed_payloads(draw):
+    """A problem and payloads whose columns each hold ints only, [num, den >
+    0] pairs only (the bulk route), lists that may be odd, or any mix with
+    odd values; releases are sorted in the first two, and a field may be
+    missing."""
+    problem = draw(st.sampled_from(sorted(PAYLOAD_FIELDS)))
+    fields = PAYLOAD_FIELDS[problem]
+    n = draw(st.integers(0, 5))
+    columns = {}
+    for f in fields:
+        style = draw(st.sampled_from(["ints", "pairs", "lists", "mixed"]))
+        if style == "ints":
+            col = draw(st.lists(st.integers(0, 20), min_size=n, max_size=n))
+        elif style == "pairs":
+            col = draw(st.lists(_PAIR.map(lambda p: [abs(p[0]), p[1]]), min_size=n,
+                                max_size=n))
+        elif style == "lists":
+            col = draw(st.lists(st.one_of(_PAIR, _ODD_LIST), min_size=n, max_size=n))
+        else:
+            col = draw(st.lists(st.one_of(st.integers(-3, 20), _PAIR, _ODD_VALUE),
+                                min_size=n, max_size=n))
+        if f == "release" and style in ("ints", "pairs"):
+            col.sort(key=_as_fraction)
+        columns[f] = col
+    payloads = [{f: columns[f][i] for f in fields} for i in range(n)]
+    if n and draw(st.integers(0, 9)) == 0:
+        del payloads[draw(st.integers(0, n - 1))][draw(st.sampled_from(fields))]
+    return problem, payloads
+
+
+@settings(max_examples=400, deadline=None)
+@given(_mixed_payloads())
+@example(("knapsack_general", [{"value": [1, 2], "weight": [1, 0]}]))
+@example(("knapsack_general", [{"value": [1, 2], "weight": [3, -4]}]))
+@example(("knapsack_general", [{"value": [1, 2], "weight": [1, 2, 3]}]))
+@example(("knapsack_general", [{"value": [True, 2], "weight": [1, 2]}]))
+@example(("knapsack_general", [{"value": [1, 2], "weight": [1, 2.0]}]))
+@example(("knapsack_general", [{"value": [1, 2], "weight": 1}]))
+def test_bulk_columns_match_the_per_value_reference(case):
+    # the same den and columns, or the same error text, from make_instance
+    # and, where the payloads are JSON, from a line that holds them
+    problem, payloads = case
+    fields = PAYLOAD_FIELDS[problem]
+    want = _reference_columns(problem, payloads)
+    line = None
+    if not any(isinstance(x, Fraction) for p in payloads for x in p.values()):
+        line = json.dumps({"problem": problem, "items": [
+            {"key": [p[f] for f in fields[:2] if f in p], "payload": p} for p in payloads]})
+    if isinstance(want, str):
+        with pytest.raises(InputError) as ei:
+            make_instance(problem, payloads)
+        assert str(ei.value) == want
+        if line is not None:
+            with pytest.raises(ParseError) as ei:
+                instance_from_json(line, line=4)
+            assert str(ei.value) == "line 4: " + want
+        return
+    inst = make_instance(problem, payloads)
+    assert ({f: inst.column(f) for f in fields}, inst.den) == want
+    assert line is None or instance_from_json(line) == inst
+
+
+_MUTATED_LINES = {
+    "item-not-object": ({1: lambda rec: 5}, "item 1 must be a JSON object"),
+    "item-list": ({2: lambda rec: [1, 2]}, "item 2 must be a JSON object"),
+    "key-not-array": ({1: lambda rec: {**rec, "key": "x"}}, "item 1 key must be a JSON array"),
+    "key-missing": ({2: lambda rec: {"payload": rec["payload"]}},
+                    "item 2 key must be a JSON array"),
+    "key-unequal": ({1: lambda rec: {**rec, "key": [[1, 2], [5, 2]]}},
+                    "item 1 key [[1, 2], [5, 2]] is not its payload's key [[1, 1], [5, 2]]"),
+    "key-short": ({1: lambda rec: {**rec, "key": [[1, 1]]}},
+                  "item 1 key [[1, 1]] is not its payload's key [[1, 1], [5, 2]]"),
+    # every key's coordinates, read in one run, are the payloads' in order
+    "key-shifted": ({0: lambda rec: {**rec, "key": [[3, 2]]},
+                     1: lambda rec: {**rec, "key": [[2, 1], [1, 1], [5, 2]]}},
+                    "item 0 key [[3, 2]] is not its payload's key [[3, 2], [2, 1]]"),
+    "key-bool": ({1: lambda rec: {**rec, "key": [True, [5, 2]]}}, "not a rational: True"),
+    "key-bool-in-pair": ({0: lambda rec: {**rec, "key": [[3, 2], [2, True]]}},
+                         "not a rational: [2, True]"),
+    "key-float": ({2: lambda rec: {**rec, "key": [[1, 4], 2.0]}}, "not a rational: 2.0"),
+    "key-float-in-pair": ({2: lambda rec: {**rec, "key": [[1, 4.0], [2, 1]]}},
+                          "not a rational: [1, 4.0]"),
+    "payload-not-object": ({1: lambda rec: {**rec, "payload": [1]}},
+                           "payload must be a JSON object"),
+    "payload-missing": ({1: lambda rec: {"key": rec["key"]}},
+                        "item has no 'weight' payload field"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MUTATED_LINES))
+def test_mutated_instance_lines_keep_their_errors(name):
+    # the texts of the per-item parser that read items one dict at a time
+    inst = make_instance("interval", [{"weight": [3, 2], "length": 2, "release": 0},
+                                      {"weight": 1, "length": [5, 2], "release": [1, 3]},
+                                      {"weight": [1, 4], "length": 2, "release": 7}])
+    obj = json.loads(instance_to_json(inst))
+    changes, message = _MUTATED_LINES[name]
+    for i, mutate in changes.items():
+        obj["items"][i] = mutate(obj["items"][i])
+    with pytest.raises(ParseError) as ei:
+        instance_from_json(json.dumps(obj), line=3)
+    assert str(ei.value) == "line 3: " + message
+
+
+def _items_per_item(line):
+    """An instance line's (key, payload) per item, each rational of its JSON
+    taken as a Fraction and scaled over the least common denominator."""
+    records = json.loads(line)["items"]
+    den = math.lcm(*(Fraction(*v).denominator for rec in records
+                     for v in rec["payload"].values()))
+    return [(tuple(int(Fraction(*c) * den) for c in rec["key"]),
+             {f: int(Fraction(*v) * den) for f, v in rec["payload"].items()})
+            for rec in records]
+
+
+@pytest.mark.parametrize("case", GENERATED)
+def test_items_view_matches_the_per_item_construction(case, tmp_path):
+    problem, family, extra = case
+    insts = generate_instances(problem, family, {"n": [1, 7, 12], **extra}, 6, 5)
+    path = tmp_path / "insts.jsonl"
+    write_instances(insts, path)
+    for inst, read in zip(insts, read_instances(path), strict=True):
+        want = _items_per_item(instance_to_json(inst))
+        for source in (inst, read):
+            assert [(it.key, it.payload) for it in source.items] == want
+            assert source.items is source.items  # built once
+        assert read == inst and read.n == inst.n == len(want)
+
+
+def _int_pair_calls(fn):
+    """How many times ``int_pair`` runs while ``fn()`` runs."""
+    return calls_while(fn, lambda code: code is int_pair.__code__)
+
+
+@pytest.mark.parametrize("case", GENERATED)
+def test_reading_a_written_file_calls_int_pair_zero_times(case, tmp_path):
+    # every value of a written file is a [num, den > 0] pair, which the
+    # column route scales without a per-value call
+    problem, family, extra = case
+    path = tmp_path / "insts.jsonl"
+    write_instances(generate_instances(problem, family, {"n": [2, 9], **extra}, 4, 3), path)
+    assert _int_pair_calls(lambda: read_instances(path)) == 0
+    # ints take the column route too; a Fraction takes the per-value route
+    fields = PAYLOAD_FIELDS[problem]
+    assert _int_pair_calls(lambda: make_instance(problem, [dict.fromkeys(fields, 1)])) == 0
+    payload = {f: Fraction(1, 2) if f != "bit" else Fraction(1) for f in fields}
+    assert _int_pair_calls(lambda: make_instance(problem, [payload])) == len(fields)
 
 
 def _chi2(counts, expected):

@@ -1,7 +1,9 @@
 """Extraction processes and bias oracles."""
 
+import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -284,6 +286,61 @@ def test_exact_oracles_match_enumeration(sizes, mode):
         assert exact_distinct_conditional(run_lengths(counts, first_key), mode) == want
         if first_key is None:
             assert exact_distinct_conditional(counts, mode) == want
+
+
+def pairwise_conditional(counts, mode, first=None):
+    """Pr(b=1 | first two arrivals distinct) by ``harvest`` on each ordered
+    pair of distinct classes (class indices in key order, ``first`` first
+    when named), weighted by the product of their counts; None if no pair."""
+    ones = total = 0
+    for (a, ca), (b, cb) in itertools.permutations(enumerate(counts), 2):
+        if first in (None, a):
+            total += ca * cb
+            ones += ca * cb * harvest((a, b), mode)[0]
+    return Fraction(ones, total) if total else None
+
+
+@st.composite
+def _counts_and_first(draw):
+    """Class counts in key order and a named first class, or None."""
+    counts = draw(st.lists(st.integers(1, 2**40), min_size=1, max_size=9))
+    return counts, draw(st.one_of(st.none(), st.integers(0, len(counts) - 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_counts_and_first(), st.sampled_from(MODES))
+@example(([1], None), "combine")  # one class: no pair, so undefined
+@example(([3, 1, 2], 1), "combine")  # below != above for the first class
+def test_distinct_conditional_matches_the_pairwise_sum(case, mode):
+    # with no first class and with each named one, from a Profile of the
+    # class counts in key order and, unnamed, from its counts dict
+    counts, first = case
+    by_key = {(k,): c for k, c in enumerate(counts)}
+    prof = run_lengths(by_key, None if first is None else (first,))
+    want = pairwise_conditional(counts, mode, first)
+    assert exact_distinct_conditional(prof, mode) == want
+    if first is None:
+        assert exact_distinct_conditional(by_key, mode) == want
+
+
+def test_distinct_conditional_at_two_thousand_classes():
+    # the pairwise sum took about 3 s here; the class-count sum is O(groups)
+    rng = random.Random(2000)
+    counts = [rng.randint(1, 5) for _ in range(2000)]
+    n, by_key = sum(counts), {(k,): c for k, c in enumerate(counts)}
+    start = time.perf_counter()
+    assert exact_distinct_conditional(by_key, "process1") == 1
+    assert exact_distinct_conditional(by_key, "combine") == Fraction(1, 2)
+    assert exact_distinct_conditional(by_key, "distinct_unbiased") == Fraction(1, 2)
+    for first in (0, 777, 1999):
+        below, c = sum(counts[:first]), counts[first]
+        prof = run_lengths(by_key, (first,))
+        assert exact_distinct_conditional(prof, "combine") == Fraction(below, n - c)
+        assert exact_distinct_conditional(prof, "distinct_unbiased") == Fraction(
+            n - c - below, n - c)
+    assert time.perf_counter() - start < 1
+    with pytest.raises(InputError, match="unknown mode"):
+        exact_distinct_conditional(by_key, "bogus")
 
 
 @settings(max_examples=150, deadline=None)

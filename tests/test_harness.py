@@ -1,7 +1,6 @@
 """Instance families, exact/Monte Carlo drivers, audits, reports."""
 
 import math
-import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -20,6 +19,7 @@ from rombit.core import (
     rng_for,
     write_instances,
 )
+from call_counts import calls_while
 
 
 def test_problem_table_covers_every_problem():
@@ -358,20 +358,8 @@ def test_knapsack_opt_once_per_scaling(monkeypatch):
 def _search_calls(module, fn):
     """How many times a function named ``rec`` in ``module`` (an oracle's
     inner search) runs while ``fn()`` runs."""
-    count, outer = 0, sys.getprofile()
-
-    def profile(frame, event, arg):
-        nonlocal count
-        code = frame.f_code
-        if event == "call" and code.co_name == "rec" and code.co_filename == module.__file__:
-            count += 1
-
-    sys.setprofile(profile)
-    try:
-        fn()
-    finally:
-        sys.setprofile(outer)
-    return count
+    return calls_while(fn, lambda code: code.co_name == "rec"
+                       and code.co_filename == module.__file__)
 
 
 def test_oracle_searches_do_not_grow_with_copies():
