@@ -9,10 +9,8 @@ from .core import (
 from .extraction import (
     BiasReport,
     bias_curve,
-    distinct_unbiased,
     empirical_bias,
     exact_bias,
-    pairwise_bits,
 )
 from .harness import ExperimentConfig, generate_instances, run_experiment
 
@@ -23,12 +21,10 @@ __all__ = [
     "ExperimentConfig",
     "Instance",
     "bias_curve",
-    "distinct_unbiased",
     "empirical_bias",
     "exact_bias",
     "generate_instances",
     "make_instance",
-    "pairwise_bits",
     "read_instances",
     "run_experiment",
     "write_instances",

@@ -119,18 +119,13 @@ class Item(NamedTuple):
 @dataclass(frozen=True)
 class Instance:
     problem: str
-    columns: dict  # each payload field -> its int over den per item, in item order
+    columns: dict  # payload field -> its ints over den in item order; never changed
     meta: dict
     den: int
 
     @property
     def n(self):
         return len(next(iter(self.columns.values())))
-
-    def column(self, name):
-        """Payload field ``name`` of every item, in item order, as ints over
-        ``den``: the instance's own list, which callers must not change."""
-        return self.columns[name]
 
     @cached_property
     def items(self):
@@ -193,7 +188,7 @@ def make_instance(problem, payloads, meta=None):
     cols, den = _scale_bulk(payloads, fields) or _scale_each(payloads, fields)
     instance = Instance(problem, dict(zip(fields, cols)), dict(meta or {}), den)
     if problem in REALTIME_PROBLEMS:
-        rel = instance.column("release")
+        rel = instance.columns["release"]
         if min(rel) < 0:
             raise InputError("release must be non-negative")
         if not all(map(operator.le, rel, rel[1:])):
@@ -297,7 +292,7 @@ def instance_to_json(instance):
     reduced [num, den] pair, formatted once per distinct value."""
     den, fields = instance.den, PAYLOAD_FIELDS[instance.problem]
     # the key fields, then the payload fields in sorted order
-    cols = [instance.column(f) for f in fields[:2] + tuple(sorted(fields))]
+    cols = [instance.columns[f] for f in fields[:2] + tuple(sorted(fields))]
     text = {x: f"[{x // (g := math.gcd(x, den))},{den // g}]" for x in set().union(*cols)}
     item = ('{"key":[' + ",".join(["%s"] * len(fields[:2])) + '],"payload":{'
             + ",".join(f'"{f}":%s' for f in sorted(fields)) + "}}")
@@ -358,7 +353,7 @@ def instance_from_json(text, line=None):
         key_fields = PAYLOAD_FIELDS[problem][:2]
         if _keys_copy_payloads(keys, payloads, key_fields):
             return instance
-        columns = zip(*map(instance.column, key_fields))
+        columns = zip(*(instance.columns[f] for f in key_fields))
         for i, (key, payload, ints) in enumerate(zip(keys, payloads, columns)):
             # each payload value parsed as an int or an int pair, so a key
             # equal to the payload's key fields with no bool or float in it

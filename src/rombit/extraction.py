@@ -1,4 +1,4 @@
-"""One-bit extraction processes, the pairwise extractor, and bias oracles.
+"""One-bit extraction processes and bias oracles.
 
 Three processes read the arrival stream of item keys, compared as plain
 Python values (tuples lexicographically).  Let i be the first 0-based index
@@ -22,29 +22,28 @@ the exact bias is 1/2 on three distinct keys and 2/3 on key counts
 at alpha 1/2), and gives exactly 1 on distinct keys.
 
 ``harvest`` holds all three rules, and is the one place where applications
-and the pairwise extractor take their bit; the exact distinct conditional
-sums its rule over class counts, with ``harvest`` on each pair as its test
-reference.  Caller keys are checked once, where they enter: one key length
-per instance.  Every application's run is a ``Run``, whose bit ``commit``s
-it to one branch.
+take their bit; the exact distinct conditional sums its rule over class
+counts, with ``harvest`` on each pair as its test reference.  Every
+application's run is a ``Run``, whose bit ``commit``s it to one branch.
 
 Bias oracles come in two routes that never share code paths: the exact law
 of the first unlike arrival (n <= ``EXACT_GUARD``), whose reference in the
 tests is enumeration of every order through ``harvest``, and Monte Carlo
 sampling without replacement from a key multiset (any n).  Both read a
 ``Profile``, the class counts in key order run-length encoded as (count,
-classes) groups with an optional first class: ``_key_counts`` reduces a
-counts dict, an ``Instance`` or a key stream to it once, and the bias
-families build it in O(groups) at any n.  The law costs O(count) per
-group; Monte Carlo maps a first arrival's rank to its class by
-bisection over the groups and arithmetic within one.  Monte Carlo
-trials run ``_CHUNK`` at a time as the 128-bit lanes of one Python int: the
-lanes compute the key ``split_seed(seed, t)`` and draw from the splitmix64
-counter stream it keys, so one big-int op advances every trial of a chunk.
-Lanes whose draw Lemire's method rejects go back on a work list, packed as
-lanes of their own, and redraw in the same kernel.  The tests keep the
-object form, a ``CounterStream`` per trial, as the reference the lanes must
-match draw for draw.  All other randomness in the package uses ``rng_for``.
+classes) groups with an optional first class: ``_key_counts``, the one
+input check of every oracle, reduces a counts dict, an ``Instance`` or a
+key stream to it once, and the bias families build it in O(groups) at any
+n.  The law costs O(count) per group; Monte Carlo maps a first arrival's
+rank to its class by bisection over the groups and arithmetic within one.
+Monte Carlo trials run ``_CHUNK`` at a time as the 128-bit lanes of one
+Python int: the lanes compute the key ``split_seed(seed, t)`` and draw from
+the splitmix64 counter stream it keys, so one big-int op advances every
+trial of a chunk.  Lanes whose draw Lemire's method rejects go back on a
+work list, packed as lanes of their own, and redraw in the same kernel.
+The tests keep the object form, a ``CounterStream`` per trial, as the
+reference the lanes must match draw for draw.  All other randomness in the
+package uses ``rng_for``.
 """
 
 from __future__ import annotations
@@ -73,27 +72,6 @@ from .core import (
 MODES = ("process1", "distinct_unbiased", "combine")
 
 EXACT_GUARD = 10**5  # the largest n of the exact law, whose sums cost O(n) big-int steps
-
-
-def _one_length(keys):
-    """``keys``, a collection of key tuples; InputError unless they all have
-    one length."""
-    if len(lengths := set(map(len, keys))) > 1:
-        raise InputError(f"key dimension mismatch: lengths {sorted(lengths)}")
-    return keys
-
-
-def distinct_unbiased(first, second):
-    """Unbiased bit from the first two items of an all-distinct instance."""
-    return harvest(_one_length((tuple(first), tuple(second))), "distinct_unbiased")[0]
-
-
-def pairwise_bits(keys):
-    """N unbiased bits from 2N items: bit k compares items 2k-1 and 2k."""
-    keys = _one_length([tuple(k) for k in keys])
-    if len(keys) % 2 != 0:
-        raise InputError("pairwise extraction needs an even number of items")
-    return [harvest(keys[i:i + 2], "distinct_unbiased")[0] for i in range(0, len(keys), 2)]
 
 
 def harvest(keys, mode="combine"):
@@ -132,7 +110,7 @@ def commit(bit, one, zero):
 class Run:
     """One order's run: the bit ``harvest`` took (None when every key is
     identical) and the branch values under bit 1 and under bit 0.  Records
-    that subclass it add only the fields their audit reads."""
+    that subclass it add the fields their audit or their tests read."""
 
     bit: int
     one: int
@@ -178,35 +156,44 @@ def _profile(groups, first=None):
     return Profile(tuple((c, sum(m for _, m in run)) for c, run in runs), first)
 
 
-def _key_counts(source, first_key=None):
-    """The Profile of an Instance, a key iterable or a key -> count dict,
+def _key_counts(source, mode, first_key=None):
+    """(profile, n) of an Instance, a key iterable or a key -> count dict,
     with the first arrival conditioned on ``first_key`` when given; a
-    Profile, which names its own first class, is returned as it is."""
+    Profile, which names its own first class, is taken as it is.  The one
+    input check of the bias oracles: InputError on an unknown ``mode``, key
+    tuples of more than one length, counts that are not positive ints, or a
+    ``first_key`` that is not present."""
+    if mode not in MODES:
+        raise InputError(f"unknown mode {mode!r}")
     if isinstance(source, Profile):
         classes = range(sum(m for _, m in source.groups))
         if first_key is not None or not (source.first is None or source.first in classes):
             raise InputError("a profile names its own first class, one of its classes")
-        return source
-    if isinstance(source, dict):
-        if not all(type(c) is int and c > 0 for c in source.values()):
-            raise InputError("key counts must be positive ints")
-        counts = source
+        prof = source
     else:
-        if isinstance(source, Instance):
-            source = zip(*map(source.column, PAYLOAD_FIELDS[source.problem][:2]))
-        counts = {}
-        for k in source:
-            k = tuple(k)
-            counts[k] = counts.get(k, 0) + 1
-    keys = sorted(_one_length(counts))
-    first = None
-    if first_key is not None:
-        first_key = tuple(first_key)
-        if first_key not in counts:
-            raise InputError(f"first_key {first_key!r} not present in the instance")
-        first = bisect.bisect_left(keys, first_key)
-    runs = itertools.groupby(map(counts.__getitem__, keys))
-    return _profile(((c, len(list(g))) for c, g in runs), first)
+        if isinstance(source, dict):
+            if not all(type(c) is int and c > 0 for c in source.values()):
+                raise InputError("key counts must be positive ints")
+            counts = source
+        else:
+            if isinstance(source, Instance):
+                source = zip(*(source.columns[f] for f in PAYLOAD_FIELDS[source.problem][:2]))
+            counts = {}
+            for k in source:
+                k = tuple(k)
+                counts[k] = counts.get(k, 0) + 1
+        if len(lengths := set(map(len, counts))) > 1:
+            raise InputError(f"key dimension mismatch: lengths {sorted(lengths)}")
+        keys = sorted(counts)
+        first = None
+        if first_key is not None:
+            first_key = tuple(first_key)
+            if first_key not in counts:
+                raise InputError(f"first_key {first_key!r} not present in the instance")
+            first = bisect.bisect_left(keys, first_key)
+        runs = itertools.groupby(map(counts.__getitem__, keys))
+        prof = _profile(((c, len(list(g))) for c, g in runs), first)
+    return prof, sum(c * m for c, m in prof.groups)
 
 
 def _first_class(prof):
@@ -226,11 +213,11 @@ def exact_bias(source, mode, first_key=None):
     = C(n-1-j, n-c) / C(n-1, n-c).  process1 emits 1 when J is even, combine
     when J is odd or, at J = 0, the second is smaller (Pr below/(n-1)), and
     distinct_unbiased (c = 1) when it is larger.  Each class weighs c/n, or
-    ``first_key``'s alone; no bit (K holds every item) is ``no_bit`` mass."""
-    if mode not in MODES:
-        raise InputError(f"unknown mode {mode!r}")
-    prof = _key_counts(source, first_key)
-    if (n := sum(c * m for c, m in prof.groups)) > EXACT_GUARD:
+    ``first_key``'s alone; no bit (K holds every item) is ``no_bit`` mass.
+    An ``Instance`` source's keys, and so its ``first_key``, are ints over
+    its ``den``, like ``Item.key``."""
+    prof, n = _key_counts(source, mode, first_key)
+    if n > EXACT_GUARD:
         raise CapacityError(f"n={n} exceeds the exact bias guard {EXACT_GUARD}")
     if prof.first is None:  # (c, classes, their below values summed, weight)
         bases = itertools.accumulate((c * m for c, m in prof.groups), initial=0)
@@ -267,11 +254,9 @@ def exact_distinct_conditional(source, mode="combine"):
     the ordered pairs of distinct classes weigh n^2 - sum c_k^2, half of it
     with the second smaller; a profile's named first class, c items with
     ``below`` under it, weighs c (n - c), c below of it with the second
-    smaller.  O(groups) for any n."""
-    if mode not in MODES:
-        raise InputError(f"unknown mode {mode!r}")
-    prof = _key_counts(source)
-    n = sum(c * m for c, m in prof.groups)
+    smaller.  O(groups) for any n.  An ``Instance`` source's keys are ints
+    over its ``den``, like ``Item.key``."""
+    prof, n = _key_counts(source, mode)
     if prof.first is None:
         total = n * n - sum(c * c * m for c, m in prof.groups)
         smaller = total // 2
@@ -288,7 +273,8 @@ def empirical_bias(source, mode, trials, seed, first_key=None):
     ``first_key`` conditions every trial on the first arrival being an item
     with that key; this realizes the worst-case analyses that fix the
     frequency of the first-arriving type.  A ``Profile`` source names its
-    first class itself.
+    first class itself.  An ``Instance`` source's keys, and so its
+    ``first_key``, are ints over its ``den``, like ``Item.key``.
 
     Trial t reads the splitmix64 counter stream keyed by ``split_seed(seed,
     t)``, so its outcome depends only on (seed, t).  Draw k is the splitmix64
@@ -305,15 +291,7 @@ def empirical_bias(source, mode, trials, seed, first_key=None):
     """
     if trials < 1:
         raise InputError("trials must be >= 1")
-    if mode not in MODES:
-        raise InputError(f"unknown mode {mode!r}")
-    prof = _key_counts(source, first_key)
-    n = sum(c * m for c, m in prof.groups)
-    if mode == "distinct_unbiased":
-        if any(c > 1 for c, _ in prof.groups):
-            raise InputError("distinct_unbiased requires all-distinct items")
-        if n < 2:
-            raise InputError("need at least two items")
+    prof, n = _key_counts(source, mode, first_key)
     # (arrival i, bound, lo, eq) before the first draw: arrival i is drawn
     # from ``bound`` remaining items, ``eq`` copies of the first arrival's
     # key, ``lo`` items below it and the rest above
@@ -323,11 +301,13 @@ def empirical_bias(source, mode, trials, seed, first_key=None):
         start = (2, n - 1, below, c - 1)
     else:
         start = (1, n, 0, 0)
-        if any(c > 1 for c, _ in prof.groups):
+        if (c := max((g[0] for g in prof.groups), default=0)) > 1:
             # each group's end rank (bar the last), first rank, count and eq
             ends = list(itertools.accumulate(c * m for c, m in prof.groups))
             sizes = [c for c, _ in prof.groups]
             ranges = (ends[:-1], [0, *ends[:-1]], sizes, [c - 1 for c in sizes])
+    if mode == "distinct_unbiased" and c > 1:  # the first two arrivals may be equal
+        raise InputError("distinct_unbiased requires two distinct keys")
     if n == 0 or start[1] > _MASK64 + 1:  # no trial draws on a larger bound
         raise InputError(f"bound must lie in [1, 2**64], got {start[1]}")
 

@@ -292,7 +292,7 @@ def scale_knapsack(instance, proportional):
     """Weights and values over the instance's ``den``, which is the unit
     capacity.  The column is the (weight, value) pairs, or the weights alone
     when ``proportional``, where every value must equal its weight."""
-    ws, vs, cap = instance.column("weight"), instance.column("value"), instance.den
+    ws, vs, cap = instance.columns["weight"], instance.columns["value"], instance.den
     if any(not 0 < w <= cap for w in ws):
         raise InputError("weights must lie in (0, 1]")
     if proportional:
@@ -345,7 +345,7 @@ def scale_intervals(instance):
     length spread within the smallest positive release gap, so that
     deadlines keep release order; or ``validate_weight_table``."""
     variant = instance.meta_value("variant", DEFAULT_INTERVAL_VARIANT)
-    rints, lints, wints = (instance.column(f) for f in ("release", "length", "weight"))
+    rints, lints, wints = (instance.columns[f] for f in ("release", "length", "weight"))
     den = instance.den
     if min(lints) <= 0:
         raise InputError(f"interval length must be positive, got {Fraction(min(lints), den)}")
@@ -370,7 +370,7 @@ def scale_intervals(instance):
 
 
 def scale_throughput(instance):
-    rel, procs, slacks = (instance.column(f) for f in ("release", "proc", "slack"))
+    rel, procs, slacks = (instance.columns[f] for f in ("release", "proc", "slack"))
     den = instance.den
     if len(set(procs)) != 1:
         raise InputError("throughput instance requires one common processing time")
@@ -384,7 +384,7 @@ def scale_throughput(instance):
 
 def scale_bits(instance):
     """The bit column; every item must be exactly 0 or 1, so ``den`` is 1."""
-    bits = instance.column("bit")
+    bits = instance.columns["bit"]
     if instance.den != 1 or not set(bits) <= {0, 1}:
         raise InputError("string guessing items must be bits")
     return Scaled(column=bits)

@@ -363,7 +363,7 @@ def revocation_experiment(n, epsilon, alpha, trials, seed):
     ``rom_proportional_tworbin`` at n = 10.  Each trial draws only that
     position, uniform over the n slots, so ``epsilon`` is validated but
     does not enter the estimate.  Running the algorithm on seeded orders is
-    ROADMAP item 8.
+    ROADMAP item 11.
     """
     _check_size(n)
     if trials < 1:

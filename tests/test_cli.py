@@ -119,8 +119,12 @@ def test_parse_error_exit_code(tmp_path, capsys):
     ('{"problem": "knapsack_proportional", "items": '
      '[{"key": 5, "payload": {"weight": [1, 2], "value": [1, 2]}}]}',
      "item 0 key must be a JSON array"),
+    ('{"problem": "knapsack_proportional", "meta": {"x": 1.5}, "items": '
+     '[{"key": [[1, 2]], "payload": {"weight": [1, 2], "value": [1, 2]}}]}',
+     "cannot decode meta value 1.5"),
 ], ids=["line", "meta", "payload", "meta-zero-denominator", "key-not-payload", "no-items",
-        "items-string", "items-object", "item-not-object", "no-key", "key-not-array"])
+        "items-string", "items-object", "item-not-object", "no-key", "key-not-array",
+        "meta-float"])
 def test_malformed_instance_line(line, word, tmp_path, capsys):
     bad = tmp_path / "bad.jsonl"
     bad.write_text(line + "\n")
@@ -246,14 +250,17 @@ def test_malformed_params(command, params, tmp_path, capsys):
     assert "--params" in _one_error_line(capsys)
 
 
-@pytest.mark.parametrize("flag,name,value", [("--n", "n", "0"), ("--n", "n", "-3"),
-                                             ("--p-one", "p_one", "1.5"),
-                                             ("--p-one", "p_one", "nan")])
-def test_guess_rejects_bad_input(flag, name, value, capsys):
-    rc = main(["guess", flag, value, "--trials", "2", "--seed", "2"])
+@pytest.mark.parametrize("flag, value, message", [
+    ("--n", "0", "n must be >= 1, got 0"),
+    ("--n", "-3", "n must be >= 1, got -3"),
+    ("--p-one", "1.5", "p_one must lie in [0, 1], got 1.5"),
+    ("--p-one", "nan", "p_one must lie in [0, 1], got nan"),
+    ("--trials", "0", "trials must be >= 1"),
+], ids=["--n-n-0", "--n-n--3", "--p-one-p_one-1.5", "--p-one-p_one-nan", "--trials-trials-0"])
+def test_guess_rejects_bad_input(flag, value, message, capsys):
+    rc = main(["guess", "--n", "5", "--trials", "2", "--seed", "2", flag, value])
     assert rc == 2
-    line = _one_error_line(capsys)
-    assert f"{name} must" in line and value in line
+    assert _one_error_line(capsys) == f"error: {message}"
 
 
 def test_guess_with_no_correct_guess_is_unbounded(capsys):
@@ -415,6 +422,9 @@ def test_report_rejects_malformed_line(line, word, tmp_path, capsys):
      "'w0' must lie in (0, 1], got 2"),
     (["knapsack", "--variant", "general", "--family", "two_type", "--params", '{"w1": 0}'],
      "'w1' must lie in (0, 1], got 0"),
+    (["gen", "--problem", "interval", "--family", "uniform", "--params", '{"variant": "x"}'],
+     "unknown interval variant 'x'"),
+    (["gen", "--problem", "foo", "--family", "uniform"], "unknown problem 'foo'"),
 ], ids=["knapsack-n", "knapsack-den", "throughput-proc", "intervals-length",
         "intervals-support", "knapsack-unknown-key", "intervals-unread-key",
         "intervals-other-variant", "knapsack-support", "throughput-support",
@@ -428,7 +438,7 @@ def test_report_rejects_malformed_line(line, word, tmp_path, capsys):
         "gen-p-one-range", "gen-string-alpha-bool", "knapsack-alpha-infinite",
         "knapsack-alpha-above", "knapsack-alpha-below", "gen-string-alpha-above",
         "tworbin-epsilon-negative", "knapsack-epsilon-zero", "knapsack-w0-above",
-        "general-w1-zero"])
+        "general-w1-zero", "gen-interval-variant", "gen-unknown-problem"])
 def test_bad_params_values(argv, word, tmp_path, capsys):
     # gen writes a file instead of running rows
     out = tmp_path / "x.jsonl"
@@ -672,8 +682,16 @@ def _throughput_file(tmp_path, items):
      ["intervals", "--exact"], "interval weight must be positive, got -3"),
     (lambda p: _interval_file(p, [(0, 4, 0), (1, 4, 0)], {}),
      ["intervals", "--exact"], "interval weight must be positive, got 0"),
+    (lambda p: _interval_file(p, [(0, 2, 4), (1, 3, 9)], {}),
+     ["knapsack", "--exact"],
+     "instance problem 'interval' does not match 'knapsack_proportional'"),
+    (lambda p: _interval_file(p, [(0, 2, 4), (1, 3, 9)],
+                              {"variant": "c_benevolent", "weight_table": [[0, 1]]}),
+     ["intervals", "--variant", "cben", "--exact"],
+     "weight table lengths and weights must be positive"),
 ], ids=["length", "monotone", "weights", "values", "release", "releases", "cben-lookup",
-        "slack", "interval-weight-negative", "interval-weights-zero"])
+        "slack", "interval-weight-negative", "interval-weights-zero", "other-problem",
+        "cben-table-zero-length"])
 def test_instance_check_messages(make, argv, message, tmp_path, capsys):
     rc = main(argv + ["--instances", str(make(tmp_path))])
     assert rc == 2

@@ -23,6 +23,7 @@ from rombit.core import (
     read_instances,
     to_fraction,
     write_instances,
+    write_report,
 )
 from rombit.harness import PROBLEM_TABLE, _sampled_orders, generate_instances
 from call_counts import calls_while
@@ -389,9 +390,18 @@ def test_stored_values_are_ints_over_the_instance_denominator(case):
     assert instance_to_json(inst) == _reference_to_json(problem, payloads, meta)
 
 
+def test_write_report_rejects_an_unknown_format(tmp_path):
+    path = tmp_path / "report.xml"
+    with pytest.raises(InputError, match="^unknown report format 'xml'$"):
+        write_report([{"opt": 1}], path, "xml")
+    assert not path.exists()
+
+
 def test_instance_validation():
     with pytest.raises(InputError):
         make_instance("string_guess", [])
+    with pytest.raises(InputError, match="^unknown problem 'foo'$"):
+        make_instance("foo", [{"bit": 1}])
     with pytest.raises(InputError):
         make_instance(
             "throughput",
@@ -502,7 +512,7 @@ def test_bulk_columns_match_the_per_value_reference(case):
             assert str(ei.value) == "line 4: " + want
         return
     inst = make_instance(problem, payloads)
-    assert ({f: inst.column(f) for f in fields}, inst.den) == want
+    assert ({f: inst.columns[f] for f in fields}, inst.den) == want
     assert line is None or instance_from_json(line) == inst
 
 

@@ -27,12 +27,10 @@ from rombit.extraction import (
     bias_curve,
     bias_family,
     combine_predicted,
-    distinct_unbiased,
     empirical_bias,
     exact_bias,
     exact_distinct_conditional,
     harvest,
-    pairwise_bits,
     process1_predicted,
 )
 from stream_reference import reference_counts
@@ -98,10 +96,10 @@ def test_process1_exact_aab():
 
 
 def test_distinct_unbiased():
-    assert distinct_unbiased((1,), (2,)) == 1
-    assert distinct_unbiased((2,), (1,)) == 0
+    assert harvest([(1,), (2,)], "distinct_unbiased") == (1, 1)
+    assert harvest([(2,), (1,)], "distinct_unbiased") == (0, 1)
     with pytest.raises(InputError):
-        distinct_unbiased((2,), (2,))
+        harvest([(2,), (2,)], "distinct_unbiased")
     rep = exact_bias([(i,) for i in range(4)], "distinct_unbiased")
     assert rep.prob_one == Fraction(1, 2)
 
@@ -146,6 +144,10 @@ def test_exact_bias_no_bit_mass():
 
 
 def test_pairwise_bits():
+    # N unbiased bits from 2N items: bit k is harvest's on items 2k-1 and 2k
+    def pairwise_bits(keys):
+        return [harvest(keys[i:i + 2], "distinct_unbiased")[0] for i in range(0, len(keys), 2)]
+
     assert pairwise_bits([(1,), (2,), (3,), (4,)]) == [1, 1]
     assert pairwise_bits([(2,), (1,), (4,), (3,)]) == [0, 0]
     with pytest.raises(InputError):
@@ -245,12 +247,44 @@ def test_monte_carlo_matches_exact_bias():
                 assert abs(got - want) <= tol, (keys, mode, first_key, rep, want)
 
 
+def _outcome(route):
+    """The report ``route()`` returns, or the text of the InputError it raises."""
+    try:
+        return route()
+    except InputError as e:
+        return str(e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.tuples(st.integers(0, 3)), st.integers(1, 8), min_size=1).filter(
+           lambda counts: sum(counts.values()) <= 8),
+       st.sampled_from(MODES))
+@example({(0,): 1}, "distinct_unbiased")  # one item: no bit
+@example({(0,): 2, (1,): 1}, "distinct_unbiased")  # a repeated key
+def test_exact_and_monte_carlo_accept_the_same_inputs(counts, mode):
+    # on every non-empty multiset of n <= 8, unconditioned and from each
+    # first key, both routes raise the same InputError text or both report,
+    # and a bit that is certain, or certainly absent, is the same on both
+    for first_key in (None, *counts):
+        exact = _outcome(lambda: exact_bias(counts, mode, first_key=first_key))
+        rep = _outcome(lambda: empirical_bias(counts, mode, 20, 3, first_key=first_key))
+        if isinstance(exact, str) or isinstance(rep, str):
+            assert exact == rep, (counts, mode, first_key)
+        elif exact.prob_one in (0, 1) and exact.no_bit in (0, 1):
+            assert (rep.prob_one, rep.no_bit) == (exact.prob_one, exact.no_bit)
+
+
 def test_monte_carlo_distinct_unbiased_honours_first_key():
     # the first arrival's rank is fixed; the bit is 1 when the second ranks
-    # above it, so Pr(b=1) = (n-1-rank)/(n-1) exactly
-    keys = [(Fraction(v),) for v in (0, 1, 2)]
+    # above it, so Pr(b=1) = (n-1-rank)/(n-1) exactly, also when only the
+    # other keys repeat
+    distinct = [(Fraction(v),) for v in (0, 1, 2)]
+    repeated = [A, B, (Fraction(2),), (Fraction(2),)]  # one key below B, two above
     trials = 4000
-    for first, want in zip(keys, (Fraction(1), Fraction(1, 2), Fraction(0))):
+    for keys, first, want in ((distinct, distinct[0], Fraction(1)),
+                              (distinct, distinct[1], Fraction(1, 2)),
+                              (distinct, distinct[2], Fraction(0)),
+                              (repeated, B, Fraction(2, 3))):
         assert exact_bias(keys, "distinct_unbiased", first_key=first).prob_one == want
         rep = empirical_bias(keys, "distinct_unbiased", trials, 5, first_key=first)
         tol = 4.5 * math.sqrt(want * (1 - want) / trials) + 1e-3
@@ -567,8 +601,16 @@ def test_harvest_rejects_bad_input():
         empirical_bias(mixed, "combine", 10, 1)
     with pytest.raises(InputError):
         empirical_bias(dict.fromkeys(mixed, 1), "combine", 10, 1)
-    with pytest.raises(InputError):
-        distinct_unbiased(*mixed)
+    with pytest.raises(InputError, match="^key counts must be positive ints$"):
+        exact_bias({A: 1, B: 0}, "combine")
+    with pytest.raises(InputError, match="^key counts must be positive ints$"):
+        empirical_bias({A: 0}, "process1", 10, 1)
+    for route in (lambda mode: exact_bias([A, B], mode),
+                  lambda mode: exact_distinct_conditional([A, B], mode),
+                  lambda mode: empirical_bias([A, B], mode, 10, 1),
+                  lambda mode: bias_family(mode, Fraction(1, 2), 10)):
+        with pytest.raises(InputError, match="^unknown mode 'bogus'$"):
+            route("bogus")
     with pytest.raises(InputError):  # the streaming rule needs two distinct keys
         harvest([A, A, B], "distinct_unbiased")
     assert harvest([A, B], "distinct_unbiased") == (1, 1)

@@ -36,7 +36,7 @@ def test_adversarial_family_counts():
     inst = hz.generate_instances(
         "knapsack_proportional", "adversarial",
         {"n": 100, "epsilon": Fraction(1, 100)}, 1, 0)[0]
-    ws = [Fraction(w, inst.den) for w in inst.column("weight")]
+    ws = [Fraction(w, inst.den) for w in inst.columns["weight"]]
     assert ws.count(Fraction(1, 10000)) == 99
     assert ws.count(Fraction(1)) == 1
 
@@ -44,7 +44,7 @@ def test_adversarial_family_counts():
 def test_two_type_family_counts():
     inst = hz.generate_instances(
         "string_guess", "two_type", {"n": 10, "alpha": Fraction(3, 10)}, 1, 0)[0]
-    bits = inst.column("bit")
+    bits = inst.columns["bit"]
     assert bits.count(0) == 3 and bits.count(1) == 7
 
 
@@ -466,6 +466,20 @@ def test_tworbin_audit_checks_the_two_bin_run(monkeypatch):
     assert 0 < len(violations) == sum(flagged)  # one per flagged order
     assert all("revoked" in v for v in violations)
 
+    flagged.clear()
+
+    def unplaced_contents(weights, cap):
+        # the same weights at an index no arrival has
+        run = real(weights, cap)
+        flagged.append(bool(run.contents))
+        return replace(run, contents=[(w, -1) for w, _ in run.contents])
+
+    monkeypatch.setattr(knapsack, "rom_proportional_tworbin", unplaced_contents)
+    rep = hz.run_experiment(cfg)
+    violations = [v for r in rep.rows for v in r["violations"]]
+    assert 0 < len(violations) == sum(flagged)  # one per flagged order
+    assert all("two-bin contents differ from the arrivals" in v for v in violations)
+
 
 @pytest.mark.parametrize("weights, revoked, violated", [
     ([3, 3, 4], 0, False), ([3, 3, 4], 2, False), ([3, 3, 4], 3, True),
@@ -536,6 +550,91 @@ def test_interval_audit_checks_the_run_record(monkeypatch, variant, rom, check, 
     assert len(doctored) == sum(r["orders"] for r in rep.rows)
     assert 0 < len(violations) == sum(doctored)  # one per flagged order
     assert all(check in v for v in violations)
+
+
+@pytest.mark.parametrize("variant, rom", [("single", "rom_single_length"),
+                                          ("monotone", "rom_adaptive")],
+                         ids=["single", "monotone"])
+def test_interval_audit_checks_the_identical_input_run(monkeypatch, variant, rom):
+    # every key identical: no order takes a bit, and the run's value must be OPT
+    cfg = hz.ExperimentConfig(problem="interval", exact=True, audit=True, instances=[
+        interval_instance(variant, [(0, 3, 2), (1, 3, 2), (5, 3, 2)])])
+    assert hz.run_experiment(cfg).violation_count == 0
+    real = getattr(hz.intervals, rom)
+
+    def lighter(*args):  # the no-bit value, one less than the greedy optimum
+        run = real(*args)
+        return replace(run, one=run.one - 1)
+
+    monkeypatch.setattr(hz.intervals, rom, lighter)
+    (row,) = hz.run_experiment(cfg).rows
+    assert row["orders"] == 1
+    assert [v.split(" on ")[0] for v in row["violations"]] == [
+        "identical-input prefix not optimal"]
+
+
+@pytest.mark.parametrize("variant, rom", [("single", "rom_single_length"),
+                                          ("monotone", "rom_adaptive")],
+                         ids=["single", "monotone"])
+def test_interval_audit_checks_the_prefix_suffix_relaxation(monkeypatch, variant, rom):
+    # an oracle that understates OPT(suffix) past the first arrival, and
+    # leaves OPT and OPT(prefix) alone, breaks OPT <= OPT(prefix) +
+    # OPT(suffix) on every order whose anchor is not its first arrival
+    insts = hz.generate_instances(
+        "interval", "uniform", {"n": [4, 5], "variant": variant}, 5, 4)
+    cfg = hz.ExperimentConfig(problem="interval", instances=insts, exact=True, audit=True)
+    assert hz.run_experiment(cfg).violation_count == 0
+    real_opt, real_rom = hz.intervals.offline_opt_intervals, getattr(hz.intervals, rom)
+    flagged = []
+
+    def understated(rel, order):
+        suffix_opt = real_opt(rel, order)
+        if len(order) < len(rel):  # OPT(prefix)
+            return suffix_opt
+        return [suffix_opt[0], *(x - 1000 for x in suffix_opt[1:])]
+
+    def counted_rom(*args):
+        run = real_rom(*args)
+        flagged.append(bool(run.anchor_index))
+        return run
+
+    monkeypatch.setattr(hz.intervals, "offline_opt_intervals", understated)
+    monkeypatch.setattr(hz.intervals, rom, counted_rom)
+    rep = hz.run_experiment(cfg)
+    violations = [v for r in rep.rows for v in r["violations"]]
+    assert len(flagged) == sum(r["orders"] for r in rep.rows)
+    assert 0 < len(violations) == sum(flagged)  # one per flagged order
+    assert all("OPT > OPT(prefix)+OPT(suffix)" in v for v in violations)
+
+
+def test_general_audit_checks_greedy_plus_max(monkeypatch):
+    insts = hz.generate_instances("knapsack_general", "uniform", {"n": [4, 5], "support": 3},
+                                  4, 8)
+    cfg = hz.ExperimentConfig(problem="knapsack_general", instances=insts, exact=True,
+                              audit=True)
+    assert hz.run_experiment(cfg).violation_count == 0
+    real = hz.knapsack.rom_general
+    monkeypatch.setattr(hz.knapsack, "rom_general",
+                        lambda items, cap: replace(real(items, cap), zero=0, one=0))
+    rep = hz.run_experiment(cfg)
+    violations = [v for r in rep.rows for v in r["violations"]]
+    assert len(violations) == sum(r["orders"] for r in rep.rows)  # one per order
+    assert all("GREEDY+MAX < OPT" in v for v in violations)
+
+
+def test_throughput_audit_checks_the_charging_bound(monkeypatch):
+    # an oracle that overstates |OPT| by one job per schedulable slot breaks
+    # |OPT| <= 5/6 (|X| + |Y|), and no other check reads OPT
+    insts = hz.generate_instances("throughput", "uniform", {"n": [4, 5]}, 4, 8)
+    cfg = hz.ExperimentConfig(problem="throughput", instances=insts, exact=True, audit=True)
+    assert hz.run_experiment(cfg).violation_count == 0
+    real = hz.throughput.offline_opt_throughput
+    monkeypatch.setattr(hz.throughput, "offline_opt_throughput",
+                        lambda rel, last, p: 2 * real(rel, last, p) + 1)
+    rep = hz.run_experiment(cfg)
+    violations = [v for r in rep.rows for v in r["violations"]]
+    assert len(violations) == sum(r["orders"] for r in rep.rows)  # one per order
+    assert all("|OPT| > 5/6(|X|+|Y|)" in v for v in violations)
 
 
 def test_run_experiment_rejects_empty_work():
