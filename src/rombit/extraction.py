@@ -39,11 +39,11 @@ rank to its class by bisection over the groups and arithmetic within one.
 Monte Carlo trials run ``_CHUNK`` at a time as the 128-bit lanes of one
 Python int: the lanes compute the key ``split_seed(seed, t)`` and draw from
 the splitmix64 counter stream it keys, so one big-int op advances every
-trial of a chunk.  Lanes whose draw Lemire's method rejects go back on a
-work list, packed as lanes of their own, and redraw in the same kernel.
-The tests keep the object form, a ``CounterStream`` per trial, as the
-reference the lanes must match draw for draw.  All other randomness in the
-package uses ``rng_for``.
+trial of a chunk.  A lane whose draw Lemire's method rejects redraws in
+place from its own stream, and the other lanes keep their draws.  The tests
+keep the object form, a ``CounterStream`` per trial, as the reference the
+lanes must match draw for draw.  All other randomness in the package uses
+``rng_for``.
 """
 
 from __future__ import annotations
@@ -284,10 +284,10 @@ def empirical_bias(source, mode, trials, seed, first_key=None):
     the category of each arrival relative to the first (below / equal /
     above) matters, so a trial reads the counts of the first arrival's key
     and costs O(#draws), whatever the keys.  Trials run in chunks of
-    ``_CHUNK``, each chunk as the lanes of ``_chunk_counts``, which takes a
-    rejected draw's lanes back as a work item of their own; every trial
-    takes the draws it would take alone, so the result does not depend on
-    the chunk size.
+    ``_CHUNK``, each chunk as the lanes of ``_chunk_counts``, where a lane
+    whose draw is rejected redraws in place; every trial takes the draws it
+    would take alone, so the result does not depend on the chunk size.  An
+    empty source gives no bit in every trial, as in the exact law.
     """
     if trials < 1:
         raise InputError("trials must be >= 1")
@@ -308,13 +308,12 @@ def empirical_bias(source, mode, trials, seed, first_key=None):
             ranges = (ends[:-1], [0, *ends[:-1]], sizes, [c - 1 for c in sizes])
     if mode == "distinct_unbiased" and c > 1:  # the first two arrivals may be equal
         raise InputError("distinct_unbiased requires two distinct keys")
-    if n == 0 or start[1] > _MASK64 + 1:  # no trial draws on a larger bound
+    if start[1] > _MASK64 + 1:  # no trial draws on a larger bound
         raise InputError(f"bound must lie in [1, 2**64], got {start[1]}")
 
-    consts = _lane_consts(min(_CHUNK, trials))
     ones = nobit = 0
     for t0 in range(0, trials, _CHUNK):
-        o, b = _chunk_counts(seed, t0, min(_CHUNK, trials - t0), consts, start, ranges, mode)
+        o, b = _chunk_counts(seed, t0, min(_CHUNK, trials - t0), start, ranges, mode)
         ones += o
         nobit += b
     p = ones / trials
@@ -377,100 +376,83 @@ def _split_lanes(seed, t0, k, consts):
     return _finalize_lanes(((z ^ _mix64(seed & _MASK64) * one) + gamma) & mask, mask)
 
 
-def _low_lanes(consts, j):
-    """``_lane_consts(j)``, masked from the constants of more lanes."""
-    low = (1 << 128 * j) - 1
-    return tuple(c & low for c in consts)
-
-
-def _repack(flags, k, consts, *xs):
+def _repack(flags, k, *xs):
     """(j, _lane_consts(j), *packed): the j lanes of ``flags`` that are set,
-    taken in order from each k-lane int in ``xs`` and packed anew;
-    ``consts`` are ``_lane_consts(k)``."""
+    taken in order from each k-lane int in ``xs`` and packed anew."""
     keep = _unpack(flags, k)
     j = flags.bit_count()
-    return j, _low_lanes(consts, j), *(x and _pack(itertools.compress(_unpack(x, k), keep))
-                                       for x in xs)
+    return j, _lane_consts(j), *(x and _pack(itertools.compress(_unpack(x, k), keep))
+                                 for x in xs)
 
 
-def _chunk_counts(seed, t0, k, consts, start, ranges, mode):
-    """(ones, no_bit) of trials t0 .. t0 + k - 1, run as 128-bit lanes;
-    ``consts`` are the lane constants of at least k lanes.
+def _chunk_counts(seed, t0, k, start, ranges, mode):
+    """(ones, no_bit) of trials t0 .. t0 + k - 1, run as 128-bit lanes.
 
     Lane j of ``state``, ``lo`` and ``eq`` holds a trial's stream and counts,
-    and every lane of a work item draws on the same bound, so each op on
-    these ints advances all its trials at once.  A flag is bit 0 of a lane;
-    ``live`` flags the undecided trials.  The first item holds the whole
-    chunk.  Lanes whose draw Lemire's method rejects leave as a new item at
-    the same arrival and bound, since their streams have already advanced
-    to the redraw; a work list, not recursion, takes them, as one trial may
-    be rejected thousands of times.  When every live lane is rejected, the
-    item itself redraws at that arrival.  Once at most half of an item's lanes
-    are live, the live ones are repacked.
+    and every lane draws arrival i on the same bound, so each op on these
+    ints advances all live trials at once.  A flag is bit 0 of a lane;
+    ``live`` flags the undecided trials.  A lane whose draw Lemire's method
+    rejects advances its own stream and redraws in place, while the other
+    lanes' states, and so their draws, stay as they are; one trial may be
+    rejected thousands of times.  Once at most half of the lanes are live,
+    the live ones are repacked.
     """
 
     def ge(x, y):  # [x >= y] per lane, for x < 2**64 and y <= 2**64
         return ((x + top - y) >> 64) & one
 
     i, bound, lo, eq = start
-    consts = _low_lanes(consts, k)
-    work = [(i, bound, k, consts, _split_lanes(seed, t0, k, consts), lo * consts[0],
-             eq * consts[0])]
+    one, mask, gamma, top = consts = _lane_consts(k)
+    state, lo, eq = _split_lanes(seed, t0, k, consts), lo * one, eq * one
+    live = one
     ones = nobit = 0
-    while work:
-        i, bound, k, consts, state, lo, eq = work.pop()
-        one, mask, gamma, top = consts
-        live = one
-        while live:
-            if i == 2:
-                # eq - bound stays fixed from here: a lane whose key holds
-                # every remaining item never emits
-                stuck = live & ge(eq, bound * one)
-                nobit += stuck.bit_count()
-                live ^= stuck
-                if not live:  # no lane draws again; the bound may be 0
-                    break
-            state = (state + gamma) & mask
+    while live:
+        if i == 2 or not bound:
+            # a lane whose key holds every remaining item never emits (eq -
+            # bound stays fixed from arrival 2); with no items, no lane does
+            stuck = live & ge(eq, bound * one)
+            nobit += stuck.bit_count()
+            live ^= stuck
+            if not live:  # no lane draws again; the bound may be 0
+                break
+        state = (state + gamma) & mask
+        m = _finalize_lanes(state, mask) * bound
+        threshold = (_MASK64 + 1 - bound) % bound
+        # Lemire rejects a draw whose low word is below the threshold
+        while threshold and (redraw := live & ge((threshold - 1) * one, m & mask)):
+            state = (state + _GAMMA * redraw) & mask
             m = _finalize_lanes(state, mask) * bound
-            r = (m >> 64) & mask
-            threshold = (_MASK64 + 1 - bound) % bound
-            # Lemire rejects a draw whose low word is below the threshold
-            if threshold and (redraw := live & ge((threshold - 1) * one, m & mask)):
-                if redraw == live:  # every live lane redraws here, in place
-                    continue
-                work.append((i, bound, *_repack(redraw, k, consts, state, lo, eq)))
-                live ^= redraw
-            if i == 1:
-                if ranges is None:  # every key is distinct
-                    lo, eq = r, 0
-                else:
-                    # a rank's group by bisection, its class by arithmetic in it
-                    ends, firsts, sizes, eqs = ranges
-                    ranks = _unpack(r, k)
-                    js = list(map(bisect.bisect_right, itertools.repeat(ends), ranks))
-                    eq = _pack(map(eqs.__getitem__, js))
-                    if mode != "process1":  # lo is read at arrival 2 only
-                        lo = _pack(map(operator.sub, ranks, map(operator.mod, map(
-                            operator.sub, ranks, map(firsts.__getitem__, js)),
-                            map(sizes.__getitem__, js))))
+        r = (m >> 64) & mask
+        if i == 1:
+            if ranges is None:  # every key is distinct
+                lo, eq = r, 0
             else:
-                hit = ge(r, eq)  # arrival i differs from the first
-                done = live & hit
-                if i == 2 and mode != "process1":
-                    # combine emits [second < first], distinct_unbiased the opposite
-                    above = (done & ge(r, lo + eq)).bit_count()
-                    ones += above if mode == "distinct_unbiased" else done.bit_count() - above
-                elif (i + (mode == "process1")) % 2:
-                    ones += done.bit_count()
-                live ^= done
-                eq -= one ^ hit
-                lo = 0  # read at arrival 2 only
-            i += 1
-            bound -= 1
-            if live and 2 * live.bit_count() <= k:
-                k, consts, state, lo, eq = _repack(live, k, consts, state, lo, eq)
-                one, mask, gamma, top = consts
-                live = one
+                # a rank's group by bisection, its class by arithmetic in it
+                ends, firsts, sizes, eqs = ranges
+                ranks = _unpack(r, k)
+                js = list(map(bisect.bisect_right, itertools.repeat(ends), ranks))
+                eq = _pack(map(eqs.__getitem__, js))
+                if mode != "process1":  # lo is read at arrival 2 only
+                    lo = _pack(map(operator.sub, ranks, map(operator.mod, map(
+                        operator.sub, ranks, map(firsts.__getitem__, js)),
+                        map(sizes.__getitem__, js))))
+        else:
+            hit = ge(r, eq)  # arrival i differs from the first
+            done = live & hit
+            if i == 2 and mode != "process1":
+                # combine emits [second < first], distinct_unbiased the opposite
+                above = (done & ge(r, lo + eq)).bit_count()
+                ones += above if mode == "distinct_unbiased" else done.bit_count() - above
+            elif (i + (mode == "process1")) % 2:
+                ones += done.bit_count()
+            live ^= done
+            eq -= one ^ hit
+            lo = 0  # read at arrival 2 only
+        i += 1
+        bound -= 1
+        if live and 2 * live.bit_count() <= k:
+            k, (one, mask, gamma, top), state, lo, eq = _repack(live, k, state, lo, eq)
+            live = one
     return ones, nobit
 
 

@@ -92,6 +92,20 @@ def test_guess_cli(capsys):
     assert "ratio=" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [
+    ["bias", "--mode", "combine", "--n", "2000", "--trials", "500", "--seed", "1"],
+    ["bias", "--mode", "p1", "--n", "6", "--exact"],
+    ["guess", "--n", "300", "--trials", "100", "--seed", "2"],
+], ids=["bias", "bias-exact", "guess"])
+def test_out_file_holds_the_stdout_bytes(argv, tmp_path, capsys):
+    out = tmp_path / "out.txt"
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert out.read_bytes() == stdout.encode()
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"problem": "mystery", "items": []}\n')
@@ -202,10 +216,10 @@ def _one_error_line(capsys):
 
 @pytest.mark.parametrize("trials", ["0", "-1"])
 def test_sampled_run_rejects_nonpositive_trials(trials, capsys):
-    rc = main(["knapsack", "--count", "2", "--params", '{"n": 4, "support": 2}',
-               "--trials", trials, "--seed", "1"])
-    assert rc == 2
-    assert "trials" in _one_error_line(capsys)
+    for argv in (["knapsack", "--count", "2", "--params", '{"n": 4, "support": 2}'],
+                 ["bias", "--mode", "combine", "--n", "10"]):
+        assert main(argv + ["--trials", trials, "--seed", "1"]) == 2
+        assert _one_error_line(capsys).startswith("error: trials must be >= 1"), argv
 
 
 def test_run_rejects_zero_count(capsys):
@@ -622,6 +636,7 @@ def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):
         ["intervals", *rows],
         ["gen", "--problem", "throughput", "--family", "uniform"],  # exit 2: no --out
         ["throughput", "--format", "jsonl", *rows],
+        ["report", "--input", str(out)],  # exit 2: no --out
         ["throughput", *rows],
     ]
     assert build_parser() is build_parser()
@@ -630,7 +645,7 @@ def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):
         fresh = _run_fresh(argv, out)
         assert _run_in_process(argv, out, capsys) == fresh, argv
         codes.append(fresh[0])
-    assert codes == [0, 0, 0, 2, 0, 2, 0, 0]
+    assert codes == [0, 0, 0, 2, 0, 2, 0, 2, 0]
 
 
 def _knapsack_file(tmp_path, pairs, problem="knapsack_general"):

@@ -113,6 +113,9 @@ def test_instance_roundtrip(tmp_path):
     back = read_instances(path)
     assert len(back) == 1
     assert back[0] == inst
+    # a float in meta has no exact JSON form
+    with pytest.raises(InputError, match=r"^cannot encode 1\.5$"):
+        write_instances([make_instance("string_guess", [{"bit": 1}], {"x": 1.5})], path)
 
 
 def test_read_instances_empty_and_errors(tmp_path):

@@ -256,22 +256,25 @@ def _outcome(route):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.dictionaries(st.tuples(st.integers(0, 3)), st.integers(1, 8), min_size=1).filter(
+@given(st.dictionaries(st.tuples(st.integers(0, 3)), st.integers(1, 8)).filter(
            lambda counts: sum(counts.values()) <= 8),
        st.sampled_from(MODES))
+@example({}, "combine")  # no item: no bit
 @example({(0,): 1}, "distinct_unbiased")  # one item: no bit
 @example({(0,): 2, (1,): 1}, "distinct_unbiased")  # a repeated key
 def test_exact_and_monte_carlo_accept_the_same_inputs(counts, mode):
-    # on every non-empty multiset of n <= 8, unconditioned and from each
-    # first key, both routes raise the same InputError text or both report,
-    # and a bit that is certain, or certainly absent, is the same on both
+    # on every multiset of n <= 8, the empty one too, unconditioned and from
+    # each first key, both routes raise the same InputError text or both
+    # report, and a bit that is certain, or certainly absent, is the same on
+    # both, as is n
     for first_key in (None, *counts):
         exact = _outcome(lambda: exact_bias(counts, mode, first_key=first_key))
         rep = _outcome(lambda: empirical_bias(counts, mode, 20, 3, first_key=first_key))
         if isinstance(exact, str) or isinstance(rep, str):
             assert exact == rep, (counts, mode, first_key)
         elif exact.prob_one in (0, 1) and exact.no_bit in (0, 1):
-            assert (rep.prob_one, rep.no_bit) == (exact.prob_one, exact.no_bit)
+            assert (rep.prob_one, rep.no_bit, rep.n_items) == (
+                exact.prob_one, exact.no_bit, exact.n_items)
 
 
 def test_monte_carlo_distinct_unbiased_honours_first_key():
@@ -419,7 +422,7 @@ def test_empirical_bias_matches_reference_under_rejection():
         assert (rep.prob_one, rep.no_bit) == (ones / trials, nobit / trials), mode
     # conditioned on (0,), a trial draws about 3,000 times before key (1,)
     # and a quarter of the draws are rejected; one of these 20 trials is
-    # rejected 6,243 times, each time going back as a new work-list item
+    # rejected 6,243 times, each time redrawing in place
     counts = {(0,): 3 * 2**62 - 2**52, (1,): 2**52}
     rep = empirical_bias(counts, "process1", 20, 5, first_key=(0,))
     ones, nobit = reference_counts(counts, "process1", 20, 5, first_key=(0,))
@@ -437,8 +440,8 @@ def test_empirical_bias_matches_reference_under_rejection():
         "combine-one-item"])
 def test_empirical_bias_matches_reference_across_chunks(mode, counts):
     # two full chunks and 17 lanes of a third; at bounds near 2**62 the
-    # first draw is rejected in every chunk, so each chunk's work list
-    # takes rejected lanes
+    # first draw is rejected in every chunk, so each chunk redraws some
+    # lanes in place while the others keep their draws
     n, trials, seed = sum(counts.values()), 2 * _CHUNK + 17, 23
     if n > 2**62:
         threshold = (2**64 - n) % n

@@ -294,12 +294,19 @@ _WEIGHT_RANGE = r"^weights must lie in \(0, 1\]$"
     (lambda: forced_revocation_weights(4, 0), _WEIGHT_RANGE),
     (lambda: forced_revocation_weights(4, Fraction(-1, 2)), _WEIGHT_RANGE),
     (lambda: forced_revocation_weights(2, 3), _WEIGHT_RANGE),
+    (lambda: exact_revocation_tail(10, 0), r"^alpha must lie in \(0, 1\]$"),
+    (lambda: revocation_experiment(5, 2, Fraction(1, 2), 10, 0),
+     r"^epsilon must lie in \(0, 1\]$"),
+    (lambda: revocation_experiment(5, Fraction(1, 2), Fraction(3, 2), 10, 0),
+     r"^alpha must lie in \(0, 1\]$"),
 ], ids=["tail-n1", "tail-n0", "weights-n0", "weights-n1", "experiment-n0",
         "experiment-n1", "experiment-trials0", "weights-eps0", "weights-eps-negative",
-        "weights-eps-over-n"])
+        "weights-eps-over-n", "tail-alpha0", "experiment-eps-over-one",
+        "experiment-alpha-over-one"])
 def test_revocation_helpers_reject_impossible_sizes(call, match):
     # the instance is n-1 copies of eps/n plus one unit item, so n >= 2 and
-    # eps/n must lie in (0, 1]
+    # eps/n must lie in (0, 1]; the experiment's epsilon and both helpers'
+    # alpha must lie in (0, 1] as well
     with pytest.raises(InputError, match=match):
         call()
 
