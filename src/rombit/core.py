@@ -354,14 +354,7 @@ def instance_from_json(text, line=None):
         if _keys_copy_payloads(keys, payloads, key_fields):
             return instance
         columns = zip(*(instance.columns[f] for f in key_fields))
-        for i, (key, payload, ints) in enumerate(zip(keys, payloads, columns)):
-            # each payload value parsed as an int or an int pair, so a key
-            # equal to the payload's key fields with no bool or float in it
-            # is the same JSON and parses to the same key
-            if key == [payload[f] for f in key_fields] and all(
-                type(c) is int or is_int_pair(c) for c in key
-            ):
-                continue
+        for i, (key, ints) in enumerate(zip(keys, columns)):
             key = tuple(to_fraction(c) for c in key)
             want = tuple(Fraction(c, instance.den) for c in ints)
             if key != want:

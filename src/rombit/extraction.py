@@ -338,7 +338,8 @@ def _lane_consts(k):
     splitmix64 gamma and 2**64 in every lane.  A lane holds a value below
     2**64; its upper half takes the carries and products that stay in it."""
     one = int.from_bytes(b"\1".ljust(16, b"\0") * k, "little")
-    return one, one * _MASK64, one * _GAMMA, one << 64
+    top = one << 64
+    return one, top - one, one * _GAMMA, top
 
 
 def _pack(values):

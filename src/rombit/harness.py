@@ -89,13 +89,17 @@ def _least(key, value, least):
     return value
 
 
-def _rational(params, key, default):
-    """Family parameter ``key`` (``default`` when absent) as a Fraction; a
-    bool is not a rational."""
-    value = params.get(key, default)
+def _rational(params, key, default, positive=False):
+    """Family parameter ``key`` (``default`` when absent), taken from
+    ``params``, as a Fraction; a bool is not a rational, and a ``positive``
+    one must exceed 0."""
+    value = params.pop(key, default)
     if isinstance(value, bool):
         raise ValueError(f"{key!r} must be a rational, got {value!r}")
-    return Fraction(value)
+    value = Fraction(value)
+    if positive and value <= 0:
+        raise ValueError(f"{key!r} must be positive, got {value}")
+    return value
 
 
 def _unit(params, key, default, closed):
@@ -107,7 +111,7 @@ def _unit(params, key, default, closed):
 
 
 def _pick_n(params, rng):
-    n = params.get("n", 6)
+    n = params.pop("n", 6)
     if isinstance(n, (list, tuple)):
         if not n:
             raise ValueError("'n' must not be an empty list")
@@ -115,13 +119,12 @@ def _pick_n(params, rng):
     return _least("n", n, 1)
 
 
-def _knapsack_payloads(rng, params, general):
+def _knapsack_payloads(rng, params, family, general):
     n = _pick_n(params, rng)
-    den = _least("den", params.get("den", 20), 1)
-    family = params["family"]
+    den = _least("den", params.pop("den", 20), 1)
     pairs = None
     if family == "uniform":
-        support_size = _least("support", params.get("support", 0), 0)
+        support_size = _least("support", params.pop("support", 0), 0)
         if support_size:
             pool = [rng.randint(1, den) for _ in range(support_size)]
             ws = [rng.choice(pool) for _ in range(n)]
@@ -139,7 +142,7 @@ def _knapsack_payloads(rng, params, general):
         w1 = _unit(params, "w1", Fraction(2, 5), closed=False)
         c0 = max(1, min(n - 1, int(a * n)))
         weights = [w0] * c0 + [w1] * (n - c0)
-    else:  # adversarial
+    else:  # adversarial: forced revocation, n-1 copies of eps/n and one unit item
         eps = _unit(params, "epsilon", Fraction(1, 100), closed=False)
         weights = [eps / n] * (n - 1) + [1]
     if pairs is None:
@@ -147,14 +150,14 @@ def _knapsack_payloads(rng, params, general):
     return [{"value": v, "weight": w} for w, v in pairs], {}
 
 
-def _interval_payloads(rng, params):
+def _interval_payloads(rng, params, family):
     n = _pick_n(params, rng)
-    variant = params.get("variant", DEFAULT_INTERVAL_VARIANT)
+    variant = params.pop("variant", DEFAULT_INTERVAL_VARIANT)
     meta = {"variant": variant}
     if variant == "single":
-        p = _rational(params, "length", 4)
+        p = _rational(params, "length", 4, positive=True)
         releases = sorted(rng.randrange(0, 3 * n) for _ in range(n))
-        support = _least("support", params.get("support", 3), 1)
+        support = _least("support", params.pop("support", 3), 1)
         pool = [rng.randint(1, 9) for _ in range(support)]
         payload = [(p, rng.choice(pool)) for _ in range(n)]
     elif variant == "monotone":
@@ -164,12 +167,12 @@ def _interval_payloads(rng, params):
         releases = [0]
         for g in gaps:
             releases.append(releases[-1] + g)
-        support = _least("support", params.get("support", 4), 1)
+        support = _least("support", params.pop("support", 4), 1)
         pool = [(rng.choice([3, 4, 5, 6]), rng.randint(1, 9)) for _ in range(support)]
         payload = [rng.choice(pool) for _ in range(n)]
     elif variant == "c_benevolent":
         releases = sorted(rng.randrange(0, 4 * n) for _ in range(n))
-        support = _least("support", params.get("support", 3), 1)
+        support = _least("support", params.pop("support", 3), 1)
         pool = sorted({rng.choice([2, 3, 4, 5, 6]) for _ in range(support)})
         lengths = [rng.choice(pool) for _ in range(n)]
         payload = [(L, L * L) for L in lengths]
@@ -180,9 +183,9 @@ def _interval_payloads(rng, params):
             for r, (L, w) in zip(releases, payload)], meta
 
 
-def _throughput_payloads(rng, params):
+def _throughput_payloads(rng, params, family):
     n = _pick_n(params, rng)
-    p = _rational(params, "proc", 10)
+    p = _rational(params, "proc", 10, positive=True)
     # releases and slacks as ints over proc's denominator d; p // 2 is the
     # floor of the rational, num // (2 d), so it is (num // (2 d)) * d over d
     num, d = p.numerator, p.denominator
@@ -192,15 +195,15 @@ def _throughput_payloads(rng, params):
         releases.append(releases[-1] + rng.choice([0, 2 * d, 3 * d, half, num, num + 3 * d]))
     pool = [0, half, num, 2 * num, 4 * num]
     rng.shuffle(pool)
-    support = pool[: rng.randint(2, _least("support", params.get("support", 4), 2))]
+    support = pool[: rng.randint(2, _least("support", params.pop("support", 4), 2))]
     slacks = [rng.choice(support) for _ in range(n)]
     return [{"proc": [num, d], "slack": [s, d], "release": [r, d]}
             for r, s in zip(releases, slacks)], {"proc": p}
 
 
-def _string_payloads(rng, params):
+def _string_payloads(rng, params, family):
     n = _pick_n(params, rng)
-    if params["family"] == "bernoulli":
+    if family == "bernoulli":
         p1 = float(_unit(params, "p_one", 0.6, closed=True))
         bits = [1 if rng.random() < p1 else 0 for _ in range(n)]
     else:  # two_type
@@ -210,60 +213,45 @@ def _string_payloads(rng, params):
     return [{"bit": b} for b in bits], {}
 
 
-def _family_spec(problem, family):
-    """The problem's record, once ``family`` is known to be one of its own."""
-    spec = _spec(problem)
-    if family not in spec.families:
-        raise InputError(f"unknown {problem} family {family!r}; "
-                         f"expected one of {', '.join(spec.families)}")
-    return spec
+def _check_n(spec, n, exact, where=""):
+    """Reject ``n`` items past their row's guard, ``where`` first in the
+    message: the enumeration guard when ``exact``, else the oracle's, if any."""
+    guard, what = ((ENUMERATION_GUARD, "the exact-mode enumeration guard") if exact
+                   else (spec.guard, "oracle guard"))
+    if guard is not None and n > guard:
+        raise CapacityError(f"{where}n={n} exceeds {what} {guard}")
 
 
 def check_size(problem, family, params, exact):
     """Reject a family whose ``n`` (the largest, for a list) exceeds the
-    guard that would reject its rows, before any instance is drawn: the
-    enumeration guard when ``exact``, else the problem's oracle guard.  An
-    ``n`` that is no positive int is left to generation to report."""
-    guard = _family_spec(problem, family).guard
+    guard of its rows (``_check_n``), before any instance is drawn; an ``n``
+    that is no positive int, and every other key, is left to generation."""
+    spec = _spec(problem, family)
     n = params.get("n", 6)
     ns = n if isinstance(n, (list, tuple)) else [n]
-    if not ns or not all(type(m) is int and m >= 1 for m in ns):
-        return
-    if exact and max(ns) > ENUMERATION_GUARD:
-        raise CapacityError(f"n={max(ns)} exceeds the exact-mode enumeration guard "
-                            f"{ENUMERATION_GUARD}")
-    if not exact and guard is not None and max(ns) > guard:
-        raise CapacityError(f"n={max(ns)} exceeds oracle guard {guard}")
-
-
-class _Params(dict):
-    """Family parameters that record in ``read`` the keys the family reads."""
-
-    def get(self, key, default=None):
-        self.read.add(key)
-        return super().get(key, default)
+    if ns and all(type(m) is int and m >= 1 for m in ns):
+        _check_n(spec, max(ns), exact)
 
 
 def generate_instances(problem, family, params, count, seed):
-    """Deterministic instance family; meta carries an id per instance.  A
-    family the problem does not have, or a parameter that the family does
-    not read, is bad input."""
-    spec = _family_spec(problem, family)
+    """Deterministic instance family; meta carries an id per instance.  The
+    family pops each parameter it reads from a per-instance copy of
+    ``params``, so a key left over (``"family"`` among them) is bad input, as
+    is a family the problem lacks or a value of the wrong type or range."""
+    spec = _spec(problem, family)
     out = []
-    params = _Params(params or {}, family=family)
-    params.read = {"family"}
     for i in range(count):
         rng = rng_for(seed, 7000 + i)
+        unread = dict(params or {})
         try:
-            payloads, meta = spec.payloads(rng, params)
+            payloads, meta = spec.payloads(rng, unread, family)
         except InputError:
             raise
         except (ValueError, TypeError, IndexError, ArithmeticError) as e:
             # a parameter of the wrong type or range, e.g. {"n": "abc"}
             raise InputError(f"bad {problem} {family} parameters: {e}") from None
-        unread = sorted(set(params) - params.read)
         if unread:
-            raise InputError(f"unknown {problem} {family} parameter {unread[0]!r}")
+            raise InputError(f"unknown {problem} {family} parameter {min(unread)!r}")
         meta["id"] = f"{problem}-{family}-{seed}-{i:04d}"
         out.append(make_instance(problem, payloads, meta))
     return out
@@ -528,7 +516,7 @@ class Problem:
     call time, so a patched or traced name is the one that runs."""
 
     families: tuple  # the family names that ``payloads`` builds
-    payloads: Callable  # (rng, params) -> (item payloads, meta) of one instance
+    payloads: Callable  # (rng, params, family) -> (item payloads, meta) of one instance
     scale: Callable  # instance -> Scaled view
     run: Callable
     ratio: str  # "alg/opt" (at most 1), "opt/alg", or "mean opt/alg" over orders
@@ -556,10 +544,16 @@ PROBLEM_TABLE = {
 }
 
 
-def _spec(problem):
+def _spec(problem, family=...):
+    """The problem's record; given a ``family`` (None too), once it is one of
+    its own."""
     if problem not in PROBLEM_TABLE:
         raise InputError(f"unknown problem {problem!r}")
-    return PROBLEM_TABLE[problem]
+    spec = PROBLEM_TABLE[problem]
+    if family is not ... and family not in spec.families:
+        raise InputError(f"unknown {problem} family {family!r}; "
+                         f"expected one of {', '.join(spec.families)}")
+    return spec
 
 
 def run_order(instance_view, problem, order, variant=None, audit=False):
@@ -625,11 +619,8 @@ def _row(instance, config):
     """
     problem = config.problem
     spec = PROBLEM_TABLE[problem]
-    if config.exact and instance.n > ENUMERATION_GUARD:
-        raise CapacityError(
-            f"{instance.meta_value('id', '?')}: n={instance.n} exceeds the "
-            f"exact-mode enumeration guard {ENUMERATION_GUARD}"
-        )
+    if config.exact:  # a sampled row leaves its oracle guard to the oracle
+        _check_n(spec, instance.n, True, f"{instance.meta_value('id', '?')}: ")
     view = spec.scale(instance)
     if config.exact:
         orders = distinct_orderings(view.column)

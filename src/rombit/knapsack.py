@@ -355,10 +355,11 @@ def revocation_experiment(n, epsilon, alpha, trials, seed):
     """Empirical Pr(k >= ceil(alpha*n)) for the forced-revocation instance,
     estimated without running the algorithm.
 
-    The instance is n-1 copies of weight epsilon/n plus one unit item.  On
-    the bit-0 branch every copy that precedes the unique item is packed and
-    then revoked (for epsilon <= 1 the early exit can never trigger), so the
-    revocation count k is the unique item's 1-based position minus one;
+    The instance, harness's ``adversarial`` knapsack family, is n-1 copies
+    of weight epsilon/n plus one unit item.  On the bit-0 branch every copy
+    that precedes the unique item is packed and then revoked (for epsilon
+    <= 1 the early exit can never trigger), so the revocation count k is
+    the unique item's 1-based position minus one;
     ``test_revocation_counts_match_algorithm`` checks this against
     ``rom_proportional_tworbin`` at n = 10.  Each trial draws only that
     position, uniform over the n slots, so ``epsilon`` is validated but
@@ -391,13 +392,3 @@ def revocation_experiment(n, epsilon, alpha, trials, seed):
         "trials": trials,
         "seed": seed,
     }
-
-
-def forced_revocation_weights(n, epsilon):
-    """Scaled weights and capacity of the adversarial instance: n-1 copies of
-    eps/n plus one unit item (unit item last in label order)."""
-    _check_size(n)
-    w = Fraction(epsilon) / n
-    if not 0 < w <= 1:
-        raise InputError("weights must lie in (0, 1]")
-    return [w.numerator] * (n - 1) + [w.denominator], w.denominator

@@ -14,7 +14,6 @@ from rombit import harness as hz
 from rombit.core import make_instance
 from rombit.knapsack import (
     exact_revocation_tail,
-    forced_revocation_weights,
     revocation_experiment,
     rom_proportional_tworbin,
 )
@@ -236,7 +235,10 @@ def test_c5_revocation():
         m = math.ceil(alpha * 10)
         ok = ok and exact_revocation_tail(10, alpha) == Fraction(10 - m, 9)
     # the closed form is the algorithm's own behaviour at n=10
-    ws, cap = forced_revocation_weights(10, Fraction(1, 2))
+    inst = hz.generate_instances("knapsack_proportional", "adversarial",
+                                 {"n": 10, "epsilon": Fraction(1, 2)}, 1, 0)[0]
+    view = hz.scale_knapsack(inst, proportional=True)
+    ws, cap = view.column, view.cap
     copy_w, unit_w = ws[0], ws[-1]
     for pos in range(1, 10):
         order = [copy_w] * pos + [unit_w] + [copy_w] * (9 - pos)

@@ -439,6 +439,13 @@ def test_report_rejects_malformed_line(line, word, tmp_path, capsys):
     (["gen", "--problem", "interval", "--family", "uniform", "--params", '{"variant": "x"}'],
      "unknown interval variant 'x'"),
     (["gen", "--problem", "foo", "--family", "uniform"], "unknown problem 'foo'"),
+    (["knapsack", "--params", '{"family": "bogus", "n": 4}'],
+     "error: unknown knapsack_proportional uniform parameter 'family'"),
+    (["gen", "--problem", "throughput", "--family", "uniform", "--params", '{"proc": 0}'],
+     "'proc' must be positive, got 0"),
+    (["gen", "--problem", "interval", "--family", "uniform", "--params", '{"length": 0}'],
+     "'length' must be positive, got 0"),
+    (["throughput", "--params", '{"proc": -3}'], "'proc' must be positive, got -3"),
 ], ids=["knapsack-n", "knapsack-den", "throughput-proc", "intervals-length",
         "intervals-support", "knapsack-unknown-key", "intervals-unread-key",
         "intervals-other-variant", "knapsack-support", "throughput-support",
@@ -452,7 +459,9 @@ def test_report_rejects_malformed_line(line, word, tmp_path, capsys):
         "gen-p-one-range", "gen-string-alpha-bool", "knapsack-alpha-infinite",
         "knapsack-alpha-above", "knapsack-alpha-below", "gen-string-alpha-above",
         "tworbin-epsilon-negative", "knapsack-epsilon-zero", "knapsack-w0-above",
-        "general-w1-zero", "gen-interval-variant", "gen-unknown-problem"])
+        "general-w1-zero", "gen-interval-variant", "gen-unknown-problem",
+        "knapsack-family-key", "gen-throughput-proc-zero", "gen-interval-length-zero",
+        "throughput-proc-negative"])
 def test_bad_params_values(argv, word, tmp_path, capsys):
     # gen writes a file instead of running rows
     out = tmp_path / "x.jsonl"

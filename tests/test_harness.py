@@ -32,6 +32,32 @@ def test_problem_table_covers_every_problem():
             assert rep.violation_count == 0 and len(rep.rows) == 2
 
 
+_FAMILIES = [(problem, family, variant)
+             for problem, spec in hz.PROBLEM_TABLE.items() for family in spec.families
+             for variant in (("single", "monotone", "c_benevolent") if problem == "interval"
+                             else (None,))]
+
+
+@pytest.mark.parametrize("key", ["zz", "family"])
+@pytest.mark.parametrize("problem, family, variant", _FAMILIES,
+                         ids=["-".join(filter(None, case)) for case in _FAMILIES])
+def test_every_family_rejects_a_key_it_does_not_read(problem, family, variant, key):
+    # a family takes each key it reads, and its name comes as an argument,
+    # so a "family" key is left over like any other unread key
+    params = {"n": 3, key: family, **({"variant": variant} if variant else {})}
+    with pytest.raises(InputError, match=rf"^unknown {problem} {family} parameter '{key}'$"):
+        hz.generate_instances(problem, family, params, 2, 0)
+
+
+@pytest.mark.parametrize("problem", sorted(hz.PROBLEM_TABLE))
+def test_a_family_of_none_is_unknown(problem):
+    # no family name is None, so no branch of a family may take it as a default
+    for call in (lambda: hz.generate_instances(problem, None, {"n": 3}, 1, 0),
+                 lambda: hz.check_size(problem, None, {"n": 3}, True)):
+        with pytest.raises(InputError, match=rf"^unknown {problem} family None; expected"):
+            call()
+
+
 def test_adversarial_family_counts():
     inst = hz.generate_instances(
         "knapsack_proportional", "adversarial",

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from rombit.core import CapacityError, InputError, distinct_orderings
 from rombit.extraction import harvest
+from rombit.harness import generate_instances, scale_knapsack
 from rombit.knapsack import (
     exact_revocation_tail,
-    forced_revocation_weights,
     greedy_density_run,
     offline_opt_scaled,
     place_a1,
@@ -280,41 +280,34 @@ def test_exact_revocation_tail():
     assert exact_revocation_tail(2, Fraction(1, 2)) == 1
 
 
-_WEIGHT_RANGE = r"^weights must lie in \(0, 1\]$"
-
-
 @pytest.mark.parametrize("call, match", [
     (lambda: exact_revocation_tail(1, Fraction(1, 2)), None),
     (lambda: exact_revocation_tail(0, Fraction(1, 2)), None),
-    (lambda: forced_revocation_weights(0, Fraction(1, 2)), None),
-    (lambda: forced_revocation_weights(1, Fraction(1, 2)), None),
     (lambda: revocation_experiment(0, Fraction(1, 2), Fraction(1, 2), 10, 0), None),
     (lambda: revocation_experiment(1, Fraction(1, 2), Fraction(1, 2), 10, 0), None),
     (lambda: revocation_experiment(5, Fraction(1, 2), Fraction(1, 2), 0, 0), None),
-    (lambda: forced_revocation_weights(4, 0), _WEIGHT_RANGE),
-    (lambda: forced_revocation_weights(4, Fraction(-1, 2)), _WEIGHT_RANGE),
-    (lambda: forced_revocation_weights(2, 3), _WEIGHT_RANGE),
     (lambda: exact_revocation_tail(10, 0), r"^alpha must lie in \(0, 1\]$"),
     (lambda: revocation_experiment(5, 2, Fraction(1, 2), 10, 0),
      r"^epsilon must lie in \(0, 1\]$"),
     (lambda: revocation_experiment(5, Fraction(1, 2), Fraction(3, 2), 10, 0),
      r"^alpha must lie in \(0, 1\]$"),
-], ids=["tail-n1", "tail-n0", "weights-n0", "weights-n1", "experiment-n0",
-        "experiment-n1", "experiment-trials0", "weights-eps0", "weights-eps-negative",
-        "weights-eps-over-n", "tail-alpha0", "experiment-eps-over-one",
-        "experiment-alpha-over-one"])
+], ids=["tail-n1", "tail-n0", "experiment-n0", "experiment-n1", "experiment-trials0",
+        "tail-alpha0", "experiment-eps-over-one", "experiment-alpha-over-one"])
 def test_revocation_helpers_reject_impossible_sizes(call, match):
-    # the instance is n-1 copies of eps/n plus one unit item, so n >= 2 and
-    # eps/n must lie in (0, 1]; the experiment's epsilon and both helpers'
-    # alpha must lie in (0, 1] as well
+    # the instance is n-1 copies of eps/n plus one unit item, so n >= 2; the
+    # experiment's epsilon and both helpers' alpha must lie in (0, 1]
     with pytest.raises(InputError, match=match):
         call()
 
 
 def test_revocation_counts_match_algorithm():
     # the experiment's position shortcut agrees with real forced-bit runs
-    n, eps = 10, Fraction(1, 2)
-    ws, cap = forced_revocation_weights(n, eps)
+    n = 10
+    inst = generate_instances("knapsack_proportional", "adversarial",
+                              {"n": n, "epsilon": Fraction(1, 2)}, 1, 0)[0]
+    view = scale_knapsack(inst, proportional=True)
+    ws, cap = view.column, view.cap
+    assert (ws, cap) == ([1] * 9 + [20], 20)
     copy_w, unit_w = ws[0], ws[-1]
     for pos in range(1, n):
         order = [copy_w] * pos + [unit_w] + [copy_w] * (n - 1 - pos)

@@ -54,7 +54,6 @@ TEST_ONLY_NAMES = {
     "exact_distinct_conditional": "C2",
     "exact_revocation_tail": "C5",
     "revocation_experiment": "C5",
-    "forced_revocation_weights": "C5",
 }
 
 
