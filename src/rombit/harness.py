@@ -272,6 +272,7 @@ class Scaled:
     releases: list = None  # realtime ROM: the fixed release int per position
     cap: int = None  # knapsack capacity
     opt: int = None  # knapsack offline optimum, the same for every order
+    memo: dict = None  # knapsack step memo of an exact row, shared by its orders only
     proc: int = None  # throughput's common processing time
     variant: str = None  # interval variant
 
@@ -479,7 +480,7 @@ def _audit_guess(s, order, bits, run, opt):
 def _run_proportional(s, order, variant):
     if variant == "tworbin":
         return knapsack.rom_proportional_tworbin(order, s.cap), s.opt, order, _audit_tworbin
-    return knapsack.rom_proportional(order, s.cap), s.opt, order, _audit_proportional
+    return knapsack.rom_proportional(order, s.cap, s.memo), s.opt, order, _audit_proportional
 
 
 def _run_general(s, order, variant):
@@ -619,11 +620,11 @@ def _row(instance, config):
     """
     problem = config.problem
     spec = PROBLEM_TABLE[problem]
-    if config.exact:  # a sampled row leaves its oracle guard to the oracle
-        _check_n(spec, instance.n, True, f"{instance.meta_value('id', '?')}: ")
+    _check_n(spec, instance.n, config.exact, f"{instance.meta_value('id', '?')}: ")
     view = spec.scale(instance)
     if config.exact:
         orders = distinct_orderings(view.column)
+        view.memo = {}  # bounded by the enumeration guard; sampled orders store no step
     else:
         orders = _sampled_orders(view.column, config.trials, config.seed)
     per_order = spec.ratio == "mean opt/alg"

@@ -13,7 +13,9 @@ then commit to one of two deterministic continuations.  Each run is an
 The proportional algorithms run on an order's weight column.  A1 and A2 are
 one subroutine loop, ``subroutine_run``, with two placement rules,
 ``place_a1`` and ``place_a2``; each arrival's weight class is computed once
-per order into a class column that both read by arrival index.
+per order into a class column that both read by arrival index.  They decide
+on held weights, arrival indices only label the record, and each run is a
+fold whose steps an exact row's memo (``harness.Scaled``) runs once.
 
 Unit capacity throughout.  Weights and values arrive as ints over their
 instance's common denominator (``core.make_instance``), which is the
@@ -25,6 +27,7 @@ ints.
 from __future__ import annotations
 
 import math
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -60,20 +63,39 @@ def weight_class(w, cap=1):
 # ---------------------------------------------------------------------------
 
 
-def subroutine_run(weights, cls, cap, place):
+def subroutine_run(weights, cls, cap, place, memo=None):
     """A1 or A2 on the order's weights and classes: a large arrival evicts
     everything else and completes the packing, an M4 arrival is remembered,
     and any other arrival goes with the contents, (weight, arrival) entries,
     to ``place``, which returns (contents, total, complete).  Returns the
-    final contents and total, and the largest total after any step."""
-    contents, total, peak = [], 0, 0
-    seen_m4 = False
+    final contents and total, and the largest total after any step.
+
+    The contents stay sorted by (weight, arrival); the rules decide on held
+    weights and compare arrivals only among equal weights, so a step drops
+    the same positions whatever the arrival indices, which only label the
+    record.  The run is a fold over (held weights, M4 seen): ``memo``, one per
+    exact row and ``cap``, maps (rule, state) to a node of steps by arriving
+    weight, each (next node, total, frozen, dropped positions), so the row
+    runs each step once.  Without a memo no step is stored."""
+    node = {} if memo is None else memo.setdefault((place, (), False), {})
+    contents, total, peak, seen_m4 = [], 0, 0, False
     for i, w in enumerate(weights):
-        if cls[i] == "L":
-            return [(w, i)], w, max(peak, w)
-        if cls[i] == "M4":
-            seen_m4 = True
-        contents, total, frozen = place(contents + [(w, i)], cls, cap, seen_m4)
+        seen_m4 = seen_m4 or cls[i] == "M4"
+        insort(contents, (w, i))  # after its equal weights
+        step = node.get(w)
+        if step is None:
+            kept, total, frozen = (([(w, i)], w, True) if cls[i] == "L"
+                                   else place(list(contents), cls, cap, seen_m4))
+            if memo is None:  # store no step
+                contents, step = sorted(kept), (node, total, frozen, ())
+            else:
+                kept = set(kept)
+                drop = [j for j in range(len(contents) - 1, -1, -1) if contents[j] not in kept]
+                held = tuple(e[0] for e in contents if e in kept)  # sorted, as contents are
+                step = node[w] = memo.setdefault((place, held, seen_m4), {}), total, frozen, drop
+        node, total, frozen, drop = step
+        for j in drop:
+            del contents[j]
         peak = max(peak, total)
         if frozen:
             break
@@ -134,7 +156,9 @@ def place_a2(q, cls, cap, seen_m4):
 
 def max_subset_within(entries, cap):
     """Maximum-total subset of the given (weight, arrival) entries with total
-    <= cap; deterministic tie-break by search order (heaviest first)."""
+    <= cap; deterministic tie-break by search order (heaviest first).  The
+    search reads weights alone: of equal weights it meets the earliest
+    arrivals first, so their indices only label the subset."""
     order = sorted(entries, key=lambda e: (-e[0], e[1]))
     n = len(order)
     suffix = [0] * (n + 1)
@@ -169,19 +193,20 @@ class ProportionalRun(Run):
     peak: int  # largest A1 or A2 knapsack total after any step
 
 
-def rom_proportional(weights, cap):
+def rom_proportional(weights, cap, memo=None):
     """Greedy identical prefix, then the bit picks subroutine A1 or A2.
 
     Each arrival is classified once, and both subroutines run from the
     start of the sequence on those classes; during the identical prefix
     their knapsacks coincide with the greedy packing, so the returned
     knapsack always equals one full A1 or A2 run.  Without a bit all items
-    are identical and both hold the same greedy packing.
+    are identical and both hold the same greedy packing.  ``memo`` is an
+    exact row's step memo (``subroutine_run``).
     """
     bit, _ = harvest(weights)
     cls = [weight_class(w, cap) for w in weights]
-    a1, one, peak1 = subroutine_run(weights, cls, cap, place_a1)
-    a2, zero, peak2 = subroutine_run(weights, cls, cap, place_a2)
+    a1, one, peak1 = subroutine_run(weights, cls, cap, place_a1, memo)
+    a2, zero, peak2 = subroutine_run(weights, cls, cap, place_a2, memo)
     return ProportionalRun(bit, one, zero, contents=commit(bit, a1, a2),
                            peak=max(peak1, peak2))
 

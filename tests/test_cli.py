@@ -505,6 +505,25 @@ def test_gen_writes_any_n(tmp_path, capsys):
     assert rombit.read_instances(out)[0].n == 30
 
 
+@pytest.mark.parametrize("problem, words, n, guard", [
+    ("knapsack_general", ["knapsack", "--variant", "general"], 25, 24),
+    ("knapsack_proportional", ["knapsack"], 25, 24),
+    ("throughput", ["throughput"], 11, 10),
+], ids=["general", "proportional", "throughput"])
+def test_sampled_file_rows_check_the_oracle_guard_first(problem, words, n, guard, tmp_path,
+                                                         capsys):
+    # a file skips the family's size check, so the row checks the instance
+    # against its oracle guard before any order runs, and names it
+    path = tmp_path / "big.jsonl"
+    assert main(["gen", "--problem", problem, "--family", "uniform", "--params",
+                 json.dumps({"n": n}), "--count", "1", "--out", str(path)]) == 0
+    (inst,) = rombit.read_instances(path)
+    capsys.readouterr()
+    assert main(words + ["--instances", str(path), "--trials", "3"]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: {inst.meta_value('id')}: n={n} exceeds oracle guard {guard}\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["intervals", "--family", "bogus", "--count", "1", "--exact"],
     ["throughput", "--family", "bogus", "--count", "1", "--exact"],

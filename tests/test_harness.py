@@ -1,5 +1,6 @@
 """Instance families, exact/Monte Carlo drivers, audits, reports."""
 
+import itertools
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -536,7 +537,7 @@ def test_proportional_audit_checks_the_run_record(monkeypatch, check, doctor):
                               exact=True, audit=True)
     real = hz.knapsack.rom_proportional
     monkeypatch.setattr(hz.knapsack, "rom_proportional",
-                        lambda weights, cap: doctor(real(weights, cap), cap))
+                        lambda weights, cap, memo: doctor(real(weights, cap, memo), cap))
     rep = hz.run_experiment(cfg)
     violations = [v for r in rep.rows for v in r["violations"]]
     assert len(violations) == sum(r["orders"] for r in rep.rows)  # one per order
@@ -631,6 +632,29 @@ def test_interval_audit_checks_the_prefix_suffix_relaxation(monkeypatch, variant
     assert len(flagged) == sum(r["orders"] for r in rep.rows)
     assert 0 < len(violations) == sum(flagged)  # one per flagged order
     assert all("OPT > OPT(prefix)+OPT(suffix)" in v for v in violations)
+
+
+def test_only_an_exact_row_owns_a_step_memo(monkeypatch):
+    # an exact row's orders share one memo, made for that row alone, so no
+    # other row or later walk of the same instance sees it; a sampled row's
+    # orders store no step, so its memory does not grow with --trials
+    inst = hz.generate_instances("knapsack_proportional", "uniform", {"n": 5}, 1, 2)[0]
+    assert hz.scale_knapsack(inst, True).memo is None
+    real = hz.knapsack.rom_proportional
+    memos = []
+    monkeypatch.setattr(hz.knapsack, "rom_proportional",
+                        lambda order, cap, memo: memos.append(memo) or real(order, cap, memo))
+    insts = hz.generate_instances("knapsack_proportional", "uniform",
+                                  {"n": [4, 5], "support": 3}, 3, 6)
+    cfg = hz.ExperimentConfig(problem="knapsack_proportional", instances=insts, exact=True)
+    rows = hz.run_experiment(cfg).rows + hz.run_experiment(cfg).rows
+    runs = [len(list(group)) for _, group in itertools.groupby(map(id, memos))]
+    assert runs == [r["orders"] for r in rows]  # one memo per row, in row order
+    assert len({id(m) for m in memos}) == len(rows)
+    assert all(memo for memo in memos)
+    memos.clear()
+    hz.run_experiment(replace(cfg, exact=False, trials=20))
+    assert memos == [None] * 60
 
 
 def test_general_audit_checks_greedy_plus_max(monkeypatch):

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rombit.core import CapacityError, InputError, distinct_orderings
@@ -495,6 +495,31 @@ def test_subroutines_match_reference(case):
         assert run.peak == peak
         side = ref2 if run.bit == 0 else ref1
         assert sorted(run.contents) == side[k - 1][0]
+
+
+@st.composite
+def weight_pools(draw):
+    """(cap, weights): up to 6 weights drawn from a pool of at most 4, so
+    that a row's distinct orders revisit states."""
+    cap = draw(st.one_of(st.integers(1, 30), st.sampled_from([10, 20, 30])))
+    pool = draw(st.lists(st.integers(1, cap), min_size=1, max_size=4))
+    return cap, draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(weight_pools())
+# A2 holds the 9 alone after 12, 9 (the M2 keeper evicts the M4) and after
+# 9; the 8 then freezes 17 >= 16 only where the M4 arrived, and the 3
+# packs only where it did not, so the two states must not share a node
+@example((20, [12, 9, 8, 3]))
+def test_shared_step_memo_matches_fresh_runs(case):
+    """Every distinct order of a pool through one memo, as an exact row runs
+    them, gives the whole proportional record that a run storing no step
+    gives."""
+    cap, ws = case
+    memo = {}
+    for order in distinct_orderings(ws):
+        assert rom_proportional(order, cap, memo) == rom_proportional(order, cap)
 
 
 def reference_tworbin(weights, cap, bit):
