@@ -54,6 +54,8 @@ from .core import (
 DEFAULT_INTERVAL_VARIANT = "single"
 # the most items whose orders an exact row enumerates
 ENUMERATION_GUARD = 10
+# the largest pool that a family's "support" may ask to draw
+SUPPORT_GUARD = 1000
 
 
 def worker_count():
@@ -65,8 +67,8 @@ def worker_count():
 
 
 def _starmap(fn, args):
-    n = worker_count()
-    if n > 1 and len(args) > 1:
+    n = min(worker_count(), len(args))  # at most one process per task
+    if n > 1:
         from multiprocessing import Pool
 
         with Pool(n) as pool:
@@ -79,13 +81,15 @@ def _starmap(fn, args):
 # ---------------------------------------------------------------------------
 
 
-def _least(key, value, least):
+def _least(key, value, least, most=None):
     """The ``value`` of family parameter ``key``, which must be an int (not
-    a bool) of at least ``least``."""
+    a bool) of at least ``least`` and, given ``most``, at most ``most``."""
     if type(value) is not int:
         raise ValueError(f"{key!r} must be an integer, got {value!r}")
     if value < least:
         raise ValueError(f"{key!r} must be at least {least}, got {value}")
+    if most is not None and value > most:
+        raise ValueError(f"{key!r} must be at most {most}, got {value}")
     return value
 
 
@@ -124,7 +128,7 @@ def _knapsack_payloads(rng, params, family, general):
     den = _least("den", params.pop("den", 20), 1)
     pairs = None
     if family == "uniform":
-        support_size = _least("support", params.pop("support", 0), 0)
+        support_size = _least("support", params.pop("support", 0), 0, SUPPORT_GUARD)
         if support_size:
             pool = [rng.randint(1, den) for _ in range(support_size)]
             ws = [rng.choice(pool) for _ in range(n)]
@@ -154,10 +158,11 @@ def _interval_payloads(rng, params, family):
     n = _pick_n(params, rng)
     variant = params.pop("variant", DEFAULT_INTERVAL_VARIANT)
     meta = {"variant": variant}
+    support = _least("support", params.pop("support", 4 if variant == "monotone" else 3), 1,
+                     SUPPORT_GUARD)
     if variant == "single":
         p = _rational(params, "length", 4, positive=True)
         releases = sorted(rng.randrange(0, 3 * n) for _ in range(n))
-        support = _least("support", params.pop("support", 3), 1)
         pool = [rng.randint(1, 9) for _ in range(support)]
         payload = [(p, rng.choice(pool)) for _ in range(n)]
     elif variant == "monotone":
@@ -167,12 +172,10 @@ def _interval_payloads(rng, params, family):
         releases = [0]
         for g in gaps:
             releases.append(releases[-1] + g)
-        support = _least("support", params.pop("support", 4), 1)
         pool = [(rng.choice([3, 4, 5, 6]), rng.randint(1, 9)) for _ in range(support)]
         payload = [rng.choice(pool) for _ in range(n)]
     elif variant == "c_benevolent":
         releases = sorted(rng.randrange(0, 4 * n) for _ in range(n))
-        support = _least("support", params.pop("support", 3), 1)
         pool = sorted({rng.choice([2, 3, 4, 5, 6]) for _ in range(support)})
         lengths = [rng.choice(pool) for _ in range(n)]
         payload = [(L, L * L) for L in lengths]
@@ -522,6 +525,7 @@ class Problem:
     run: Callable
     ratio: str  # "alg/opt" (at most 1), "opt/alg", or "mean opt/alg" over orders
     guard: int = None  # the most items the offline oracle takes, if bounded
+    variants: tuple = ()  # the algorithm variants ``run`` takes besides None
 
 
 _KNAPSACK_FAMILIES = ("uniform", "two_type", "adversarial")
@@ -536,7 +540,7 @@ PROBLEM_TABLE = {
     "knapsack_proportional": Problem(
         _KNAPSACK_FAMILIES, partial(_knapsack_payloads, general=False),
         partial(scale_knapsack, proportional=True), _run_proportional, "alg/opt",
-        knapsack.OPT_GUARD),
+        knapsack.OPT_GUARD, ("tworbin",)),
     "interval": Problem(
         ("uniform",), _interval_payloads, scale_intervals, _run_intervals, "opt/alg"),
     "throughput": Problem(
@@ -620,6 +624,8 @@ def _row(instance, config):
     """
     problem = config.problem
     spec = PROBLEM_TABLE[problem]
+    if config.variant is not None and config.variant not in spec.variants:
+        raise InputError(f"unknown {problem} variant {config.variant!r}")
     _check_n(spec, instance.n, config.exact, f"{instance.meta_value('id', '?')}: ")
     view = spec.scale(instance)
     if config.exact:

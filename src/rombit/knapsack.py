@@ -10,6 +10,10 @@ then commit to one of two deterministic continuations.  Each run is an
 * proportional, two-bin variant with an early-exit guard;
 * general weights, GREEDY-by-density versus MAX-value.
 
+``exact_revocation_tail`` is the closed form of the two-bin variant's
+revocations on harness's ``adversarial`` instance: n-1 copies of
+epsilon/n (epsilon <= 1) plus one unit item.
+
 The proportional algorithms run on an order's weight column.  A1 and A2 are
 one subroutine loop, ``subroutine_run``, with two placement rules,
 ``place_a1`` and ``place_a2``; each arrival's weight class is computed once
@@ -31,7 +35,7 @@ from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import CapacityError, InputError, rng_for
+from .core import CapacityError, InputError
 from .extraction import Run, commit, harvest
 
 OPT_GUARD = 24
@@ -356,64 +360,17 @@ def offline_opt_scaled(items, cap):
 
 
 # ---------------------------------------------------------------------------
-# forced-revocation experiment
+# forced-revocation tail
 # ---------------------------------------------------------------------------
-
-
-def _check_size(n):
-    """The instance is n-1 copies plus one unit item, so it needs n >= 2."""
-    if n < 2:
-        raise InputError(f"the forced-revocation instance needs n >= 2, got {n}")
 
 
 def exact_revocation_tail(n, alpha):
     """Pr(k >= ceil(alpha*n)) given that at least one copy precedes the unique
-    item: the unique item is uniform over the n-1 non-leading positions."""
-    _check_size(n)
+    item: ``rom_proportional_tworbin`` revokes the k copies that precede it,
+    and it is uniform over the n-1 non-leading positions."""
+    if n < 2:
+        raise InputError(f"the forced-revocation instance needs n >= 2, got {n}")
     a = Fraction(alpha)
     if not 0 < a <= 1:
         raise InputError("alpha must lie in (0, 1]")
     return Fraction(max(0, n - math.ceil(a * n)), n - 1)
-
-
-def revocation_experiment(n, epsilon, alpha, trials, seed):
-    """Empirical Pr(k >= ceil(alpha*n)) for the forced-revocation instance,
-    estimated without running the algorithm.
-
-    The instance, harness's ``adversarial`` knapsack family, is n-1 copies
-    of weight epsilon/n plus one unit item.  On the bit-0 branch every copy
-    that precedes the unique item is packed and then revoked (for epsilon
-    <= 1 the early exit can never trigger), so the revocation count k is
-    the unique item's 1-based position minus one;
-    ``test_revocation_counts_match_algorithm`` checks this against
-    ``rom_proportional_tworbin`` at n = 10.  Each trial draws only that
-    position, uniform over the n slots, so ``epsilon`` is validated but
-    does not enter the estimate.  Running the algorithm on seeded orders is
-    ROADMAP item 11.
-    """
-    _check_size(n)
-    if trials < 1:
-        raise InputError("trials must be >= 1")
-    eps = Fraction(epsilon)
-    if not 0 < eps <= 1:
-        raise InputError("epsilon must lie in (0, 1]")
-    a = Fraction(alpha)
-    if not 0 < a <= 1:
-        raise InputError("alpha must lie in (0, 1]")
-    m = math.ceil(a * n)
-    hits = 0
-    for t in range(trials):
-        pos = rng_for(seed, t).randrange(n)  # 0-based position of the unique item
-        if pos >= m:
-            hits += 1
-    p = hits / trials
-    return {
-        "n": n,
-        "alpha": a,
-        "threshold": m,
-        "estimate": p,
-        "stderr": math.sqrt(p * (1 - p) / trials),
-        "bound": 1 - float(a) - 1 / n,
-        "trials": trials,
-        "seed": seed,
-    }

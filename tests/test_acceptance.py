@@ -11,12 +11,8 @@ from fractions import Fraction
 
 from rombit import extraction as ex
 from rombit import harness as hz
-from rombit.core import make_instance
-from rombit.knapsack import (
-    exact_revocation_tail,
-    revocation_experiment,
-    rom_proportional_tworbin,
-)
+from rombit.core import distinct_orderings, make_instance
+from rombit.knapsack import exact_revocation_tail, rom_proportional_tworbin
 
 SQRT2M1 = math.sqrt(2) - 1
 SIZES = [3, 4, 4, 5, 5, 5, 6, 6, 6, 7, 7, 8]
@@ -221,30 +217,41 @@ def test_c4_guessing_ratio():
             f"worst={worst:.4f}")
 
 
-# -- criterion 5: forced-revocation experiment -----------------------------
+# -- criterion 5: forced-revocation tail -----------------------------------
+
+
+def _revocations(n, epsilon):
+    """(revoked, led by a copy) of ``rom_proportional_tworbin`` on every
+    distinct order of the ``adversarial`` instance, n-1 copies and one unit
+    item; the instance's own ints, as ``scale_knapsack``'s oracle stops at
+    24 items."""
+    inst = hz.generate_instances("knapsack_proportional", "adversarial",
+                                 {"n": n, "epsilon": epsilon}, 1, 0)[0]
+    ws, cap = inst.columns["weight"], inst.den
+    return [(rom_proportional_tworbin(order, cap).revoked, order[0] == ws[0])
+            for order in distinct_orderings(ws)]
 
 
 def test_c5_revocation():
-    ok = True
     details = []
-    for alpha in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
-        res = revocation_experiment(100, Fraction(1, 100), alpha, 10**5, 501)
-        good = res["estimate"] >= res["bound"] - 3 * res["stderr"]
-        ok = ok and good
-        details.append(f"a={float(alpha)}: {res['estimate']:.4f}>={res['bound']:.4f}")
-        m = math.ceil(alpha * 10)
-        ok = ok and exact_revocation_tail(10, alpha) == Fraction(10 - m, 9)
-    # the closed form is the algorithm's own behaviour at n=10
-    inst = hz.generate_instances("knapsack_proportional", "adversarial",
-                                 {"n": 10, "epsilon": Fraction(1, 2)}, 1, 0)[0]
-    view = hz.scale_knapsack(inst, proportional=True)
-    ws, cap = view.column, view.cap
-    copy_w, unit_w = ws[0], ws[-1]
-    for pos in range(1, 10):
-        order = [copy_w] * pos + [unit_w] + [copy_w] * (9 - pos)
-        run = rom_proportional_tworbin(order, cap)
-        ok = ok and run.revoked == pos
-    _report("5 revocation tail bound and exact n=10 formula", ok, "; ".join(details))
+    alphas = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
+    runs = {n: _revocations(n, Fraction(1, 100)) for n in (10, 50, 100)}
+    ok = len(runs[100]) == 100
+    for alpha in alphas:
+        m = math.ceil(alpha * 100)
+        tail = Fraction(sum(k >= m for k, _ in runs[100]), len(runs[100]))
+        bound = 1 - alpha - Fraction(1, 100)
+        ok = ok and tail >= bound
+        details.append(f"a={float(alpha)}: {float(tail):.4f}>={float(bound):.4f}")
+    # the closed form is the tail of the algorithm's own runs led by a copy
+    for n, orders in runs.items():
+        led = [k for k, copy_first in orders if copy_first]
+        for alpha in alphas:
+            m = math.ceil(alpha * n)
+            tail = Fraction(sum(k >= m for k in led), len(led))
+            ok = ok and tail == exact_revocation_tail(n, alpha)
+    _report("5 revocation tail bound over every order at n=100, closed form at n=10,50,100",
+            ok, "; ".join(details))
 
 
 # -- criterion 6: headless property suites ---------------------------------

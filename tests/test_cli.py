@@ -486,11 +486,18 @@ def test_bad_params_values(argv, word, tmp_path, capsys):
      "bad knapsack_proportional uniform parameters: 'n' must be an integer, got 2e+21"),
     (["knapsack", "--params", '{"n": [1000000, "x"]}', "--count", "1"],
      "bad knapsack_proportional uniform parameters: 'n' must be an integer, got 'x'"),
+    (["knapsack", "--params", '{"support": 1180591620717411303424, "n": 4}', "--count", "1",
+      "--exact"], "bad knapsack_proportional uniform parameters: 'support' must be at most "
+     "1000, got 1180591620717411303424"),
+    (["intervals", "--params", '{"support": 1180591620717411303424, "n": 4}', "--count", "1",
+      "--exact"], "bad interval uniform parameters: 'support' must be at most 1000, "
+     "got 1180591620717411303424"),
 ], ids=["knapsack", "throughput", "intervals-exact", "knapsack-list", "throughput-exact",
-        "bad-n", "bad-n-in-list"])
+        "bad-n", "bad-n-in-list", "knapsack-support", "intervals-support"])
 def test_oversize_n_is_rejected_before_any_draw(argv, message, capsys):
     # the guard that would reject the rows rejects the family's largest n
-    # before generation draws anything; a bad n keeps generation's error
+    # before generation draws anything; a bad n keeps generation's error, and
+    # a pool's "support" past its bound is rejected before the pool is drawn
     start = time.perf_counter()
     assert main(argv) == 2
     assert time.perf_counter() - start < 1

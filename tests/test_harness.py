@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import multiprocessing
 from dataclasses import replace
 from fractions import Fraction
 
@@ -57,6 +58,23 @@ def test_a_family_of_none_is_unknown(problem):
                  lambda: hz.check_size(problem, None, {"n": 3}, True)):
         with pytest.raises(InputError, match=rf"^unknown {problem} family None; expected"):
             call()
+
+
+_POOLS = [("knapsack_proportional", None), ("knapsack_general", None),
+          ("interval", "single"), ("interval", "monotone"), ("interval", "c_benevolent")]
+
+
+@pytest.mark.parametrize("problem, variant", _POOLS,
+                         ids=["-".join(filter(None, case)) for case in _POOLS])
+def test_support_is_bounded_before_its_pool_is_drawn(problem, variant):
+    # "support" is the size of a pool that the family draws
+    params = {"n": 3, **({"variant": variant} if variant else {})}
+    assert hz.generate_instances(problem, "uniform", {**params, "support": hz.SUPPORT_GUARD},
+                                 1, 0)
+    with pytest.raises(InputError, match=rf"'support' must be at most {hz.SUPPORT_GUARD}, "
+                                         rf"got {hz.SUPPORT_GUARD + 1}$"):
+        hz.generate_instances(problem, "uniform", {**params, "support": hz.SUPPORT_GUARD + 1},
+                              1, 0)
 
 
 def test_adversarial_family_counts():
@@ -200,6 +218,35 @@ def test_worker_pool_matches_serial(monkeypatch):
     # each task carries its own instance, and no task pickles the whole list
     assert [inst for inst, _ in tasks] == insts
     assert not any(task.instances for _, task in tasks)
+
+
+@pytest.mark.parametrize("workers, count, sizes", [("8", 2, [2]), ("8", 1, []),
+                                                   ("2", 3, [2])])
+def test_worker_pool_has_at_most_one_process_per_instance(workers, count, sizes,
+                                                          monkeypatch):
+    opened = []
+
+    class RecordingPool:
+        """Records the size asked for and runs the tasks in this process."""
+
+        def __init__(self, processes):
+            opened.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, fn, args):
+            return [fn(*a) for a in args]
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setenv("ROMBIT_WORKERS", workers)
+    insts = hz.generate_instances("string_guess", "bernoulli", {"n": 4}, count, 21)
+    rep = hz.run_experiment(hz.ExperimentConfig(problem="string_guess", instances=insts,
+                                                exact=True))
+    assert len(rep.rows) == count and opened == sizes
 
 
 def interval_instance(variant, items):
@@ -696,3 +743,22 @@ def test_run_experiment_rejects_empty_work():
     ):
         with pytest.raises(InputError):
             hz.run_experiment(cfg)
+
+
+@pytest.mark.parametrize("entry", ["run_experiment", "audit_instance"])
+@pytest.mark.parametrize("problem, variant", [
+    ("knapsack_proportional", "twobin"), ("knapsack_proportional", "bogus"),
+    ("knapsack_general", "tworbin"), ("throughput", "tworbin"), ("interval", "single"),
+    ("string_guess", "tworbin"),
+])
+def test_an_unknown_algorithm_variant_is_rejected_before_any_order(problem, variant, entry,
+                                                                    monkeypatch):
+    family = "bernoulli" if problem == "string_guess" else "uniform"
+    inst = hz.generate_instances(problem, family, {"n": 3}, 1, 0)[0]
+    monkeypatch.setattr(hz, "run_order", None)  # an order that ran would raise TypeError
+    with pytest.raises(InputError, match=rf"^unknown {problem} variant {variant!r}$"):
+        if entry == "audit_instance":
+            hz.audit_instance(inst, variant)
+        else:
+            hz.run_experiment(hz.ExperimentConfig(problem=problem, instances=[inst],
+                                                  variant=variant))

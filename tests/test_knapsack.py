@@ -1,4 +1,4 @@
-"""Knapsack subroutines, ROM runs, oracle, and revocation experiment."""
+"""Knapsack subroutines, ROM runs, oracle, and the forced-revocation tail."""
 
 import itertools
 import math
@@ -18,7 +18,6 @@ from rombit.knapsack import (
     offline_opt_scaled,
     place_a1,
     place_a2,
-    revocation_experiment,
     rom_general,
     rom_proportional,
     rom_proportional_tworbin,
@@ -283,25 +282,18 @@ def test_exact_revocation_tail():
 @pytest.mark.parametrize("call, match", [
     (lambda: exact_revocation_tail(1, Fraction(1, 2)), None),
     (lambda: exact_revocation_tail(0, Fraction(1, 2)), None),
-    (lambda: revocation_experiment(0, Fraction(1, 2), Fraction(1, 2), 10, 0), None),
-    (lambda: revocation_experiment(1, Fraction(1, 2), Fraction(1, 2), 10, 0), None),
-    (lambda: revocation_experiment(5, Fraction(1, 2), Fraction(1, 2), 0, 0), None),
     (lambda: exact_revocation_tail(10, 0), r"^alpha must lie in \(0, 1\]$"),
-    (lambda: revocation_experiment(5, 2, Fraction(1, 2), 10, 0),
-     r"^epsilon must lie in \(0, 1\]$"),
-    (lambda: revocation_experiment(5, Fraction(1, 2), Fraction(3, 2), 10, 0),
-     r"^alpha must lie in \(0, 1\]$"),
-], ids=["tail-n1", "tail-n0", "experiment-n0", "experiment-n1", "experiment-trials0",
-        "tail-alpha0", "experiment-eps-over-one", "experiment-alpha-over-one"])
+], ids=["tail-n1", "tail-n0", "tail-alpha0"])
 def test_revocation_helpers_reject_impossible_sizes(call, match):
-    # the instance is n-1 copies of eps/n plus one unit item, so n >= 2; the
-    # experiment's epsilon and both helpers' alpha must lie in (0, 1]
+    # the instance is n-1 copies of eps/n plus one unit item, so n >= 2, and
+    # alpha must lie in (0, 1]
     with pytest.raises(InputError, match=match):
         call()
 
 
 def test_revocation_counts_match_algorithm():
-    # the experiment's position shortcut agrees with real forced-bit runs
+    # each copy that precedes the unique item is revoked, so k is that item's
+    # 0-based position
     n = 10
     inst = generate_instances("knapsack_proportional", "adversarial",
                               {"n": n, "epsilon": Fraction(1, 2)}, 1, 0)[0]
@@ -314,11 +306,6 @@ def test_revocation_counts_match_algorithm():
         run = rom_proportional_tworbin(order, cap)
         assert not run.early_exit
         assert run.revoked == pos
-
-
-def test_revocation_experiment_bound():
-    res = revocation_experiment(50, Fraction(1, 100), Fraction(1, 2), 4000, 3)
-    assert res["estimate"] >= res["bound"] - 3 * res["stderr"]
 
 
 def test_tworbin_exact_expectation():

@@ -53,7 +53,6 @@ def test_traced_names_exist():
 TEST_ONLY_NAMES = {
     "exact_distinct_conditional": "C2",
     "exact_revocation_tail": "C5",
-    "revocation_experiment": "C5",
 }
 
 
