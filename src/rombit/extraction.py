@@ -29,21 +29,22 @@ application's run is a ``Run``, whose bit ``commit``s it to one branch.
 Bias oracles come in two routes that never share code paths: the exact law
 of the first unlike arrival (n <= ``EXACT_GUARD``), whose reference in the
 tests is enumeration of every order through ``harvest``, and Monte Carlo
-sampling without replacement from a key multiset (any n).  Both read a
-``Profile``, the class counts in key order run-length encoded as (count,
-classes) groups with an optional first class: ``_key_counts``, the one
-input check of every oracle, reduces a counts dict, an ``Instance`` or a
-key stream to it once, and the bias families build it in O(groups) at any
-n.  The law costs O(count) per group; Monte Carlo maps a first arrival's
-rank to its class by bisection over the groups and arithmetic within one.
+sampling without replacement from a key multiset (any n, if a trial expects
+at most ``DRAW_GUARD`` copies of its first key).  Both read a ``Profile``,
+the class counts in key order run-length encoded as (count, classes) groups
+with an optional first class: ``_key_counts``, the one input check of every
+oracle, reduces a counts dict, an ``Instance`` or a key stream to it once,
+and the bias families build it in O(groups) at any n.  The law costs
+O(count) per group; Monte Carlo maps a first arrival's rank to its class by
+bisection over the groups and arithmetic within one, when a lane reads it.
 Monte Carlo trials run ``_CHUNK`` at a time as the 128-bit lanes of one
-Python int: the lanes compute the key ``split_seed(seed, t)`` and draw from
-the splitmix64 counter stream it keys, so one big-int op advances every
+Python int, and a lane carries only what differs between trials: the
+splitmix64 counter stream keyed by ``split_seed(seed, t)``, and an offset to
+the copies left when class counts differ; one big-int op advances every
 trial of a chunk.  A lane whose draw Lemire's method rejects redraws in
 place from its own stream, and the other lanes keep their draws.  The tests
 keep the object form, a ``CounterStream`` per trial, as the reference the
-lanes must match draw for draw.  All other randomness in the package uses
-``rng_for``.
+lanes must match draw for draw.  All other randomness uses ``rng_for``.
 """
 
 from __future__ import annotations
@@ -72,6 +73,7 @@ from .core import (
 MODES = ("process1", "distinct_unbiased", "combine")
 
 EXACT_GUARD = 10**5  # the largest n of the exact law, whose sums cost O(n) big-int steps
+DRAW_GUARD = 10**4  # the largest E[J], copies of the first key drawn after it, of a trial
 
 
 def harvest(keys, mode="combine"):
@@ -292,28 +294,32 @@ def empirical_bias(source, mode, trials, seed, first_key=None):
     if trials < 1:
         raise InputError("trials must be >= 1")
     prof, n = _key_counts(source, mode, first_key)
-    # (arrival i, bound, lo, eq) before the first draw: arrival i is drawn
-    # from ``bound`` remaining items, ``eq`` copies of the first arrival's
-    # key, ``lo`` items below it and the rest above
+    # (arrival i, bound, lo, base) before the first draw: arrival i is drawn
+    # from ``bound`` remaining items, ``lo`` below the first arrival's key
+    # and ``base`` (plus a lane's offset) copies of it, the rest above
     ranges = None
     if prof.first is not None:
         below, c = _first_class(prof)
         start = (2, n - 1, below, c - 1)
     else:
-        start = (1, n, 0, 0)
-        if (c := max((g[0] for g in prof.groups), default=0)) > 1:
-            # each group's end rank (bar the last), first rank, count and eq
+        sizes = [c for c, _ in prof.groups]
+        c, base = max(sizes, default=0), min(sizes, default=1) - 1
+        start = (1, n, 0, base)
+        if len(sizes) > 1 or (c > 1 and mode != "process1"):
+            # each group's end rank (bar the last), first rank, count and offset
             ends = list(itertools.accumulate(c * m for c, m in prof.groups))
-            sizes = [c for c, _ in prof.groups]
-            ranges = (ends[:-1], [0, *ends[:-1]], sizes, [c - 1 for c in sizes])
+            ranges = (ends[:-1], [0, *ends[:-1]], sizes, [c - 1 - base for c in sizes])
     if mode == "distinct_unbiased" and c > 1:  # the first two arrivals may be equal
         raise InputError("distinct_unbiased requires two distinct keys")
     if start[1] > _MASK64 + 1:  # no trial draws on a larger bound
         raise InputError(f"bound must lie in [1, 2**64], got {start[1]}")
+    if c < n and (draws := (c - 1) / (n - c + 1)) > DRAW_GUARD:  # E[J | K], largest K
+        raise CapacityError(f"E[J]={draws:.6g} exceeds Monte Carlo guard {DRAW_GUARD}")
 
     ones = nobit = 0
+    counter = _pack(range(min(_CHUNK, trials)))
     for t0 in range(0, trials, _CHUNK):
-        o, b = _chunk_counts(seed, t0, min(_CHUNK, trials - t0), start, ranges, mode)
+        o, b = _chunk_counts(seed, t0, min(_CHUNK, trials - t0), start, ranges, mode, counter)
         ones += o
         nobit += b
     p = ones / trials
@@ -369,11 +375,11 @@ def _finalize_lanes(z, mask):
     return (z ^ (z >> 31)) & mask
 
 
-def _split_lanes(seed, t0, k, consts):
+def _split_lanes(seed, t0, k, consts, counter=None):
     """``split_seed(seed, t)`` for t = t0 .. t0 + k - 1, one per lane;
-    ``consts`` are ``_lane_consts(k)``."""
+    ``consts`` are ``_lane_consts(k)``, ``counter`` packs 0, 1, ... in k lanes or more."""
     one, mask, gamma, _ = consts
-    z = _finalize_lanes((_pack(range(t0, t0 + k)) + gamma) & mask, mask)
+    z = _finalize_lanes(((counter or _pack(range(k))) + t0 * one + gamma) & mask, mask)
     return _finalize_lanes(((z ^ _mix64(seed & _MASK64) * one) + gamma) & mask, mask)
 
 
@@ -386,31 +392,35 @@ def _repack(flags, k, *xs):
                                  for x in xs)
 
 
-def _chunk_counts(seed, t0, k, start, ranges, mode):
+def _chunk_counts(seed, t0, k, start, ranges, mode, counter):
     """(ones, no_bit) of trials t0 .. t0 + k - 1, run as 128-bit lanes.
 
-    Lane j of ``state``, ``lo`` and ``eq`` holds a trial's stream and counts,
-    and every lane draws arrival i on the same bound, so each op on these
-    ints advances all live trials at once.  A flag is bit 0 of a lane;
-    ``live`` flags the undecided trials.  A lane whose draw Lemire's method
-    rejects advances its own stream and redraws in place, while the other
-    lanes' states, and so their draws, stay as they are; one trial may be
-    rejected thousands of times.  Once at most half of the lanes are live,
-    the live ones are repacked.
+    Lane j of ``state`` holds a trial's stream, and every lane draws arrival
+    i on the same bound, so each op on these ints advances all live trials
+    at once.  A live lane has drawn only copies since arrival 2, so ``eq``,
+    its copies left, is ``base`` plus its offset in ``dev`` (0 unless the
+    groups differ) less i - 2; a dead lane's may go negative, so ops on
+    ``eq`` stay linear.  ``lo``, the items below, is read at arrival 2 only.
+    A flag is bit 0 of a lane; ``live`` flags the undecided trials.  A lane
+    whose draw Lemire's method rejects redraws in place from its own stream,
+    while the other lanes keep their draws; one trial may be rejected
+    thousands of times.  Once at most half of the lanes are live, ``state``
+    and a nonzero ``dev`` are repacked and ``eq`` is rebuilt.
     """
 
     def ge(x, y):  # [x >= y] per lane, for x < 2**64 and y <= 2**64
         return ((x + top - y) >> 64) & one
 
-    i, bound, lo, eq = start
+    i, bound, lo, base = start
     one, mask, gamma, top = consts = _lane_consts(k)
-    state, lo, eq = _split_lanes(seed, t0, k, consts), lo * one, eq * one
+    state, lo, eq, dev = _split_lanes(seed, t0, k, consts, counter), lo * one, base * one, 0
     live = one
     ones = nobit = 0
     while live:
-        if i == 2 or not bound:
+        if (i == 2 and eq) or not bound:
             # a lane whose key holds every remaining item never emits (eq -
-            # bound stays fixed from arrival 2); with no items, no lane does
+            # bound stays fixed from arrival 2, and eq 0 holds none); with no
+            # items, no lane does
             stuck = live & ge(eq, bound * one)
             nobit += stuck.bit_count()
             live ^= stuck
@@ -418,28 +428,27 @@ def _chunk_counts(seed, t0, k, start, ranges, mode):
                 break
         state = (state + gamma) & mask
         m = _finalize_lanes(state, mask) * bound
-        threshold = (_MASK64 + 1 - bound) % bound
-        # Lemire rejects a draw whose low word is below the threshold
-        while threshold and (redraw := live & ge((threshold - 1) * one, m & mask)):
+        # Lemire rejects a low word under t = 2**64 % bound: 2**64 + t - 1 - low has bit 64
+        lim = ((_MASK64 + 1 - bound) % bound + _MASK64) * one
+        while redraw := live & ((lim - (m & mask)) >> 64):
             state = (state + _GAMMA * redraw) & mask
             m = _finalize_lanes(state, mask) * bound
         r = (m >> 64) & mask
         if i == 1:
-            if ranges is None:  # every key is distinct
-                lo, eq = r, 0
+            if ranges is None:  # every key is distinct, or lo goes unread
+                lo = r
             else:
                 # a rank's group by bisection, its class by arithmetic in it
-                ends, firsts, sizes, eqs = ranges
+                ends, firsts, sizes, devs = ranges
                 ranks = _unpack(r, k)
                 js = list(map(bisect.bisect_right, itertools.repeat(ends), ranks))
-                eq = _pack(map(eqs.__getitem__, js))
+                eq += (dev := _pack(map(devs.__getitem__, js)))
                 if mode != "process1":  # lo is read at arrival 2 only
                     lo = _pack(map(operator.sub, ranks, map(operator.mod, map(
                         operator.sub, ranks, map(firsts.__getitem__, js)),
                         map(sizes.__getitem__, js))))
         else:
-            hit = ge(r, eq)  # arrival i differs from the first
-            done = live & hit
+            done = live & ge(r, eq)  # arrival i differs from the first
             if i == 2 and mode != "process1":
                 # combine emits [second < first], distinct_unbiased the opposite
                 above = (done & ge(r, lo + eq)).bit_count()
@@ -447,13 +456,14 @@ def _chunk_counts(seed, t0, k, start, ranges, mode):
             elif (i + (mode == "process1")) % 2:
                 ones += done.bit_count()
             live ^= done
-            eq -= one ^ hit
+            eq -= one  # every live lane drew a copy
             lo = 0  # read at arrival 2 only
         i += 1
         bound -= 1
         if live and 2 * live.bit_count() <= k:
-            k, (one, mask, gamma, top), state, lo, eq = _repack(live, k, state, lo, eq)
+            k, (one, mask, gamma, top), state, dev = _repack(live, k, state, dev)
             live = one
+            eq = (base - (i - 2)) * one + dev
     return ones, nobit
 
 

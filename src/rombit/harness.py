@@ -227,13 +227,17 @@ def _check_n(spec, n, exact, where=""):
 
 def check_size(problem, family, params, exact):
     """Reject a family whose ``n`` (the largest, for a list) exceeds the
-    guard of its rows (``_check_n``), before any instance is drawn; an ``n``
-    that is no positive int, and every other key, is left to generation."""
+    guard of its rows (``_check_n``) before anything is drawn at that n, and
+    after a draw at n = 1 reports any bad key; a bad ``n`` is generation's."""
     spec = _spec(problem, family)
     n = params.get("n", 6)
     ns = n if isinstance(n, (list, tuple)) else [n]
     if ns and all(type(m) is int and m >= 1 for m in ns):
-        _check_n(spec, max(ns), exact)
+        try:
+            _check_n(spec, max(ns), exact)
+        except CapacityError:
+            generate_instances(problem, family, {**params, "n": 1}, 1, 0)
+            raise
 
 
 def generate_instances(problem, family, params, count, seed):
@@ -468,8 +472,9 @@ def _audit_throughput(s, order, last, run, opt):
             violations.append(f"factor-2 violated on {order}")
     elif max(nx, ny, 0) > 1:
         violations.append(f"factor-2 zero-denominator violated on {order}")
+    tables = throughput.normal_tables(s.releases, last)  # shared by both replays
     for sched in (run.x,) if run.y is run.x else (run.x, run.y):
-        ok, why = throughput.is_normal(sched, s.releases, last, s.proc)
+        ok, why = throughput.is_normal(sched, s.releases, last, s.proc, tables)
         if not ok:
             violations.append(f"not normal on {order}: {why}")
     return violations

@@ -82,10 +82,11 @@ class Entry(NamedTuple):
     flexible: bool
 
 
-def run_processes(rel, last, p, live, start_time=0, count=2):
+def run_processes(rel, last, p, live, start_time=0, count=2, stop=float("inf")):
     """Event-driven simulation of ``count`` lock-sharing processes that may
-    start the arrivals ``live``; returns each one's entries.  A lone process
-    always finds the lock free, so it is the phase-1 greedy process.
+    start the arrivals ``live``; returns each one's entries done by the first
+    decision instant at or after ``stop``.  A lone process always finds the
+    lock free, so it is greedy, and those are all its starts before ``stop``.
 
     Decision instants are releases, completions and per-process wake-ups (the
     instant an idle process's pending set stops being flexible); between
@@ -114,6 +115,8 @@ def run_processes(rel, last, p, live, start_time=0, count=2):
                 running[k] = None
                 if flex:
                     lock = None
+        if t >= stop:
+            break
         # each process's step, and its next decision instant; a release
         # changes nothing while every process runs
         wake = []
@@ -156,14 +159,14 @@ def rom_simulation(rel, last, p):
     The arrivals have releases ``rel``, non-decreasing from 0 on, latest
     starts ``last`` and processing time ``p``.  Phase 1 runs on the jobs
     released before r, the distinct arrival's release, since they alone
-    decide every start before r.  B is the start of the phase-1 job running
-    across r, or r; G is the phase-1 starts before B.  The continuation runs
-    both processes from B on every job not in G, so X = G u X' and
-    Y = G u Y'.  It needs no re-released subinstance: a job's deadline does
-    not move when it is re-released at B, at every instant from B on it is
-    released either way, and a job whose latest start has passed is never
-    pending.  At most one job is ever dropped mid-run: the one Y abandons
-    at B when the breakpoint set is flexible.
+    decide every start before r, and it stops at r.  B is the start of the
+    phase-1 job running across r, or r; G is the phase-1 starts before B.
+    The continuation runs both processes from B on every job not in G, so
+    X = G u X' and Y = G u Y'.  It needs no re-released subinstance: a
+    job's deadline does not move when it is re-released at B, at every
+    instant from B on it is released either way, and a job whose latest
+    start has passed is never pending.  At most one job is ever dropped
+    mid-run: the one Y abandons at B when the breakpoint set is flexible.
     """
     n = len(rel)
     bit, distinct_ix = harvest(s - r for r, s in zip(rel, last))
@@ -172,7 +175,7 @@ def rom_simulation(rel, last, p):
         return RomRun(None, len(entries), len(entries), x=entries, y=entries,
                       breakpoint=None, prefix=entries)
     r = rel[distinct_ix]
-    (greedy,) = run_processes(rel, last, p, [k for k in range(n) if rel[k] < r], count=1)
+    (greedy,) = run_processes(rel, last, p, [k for k in range(n) if rel[k] < r], count=1, stop=r)
     bpoint = next((e.start for e in greedy if e.start < r < e.start + p), r)
     prefix = [e for e in greedy if e.start < bpoint]
     done = {e.index for e in prefix}
@@ -188,7 +191,13 @@ def rom_simulation(rel, last, p):
 # ---------------------------------------------------------------------------
 
 
-def is_normal(entries, rel, last, p):
+def normal_tables(rel, last):
+    """The ED order of every arrival and the sorted release and latest-start
+    points: what every ``is_normal`` replay on one instance reads."""
+    return _table(rel, last, range(len(rel))), sorted(set(rel) | set(last))
+
+
+def is_normal(entries, rel, last, p, tables=None):
     """Replay a schedule against its instance; returns (ok, first_violation).
 
     Normal means every start picks the earliest-deadline pending job, and the
@@ -200,7 +209,7 @@ def is_normal(entries, rel, last, p):
     last latest start, cut at the releases and latest starts inside it.  Every
     pending set is a filter of the one ED order of the instance, classified
     by one ``_scan``.  An entry that starts while no job is pending (a job
-    started twice) is a violation.
+    started twice) is a violation.  ``tables`` default to ``normal_tables``.
     """
     entries = sorted(entries, key=lambda e: e.start)
     starts = [e.start for e in entries]
@@ -210,7 +219,7 @@ def is_normal(entries, rel, last, p):
     for k in range(1, m):
         if comps[k - 1] > starts[k]:
             return False, f"entries overlap at {starts[k]}"
-    ed = _table(rel, last, range(len(rel)))
+    ed, points = tables or normal_tables(rel, last)
     done = set()
     for i, s, flexible in entries:
         if s < rel[i] or s > last[i]:
@@ -228,7 +237,6 @@ def is_normal(entries, rel, last, p):
     # disjoint now and processing times positive, so start order is
     # completion order: the jobs done by tau are a prefix of the entries,
     # and only the next entry can be running at tau.
-    points = sorted(set(rel) | set(last))
     done = set()
     k = 0
     for tau in points[bisect_left(points, 0):]:

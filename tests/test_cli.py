@@ -492,16 +492,34 @@ def test_bad_params_values(argv, word, tmp_path, capsys):
     (["intervals", "--params", '{"support": 1180591620717411303424, "n": 4}', "--count", "1",
       "--exact"], "bad interval uniform parameters: 'support' must be at most 1000, "
      "got 1180591620717411303424"),
+    (["knapsack", "--params", '{"nn": 5, "n": 30}', "--count", "1", "--trials", "1"],
+     "unknown knapsack_proportional uniform parameter 'nn'"),
+    (["intervals", "--params", '{"nn": 5, "n": 3000000}', "--count", "1", "--exact"],
+     "unknown interval uniform parameter 'nn'"),
+    (["throughput", "--params", '{"nn": 5, "n": 10000000}', "--count", "1", "--trials", "1"],
+     "unknown throughput uniform parameter 'nn'"),
 ], ids=["knapsack", "throughput", "intervals-exact", "knapsack-list", "throughput-exact",
-        "bad-n", "bad-n-in-list", "knapsack-support", "intervals-support"])
+        "bad-n", "bad-n-in-list", "knapsack-support", "intervals-support",
+        "knapsack-unknown-key", "intervals-unknown-key", "throughput-unknown-key"])
 def test_oversize_n_is_rejected_before_any_draw(argv, message, capsys):
     # the guard that would reject the rows rejects the family's largest n
-    # before generation draws anything; a bad n keeps generation's error, and
-    # a pool's "support" past its bound is rejected before the pool is drawn
+    # before generation draws anything; a bad n keeps generation's error, an
+    # unknown key is reported before the guard, and a pool's "support" past
+    # its bound is rejected before the pool is drawn
     start = time.perf_counter()
     assert main(argv) == 2
     assert time.perf_counter() - start < 1
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_monte_carlo_work_is_bounded_before_the_first_draw(capsys):
+    # one key holds all but one of 1e6 items, so a trial that starts on it
+    # expects 499,999 copies before the other key; that ran 3.4 s
+    start = time.perf_counter()
+    assert main(["bias", "--mode", "p1", "--alpha", "1/1000000", "--n", "1000000",
+                 "--trials", "20"]) == 2
+    assert time.perf_counter() - start < 1
+    assert _one_error_line(capsys) == "error: E[J]=499999 exceeds Monte Carlo guard 10000"
 
 
 def test_gen_writes_any_n(tmp_path, capsys):

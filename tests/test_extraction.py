@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rombit.core import (
+    CapacityError,
     InputError,
     _mix64,
     distinct_orderings,
@@ -19,6 +20,7 @@ from rombit.core import (
 )
 from rombit.extraction import (
     _CHUNK,
+    DRAW_GUARD,
     MODES,
     Profile,
     _lane_consts,
@@ -451,6 +453,54 @@ def test_empirical_bias_matches_reference_across_chunks(mode, counts):
         rep = empirical_bias(counts, mode, trials, seed, first_key=first_key)
         ones, nobit = reference_counts(counts, mode, trials, seed, first_key=first_key)
         assert (rep.prob_one, rep.no_bit) == (ones / trials, nobit / trials), first_key
+
+
+_KERNEL_CASES = [
+    ("process1", Fraction(1, 2), ("process1", "combine")),
+    ("combine", Fraction(4142, 10000), ("process1", "combine")),
+    ("distinct_unbiased", None, MODES),
+    ("process1", Fraction(1, 5), ("process1", "combine")),
+    (None, (3, 1, 5, 2, 2, 7), ("process1", "combine")),
+]
+
+
+@pytest.mark.parametrize("family, param, mode", [
+    (family, param, mode) for family, param, modes in _KERNEL_CASES for mode in modes],
+    ids=lambda v: str(v).replace("/", "_") if not isinstance(v, tuple) else "groups")
+def test_lanes_match_reference_on_stream_profiles(family, param, mode):
+    # the bias command families at n = 1e5 (one count group, or a conditioned
+    # first class: no lane offsets), process1 at alpha 1/5 (two count
+    # groups) and five unconditioned count groups, in every mode each
+    # accepts; 600 trials leave fewer than half the lanes live, so the
+    # kernel repacks
+    if family is None:
+        counts, first_key = {(k,): c for k, c in enumerate(param)}, None
+        profile = run_lengths(counts)
+        assert len(profile.groups) >= 3
+    else:
+        _, profile = bias_family(family, param, 10**5)
+        counts, first_key = family_counts(family, param, 10**5)
+    trials, seed = 600, 29
+    rep = empirical_bias(profile, mode, trials, seed)
+    ones, nobit = reference_counts(counts, mode, trials, seed, first_key=first_key)
+    assert (rep.prob_one, rep.no_bit) == (ones / trials, nobit / trials)
+
+
+def test_monte_carlo_work_is_bounded_per_trial():
+    # E[J | K] = (c - 1)/(n - c + 1) over the first classes a trial can
+    # draw: past DRAW_GUARD the call raises before the first draw; a class
+    # holding every item never draws, and a trial conditioned on the rare
+    # key stops at its second arrival
+    c = 2 * DRAW_GUARD + 2  # E[J] = (2 * DRAW_GUARD + 1) / 2
+    skewed = {(0,): c, (1,): 1}
+    for first_key in (None, (0,)):
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match=f"exceeds Monte Carlo guard {DRAW_GUARD}$"):
+            empirical_bias(skewed, "process1", 10**6, 1, first_key=first_key)
+        assert time.perf_counter() - start < 0.1
+    rep = empirical_bias(skewed, "process1", 50, 1, first_key=(1,))
+    assert (rep.prob_one, rep.no_bit) == (1, 0)  # the second arrival differs
+    assert empirical_bias({(0,): 10**12}, "combine", 50, 1).no_bit == 1
 
 
 def test_split_lanes_match_split_seed_across_chunks():

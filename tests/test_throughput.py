@@ -19,6 +19,7 @@ from rombit.throughput import (
     _scan,
     _table,
     is_normal,
+    normal_tables,
     offline_opt_throughput,
     rom_simulation,
     run_processes,
@@ -774,6 +775,25 @@ def test_is_normal_matches_reference(case, kind, k, shift):
         entries = mutate(entries, jobs, p, kind, k, shift)
         assert normality(is_normal, entries, jobs, p) == normality(
             reference_is_normal, entries, jobs, p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(schedule_inputs(), st.sampled_from(MUTATIONS), st.integers(0, 7), st.integers(0, 12))
+def test_a_stopped_run_and_shared_tables_change_nothing(case, kind, k, shift):
+    """A lone process stopped at the horizon returns the full run's starts
+    before it; ``is_normal`` given ``normal_tables`` gives the verdict it
+    gives alone, on every schedule and its mutations."""
+    jobs, p, start, horizon = case
+    rel, last, _ = columns(jobs, p)
+    if horizon is not None:
+        (greedy,) = processes(jobs, p, count=1)
+        assert run_processes(rel, last, p, range(len(jobs)), count=1, stop=horizon) == (
+            [e for e in greedy if e.start < horizon],)
+    tables = normal_tables(rel, last)
+    for entries in schedules(jobs, p, start):
+        entries = mutate(entries, jobs, p, kind, k, shift)
+        entries = [Entry(e.job.label, e.start, e.flexible) for e in entries]
+        assert is_normal(entries, rel, last, p, tables) == is_normal(entries, rel, last, p)
 
 
 def test_is_normal_mutations_reach_every_violation():
